@@ -143,16 +143,11 @@ def check_composition(comp, n_samples=6, seed=0):
                  "expected": len(comp.factors) - 1}))
 
     # p0 is central: [T_v, T_u] = 0 for all basis u
-    st, s_den = big._t_stack()
-    st = np.asarray(st, dtype=np.int64)
+    _, st, s_den = big._operands()
     worst_c = 0
     for v in comp.p0:
-        tv, _ = big._t_int(la.fvec(v))
-        tv = np.asarray(tv, dtype=np.int64)
-        comm = np.einsum("ab,ibc->iac", tv, st) \
-            - np.einsum("iab,bc->iac", st, tv)
-        worst_c = max(worst_c, int(np.max(np.abs(comm))) if comm.size
-                      else 0)
+        tv, _ = big._t_int(v)
+        worst_c = max(worst_c, la.max_abs(la.bracket(tv, st)))
     report.add(CheckResult(
         name="p0_central", passed=worst_c == 0,
         max_residual=Fraction(worst_c, s_den ** 2),

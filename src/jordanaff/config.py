@@ -7,25 +7,10 @@ Rational-mode checks never use tolerances; they compare exactly.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 RATIONAL = "rational"
 FLOAT = "float"
-
-_MODES = (RATIONAL, FLOAT)
-
-ENV_MODE_VAR = "JORDANAFF_MODE"
-
-
-def default_mode() -> str:
-    """Default arithmetic mode, overridable via the JORDANAFF_MODE env var."""
-    mode = os.environ.get(ENV_MODE_VAR, RATIONAL).strip().lower()
-    if mode not in _MODES:
-        raise ValueError(
-            f"{ENV_MODE_VAR} must be one of {_MODES}, got {mode!r}")
-    return mode
-
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -34,8 +19,6 @@ class Tolerances:
     rel: relative tolerance for residuals of algebraic identities.
     abs_floor: absolute floor under which any residual counts as zero.
     level: relative tolerance for hypersurface level-set membership.
-    t0: absolute tolerance on the weighted-sum constraint of composed
-        translation parameters.
     det_floor: relative floor below which a quadratic-operator
         determinant is treated as singular when inverting.
     """
@@ -43,7 +26,6 @@ class Tolerances:
     rel: float = 1e-9
     abs_floor: float = 1e-12
     level: float = 1e-8
-    t0: float = 1e-12
     det_floor: float = 1e-12
 
 

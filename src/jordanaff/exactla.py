@@ -1,9 +1,13 @@
 """Exact linear algebra over the rationals, tuned for structure-constant work.
 
 Matrices at the API level are nested tuples of ``fractions.Fraction``.
-Internally most routines clear denominators and run on numpy int64 arrays,
-with a predicted-overflow guard that drops to Python big integers when a
-product could exceed the int64 range, so results are exact in every case.
+Internally the routines clear denominators and run on integer ndarrays.
+Every integer contraction, commutator and linear combination goes
+through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
+it bounds the result in Python ints from the operands' max-abs values,
+the contracted sizes and the coefficients, then runs in int64 when the
+bound fits and on Python big integers (``dtype=object``) otherwise.  It
+never wraps and never refuses an input for its size.
 
 Rank decisions are deterministic: ranks are computed modulo a descending
 list of 30-bit primes until the accumulated prime product exceeds a
@@ -15,12 +19,15 @@ reported rank is certified rather than probabilistic.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-_INT64_SAFE = 2 ** 62
+# A kernel result runs in int64 when its bound is below this.  asint keeps
+# -2**63, the one int64 value whose abs wraps, out of int64 arrays.
+_INT64_SAFE = 2 ** 63
 
 Vec = tuple
 Mat = tuple
@@ -49,10 +56,6 @@ def fmat(rows) -> Mat:
     return tuple(fvec(r) for r in rows)
 
 
-def zero_vec(n) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n) -> Mat:
     z, one = Fraction(0), Fraction(1)
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
@@ -69,10 +72,6 @@ def vec_sub(u, v):
 def vec_scale(a, u):
     a = as_fraction(a)
     return tuple(a * x for x in u)
-
-
-def vec_dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def mat_sub(A, B):
@@ -116,68 +115,120 @@ def clear_denominators_vec(vec):
     return [int(x * den) for x in vec], den
 
 
-def int_array(ints):
-    """numpy int64 view of nested int lists, or None if entries are too big."""
-    m = 0
-    for row in ints:
-        for x in row:
-            a = -x if x < 0 else x
-            if a > m:
-                m = a
-    if m >= _INT64_SAFE:
-        return None
-    return np.array(ints, dtype=np.int64)
+# ---------------------------------------------------------------------------
+# the exact integer kernel
 
 
-def _max_abs(A):
-    if isinstance(A, np.ndarray):
-        return int(np.max(np.abs(A))) if A.size else 0
-    m = 0
-    for row in A:
-        for x in row:
-            a = -x if x < 0 else x
-            if a > m:
-                m = a
-    return m
+def asint(ints):
+    """ndarray of nested Python ints: int64 when every entry fits, else
+    ``dtype=object`` (Python ints)."""
+    try:
+        arr = np.asarray(ints, dtype=np.int64)
+    except OverflowError:
+        return np.asarray(ints, dtype=object)
+    if arr.size and arr.min() == -_INT64_SAFE:
+        return arr.astype(object)
+    return arr
 
 
-def int_matmul(A, B):
-    """Exact product of integer matrices (numpy arrays or nested lists)."""
-    if isinstance(A, np.ndarray) and isinstance(B, np.ndarray):
-        inner = A.shape[1]
-        bound = inner * _max_abs(A) * _max_abs(B)
-        if bound < _INT64_SAFE:
-            return A @ B
-        A = A.tolist()
-        B = B.tolist()
-    elif isinstance(A, np.ndarray):
-        A = A.tolist()
-    elif isinstance(B, np.ndarray):
-        B = B.tolist()
-    bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in bt] for row in A]
+def max_abs(arr) -> int:
+    """Largest absolute entry of an integer ndarray, as a Python int."""
+    return int(np.abs(arr).max()) if arr.size else 0
 
 
-def int_mat_vec(A, v):
-    """Exact integer matrix-vector product (arrays or nested lists)."""
-    if isinstance(A, np.ndarray):
-        vmax = max((abs(int(x)) for x in v), default=0)
-        if A.shape[1] * _max_abs(A) * vmax < _INT64_SAFE:
-            arr = np.array([int(x) for x in v], dtype=np.int64)
-            return [int(x) for x in A @ arr]
-        A = A.tolist()
-    return [sum(a * b for a, b in zip(row, v)) for row in A]
+def _operand(op):
+    """(array, bound on its max-abs); ``op`` is an array or such a pair."""
+    if isinstance(op, tuple):
+        return op
+    return op, max_abs(op)
+
+
+# Loops with fewer iterations than this (the product of all index sizes)
+# run faster as one naive einsum than after a contraction-path search.
+_PATH_MIN = 2 ** 16
+
+
+@functools.lru_cache(maxsize=256)
+def _index_axes(spec):
+    """(operand, axis) of the first occurrence of each index of ``spec``,
+    split into summed and kept indices."""
+    subs, out = spec.split("->")
+    first = {}
+    for k, sub in enumerate(subs.split(",")):
+        for axis, index in enumerate(sub):
+            first.setdefault(index, (k, axis))
+    return (tuple(v for i, v in first.items() if i not in out),
+            tuple(v for i, v in first.items() if i in out))
+
+
+def einsum(spec, *ops):
+    """Exact ``np.einsum`` of integer operands, in explicit mode.
+
+    The bound is the product of the operands' max-abs values (at least 1
+    each) and of the sizes of the summed indices.  It bounds every entry
+    and every partial sum of the result and of any pairwise intermediate,
+    so int64 is used exactly when that bound fits and nothing can wrap.
+    An operand may be passed as ``(array, m)`` with m >= its max-abs, so a
+    cached tensor is scanned once.
+    """
+    summed, kept = _index_axes(spec)
+    arrs, bound = [], 1
+    for op in ops:
+        arr, m = _operand(op)
+        arrs.append(arr)
+        bound *= max(m, 1)
+    loop = 1
+    for k, axis in summed:
+        loop *= arrs[k].shape[axis]
+    bound *= loop
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    for k, axis in kept:
+        loop *= arrs[k].shape[axis]
+    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in arrs),
+                     optimize=len(arrs) > 2 and loop >= _PATH_MIN)
+
+
+def bracket(x, y):
+    """Exact commutator x @ y - y @ x of integer matrices or stacks of
+    them (broadcast as by ``np.matmul``); int64 exactly when
+    2 * n * max-abs(x) * max-abs(y) fits."""
+    (x, mx), (y, my) = _operand(x), _operand(y)
+    dtype = np.int64 if 2 * x.shape[-1] * mx * my < _INT64_SAFE else object
+    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
+    return x @ y - y @ x
+
+
+def lincomb(*terms):
+    """Exact sum of ``c * arr`` over ``(c, arr)`` terms of one shape.
+
+    The coefficients are ints; int64 is used exactly when
+    sum |c| * max-abs(arr) fits.  ``arr`` may be an ``(array, m)`` pair
+    as in :func:`einsum`.
+    """
+    terms = [(int(c), _operand(op)) for c, op in terms]
+    bound = sum(abs(c) * m for c, (_, m) in terms)
+    dtype = np.int64 if bound < _INT64_SAFE else object
+    out = None
+    for c, (arr, m) in terms:
+        if c and m:
+            term = c * arr.astype(dtype, copy=False)
+            if out is None:
+                out = term
+            else:
+                out += term
+    return np.zeros(terms[0][1][0].shape, dtype) if out is None else out
+
+
+# ---------------------------------------------------------------------------
+# Fraction matrix products through the kernel
 
 
 def mat_mul(A, B):
-    """Exact Fraction matrix product via the scaled-integer fast path."""
+    """Exact Fraction matrix product via the scaled-integer kernel."""
     ia, da = clear_denominators(A)
     ib, db = clear_denominators(B)
-    na, nb = int_array(ia), int_array(ib)
-    prod = int_matmul(na if na is not None else ia, nb if nb is not None else ib)
+    prod = einsum("ab,bc->ac", asint(ia), asint(ib))
     d = Fraction(1, da * db)
-    if isinstance(prod, np.ndarray):
-        prod = prod.tolist()
     return tuple(tuple(d * int(x) for x in row) for row in prod)
 
 
@@ -376,9 +427,7 @@ PRIMES_30BIT = _gen_primes(150, 2 ** 30)
 
 
 def _reduce_mod(M, p):
-    if isinstance(M, np.ndarray):
-        return (M % p).astype(np.int64)
-    return np.array([[x % p for x in row] for row in M], dtype=np.int64)
+    return (M % p).astype(np.int64)
 
 
 def _mod_rank(A, p, want_pivot_rows=False):
@@ -416,8 +465,8 @@ def _hadamard_bits(M, size):
     if size <= 0:
         return 0.0
     logs = []
-    for row in (M.tolist() if isinstance(M, np.ndarray) else M):
-        m = _max_abs([row])
+    for row in M.tolist():
+        m = max(map(abs, row))
         if m:
             logs.append(0.5 * math.log2(size) + math.log2(m))
     logs.sort(reverse=True)
@@ -425,15 +474,11 @@ def _hadamard_bits(M, size):
 
 
 def int_rank(M) -> int:
-    """Certified rank of an integer matrix (nested lists or int64 array)."""
-    if isinstance(M, np.ndarray):
-        n_rows, n_cols = M.shape
-    else:
-        n_rows = len(M)
-        n_cols = len(M[0]) if n_rows else 0
-    if n_rows == 0 or n_cols == 0:
+    """Certified rank of an integer matrix (nested ints or an ndarray)."""
+    M = asint(M)
+    if M.size == 0:
         return 0
-    limit = min(n_rows, n_cols)
+    limit = min(M.shape)
     best = 0
     acc_bits = 0.0
     for p in PRIMES_30BIT:
@@ -454,6 +499,7 @@ def independent_rows(M):
     prime lifts to the rationals) and maximal because its size equals the
     certified rank.
     """
+    M = asint(M)
     r_total = int_rank(M)
     for p in PRIMES_30BIT:
         r, piv = _mod_rank(_reduce_mod(M, p), p, want_pivot_rows=True)
@@ -462,43 +508,21 @@ def independent_rows(M):
     raise ArithmeticError("independent rows: prime supply exhausted")
 
 
-def rank(A) -> int:
-    """Certified rank of a Fraction matrix."""
-    ints, _ = clear_denominators(A)
-    return int_rank(ints)
-
-
 # ---------------------------------------------------------------------------
 # tall systems: pick candidate pivot rows mod p, solve small, verify exactly
 
 
 def _pivot_row_candidates(ints, extra=()):
-    arr = int_array(ints)
-    M = arr if arr is not None else ints
     p = PRIMES_30BIT[0]
-    _, piv = _mod_rank(_reduce_mod(M, p), p, want_pivot_rows=True)
+    _, piv = _mod_rank(_reduce_mod(asint(ints), p), p, want_pivot_rows=True)
     rows = sorted(set(piv) | set(extra))
     return rows
 
 
 def _verify_zero_rows(ints, basis_cols_int):
     """Indices of rows of ints whose dot with any candidate column is nonzero."""
-    arr = int_array(ints)
-    barr = int_array(basis_cols_int)
-    if arr is not None and barr is not None:
-        prod = int_matmul(arr, barr.T)
-        if isinstance(prod, np.ndarray):
-            bad = np.nonzero(np.any(prod != 0, axis=1))[0]
-            return [int(i) for i in bad]
-        return [i for i, row in enumerate(prod) if any(x != 0 for x in row)]
-    bt = basis_cols_int
-    bad = []
-    for i, row in enumerate(ints):
-        for col in bt:
-            if sum(a * b for a, b in zip(row, col)) != 0:
-                bad.append(i)
-                break
-    return bad
+    prod = einsum("ab,cb->ac", asint(ints), asint(basis_cols_int))
+    return [int(i) for i in np.nonzero(np.any(prod != 0, axis=1))[0]]
 
 
 def null_space_tall(A):

@@ -47,8 +47,6 @@ from .jordan import JordanAlgebra, JordanError
 from .reports import CheckResult, VerificationReport
 from .structure import _trace_zero_basis, _operator_stack
 
-_INT64_SAFE = 2 ** 62
-
 
 class ModelError(JordanError):
     pass
@@ -105,33 +103,29 @@ class HypersurfaceModel:
     # -- integer stacks ---------------------------------------------------
 
     def _stacks(self):
-        """Integer T and A stacks over the v0 basis plus denominators."""
+        """Integer T and A stacks over the v0 basis plus denominators.
+
+        ``t_max`` and ``a_max`` cache the max-abs of the two stacks for
+        the kernel.
+        """
         if self._ints:
             return self._ints
         j = self.algebra
         nn = j.dim
         t_ops, t_den = _operator_stack(j, self.v0)
         e_int, e_den = la.clear_denominators_vec(j.unity())
-        e_arr = np.array(e_int, dtype=np.int64)
-        g_rows = [list(r) for r in j.gram()]
-        g_int, g_den = la.clear_denominators(g_rows)
-        g_arr = np.array(g_int, dtype=np.int64)
-        v0_arr = np.array(self.v0, dtype=np.int64) if self.n else \
-            np.zeros((0, nn), dtype=np.int64)
+        e_arr = la.asint(e_int)
+        g_int, g_den = la.clear_denominators(j.gram())
+        g_arr = la.asint(g_int)
+        v0_arr = la.asint(self.v0).reshape(self.n, nn)
         outer_den = e_den * g_den * nn
         d = t_den * outer_den // math.gcd(t_den, outer_den)
-        if self.n:
-            w = np.einsum("ab,ib->ia", g_arr, v0_arr)
-            outer = e_arr[None, :, None] * w[:, None, :]
-            bound = (d // t_den) * int(np.max(np.abs(t_ops)) or 0) \
-                + (d // outer_den) * int(np.max(np.abs(outer)) or 0)
-            if bound >= _INT64_SAFE:
-                raise ModelError("difference tensor exceeds integer range")
-            a_ops = (d // t_den) * t_ops - (d // outer_den) * outer
-        else:
-            a_ops = np.zeros((0, nn, nn), dtype=np.int64)
+        w = la.einsum("ab,ib->ia", g_arr, v0_arr)
+        outer = la.einsum("b,ic->ibc", e_arr, w)
+        a_ops = la.lincomb((d // t_den, t_ops), (-(d // outer_den), outer))
         self._ints = {
-            "t_ops": t_ops, "t_den": t_den, "a_ops": a_ops, "a_den": d,
+            "t_ops": t_ops, "t_den": t_den, "t_max": la.max_abs(t_ops),
+            "a_ops": a_ops, "a_den": d, "a_max": la.max_abs(a_ops),
             "e": e_arr, "e_den": e_den, "g": g_arr, "g_den": g_den,
             "v0": v0_arr,
         }
@@ -151,14 +145,13 @@ class HypersurfaceModel:
         s = self._stacks()
         j = self.algebra
         tr, tr_den = j._basis_traces()
-        tr_arr = np.array(tr, dtype=np.int64)
         if self.n == 0:
             return CheckResult(name="difference_tensor_into_v0",
                                passed=True)
-        img = np.einsum("iab,jb->ija", s["a_ops"], s["v0"])
-        worst_tr = int(np.max(np.abs(np.einsum("ija,a->ij", img, tr_arr)))
-                       ) if img.size else 0
-        diag = int(np.max(np.abs(np.einsum("iaa->i", s["a_ops"]))))
+        a_ops = (s["a_ops"], s["a_max"])
+        worst_tr = la.max_abs(la.einsum("iab,jb,a->ij", a_ops, s["v0"],
+                                        la.asint(tr)))
+        diag = la.max_abs(la.einsum("iaa->i", a_ops))
         passed = worst_tr == 0 and diag == 0
         return CheckResult(
             name="difference_tensor_into_v0", passed=passed,
@@ -172,18 +165,10 @@ class HypersurfaceModel:
         if self.n == 0:
             return CheckResult(name="cubic_form_symmetric", passed=True)
         s = self._stacks()
-        img = np.einsum("iab,jb->ija", s["a_ops"], s["v0"])
-        mx = int(np.max(np.abs(img)) or 0)
-        bound = self.algebra.dim ** 2 * mx \
-            * int(np.max(np.abs(s["g"])) or 0) \
-            * int(np.max(np.abs(s["v0"])) or 1)
-        if bound >= _INT64_SAFE:
-            raise ModelError("cubic form check exceeds integer range")
-        cub = np.einsum("ija,ab,kb->ijk", img, s["g"], s["v0"])
-        worst = 0
-        for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)):
-            worst = max(worst, int(np.max(np.abs(
-                cub - cub.transpose(perm)))))
+        img = la.einsum("iab,jb->ija", (s["a_ops"], s["a_max"]), s["v0"])
+        cub = la.einsum("ija,ab,kb->ijk", img, s["g"], s["v0"])
+        worst = max(la.max_abs(la.lincomb((1, cub), (-1, cub.transpose(perm))))
+                    for perm in ((0, 2, 1), (1, 0, 2), (2, 1, 0)))
         return CheckResult(
             name="cubic_form_symmetric", passed=worst == 0,
             max_residual=Fraction(worst, s["a_den"] * s["g_den"]),
@@ -204,66 +189,23 @@ class HypersurfaceModel:
         for x in (den_a, den_g):
             d = d * x // math.gcd(d, x)
         ft, fa, fg = d // den_t, d // den_a, d // den_g
-        w = np.einsum("ab,ib->ia", g_arr, v0)
-        mt = int(np.max(np.abs(t_ops)) or 0)
-        ma = int(np.max(np.abs(a_ops)) or 0)
-        mg = int(np.max(np.abs(w)) or 0)
-        mv = int(np.max(np.abs(v0)) or 1)
-        bound = (2 * ft * nn * mt * mt + 2 * fa * nn * ma * ma
-                 + 2 * fg * mv * mg) * nn * mv
-        use_int = bound < _INT64_SAFE
+        mt, ma = s["t_max"], s["a_max"]
+        w = la.einsum("ab,ib->ia", g_arr, v0)
         worst = Fraction(0)
         count = 0
         for a in range(self.n - 1):
             rest = slice(a + 1, self.n)
-            if use_int:
-                comm_t = np.einsum("ab,ibc->iac", t_ops[a], t_ops[rest]) \
-                    - np.einsum("iab,bc->iac", t_ops[rest], t_ops[a])
-                comm_a = np.einsum("ab,ibc->iac", a_ops[a], a_ops[rest]) \
-                    - np.einsum("iab,bc->iac", a_ops[rest], a_ops[a])
-                rank2 = v0[a][None, :, None] * w[rest][:, None, :] \
-                    - v0[rest][:, :, None] * w[a][None, None, :]
-                res = -ft * comm_t + fg * rank2 + fa * comm_a
-                resv = np.einsum("iab,jb->ija", res, v0)
-                m = int(np.max(np.abs(resv))) if resv.size else 0
-                worst = max(worst, Fraction(m, d))
-                count += resv.shape[0] * resv.shape[1]
-            else:
-                worst, count = self._gauss_pair_slow(a, worst, count)
+            rank2 = la.lincomb((1, la.einsum("b,ic->ibc", v0[a], w[rest])),
+                               (-1, la.einsum("ib,c->ibc", v0[rest], w[a])))
+            comm_t = la.bracket((t_ops[a], mt), (t_ops[rest], mt))
+            comm_a = la.bracket((a_ops[a], ma), (a_ops[rest], ma))
+            res = la.lincomb((-ft, comm_t), (fg, rank2), (fa, comm_a))
+            resv = la.einsum("iab,jb->ija", res, v0)
+            worst = max(worst, Fraction(la.max_abs(resv), d))
+            count += resv.shape[0] * resv.shape[1]
         return CheckResult(
             name="gauss_equation", passed=worst == 0, max_residual=worst,
             samples=count)
-
-    def _gauss_pair_slow(self, a, worst, count):
-        j = self.algebra
-        nn = j.dim
-        xs = [la.fvec(v) for v in self.v0]
-        g = j.gram()
-        ta = j.t_operator(xs[a])
-        aa = self._a_operator_frac(a)
-        for b in range(a + 1, self.n):
-            tb = j.t_operator(xs[b])
-            ab = self._a_operator_frac(b)
-            comm_t = la.mat_sub(la.mat_mul(ta, tb), la.mat_mul(tb, ta))
-            comm_a = la.mat_sub(la.mat_mul(aa, ab), la.mat_mul(ab, aa))
-            wa = la.mat_vec(g, xs[a])
-            wb = la.mat_vec(g, xs[b])
-            rank2 = tuple(tuple(
-                (xs[a][r] * wb[c] - xs[b][r] * wa[c]) / nn
-                for c in range(nn)) for r in range(nn))
-            res = la.mat_add(la.mat_sub(rank2, comm_t), comm_a)
-            for v in xs:
-                img = la.mat_vec(res, v)
-                worst = max(worst, max((abs(x) for x in img),
-                                       default=Fraction(0)))
-            count += self.n
-        return worst, count
-
-    def _a_operator_frac(self, a):
-        s = self._stacks()
-        d = Fraction(1, s["a_den"])
-        return tuple(tuple(d * int(x) for x in row)
-                     for row in s["a_ops"][a])
 
     def check_quadratic_expansion(self, hs=(Fraction(1, 3), Fraction(2),
                                             Fraction(-1, 5))):
@@ -320,30 +262,22 @@ class HypersurfaceModel:
                                samples=1)
         s = self._stacks()
         v0, e_arr = s["v0"], s["e"]
-        ci, cden = j._int_tensor()
-        ci = np.asarray(ci, dtype=np.int64)
-        ex = np.einsum("ijk,j->ik", ci, e_arr) @ v0.T - \
-            cden * s["e_den"] * v0.T
-        worst = max(worst, Fraction(
-            int(np.max(np.abs(ex))) if ex.size else 0,
-            cden * s["e_den"]))
-        mv = int(np.max(np.abs(v0)) or 1)
-        bound = nn * nn * int(np.max(np.abs(ci)) or 0) * mv * mv
-        if bound >= _INT64_SAFE:
-            raise ModelError("reconstruction check exceeds integer range")
-        prod = np.einsum("ijk,ai,bj->abk", ci, v0, v0)
-        img = np.einsum("aij,bj->abi", s["a_ops"], v0)
-        gv0 = v0 @ s["g"] @ v0.T
-        unit_term = gv0[:, :, None] * e_arr[None, None, :]
+        c, _, cden = j._operands()
+        ex = la.lincomb((1, la.einsum("ijk,j,bk->ib", c, e_arr, v0)),
+                        (-cden * s["e_den"], v0.T))
+        worst = max(worst, Fraction(la.max_abs(ex), cden * s["e_den"]))
+        prod = la.einsum("ijk,ai,bj->abk", c, v0, v0)
+        img = la.einsum("aij,bj->abi", (s["a_ops"], s["a_max"]), v0)
+        unit_term = la.einsum("ai,ij,bj,k->abk", v0, s["g"], v0, e_arr)
         den_p = cden
         den_a = s["a_den"]
         den_u = s["g_den"] * nn * s["e_den"]
         d = den_p
         for x in (den_a, den_u):
             d = d * x // math.gcd(d, x)
-        res = (d // den_p) * prod - (d // den_a) * img \
-            - (d // den_u) * unit_term
-        worst = max(worst, Fraction(int(np.max(np.abs(res))), d))
+        res = la.lincomb((d // den_p, prod), (-(d // den_a), img),
+                         (-(d // den_u), unit_term))
+        worst = max(worst, Fraction(la.max_abs(res), d))
         return CheckResult(
             name="reconstruction_roundtrip", passed=worst == 0,
             max_residual=worst, samples=self.n * self.n + self.n + 1)
@@ -425,8 +359,10 @@ def reconstruct_algebra(model):
         c[0][i] = tuple(Fraction(1) if t == i else zero
                         for t in range(nn))
         c[i][0] = c[0][i]
+    s = model._stacks()
+    d = Fraction(1, s["a_den"])
     for a in range(model.n):
-        aop = model._a_operator_frac(a)
+        aop = tuple(tuple(d * int(x) for x in row) for row in s["a_ops"][a])
         for b in range(model.n):
             img = la.mat_vec(aop, la.fvec(model.v0[b]))
             coords = la.mat_vec(binv, img)
@@ -453,23 +389,12 @@ def adapted_constants(model):
     if binv is None:
         raise ModelError("unit and trace-zero basis do not span")
     bi, dbi = la.clear_denominators(binv)
-    ci, cden = j._int_tensor()
-    b_arr = np.array([[int(x) for x in col] for col in cols],
-                     dtype=np.int64)
-    bi_arr = np.array([[int(x) for x in row] for row in bi],
-                      dtype=np.int64)
-    c_arr = np.asarray(ci, dtype=np.int64)
-    bound = (nn * int(np.max(np.abs(b_arr)))) ** 2 \
-        * max(int(np.max(np.abs(c_arr))), 1) \
-        * nn * max(int(np.max(np.abs(bi_arr))), 1)
-    if bound >= _INT64_SAFE:
-        b_arr = b_arr.astype(object)
-        bi_arr = bi_arr.astype(object)
-        c_arr = c_arr.astype(object)
-    prod = np.einsum("ijk,ai,bj->abk", c_arr, b_arr, b_arr,
-                     optimize=True)
-    fc = np.einsum("abk,tk->abt", prod, bi_arr)
-    den = cden * dbi
+    b_int, db = la.clear_denominators(cols)
+    b_arr = la.asint(b_int)
+    c, _, cden = j._operands()
+    prod = la.einsum("ijk,ai,bj->abk", c, b_arr, b_arr)
+    fc = la.einsum("abk,tk->abt", prod, la.asint(bi))
+    den = cden * dbi * db * db
     return tuple(
         tuple(tuple(Fraction(int(fc[a, b, t]), den) for t in range(nn))
               for b in range(nn))

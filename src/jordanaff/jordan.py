@@ -12,8 +12,10 @@ axioms are commutativity and u o (u^2 o v) = u^2 o (u o v); the second is
 checked through the operator commutator [T_u, T_{u^2}], whose columns
 cover every basis choice of v at once.
 
-Heavy exact computations clear denominators and run on numpy int64 with
-predicted-overflow fallbacks to Python big integers; see exactla.
+Exact computations clear denominators and run through the one integer
+kernel of :mod:`jordanaff.exactla`, which picks int64 or Python big
+integers from a bound on each result and never wraps or refuses an input
+for its size.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ import numpy as np
 from . import exactla as la
 from .config import FLOAT, RATIONAL, TOL
 from .reports import CheckResult
-
-_INT64_SAFE = 2 ** 62
 
 
 class JordanError(Exception):
@@ -49,10 +49,6 @@ class NotInvertibleError(JordanError):
 
 class NotSemisimpleError(JordanError):
     pass
-
-
-def _as_int(x):
-    return int(x)
 
 
 class JordanAlgebra:
@@ -92,7 +88,7 @@ class JordanAlgebra:
     # -- basic representations ------------------------------------------
 
     def _int_tensor(self):
-        """(int64 array or nested lists, den) with c == tensor/den."""
+        """(ci, den) with c == ci / den; ci is int64 or object-dtype."""
         if "ci" not in self._cache:
             den = 1
             for ci in self.c:
@@ -100,30 +96,25 @@ class JordanAlgebra:
                     for x in cij:
                         den = den // math.gcd(den, x.denominator) \
                             * x.denominator
-            ints = [[[int(x * den) for x in cij] for cij in ci]
-                    for ci in self.c]
-            arr = np.array(ints, dtype=np.int64) \
-                if la._max_abs([[max(map(abs, cij), default=0)]
-                                for ci in ints for cij in ci]) < 2 ** 53 \
-                else None
-            if arr is None:
-                self._cache["ci"] = (ints, den)
-            else:
-                self._cache["ci"] = (arr, den)
+            ci = la.asint([[[int(x * den) for x in cij] for cij in ci]
+                           for ci in self.c])
+            self._cache["ci"] = (ci, den)
+            self._cache["cmax"] = la.max_abs(ci)
         return self._cache["ci"]
 
     def _t_stack(self):
-        """int64 stack S with S[i] = T_{b_i} (scaled by the tensor den)."""
+        """Integer stack S with S[i] = T_{b_i} (scaled by the tensor den)."""
         if "tstack" not in self._cache:
             ci, den = self._int_tensor()
-            if isinstance(ci, np.ndarray):
-                self._cache["tstack"] = (ci.transpose(0, 2, 1).copy(), den)
-            else:
-                dim = self.dim
-                st = [[[ci[i][j][k] for j in range(dim)]
-                       for k in range(dim)] for i in range(dim)]
-                self._cache["tstack"] = (st, den)
+            self._cache["tstack"] = (ci.transpose(0, 2, 1).copy(), den)
         return self._cache["tstack"]
+
+    def _operands(self):
+        """Kernel operands (ci, S) with their cached max-abs, and the den."""
+        ci, den = self._int_tensor()
+        st, _ = self._t_stack()
+        m = self._cache["cmax"]
+        return (ci, m), (st, m), den
 
     def _float_tensor(self):
         if "cf" not in self._cache:
@@ -164,31 +155,12 @@ class JordanAlgebra:
         v = self.coerce(v)
         if self.mode == FLOAT:
             return np.einsum("i,j,ijk->k", u, v, self._float_tensor())
-        ci, den = self._int_tensor()
+        c, _, den = self._operands()
         ui, du = la.clear_denominators_vec(u)
         vi, dv = la.clear_denominators_vec(v)
-        if isinstance(ci, np.ndarray):
-            bound = self.dim ** 2 * la._max_abs([ui]) * la._max_abs([vi]) \
-                * int(np.max(np.abs(ci)) or 0)
-            if 0 < bound < _INT64_SAFE:
-                w = np.einsum("i,j,ijk->k",
-                              np.array(ui, dtype=np.int64),
-                              np.array(vi, dtype=np.int64), ci)
-                d = Fraction(1, den * du * dv)
-                return tuple(d * int(x) for x in w)
-        out = [Fraction(0)] * self.dim
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = self.c[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                ab = a * b
-                for k, cijk in enumerate(row[j]):
-                    if cijk:
-                        out[k] += ab * cijk
-        return tuple(out)
+        w = la.einsum("i,j,ijk->k", la.asint(ui), la.asint(vi), c)
+        d = Fraction(1, den * du * dv)
+        return tuple(d * int(x) for x in w)
 
     def square(self, u):
         return self.product(u, u)
@@ -200,32 +172,13 @@ class JordanAlgebra:
             return np.einsum("i,ijk->kj", u, self._float_tensor())
         m, d = self._t_int(u)
         frac = Fraction(1, d)
-        if isinstance(m, np.ndarray):
-            return tuple(tuple(frac * int(x) for x in row) for row in m)
-        return tuple(tuple(frac * x for x in row) for row in m)
+        return tuple(tuple(frac * int(x) for x in row) for row in m)
 
     def _t_int(self, u):
         """Integer-scaled T_u: returns (matrix, den)."""
-        st, den = self._t_stack()
+        _, st, den = self._operands()
         ui, du = la.clear_denominators_vec(la.fvec(u))
-        if isinstance(st, np.ndarray):
-            bound = self.dim * la._max_abs([ui]) * int(np.max(np.abs(st)) or 0)
-            if bound < _INT64_SAFE:
-                return np.einsum("i,ikj->kj", np.array(ui, dtype=np.int64),
-                                 st), den * du
-        dim = self.dim
-        rows = [[0] * dim for _ in range(dim)]
-        for i, a in enumerate(ui):
-            if not a:
-                continue
-            ti = st[i] if not isinstance(st, np.ndarray) else st[i].tolist()
-            for k in range(dim):
-                rk = ti[k]
-                out = rows[k]
-                for j in range(dim):
-                    if rk[j]:
-                        out[j] += a * rk[j]
-        return rows, den * du
+        return la.einsum("i,ikj->kj", la.asint(ui), st), den * du
 
     def p_operator(self, u):
         """Quadratic operator P_u = 2 T_u^2 - T_{u^2}."""
@@ -235,44 +188,27 @@ class JordanAlgebra:
             return 2.0 * (t @ t) - self.t_operator(self.square(u))
         m, d = self._p_int(u)
         frac = Fraction(1, d)
-        rows = m.tolist() if isinstance(m, np.ndarray) else m
-        return tuple(tuple(frac * x for x in row) for row in rows)
+        return tuple(tuple(frac * int(x) for x in row) for row in m)
 
     def _p_int(self, u):
         t, dt = self._t_int(u)
-        t2 = la.int_matmul(t, t)
+        t2 = la.einsum("ab,bc->ac", t, t)
         usq = self.square(u)
         tu2, du2 = self._t_int(usq)
         # scales: t2 carries dt^2, tu2 carries du2; align on lcm
         lcm = dt * dt // math.gcd(dt * dt, du2) * du2
         a = lcm // (dt * dt)
         b = lcm // du2
-        if isinstance(t2, np.ndarray) and isinstance(tu2, np.ndarray):
-            bound = 2 * a * int(np.max(np.abs(t2)) or 0) \
-                + b * int(np.max(np.abs(tu2)) or 0)
-            if bound < _INT64_SAFE:
-                return 2 * a * t2 - b * tu2, lcm
-            t2 = t2.tolist()
-            tu2 = tu2.tolist()
-        t2 = t2.tolist() if isinstance(t2, np.ndarray) else t2
-        tu2 = tu2.tolist() if isinstance(tu2, np.ndarray) else tu2
-        return [[2 * a * x - b * y for x, y in zip(r1, r2)]
-                for r1, r2 in zip(t2, tu2)], lcm
+        return la.lincomb((2 * a, t2), (-b, tu2)), lcm
 
     # -- traces, determinants, the trace form ----------------------------
 
     def _basis_traces(self):
         """tr T_{b_i} for each i, as integer vector plus denominator."""
         if "traces" not in self._cache:
-            ci, den = self._int_tensor()
-            if isinstance(ci, np.ndarray):
-                tr = np.einsum("ijj->i", ci)
-                self._cache["traces"] = ([int(x) for x in tr], den)
-            else:
-                dim = self.dim
-                self._cache["traces"] = (
-                    [sum(ci[i][j][j] for j in range(dim))
-                     for i in range(dim)], den)
+            c, _, den = self._operands()
+            tr = la.einsum("ijj->i", c)
+            self._cache["traces"] = ([int(x) for x in tr], den)
         return self._cache["traces"]
 
     def element_trace(self, u):
@@ -290,7 +226,7 @@ class JordanAlgebra:
             p = 2.0 * (t @ t) - self.t_operator(self.square(u))
             return float(np.linalg.det(p))
         m, d = self._p_int(u)
-        rows = m.tolist() if isinstance(m, np.ndarray) else [list(r) for r in m]
+        rows = m.tolist()
         sign = la._bareiss_forward(rows, self.dim, self.dim)
         if self.dim == 1:
             det_int = rows[0][0]
@@ -308,35 +244,18 @@ class JordanAlgebra:
     def gram(self):
         """Gram matrix of the trace form on the basis."""
         if "gram" not in self._cache:
-            ci, den = self._int_tensor()
             tr, dtr = self._basis_traces()
             if self.mode == FLOAT:
                 g = np.einsum("ijk,k->ij", self._float_tensor(),
                               np.array(tr, dtype=np.float64) / dtr)
                 self._cache["gram"] = g
-            elif isinstance(ci, np.ndarray):
-                trv = np.array(tr, dtype=np.int64)
-                bound = self.dim * int(np.max(np.abs(ci)) or 0) \
-                    * (la._max_abs([tr]) or 1)
-                if bound < _INT64_SAFE:
-                    g = np.einsum("ijk,k->ij", ci, trv)
-                    f = Fraction(1, den * dtr)
-                    self._cache["gram"] = tuple(
-                        tuple(f * int(x) for x in row) for row in g)
-                else:
-                    self._cache["gram"] = self._gram_slow()
             else:
-                self._cache["gram"] = self._gram_slow()
+                c, _, den = self._operands()
+                g = la.einsum("ijk,k->ij", c, la.asint(tr))
+                f = Fraction(1, den * dtr)
+                self._cache["gram"] = tuple(
+                    tuple(f * int(x) for x in row) for row in g)
         return self._cache["gram"]
-
-    def _gram_slow(self):
-        dim = self.dim
-        out = []
-        for i in range(dim):
-            ei = self.basis_element(i)
-            out.append(tuple(self.trace_form(ei, self.basis_element(j))
-                             for j in range(dim)))
-        return tuple(out)
 
     def is_semisimple(self):
         """(nondegenerate trace form?, inertia (pos, neg, zero))."""
@@ -359,13 +278,7 @@ class JordanAlgebra:
             s = np.linalg.svd(m, compute_uv=False)
             return bool(s[-1] > TOL.rel * s[0])
         st, _ = self._t_stack()
-        if isinstance(st, np.ndarray):
-            m = st.reshape(self.dim, -1).T
-        else:
-            m = [[st[i][k][j] for i in range(self.dim)]
-                 for k in range(self.dim) for j in range(self.dim)]
-        return la.int_rank(np.asarray(m) if isinstance(m, np.ndarray)
-                           else m) == self.dim
+        return la.int_rank(st.reshape(self.dim, -1).T) == self.dim
 
     # -- unity and inversion ---------------------------------------------
 
@@ -443,17 +356,8 @@ class JordanAlgebra:
         if self.mode == FLOAT:
             return self._check_jordan_float(n_samples, rng)
         ci, den = self._int_tensor()
-        if isinstance(ci, np.ndarray):
-            comm_sym = np.max(np.abs(ci - ci.transpose(1, 0, 2)))
-            ja1 = Fraction(int(comm_sym), den)
-        else:
-            dim = self.dim
-            worst = 0
-            for i in range(dim):
-                for j in range(i):
-                    for k in range(dim):
-                        worst = max(worst, abs(ci[i][j][k] - ci[j][i][k]))
-            ja1 = Fraction(worst, den)
+        ja1 = Fraction(la.max_abs(la.lincomb(
+            (1, ci), (-1, ci.transpose(1, 0, 2)))), den)
         ja1_witness = None
         if ja1:
             for i in range(self.dim):
@@ -472,15 +376,7 @@ class JordanAlgebra:
         for idx, u in enumerate(samples):
             t, dt = self._t_int(u)
             t2, d2 = self._t_int(self.square(u))
-            ab = la.int_matmul(t, t2)
-            ba = la.int_matmul(t2, t)
-            if isinstance(ab, np.ndarray) and isinstance(ba, np.ndarray):
-                m = int(np.max(np.abs(ab - ba)))
-            else:
-                ab = ab.tolist() if isinstance(ab, np.ndarray) else ab
-                ba = ba.tolist() if isinstance(ba, np.ndarray) else ba
-                m = max((abs(x - y) for r1, r2 in zip(ab, ba)
-                         for x, y in zip(r1, r2)), default=0)
+            m = la.max_abs(la.bracket(t, t2))
             r = Fraction(m, dt * d2)
             if r > ja2:
                 ja2, ja2_witness = r, idx
@@ -554,20 +450,15 @@ class JordanAlgebra:
             v = self.random_element(rng, bound=3)
             pu, dpu = self._p_int(u)
             pv, dpv = self._p_int(v)
-            vi = [int(x) for x in v]
-            a = la.int_mat_vec(pu, vi)          # = dpu * P_u(v)
-            pa, dpa = self._p_int(la.fvec(a))   # = (dpu)^2 P_{P_u v} * dpa
-            rhs = la.int_matmul(la.int_matmul(pu, pv), pu)
+            a = la.einsum("ab,b->a", pu, la.asint([int(x) for x in v]))
+            # a = dpu * P_u(v), and pa = (dpu)^2 P_{P_u v} * dpa
+            pa, dpa = self._p_int(la.fvec(a))
+            rhs = la.einsum("ab,bc,cd->ad", pu, pv, pu)
             # lhs / (dpa dpu^2)  vs  rhs / (dpu^2 dpv)
             gl = dpa * dpu * dpu
             gr = dpu * dpu * dpv
             lcm = gl // math.gcd(gl, gr) * gr
-            fl, fr = lcm // gl, lcm // gr
-            pa = pa.tolist() if isinstance(pa, np.ndarray) else pa
-            rhs = rhs.tolist() if isinstance(rhs, np.ndarray) else rhs
-            m = max((abs(fl * int(x) - fr * int(y))
-                     for r1, r2 in zip(pa, rhs)
-                     for x, y in zip(r1, r2)), default=0)
+            m = la.max_abs(la.lincomb((lcm // gl, pa), (-(lcm // gr), rhs)))
             worst = max(worst, Fraction(m, lcm))
         return CheckResult(name="quadratic_fundamental",
                            passed=worst == 0, max_residual=worst,
@@ -597,118 +488,67 @@ class JordanAlgebra:
         rng = random.Random(seed)
         if self.mode == FLOAT:
             return self._check_triple_float(n_samples, rng, seed)
-        ci, dc = self._int_tensor()
-        n = self.dim
-        bound = 3
-        cmax = int(np.max(np.abs(ci))) if isinstance(ci, np.ndarray) \
-            else max((abs(x) for s in ci for r in s for x in r), default=0)
-        guard = n ** 4 * bound ** 4 * max(cmax, 1) ** 4 * 81
-        if not isinstance(ci, np.ndarray) or guard >= _INT64_SAFE:
-            return self._check_triple_frac(n_samples, rng, seed)
-        st = ci.transpose(0, 2, 1)
-
-        U, V, W, Z = (self._int_elements(rng, n_samples, bound)
+        c, st, dc = self._operands()
+        U, V, W, Z = (self._int_elements(rng, n_samples, 3)
                       for _ in range(4))
 
         def prod(a, b):
-            return np.einsum("si,sj,ijk->sk", a, b, ci)
+            return la.einsum("si,sj,ijk->sk", a, b, c)
 
-        def trip(a, b, c):
-            return prod(prod(a, b), c) + prod(prod(c, b), a) \
-                - prod(prod(a, c), b)
+        def trip(a, b, w):
+            return la.lincomb((1, prod(prod(a, b), w)),
+                              (1, prod(prod(w, b), a)),
+                              (-1, prod(prod(a, w), b)))
 
         def lmat(a, b):
             # columns of L(a, b): images of the basis vectors
-            ab = prod(a, b)
-            p1 = np.einsum("sl,lkm->skm", ab, ci)
-            q = np.einsum("sj,kjl->skl", b, ci)
-            p2 = np.einsum("skl,si,lim->skm", q, a, ci, optimize=True)
-            r = np.einsum("si,ikl->skl", a, ci)
-            p3 = np.einsum("skl,sj,ljm->skm", r, b, ci, optimize=True)
-            return (p1 + p2 - p3).transpose(0, 2, 1)
+            p1 = la.einsum("sl,lkm->skm", prod(a, b), c)
+            q = la.einsum("sj,kjl->skl", b, c)
+            p2 = la.einsum("skl,si,lim->skm", q, a, c)
+            r = la.einsum("si,ikl->skl", a, c)
+            p3 = la.einsum("skl,sj,ljm->skm", r, b, c)
+            return la.lincomb((1, p1), (1, p2), (-1, p3)).transpose(0, 2, 1)
+
+        def residual(*terms):
+            return la.max_abs(la.lincomb(*terms))
 
         worsts = {}
         tuvw = trip(U, V, W)
         worsts["outer_symmetry"] = Fraction(
-            int(np.max(np.abs(tuvw - trip(W, V, U)))), dc * dc)
+            residual((1, tuvw), (-1, trip(W, V, U))), dc * dc)
 
         luv, lvu = lmat(U, V), lmat(V, U)
-        t_u = np.einsum("si,ikj->skj", U, st)
-        t_v = np.einsum("si,ikj->skj", V, st)
-        comm = np.einsum("sab,sbc->sac", t_u, t_v) \
-            - np.einsum("sab,sbc->sac", t_v, t_u)
-        t_uv = np.einsum("sl,lkj->skj", prod(U, V), st)
+        comm = la.bracket(la.einsum("si,ikj->skj", U, st),
+                          la.einsum("si,ikj->skj", V, st))
+        t_uv = la.einsum("sl,lkj->skj", prod(U, V), st)
         worsts["operator_form"] = Fraction(
-            int(np.max(np.abs(luv - comm - t_uv))), dc * dc)
+            residual((1, luv), (-1, comm), (-1, t_uv)), dc * dc)
         worsts["symmetric_part"] = Fraction(
-            int(np.max(np.abs(luv + lvu - 2 * t_uv))), dc * dc)
+            residual((1, luv), (1, lvu), (-2, t_uv)), dc * dc)
         worsts["antisymmetric_part"] = Fraction(
-            int(np.max(np.abs(luv - lvu - 2 * comm))), dc * dc)
+            residual((1, luv), (-1, lvu), (-2, comm)), dc * dc)
 
-        g = self.gram()
-        g_int, dg = la.clear_denominators([list(r) for r in g])
-        g_arr = np.array(g_int, dtype=np.int64)
-        lhs = np.einsum("sm,mq,sq->s", tuvw, g_arr, Z)
-        rhs = np.einsum("sm,mq,sq->s", trip(V, U, Z), g_arr, W)
+        g_int, dg = la.clear_denominators(self.gram())
+        g_arr = la.asint(g_int)
+        lhs = la.einsum("sm,mq,sq->s", tuvw, g_arr, Z)
+        rhs = la.einsum("sm,mq,sq->s", trip(V, U, Z), g_arr, W)
         worsts["trace_form_transpose"] = Fraction(
-            int(np.max(np.abs(lhs - rhs))), dc * dc * dg)
+            residual((1, lhs), (-1, rhs)), dc * dc * dg)
 
-        # commutation rule, sample by sample (nested denominators)
-        def prod1(a, b):
-            return np.einsum("i,j,ijk->k", a, b, ci)
-
-        def lmat1(a, b):
-            ab = prod1(a, b)
-            p1 = np.einsum("l,lkm->km", ab, ci)
-            q = np.einsum("j,kjl->kl", b, ci)
-            p2 = np.einsum("kl,i,lim->km", q, a, ci, optimize=True)
-            r = np.einsum("i,ikl->kl", a, ci)
-            p3 = np.einsum("kl,j,ljm->km", r, b, ci, optimize=True)
-            return (p1 + p2 - p3).T
-
-        worst_c = 0
-        for s in range(n_samples):
-            u, v, w, z = U[s], V[s], W[s], Z[s]
-            lwz, luv1 = lmat1(w, z), lmat1(u, v)
-            lhs1 = lwz @ luv1 - luv1 @ lwz
-            a = lmat1(w, z) @ u
-            b = lmat1(z, w) @ v
-            rhs1 = lmat1(a, v) - lmat1(u, b)
-            worst_c = max(worst_c, int(np.max(np.abs(lhs1 - rhs1))))
-        worsts["commutation_rule"] = Fraction(worst_c, dc ** 4)
+        # [L(w,z), L(u,v)] = L(t(w,z,u), v) - L(u, t(z,w,v)); every term
+        # carries dc^4
+        lwz = lmat(W, Z)
+        a = la.einsum("sab,sb->sa", lwz, U)
+        b = la.einsum("sab,sb->sa", lmat(Z, W), V)
+        worsts["commutation_rule"] = Fraction(
+            residual((1, la.bracket(lwz, luv)), (-1, lmat(a, V)),
+                     (1, lmat(U, b))), dc ** 4)
 
         worst = max(worsts.values())
         return CheckResult(
             name="triple_identities", passed=worst == 0,
             max_residual=worst, samples=n_samples, seed=seed,
             details={k: v for k, v in worsts.items()})
-
-    def _check_triple_frac(self, n_samples, rng, seed):
-        worst = Fraction(0)
-        details = {}
-        for _ in range(n_samples):
-            u, v, w, z = (self.random_element(rng, bound=3)
-                          for _ in range(4))
-            t1 = self.triple(u, v, w)
-            t2 = self.triple(w, v, u)
-            r = max(abs(x - y) for x, y in zip(t1, t2))
-            lhs = self.trace_form(t1, z)
-            rhs = self.trace_form(w, self.triple(v, u, z))
-            r = max(r, abs(lhs - rhs))
-            tu = self.t_operator(u)
-            tv = self.t_operator(v)
-            op = la.mat_add(la.mat_sub(la.mat_mul(tu, tv),
-                                       la.mat_mul(tv, tu)),
-                            self.t_operator(self.product(u, v)))
-            cols = [self.triple(u, v, self.basis_element(k))
-                    for k in range(self.dim)]
-            r = max(r, max(abs(cols[k][m] - op[m][k])
-                           for k in range(self.dim)
-                           for m in range(self.dim)))
-            worst = max(worst, r)
-        return CheckResult(name="triple_identities", passed=worst == 0,
-                           max_residual=worst, samples=n_samples,
-                           seed=seed, details=details)
 
     def _check_triple_float(self, n_samples, rng, seed):
         cf = self._float_tensor()
@@ -760,33 +600,18 @@ class JordanAlgebra:
             return CheckResult(name="operators_self_adjoint",
                                passed=worst <= tol, max_residual=worst,
                                samples=self.dim + n_samples, seed=seed)
-        g = self.gram()
-        g_int, dg = la.clear_denominators([list(r) for r in g])
-        g_arr = np.array(g_int, dtype=np.int64)
-        st, dt = self._t_stack()
-        worst = Fraction(0)
-        if isinstance(st, np.ndarray) and \
-                self.dim * int(np.max(np.abs(g_arr)) or 0) \
-                * int(np.max(np.abs(st)) or 0) < _INT64_SAFE:
-            gt = np.einsum("ab,ibc->iac", g_arr, st)
-            worst = Fraction(int(np.max(np.abs(gt - gt.transpose(0, 2, 1)))),
-                             dg * dt)
-        else:
-            for i in range(self.dim):
-                gt = la.mat_mul(g, self.t_operator(self.basis_element(i)))
-                worst = max(worst, max(
-                    abs(gt[a][b] - gt[b][a])
-                    for a in range(self.dim) for b in range(a)))
+        g_int, dg = la.clear_denominators(self.gram())
+        g_arr = la.asint(g_int)
+        _, st, dt = self._operands()
+        gt = la.einsum("ab,ibc->iac", g_arr, st)
+        worst = Fraction(la.max_abs(la.lincomb(
+            (1, gt), (-1, gt.transpose(0, 2, 1)))), dg * dt)
         for _ in range(n_samples):
             u = self.random_element(rng, bound=3)
             p, dp = self._p_int(u)
-            p = p.tolist() if isinstance(p, np.ndarray) else p
-            gp = la.int_matmul(g_int, p)
-            gp = gp.tolist() if isinstance(gp, np.ndarray) else gp
-            m = max((abs(gp[a][b] - gp[b][a])
-                     for a in range(self.dim) for b in range(a)),
-                    default=0)
-            worst = max(worst, Fraction(int(m), dg * dp))
+            gp = la.einsum("ab,bc->ac", g_arr, p)
+            worst = max(worst, Fraction(
+                la.max_abs(la.lincomb((1, gp), (-1, gp.T))), dg * dp))
         return CheckResult(name="operators_self_adjoint",
                            passed=worst == 0, max_residual=worst,
                            samples=self.dim + n_samples, seed=seed)
@@ -840,32 +665,24 @@ class JordanAlgebra:
             done += 1
             y, dw = la.clear_denominators_vec(w)
             pv, dpv = self._p_int(v)
-            vi = [int(x) for x in v]
             # P_v w = v  <=>  pv . y = dpv dw v
-            r1 = la.int_mat_vec(pv, y)
-            m1 = max((abs(int(a) - dpv * dw * b)
-                      for a, b in zip(r1, vi)), default=0)
+            r1 = la.einsum("ab,b->a", pv, la.asint(y))
+            m1 = la.max_abs(la.lincomb(
+                (1, r1), (-dpv * dw, la.asint([int(x) for x in v]))))
             worst = max(worst, Fraction(m1, dpv * dw))
             # P_w P_v = I  <=>  py . pv = dpy dw^2 dpv I
             py, dpy = self._p_int(la.fvec(y))
-            pp = la.int_matmul(py, pv)
-            pp = pp.tolist() if isinstance(pp, np.ndarray) else pp
+            pp = la.einsum("ab,bc->ac", py, pv)
             full = dpy * dw * dw * dpv
-            m2 = max(abs(int(pp[a][b]) - (full if a == b else 0))
-                     for a in range(n) for b in range(n))
+            m2 = la.max_abs(la.lincomb((1, pp), (-full, np.eye(n, dtype=int))))
             worst = max(worst, Fraction(m2, full))
             # T_w P_v = T_v and P_v T_w = T_v, aligned on integers
             ty, dty = self._t_int(la.fvec(y))
             tv_i, dtv = self._t_int(v)
-            lhs_a = la.int_matmul(ty, pv)
-            lhs_b = la.int_matmul(pv, ty)
             scale_r = dty * dw * dpv // dtv
-            tv_l = tv_i.tolist() if isinstance(tv_i, np.ndarray) else tv_i
-            for lhs in (lhs_a, lhs_b):
-                lhs = lhs.tolist() if isinstance(lhs, np.ndarray) else lhs
-                m3 = max((abs(int(x) - scale_r * int(t))
-                          for r1, r2 in zip(lhs, tv_l)
-                          for x, t in zip(r1, r2)), default=0)
+            for lhs in (la.einsum("ab,bc->ac", ty, pv),
+                        la.einsum("ab,bc->ac", pv, ty)):
+                m3 = la.max_abs(la.lincomb((1, lhs), (-scale_r, tv_i)))
                 worst = max(worst, Fraction(m3, dty * dw * dpv))
         return CheckResult(name="inverse_identities", passed=worst == 0,
                            max_residual=worst, samples=done, seed=seed)
@@ -883,39 +700,18 @@ class JordanAlgebra:
             term3 = np.einsum("ka,ija->ijk", tg, cf)
             new_c = term1 + term1.transpose(1, 0, 2) - term3
         else:
-            st, den = self._t_stack()
+            c, st, den = self._operands()
             gi, dg = la.clear_denominators_vec(gamma)
-            if isinstance(st, np.ndarray):
-                garr = np.array(gi, dtype=np.int64)
-                mst = int(np.max(np.abs(st)) or 0)
-                mg = la._max_abs([gi]) or 1
-                bound = (self.dim * mst * mg) * mst * self.dim * 3
-                if bound < _INT64_SAFE:
-                    w = np.einsum("ikj,j->ik", st, garr)
-                    tg = np.einsum("i,ikj->kj", garr, st)
-                    ci = st.transpose(0, 2, 1)
-                    term1 = np.einsum("ika,ja->ijk", st, w)
-                    term3 = np.einsum("ka,ija->ijk", tg, ci)
-                    new_int = term1 + term1.transpose(1, 0, 2) - term3
-                    d = Fraction(1, den * den * dg * dg)
-                    new_c = [[[d * int(x) for x in row]
-                              for row in plane] for plane in new_int]
-                    return JordanAlgebra(
-                        new_c, mode=self.mode,
-                        name=f"{self.name}^gamma", labels=self.labels,
-                        meta={**self.meta, "isotope_of": self.name})
-            new_c = [[None] * self.dim for _ in range(self.dim)]
-            for i in range(self.dim):
-                bi = self.basis_element(i)
-                big = self.product(bi, gamma)
-                for j in range(self.dim):
-                    bj = self.basis_element(j)
-                    bjg = self.product(bj, gamma)
-                    t1 = self.product(bi, bjg)
-                    t2 = self.product(bj, big)
-                    t3 = self.product(self.product(bi, bj), gamma)
-                    new_c[i][j] = tuple(a + b - cc
-                                        for a, b, cc in zip(t1, t2, t3))
+            garr = la.asint(gi)
+            w = la.einsum("ikj,j->ik", st, garr)
+            tg = la.einsum("i,ikj->kj", garr, st)
+            term1 = la.einsum("ika,ja->ijk", st, w)
+            term3 = la.einsum("ka,ija->ijk", tg, c)
+            new_int = la.lincomb((1, term1), (1, term1.transpose(1, 0, 2)),
+                                 (-1, term3))
+            d = Fraction(1, den * den * dg)
+            new_c = [[[d * int(x) for x in row] for row in plane]
+                     for plane in new_int]
         return JordanAlgebra(new_c, mode=self.mode,
                              name=f"{self.name}^gamma", labels=self.labels,
                              meta={**self.meta, "isotope_of": self.name})
@@ -924,27 +720,9 @@ class JordanAlgebra:
 
     def _commutator_columns(self, z):
         """Integer matrix whose column i is vec([T_{b_i}, T_z])."""
-        st, den = self._t_stack()
-        tz, dz = self._t_int(z)
-        if isinstance(st, np.ndarray) and isinstance(tz, np.ndarray):
-            bound = self.dim * int(np.max(np.abs(st)) or 0) \
-                * int(np.max(np.abs(tz)) or 1) * 2
-            if bound < _INT64_SAFE:
-                comm = np.einsum("iab,bc->iac", st, tz) \
-                    - np.einsum("ab,ibc->iac", tz, st)
-                return comm.reshape(self.dim, -1).T
-        cols = []
-        for i in range(self.dim):
-            ti, di = self._t_int(self.basis_element(i))
-            ti = ti.tolist() if isinstance(ti, np.ndarray) else ti
-            tzl = tz.tolist() if isinstance(tz, np.ndarray) else tz
-            ab = la.int_matmul(ti, tzl)
-            ba = la.int_matmul(tzl, ti)
-            ab = ab.tolist() if isinstance(ab, np.ndarray) else ab
-            ba = ba.tolist() if isinstance(ba, np.ndarray) else ba
-            cols.append([x - y for r1, r2 in zip(ab, ba)
-                         for x, y in zip(r1, r2)])
-        return [list(col) for col in zip(*cols)]
+        _, st, _ = self._operands()
+        tz, _ = self._t_int(z)
+        return la.bracket(st, tz).reshape(self.dim, -1).T
 
     def center(self, seed=0):
         """Exact basis of {v : [T_v, T_u] = 0 for all u}."""
@@ -954,32 +732,18 @@ class JordanAlgebra:
             raise JordanError("center extraction runs in rational mode")
         rng = random.Random(seed)
         z = self.random_element(rng, bound=7)
-        rows = self._commutator_columns(z)
-        if isinstance(rows, np.ndarray):
-            rows = [tuple(Fraction(int(x)) for x in r) for r in rows]
-        else:
-            rows = [tuple(Fraction(x) for x in r) for r in rows]
+        rows = [tuple(Fraction(int(x)) for x in r)
+                for r in self._commutator_columns(z)]
         cands = la.null_space_tall(rows)
         for j in range(self.dim):
             if not cands:
                 break
-            bj = self.basis_element(j)
-            tj, dj = self._t_int(bj)
-            tjl = tj.tolist() if isinstance(tj, np.ndarray) else tj
+            tj, _ = self._t_int(self.basis_element(j))
             small = []
-            keep = True
             for w in cands:
-                tw, dw = self._t_int(w)
-                twl = tw.tolist() if isinstance(tw, np.ndarray) else tw
-                ab = la.int_matmul(twl, tjl)
-                ba = la.int_matmul(tjl, twl)
-                ab = ab.tolist() if isinstance(ab, np.ndarray) else ab
-                ba = ba.tolist() if isinstance(ba, np.ndarray) else ba
-                col = [x - y for r1, r2 in zip(ab, ba) for x, y in zip(r1, r2)]
-                small.append(col)
-                if keep and any(col):
-                    keep = False
-            if keep:
+                tw, _ = self._t_int(w)
+                small.append(la.bracket(tw, tj).reshape(-1))
+            if not any(col.any() for col in small):
                 continue
             coeff_rows = [la.fvec(r) for r in zip(*small)]
             combos = la.null_space(coeff_rows)

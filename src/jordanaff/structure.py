@@ -14,11 +14,15 @@ returns a report.
 
 The bracket computations stay in scaled-integer form throughout: the
 algebra's multiplication operators share one denominator, so commutators
-and products compare exactly as integer matrices.
+and products compare exactly as integer matrices.  They run through the
+kernel of :mod:`jordanaff.exactla`, which picks int64 or Python big
+integers from a bound on each result and never wraps or refuses an input
+for its size.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -40,11 +44,13 @@ class PairError(JordanError):
 class SymmetricPair:
     """The operator pair (k, p) attached to a Jordan algebra.
 
-    All operator matrices are integer numpy arrays over a single
-    denominator per block: ``p_ops / p_den`` are the multiplication
-    operators of the trace-zero basis ``v0`` and ``k_ops / k_den`` the
-    chosen commutator basis of k.  ``k_pairs`` names the generator pair
-    (indices into v0) behind every k basis element.
+    All operator matrices are integer ndarrays over a single denominator
+    per block: ``p_ops / p_den`` are the multiplication operators of the
+    trace-zero basis ``v0`` and ``k_ops / k_den`` the chosen commutator
+    basis of k.  The stacks are int64 when their entries fit and
+    ``dtype=object`` otherwise, as the exactla kernel produces them; every
+    check contracts them through that kernel.  ``k_pairs`` names the
+    generator pair (indices into v0) behind every k basis element.
     """
 
     algebra: JordanAlgebra
@@ -67,18 +73,11 @@ class SymmetricPair:
     def dim_g(self):
         return self.dim_k + self.dim_p
 
-    def k_element(self, coeffs):
-        """Fraction matrix for a combination of the k basis."""
-        acc = np.tensordot(np.array([int(c) for c in coeffs]),
-                           self.k_ops, axes=1)
-        return tuple(tuple(Fraction(int(x), self.k_den) for x in row)
-                     for row in acc)
-
 
 def _unit_vector(j):
     e = j.unity()
     ints, den = la.clear_denominators_vec(e)
-    return np.array(ints, dtype=np.int64), den
+    return la.asint(ints), den
 
 
 def _trace_zero_basis(j):
@@ -96,30 +95,24 @@ def _trace_zero_basis(j):
         v = [0] * n
         v[i] = tr[p]
         v[p] = -tr[i]
-        g = 0
-        for x in v:
-            g = abs(x) if g == 0 else np.gcd(g, abs(x))
-        out.append(tuple(x // int(g) for x in v))
+        g = math.gcd(*v)
+        out.append(tuple(x // g for x in v))
     return tuple(out)
 
 
 def _operator_stack(j, vectors):
-    """Integer T_X stack over a common denominator for integer vectors."""
-    if not vectors:
-        _, den = j._t_stack()
-        return np.zeros((0, j.dim, j.dim), dtype=np.int64), den
-    mats = []
-    den = None
-    for v in vectors:
-        frac = tuple(Fraction(x) for x in v)
-        m, d = j._t_int(frac)
-        if den is None:
-            den = d
-        elif d != den:
-            raise PairError("operator denominators diverged")
-        mats.append(np.asarray(m, dtype=np.int64) if not isinstance(
-            m, np.ndarray) else m)
-    return np.stack(mats), den
+    """Integer T_X stack over the tensor denominator for integer vectors."""
+    _, st, den = j._operands()
+    vecs = la.asint(vectors).reshape(len(vectors), j.dim)
+    return la.einsum("vi,ikj->vkj", vecs, st), den
+
+
+def _commutators(x):
+    """Stack of the brackets [x[a], x[b]] over a < b, in that order."""
+    m = la.max_abs(x)
+    blocks = [la.bracket((x[a], m), (x[a + 1:], m))
+              for a in range(len(x) - 1)]
+    return la.asint(np.concatenate(blocks)) if blocks else x[:0]
 
 
 def restricted_pair(j):
@@ -134,35 +127,13 @@ def restricted_pair(j):
     v0 = _trace_zero_basis(j)
     p_ops, p_den = _operator_stack(j, v0)
     n = j.dim
-    npairs = len(v0) * (len(v0) - 1) // 2
-    if npairs == 0:
-        k_ops = np.zeros((0, n, n), dtype=np.int64)
-        return SymmetricPair(j, v0, p_ops, p_den, k_ops, p_den * p_den, ())
-    gens = np.empty((npairs, n, n), dtype=np.int64)
-    pairs = []
-    at = 0
-    # commutators in pure int64 with an overflow guard
-    bound = n * int(np.max(np.abs(p_ops)) or 0) ** 2 * 2
-    if bound >= 2 ** 62:
-        raise PairError("operator entries too large for the integer path")
-    for a in range(len(v0) - 1):
-        ta = p_ops[a]
-        prod = np.einsum("ab,ibc->iac", ta, p_ops[a + 1:]) \
-            - np.einsum("iab,bc->iac", p_ops[a + 1:], ta)
-        cnt = len(v0) - a - 1
-        gens[at:at + cnt] = prod
-        pairs.extend((a, b) for b in range(a + 1, len(v0)))
-        at += cnt
-    flat = gens.reshape(npairs, n * n)
-    idx, rank = la.independent_rows(flat)
-    k_ops = gens[list(idx)].copy()
+    gens = _commutators(p_ops)
+    pairs = [(a, b) for a in range(len(v0)) for b in range(a + 1, len(v0))]
+    idx, _ = la.independent_rows(gens.reshape(len(gens), n * n))
+    k_ops = la.asint(gens[list(idx)])
     k_pairs = tuple(pairs[i] for i in idx)
     return SymmetricPair(j, v0, p_ops, p_den, k_ops, p_den * p_den,
                          k_pairs)
-
-
-def _max_abs_arr(a):
-    return int(np.max(np.abs(a))) if a.size else 0
 
 
 def check_pair(pair, n_samples=3, seed=0):
@@ -181,14 +152,15 @@ def check_pair(pair, n_samples=3, seed=0):
                                 checks=[])
     k, p = pair.k_ops, pair.p_ops
     dim_k, dim_p = pair.dim_k, pair.dim_p
+    kb = (k, la.max_abs(k))
 
     # independence and direct sum
     if dim_k + dim_p == 0:
         rank_kp = 0
     else:
         kp = np.concatenate(
-            [k.reshape(len(k), n * n) * pair.p_den,
-             p.reshape(len(p), n * n) * pair.k_den], axis=0)
+            [la.lincomb((pair.p_den, k.reshape(dim_k, n * n))),
+             la.lincomb((pair.k_den, p.reshape(dim_p, n * n)))], axis=0)
         rank_kp = la.int_rank(kp)
     report.add(CheckResult(
         name="k_p_direct_sum", passed=rank_kp == dim_k + dim_p,
@@ -198,14 +170,7 @@ def check_pair(pair, n_samples=3, seed=0):
     # [p, p] inside span(k): all commutators of p basis pairs
     npairs = dim_p * (dim_p - 1) // 2
     if npairs:
-        gens = np.empty((npairs, n * n), dtype=np.int64)
-        at = 0
-        for a in range(dim_p - 1):
-            ta = p[a]
-            prod = np.einsum("ab,ibc->iac", ta, p[a + 1:]) \
-                - np.einsum("iab,bc->iac", p[a + 1:], ta)
-            gens[at:at + len(prod)] = prod.reshape(len(prod), -1)
-            at += len(prod)
+        gens = _commutators(p).reshape(npairs, n * n)
         stacked = np.concatenate([k.reshape(dim_k, -1), gens], axis=0)
         rank_all = la.int_rank(stacked)
         report.add(CheckResult(
@@ -218,16 +183,13 @@ def check_pair(pair, n_samples=3, seed=0):
     # derivation identity in operator form: for every k basis element
     # Phi and every algebra basis vector b_i,
     #   Phi T_{b_i} - T_{b_i} Phi = T_{Phi(b_i)}.
-    st, s_den = j._t_stack()
-    st = np.asarray(st, dtype=np.int64)
-    ms, mk = _max_abs_arr(st), _max_abs_arr(k)
-    if n * ms * mk * 2 >= 2 ** 62:
-        raise PairError("derivation check exceeds the integer guard")
+    _, st, s_den = j._operands()
     if dim_k:
-        lhs = np.einsum("kab,ibc->kiac", k, st) \
-            - np.einsum("iab,kbc->kiac", st, k)
-        rhs = np.einsum("kji,jac->kiac", k, st)
-        worst = _max_abs_arr(lhs - rhs)
+        st_arr, ms = st
+        # [Phi_k, T_{b_i}] for every pair (k, i)
+        comm = la.bracket((k[:, None], kb[1]), (st_arr[None], ms))
+        worst = la.max_abs(la.lincomb(
+            (1, comm), (-1, la.einsum("kji,jac->kiac", kb, st))))
         # common denominator: k carries k_den, st carries s_den on both
         # sides, so the integer difference is exact
         report.add(CheckResult(
@@ -239,19 +201,17 @@ def check_pair(pair, n_samples=3, seed=0):
 
     # k kills the unit
     e_int, _ = _unit_vector(j)
-    ke = np.einsum("kab,b->ka", k, e_int) if dim_k else np.zeros((0, n))
-    worst_e = _max_abs_arr(ke)
+    worst_e = la.max_abs(la.einsum("kab,b->ka", kb, e_int))
     report.add(CheckResult(
         name="k_kills_unity", passed=worst_e == 0,
         max_residual=Fraction(worst_e, pair.k_den)))
 
     # skewness for the trace form: (G Phi)^T = -G Phi
-    g = j.gram()
-    g_int, g_den = la.clear_denominators([list(r) for r in g])
-    g_arr = np.array(g_int, dtype=np.int64)
+    g_int, g_den = la.clear_denominators(j.gram())
     if dim_k:
-        gk = np.einsum("ab,kbc->kac", g_arr, k)
-        worst_skew = _max_abs_arr(gk + gk.transpose(0, 2, 1))
+        gk = la.einsum("ab,kbc->kac", la.asint(g_int), kb)
+        worst_skew = la.max_abs(la.lincomb(
+            (1, gk), (1, gk.transpose(0, 2, 1))))
         report.add(CheckResult(
             name="k_skew_for_trace_form", passed=worst_skew == 0,
             max_residual=Fraction(worst_skew, g_den * pair.k_den)))
@@ -261,11 +221,9 @@ def check_pair(pair, n_samples=3, seed=0):
     # [k, p] lands in p: Phi(X) is trace-zero for X in v0, and the
     # derivation identity above already wrote [Phi, T_X] as T_{Phi(X)}
     tr, tr_den = j._basis_traces()
-    tr_arr = np.array(tr, dtype=np.int64)
     if dim_k:
-        v0_arr = np.array(pair.v0, dtype=np.int64).T
-        kx = np.einsum("kab,bi->kai", k, v0_arr)
-        worst_tr = _max_abs_arr(np.einsum("kai,a->ki", kx, tr_arr))
+        worst_tr = la.max_abs(la.einsum("kab,ib,a->ki", kb,
+                                        la.asint(pair.v0), la.asint(tr)))
         report.add(CheckResult(
             name="kp_in_p", passed=worst_tr == 0,
             max_residual=Fraction(worst_tr, pair.k_den * tr_den),
@@ -282,7 +240,7 @@ def check_pair(pair, n_samples=3, seed=0):
                 for row in k.reshape(dim_k, -1).T]
         for _ in range(n_samples):
             a, b = rng.sample(range(dim_k), 2)
-            br = k[a] @ k[b] - k[b] @ k[a]
+            br = la.bracket(k[a], k[b])
             rhs = tuple(Fraction(int(x), pair.k_den) for x in br.reshape(-1))
             sol = la.solve_tall(kmat, rhs)
             tried += 1

@@ -6,6 +6,21 @@ from jordanaff import catalog
 from jordanaff.hypersurface import build_model
 from jordanaff.structure import restricted_pair
 
+F = Fraction
+
+# Isotopes whose scaled-integer constants outgrow int64 inside the checks:
+# two big-gamma isotopes of full_real(m=2) and a q = 31 isotope of
+# full_real(m=3).  Every exact check must still certify them.
+BIG_ISOTOPES = {
+    "full_real(m=2)^(10^5/3)": ("full_real", {"m": 2},
+                                (F(10 ** 5, 3), 0, 0, F(7, 11))),
+    "full_real(m=2)^(10^9/3)": ("full_real", {"m": 2},
+                                (F(10 ** 9, 3), 0, 0, F(7, 11))),
+    "full_real(m=3)^(q=31)": ("full_real", {"m": 3},
+                              tuple(F(x, 31) for x in
+                                    (32, 0, 1, 0, 32, 1, 1, 1, 30))),
+}
+
 
 def _key(name, params):
     return (name, tuple(sorted(params.items())))
@@ -55,3 +70,9 @@ def get_model(get_algebra):
 @pytest.fixture(scope="session")
 def desk_instances():
     return catalog.desk_catalog()
+
+
+@pytest.fixture(scope="session")
+def big_isotopes(get_algebra):
+    return {label: get_algebra(name, **params).isotope(gamma)
+            for label, (name, params, gamma) in BIG_ISOTOPES.items()}

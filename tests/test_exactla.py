@@ -6,7 +6,9 @@ numpy's eigenvalue signs on integer symmetric matrices.
 """
 
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,17 +131,119 @@ def test_int_matmul_big_entries_exact():
     big = 2 ** 40
     a = [[big, 1], [0, big]]
     b = [[big, 0], [1, big]]
-    out = la.int_matmul(a, b)
-    rows = out.tolist() if hasattr(out, "tolist") else out
-    assert rows[0][0] == big * big + 1
-    assert rows[1][1] == big * big
+    out = la.einsum("ab,bc->ac", la.asint(a), la.asint(b))
+    assert out[0][0] == big * big + 1
+    assert out[1][1] == big * big
 
 
 def test_int_mat_vec_overflow_path():
     a = [[2 ** 45, 1], [1, 2 ** 45]]
     v = [2 ** 45, -1]
-    out = la.int_mat_vec(a, v)
+    out = la.einsum("ab,b->a", la.asint(a), la.asint(v))
     assert out[0] == 2 ** 90 - 1
+
+
+# Contraction specs the library runs through the kernel.
+KERNEL_SPECS = (
+    "i,ijk->jk", "j,jk->k", "i,ikj->kj", "ab,bc->ac", "ab,b->a",
+    "ab,bc,cd->ad", "ijj->i", "ijk,k->ij", "si,sj,ijk->sk",
+    "skl,si,lim->skm", "sab,sb->sa", "sm,mq,sq->s", "ab,ibc->iac",
+    "b,ic->ibc", "iab,jb->ija", "ija,ab,kb->ijk", "iaa->i",
+    "kab,ib,a->ki", "ijk,ai,bj->abk", "abk,tk->abt", "ai,ij,bj,k->abk",
+    "kji,jac->kiac", "vi,ikj->vkj",
+)
+
+
+def _draw_array(data, shape):
+    """Object array with entries up to 2**e in size, e drawn up to 40."""
+    e = data.draw(st.integers(0, 40))
+    n = int(np.prod(shape))
+    vals = data.draw(st.lists(st.integers(-2 ** e, 2 ** e),
+                              min_size=n, max_size=n))
+    return np.array(vals, dtype=object).reshape(shape)
+
+
+def _ref_max(arr):
+    return max((abs(x) for x in arr.flat), default=0)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_einsum_matches_object_reference(data):
+    spec = data.draw(st.sampled_from(KERNEL_SPECS))
+    subs, out = spec.split("->")
+    sizes = {c: data.draw(st.integers(1, 3))
+             for c in sorted(set(subs) - {","})}
+    ops = [_draw_array(data, tuple(sizes[c] for c in sub))
+           for sub in subs.split(",")]
+    got = la.einsum(spec, *(la.asint(op) for op in ops))
+    assert (got == np.einsum(spec, *ops)).all()
+    bound = 1
+    for op in ops:
+        bound *= max(_ref_max(op), 1)
+    for c, size in sizes.items():
+        if c not in out:
+            bound *= size
+    assert (got.dtype == np.int64) == (bound < 2 ** 63)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_lincomb_matches_object_reference(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1,
+                                     max_size=3)))
+    terms = [(data.draw(st.integers(-2 ** 40, 2 ** 40)),
+              _draw_array(data, shape))
+             for _ in range(data.draw(st.integers(1, 4)))]
+    got = la.lincomb(*((c, la.asint(arr)) for c, arr in terms))
+    want = sum(c * arr for c, arr in terms)
+    assert (got == want).all()
+    bound = sum(abs(c) * _ref_max(arr) for c, arr in terms)
+    assert (got.dtype == np.int64) == (bound < 2 ** 63)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_bracket_matches_object_reference(data):
+    n = data.draw(st.integers(1, 3))
+    k = data.draw(st.integers(1, 3))
+    # the broadcast shapes the library brackets
+    sx, sy = data.draw(st.sampled_from([
+        ((n, n), (n, n)), ((n, n), (k, n, n)), ((k, n, n), (n, n)),
+        ((k, n, n), (k, n, n)), ((k, 1, n, n), (1, 2, n, n))]))
+    x, y = _draw_array(data, sx), _draw_array(data, sy)
+    got = la.bracket(la.asint(x), la.asint(y))
+    assert (got == x @ y - y @ x).all()
+    bound = 2 * n * _ref_max(x) * _ref_max(y)
+    assert (got.dtype == np.int64) == (bound < 2 ** 63)
+
+
+def test_kernel_dtype_at_the_int64_edge():
+    # bound (2**31 - 1) * 2**31 * 2 fits; 2**31 * 2**31 * 2 = 2**63 does not
+    b = la.asint([[2 ** 31], [2 ** 31]])
+    fits = la.einsum("ab,bc->ac", la.asint([[2 ** 31 - 1] * 2]), b)
+    assert fits.dtype == np.int64 and fits[0, 0] == 2 ** 63 - 2 ** 32
+    wide = la.einsum("ab,bc->ac", la.asint([[2 ** 31] * 2]), b)
+    assert wide.dtype == object and wide[0, 0] == 2 ** 63
+    top = la.lincomb((1, la.asint([2 ** 62])), (1, la.asint([2 ** 62 - 1])))
+    assert top.dtype == np.int64 and top[0] == 2 ** 63 - 1
+    over = la.lincomb((1, la.asint([2 ** 62])), (1, la.asint([2 ** 62])))
+    assert over.dtype == object and over[0] == 2 ** 63
+    # -2**63 fits int64, but its absolute value does not
+    assert la.asint([-2 ** 63]).dtype == object
+    assert la.max_abs(la.asint([[-2 ** 63, 1]])) == 2 ** 63
+
+
+def test_int64_limits_only_in_kernel():
+    """Only the kernel module may mention the int64 limits."""
+    src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+    pattern = re.compile(r"_INT64_SAFE|2\s*\*\*\s*6[23]\b")
+    offenders = [f"{path.name}:{no}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name != "exactla.py"
+                 for no, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []
 
 
 def test_solve_tall_consistency():

@@ -15,7 +15,7 @@ from jordanaff.hypersurface import (
     scale_constant,
     verify_model,
 )
-from jordanaff.jordan import direct_sum
+from jordanaff.jordan import JordanAlgebra, direct_sum
 
 F = Fraction
 
@@ -61,7 +61,7 @@ def test_level_and_signature_frozen(get_model):
     assert m.metric_signature() == (26, 0, 0)
 
 
-def test_verify_model_spread(get_algebra):
+def test_verify_model_spread(get_algebra, big_isotopes):
     cases = [("reals", {}, F(1)), ("reals", {}, F(-1)),
              ("quadratic", {"signs": (1, 1)}, F(-1)),
              ("quadratic", {"signs": (1, -1, 1)}, F(2)),
@@ -69,8 +69,10 @@ def test_verify_model_spread(get_algebra):
              ("complex_field", {}, F(-1)),
              ("hermitian_complex", {"m": 2, "gammas": (1, -1)}, F(1)),
              ("skew_hamiltonian", {"m": 2}, F(-1))]
-    for name, params, l1 in cases:
-        j = get_algebra(name, **params)
+    cases = [(get_algebra(name, **params), l1) for name, params, l1 in cases]
+    cases += [(j, F(-1)) for j in big_isotopes.values()]
+    for j, l1 in cases:
+        name = j.name
         model, rep = verify_model(j, l1, n_float_samples=4, seed=0)
         assert rep.passed, (name, l1, rep.to_jsonable())
         assert model.c_squared > 0
@@ -103,11 +105,16 @@ def test_quadratic_expansion_exact(get_model):
     assert res.details["first_order_trace"] == 0
 
 
-def test_reconstruction_roundtrip(get_model):
-    for name, params in [("full_real", {"m": 2}),
-                         ("quadratic", {"signs": (1, -1, 1)}),
-                         ("complex_field", {})]:
-        m = get_model(name, **params)
+def test_reconstruction_roundtrip(get_model, get_algebra):
+    models = [get_model(name, **params) for name, params in [
+        ("full_real", {"m": 2}),
+        ("quadratic", {"signs": (1, -1, 1)}),
+        ("complex_field", {})]]
+    # an isotope whose unit (1/2, 0, 0, 1/3) is not integral
+    iso = get_algebra("full_real", m=2).isotope((F(2), 0, 0, F(3)))
+    models.append(build_model(iso, F(-1)))
+    for m in models:
+        name = m.algebra.name
         rebuilt = reconstruct_algebra(m)
         assert rebuilt.c == adapted_constants(m), name
         assert m.check_reconstruction().passed
@@ -117,13 +124,25 @@ def test_model_rejects_bad_inputs(get_algebra):
     with pytest.raises(ModelError):
         build_model(get_algebra("reals").to_float(), l1=F(-1))
     # a non-semisimple algebra has no nondegenerate model
-    from jordanaff.jordan import JordanAlgebra
     dual = JordanAlgebra([[[F(1), F(0)], [F(0), F(1)]],
                           [[F(0), F(1)], [F(0), F(0)]]], name="dual")
     with pytest.raises(ModelError):
         build_model(dual, l1=F(-1))
     with pytest.raises(ModelError):
         build_model(get_algebra("reals"), l1=F(0))
+    # a single perturbed constant whose cubic form leaves the int64 range
+    # gets a FAIL verdict, not a refusal
+    j = get_algebra("full_complex", m=2)
+    for delta in (F(1, 101), F(-1, 101)):
+        c = [[list(cij) for cij in ci] for ci in j.c]
+        c[7][7][7] += delta
+        model, rep = verify_model(JordanAlgebra(c, name="mutant"), F(-1))
+        assert not rep.passed
+        cubic = next(r for r in rep.checks
+                     if r.name == "cubic_form_symmetric")
+        s = model._stacks()
+        assert not cubic.passed
+        assert cubic.max_residual * s["a_den"] * s["g_den"] == 3329932832
 
 
 def test_log_level_matches_exact(get_model):

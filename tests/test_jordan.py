@@ -136,29 +136,45 @@ def test_fundamental_formula(get_algebra):
         assert res.passed and res.max_residual == 0
 
 
-def test_triple_identities(get_algebra):
-    for name, params in [("full_real", {"m": 3}),
-                         ("skew_hermitian_quaternion", {"m": 2})]:
-        res = get_algebra(name, **params).check_triple(
-            n_samples=25, seed=4)
-        assert res.passed, res.details
+def test_triple_identities(get_algebra, big_isotopes):
+    algebras = [get_algebra("full_real", m=3),
+                get_algebra("skew_hermitian_quaternion", m=2)]
+    for j in algebras + list(big_isotopes.values()):
+        res = j.check_triple(n_samples=25, seed=4)
+        assert res.passed, (j.name, res.details)
         assert res.max_residual == 0
+        assert "commutation_rule" in res.details
 
 
-def test_self_adjoint_and_inverse_identities(get_algebra):
-    j = get_algebra("symmetric_real", m=3, gammas=(1, 1, -1))
-    assert j.check_self_adjoint(n_samples=30, seed=5).passed
-    res = j.check_inverse_identities(n_samples=15, seed=6)
-    assert res.passed and res.samples == 15
+def test_self_adjoint_and_inverse_identities(get_algebra, big_isotopes):
+    algebras = [get_algebra("symmetric_real", m=3, gammas=(1, 1, -1))]
+    for j in algebras + list(big_isotopes.values()):
+        assert j.check_self_adjoint(n_samples=30, seed=5).passed, j.name
+        res = j.check_inverse_identities(n_samples=15, seed=6)
+        assert res.passed and res.samples == 15, j.name
 
 
-def test_isotope_is_jordan(get_algebra):
+def test_isotope_is_jordan(get_algebra, big_isotopes):
     j = get_algebra("full_real", m=2)
     gamma = (F(1), F(0), F(0), F(-2))  # invertible diag(1, -2)
     iso = j.isotope(gamma)
     assert iso.check_jordan(n_samples=4, seed=7).passed
     e = iso.unity()
     assert iso.product(e, iso.basis_element(1)) == iso.basis_element(1)
+    # u o_G v = u o (v o G) + v o (u o G) - (u o v) o G, also when G
+    # has denominators
+    gamma = (F(1, 2), F(0), F(1, 3), F(-2))
+    iso = j.isotope(gamma)
+    for a in range(j.dim):
+        for b in range(j.dim):
+            u, v = j.basis_element(a), j.basis_element(b)
+            want = [x + y - z for x, y, z in zip(
+                j.product(u, j.product(v, gamma)),
+                j.product(v, j.product(u, gamma)),
+                j.product(j.product(u, v), gamma))]
+            assert list(iso.c[a][b]) == want, (a, b)
+    for label, big in big_isotopes.items():
+        assert big.check_jordan(n_samples=4, seed=7).passed, label
 
 
 def test_direct_sum_blocks(get_algebra):

@@ -30,14 +30,17 @@ def test_pair_dimensions(get_pair):
         assert (len(pair.k_ops), len(pair.p_ops)) == (dk, dp), name
 
 
-def test_pair_checks_small_families(get_pair):
-    for name, params in [("quadratic", {"signs": (1, -1, 1)}),
-                         ("full_real", {"m": 2}),
-                         ("symmetric_real", {"m": 3, "gammas": (1, 1, -1)}),
-                         ("complex_field", {}),
-                         ("skew_hamiltonian", {"m": 2}),
-                         ("hermitian_complex", {"m": 2, "gammas": (1, -1)})]:
-        pair = get_pair(name, **params)
+def test_pair_checks_small_families(get_pair, big_isotopes):
+    pairs = [get_pair(name, **params) for name, params in [
+        ("quadratic", {"signs": (1, -1, 1)}),
+        ("full_real", {"m": 2}),
+        ("symmetric_real", {"m": 3, "gammas": (1, 1, -1)}),
+        ("complex_field", {}),
+        ("skew_hamiltonian", {"m": 2}),
+        ("hermitian_complex", {"m": 2, "gammas": (1, -1)})]]
+    pairs += [restricted_pair(j) for j in big_isotopes.values()]
+    for pair in pairs:
+        name = pair.algebra.name
         rep = check_pair(pair, n_samples=3, seed=0)
         assert rep.passed, (name, rep.to_jsonable())
         names = {c.name for c in rep.checks}
