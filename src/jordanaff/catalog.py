@@ -23,10 +23,12 @@ from itertools import permutations
 import random
 from typing import Callable
 
+import numpy as np
+
 from . import exactla as la
-from .composition_algebras import (CDSignature, COMPLEXES, OCTONIONS,
-                                   QUATERNIONS, REALS, SPLIT_OCTONIONS,
-                                   cd_conj, cd_mul, cd_norm, cd_real)
+from .composition_algebras import (COMPLEXES, OCTONIONS, QUATERNIONS, REALS,
+                                   SPLIT_OCTONIONS, cd_conj, cd_mul, cd_norm,
+                                   cd_real, cd_unit, mul_table_tensor)
 from .exactla import QI
 from .jordan import JordanAlgebra
 from .reports import CheckResult
@@ -43,9 +45,9 @@ class BadParameterError(ValueError):
 # --------------------------------------------------------------------------
 # matrices over a composition algebra
 #
-# A matrix is a list of lists of coefficient tuples (length sig.dim); the
-# scalar type of the coefficients is Fraction or QI and all helpers are
-# generic over it.
+# The norms see a matrix as a list of lists of coefficient tuples (length
+# sig.dim), generic over Fraction and QI scalars.  The builders see it as
+# an integer ndarray of shape (m, m, sig.dim).
 
 def _entry_zero(like):
     z = like - like
@@ -55,74 +57,6 @@ def _entry_zero(like):
 def _mat_zero(m, d, like):
     z = _entry_zero(like)
     return [[[z] * d for _ in range(m)] for _ in range(m)]
-
-
-def _cd_matmul(sig, a, b):
-    m, inner, p = len(a), len(b), len(b[0])
-    out = []
-    for i in range(m):
-        row = []
-        ai = a[i]
-        for j in range(p):
-            acc = None
-            for k in range(inner):
-                t = cd_mul(sig, ai[k], b[k][j])
-                acc = t if acc is None else tuple(
-                    x + y for x, y in zip(acc, t))
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _mat_lincomb(alpha, a, beta, b):
-    return [[[alpha * x + beta * y for x, y in zip(ea, eb)]
-             for ea, eb in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def _col_scale(a, gammas):
-    return [[tuple(g * x for x in e) for e, g in zip(row, gammas)]
-            for row in a]
-
-
-def _entry_right_mul(sig, a, s):
-    return [[cd_mul(sig, e, s) for e in row] for row in a]
-
-
-def _conj_transpose(sig, a):
-    m = len(a)
-    return [[cd_conj(sig, a[j][i]) for j in range(m)] for i in range(m)]
-
-
-def _sym_product(sig, a, b):
-    ab = _cd_matmul(sig, a, b)
-    ba = _cd_matmul(sig, b, a)
-    half = Fraction(1, 2)
-    return _mat_lincomb(half, ab, half, ba)
-
-
-def _twisted_product(sig, gammas, a, b):
-    ag = _col_scale(a, gammas)
-    bg = _col_scale(b, gammas)
-    half = Fraction(1, 2)
-    return _mat_lincomb(half, _cd_matmul(sig, ag, b),
-                        half, _cd_matmul(sig, bg, a))
-
-
-def _middle_product(sig, q, a, b):
-    """X o Y = (X q Y + Y q X) / 2 for a fixed entry q scaling diagonally."""
-    aq = _entry_right_mul(sig, a, q)
-    bq = _entry_right_mul(sig, b, q)
-    half = Fraction(1, 2)
-    return _mat_lincomb(half, _cd_matmul(sig, aq, b),
-                        half, _cd_matmul(sig, bq, a))
-
-
-def _jtwist_product(jmat, a, b):
-    aj = _cd_matmul(REALS, a, jmat)
-    bj = _cd_matmul(REALS, b, jmat)
-    half = Fraction(1, 2)
-    return _mat_lincomb(half, _cd_matmul(REALS, aj, b),
-                        half, _cd_matmul(REALS, bj, a))
 
 
 # --------------------------------------------------------------------------
@@ -188,39 +122,51 @@ def _to_matrix(kind, m, sig, slots, coords):
     return mat
 
 
-def _from_matrix(kind, m, sig, slots, mat):
-    return tuple(mat[i][j][u] for (t, i, j, u) in slots)
+def _basis_stack(kind, m, sig, slots):
+    """Integer stack E of shape (n, m, m, d): E[p] is basis element p."""
+    # the coordinates are the rows of the identity, so each matrix entry
+    # comes out as the vector of its values over the whole basis
+    units = np.eye(len(slots), dtype=np.int64)
+    return np.moveaxis(np.array(_to_matrix(kind, m, sig, slots, units)),
+                       -1, 0)
 
 
-def _structure_tensor(kind, m, sig, product):
-    """Structure constants of the given matrix shape under ``product``.
+def _structure_tensor(kind, m, sig, factor=None):
+    """Structure constants of the given matrix shape under the product
+    X o Y = (X G Y + Y G X) / 2, where G is ``factor``, an integer
+    (m, m, sig.dim) array, or the identity when it is None.
 
     Raises if any basis product falls outside the span of the shape,
     which would mean the product does not close on the subspace.
     """
     slots = _slots(kind, m, sig)
-    n = len(slots)
-    one = Fraction(1)
-    basis = []
-    for p in range(n):
-        coords = [Fraction(0)] * n
-        coords[p] = one
-        basis.append(_to_matrix(kind, m, sig, slots, coords))
-    c = []
-    for p in range(n):
-        row = []
-        for q in range(n):
-            w = product(basis[p], basis[q])
-            coords = _from_matrix(kind, m, sig, slots, w)
-            back = _to_matrix(kind, m, sig, slots, coords)
-            if back != w:
-                raise BadParameterError(
-                    f"product of basis elements {p}, {q} leaves the "
-                    f"{kind} matrix space")
-            row.append(coords)
-        c.append(row)
-    labels = [_slot_label(s, sig) for s in slots]
-    return c, labels, slots
+    table = mul_table_tensor(sig)
+    e = _basis_stack(kind, m, sig, slots)
+    eg = e if factor is None else la.einsum("piku,kjv,uvw->pijw",
+                                            e, factor, table)
+    x = la.einsum("piku,qkjv,uvw->pqijw", eg, e, table)
+    twice = x + x.transpose(1, 0, 2, 3, 4)
+    _, rows, cols, units = zip(*slots)
+    coords = twice[:, :, rows, cols, units]
+    back = la.einsum("pqs,sijw->pqijw", coords, e)
+    leaks = np.argwhere((back != twice).any(axis=(2, 3, 4)))
+    if len(leaks):
+        p, q = leaks[0]
+        raise BadParameterError(
+            f"product of basis elements {p}, {q} leaves the "
+            f"{kind} matrix space")
+    half = {v: Fraction(v, 2) for v in np.unique(coords).tolist()}
+    c = [[[half[v] for v in cpq] for cpq in cp] for cp in coords.tolist()]
+    return c, [_slot_label(s, sig) for s in slots]
+
+
+def _diagonal(sig, entries):
+    """Integer (m, m, sig.dim) matrix with the given entries on its
+    diagonal."""
+    g = np.zeros((len(entries), len(entries), sig.dim), dtype=np.int64)
+    for i, entry in enumerate(entries):
+        g[i, i] = entry
+    return g
 
 
 # --------------------------------------------------------------------------
@@ -353,12 +299,10 @@ def _signs(gammas, m=None):
 
 
 def _symplectic(m):
-    n = 2 * m
-    j = [[Fraction(0)] * n for _ in range(n)]
-    for t in range(m):
-        j[t][m + t] = Fraction(1)
-        j[m + t][t] = Fraction(-1)
-    return [[(x,) for x in row] for row in j]
+    j = np.zeros((2 * m, 2 * m), dtype=np.int64)
+    j[range(m), range(m, 2 * m)] = 1
+    j[range(m, 2 * m), range(m)] = -1
+    return j
 
 
 # --------------------------------------------------------------------------
@@ -430,8 +374,8 @@ def _instance_name(name, params):
     return f"{name}({inner})"
 
 
-def _make_matrix_algebra(family, kind, m, sig, product, params):
-    c, labels, _ = _structure_tensor(kind, m, sig, product)
+def _make_matrix_algebra(family, kind, m, sig, factor, params):
+    c, labels = _structure_tensor(kind, m, sig, factor)
     return JordanAlgebra(
         c, name=_instance_name(family, params), labels=labels,
         meta={"family": family, "params": dict(params),
@@ -584,9 +528,7 @@ def _build_full_factory(family, sig):
     def _build(m):
         if m < 1:
             raise BadParameterError("matrix size must be positive")
-        return _make_matrix_algebra(
-            family, "full", m, sig,
-            lambda a, b: _sym_product(sig, a, b), {"m": m})
+        return _make_matrix_algebra(family, "full", m, sig, None, {"m": m})
     return _build
 
 
@@ -618,14 +560,17 @@ _FAMILY_SHAPES["full_quaternion"] = ("full", lambda p: p["m"],
 
 # -- symmetric / hermitian families with a diagonal twist ------------------
 
+def _gamma_factor(sig, gammas):
+    return _diagonal(sig, [cd_unit(sig, 0, g) for g in gammas])
+
+
 def _herm_builder(family, sig):
     def _build(m, gammas=None):
         if m < 1:
             raise BadParameterError("matrix size must be positive")
         gammas = _signs(gammas if gammas is not None else (1,) * m, m)
         return _make_matrix_algebra(
-            family, "herm", m, sig,
-            lambda a, b: _twisted_product(sig, gammas, a, b),
+            family, "herm", m, sig, _gamma_factor(sig, gammas),
             {"m": m, "gammas": gammas})
     return _build
 
@@ -676,10 +621,9 @@ _FAMILY_SHAPES["hermitian_quaternion"] = ("herm", lambda p: p["m"],
 def _build_skew_hamiltonian(m):
     if m < 1:
         raise BadParameterError("matrix size must be positive")
-    jmat = _symplectic(m)
     return _make_matrix_algebra(
-        "skew_hamiltonian", "skew", 2 * m, REALS,
-        lambda a, b: _jtwist_product(jmat, a, b), {"m": m})
+        "skew_hamiltonian", "skew", 2 * m, REALS, _symplectic(m)[..., None],
+        {"m": m})
 
 
 def _skew_hamiltonian_norm(params, u):
@@ -687,7 +631,7 @@ def _skew_hamiltonian_norm(params, u):
     slots = _slots("skew", 2 * m, REALS)
     mat = _to_matrix("skew", 2 * m, REALS, slots, u)
     rows = [[e[0] for e in row] for row in mat]
-    jrows = [[-e[0] for e in row] for row in _symplectic(m)]
+    jrows = (-_symplectic(m)).tolist()
     return _pfaffian(rows) / _pfaffian(jrows)
 
 
@@ -705,10 +649,9 @@ def _build_skew_hermitian_quaternion(m):
     if m < 1:
         raise BadParameterError("matrix size must be positive")
     sig = QUATERNIONS
-    minus_i = (Fraction(0), Fraction(-1), Fraction(0), Fraction(0))
+    minus_i = _diagonal(sig, [cd_unit(sig, 1, -1)] * m)
     return _make_matrix_algebra(
-        "skew_hermitian_quaternion", "skewherm", m, sig,
-        lambda a, b: _middle_product(sig, minus_i, a, b), {"m": m})
+        "skew_hermitian_quaternion", "skewherm", m, sig, minus_i, {"m": m})
 
 
 def _skew_hermitian_quaternion_norm(params, u):
@@ -735,8 +678,7 @@ def _build_octonion_hermitian(gammas=(1, 1, 1)):
     gammas = _signs(gammas, 3)
     sig = OCTONIONS
     return _make_matrix_algebra(
-        "octonion_hermitian", "herm", 3, sig,
-        lambda a, b: _twisted_product(sig, gammas, a, b),
+        "octonion_hermitian", "herm", 3, sig, _gamma_factor(sig, gammas),
         {"gammas": gammas})
 
 
@@ -761,8 +703,7 @@ _FAMILY_SHAPES["octonion_hermitian"] = ("herm", lambda p: 3,
 def _build_split_octonion_hermitian():
     sig = SPLIT_OCTONIONS
     return _make_matrix_algebra(
-        "split_octonion_hermitian", "herm", 3, sig,
-        lambda a, b: _sym_product(sig, a, b), {})
+        "split_octonion_hermitian", "herm", 3, sig, None, {})
 
 
 _register(Family(

@@ -80,8 +80,9 @@ def _cmd_catalog(args):
     if args.desk:
         print(f"{'instance':44s} {'dim':>4s} {'degree':>6s}")
         for name, params in catalog.desk_catalog():
-            j = catalog.build(name, **params)
-            print(f"{j.name:44s} {j.dim:>4d} {catalog.degree(j):>6d}")
+            fam = catalog.CATALOG[name]
+            print(f"{catalog._instance_name(name, params):44s} "
+                  f"{fam.expected_dim(params):>4d} {fam.degree(params):>6d}")
     else:
         for name in catalog.family_names():
             print(name)

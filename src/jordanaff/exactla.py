@@ -104,7 +104,8 @@ def clear_denominators(rows):
     for row in rows:
         for x in row:
             den = _lcm(den, x.denominator)
-    ints = [[int(x * den) for x in row] for row in rows]
+    ints = [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows]
     return ints, den
 
 
@@ -112,7 +113,7 @@ def clear_denominators_vec(vec):
     den = 1
     for x in vec:
         den = _lcm(den, x.denominator)
-    return [int(x * den) for x in vec], den
+    return [x.numerator * (den // x.denominator) for x in vec], den
 
 
 # ---------------------------------------------------------------------------

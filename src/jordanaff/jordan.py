@@ -96,8 +96,8 @@ class JordanAlgebra:
                     for x in cij:
                         den = den // math.gcd(den, x.denominator) \
                             * x.denominator
-            ci = la.asint([[[int(x * den) for x in cij] for cij in ci]
-                           for ci in self.c])
+            ci = la.asint([[[x.numerator * (den // x.denominator)
+                             for x in cij] for cij in ci] for ci in self.c])
             self._cache["ci"] = (ci, den)
             self._cache["cmax"] = la.max_abs(ci)
         return self._cache["ci"]

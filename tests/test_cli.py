@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from jordanaff import cli, serialization as ser
+from jordanaff import catalog, cli, serialization as ser
 from jordanaff.jordan import JordanAlgebra
 
 
@@ -21,12 +21,21 @@ def test_catalog_listing(capsys):
     assert len([ln for ln in out.splitlines() if ln.strip()]) >= 17
 
 
-def test_catalog_desk(capsys):
+def test_catalog_desk(capsys, monkeypatch, desk_instances, get_algebra):
+    built = [get_algebra(name, **params) for name, params in desk_instances]
+
+    def no_build(name, **params):
+        raise AssertionError(f"catalog --desk built {name}")
+
+    monkeypatch.setattr(catalog, "build", no_build)
     code, out, _ = run(capsys, ["catalog", "--desk"])
     assert code == 0
     rows = [ln for ln in out.splitlines() if ln.strip()]
     assert len(rows) == 28  # header + 27 desk instances
     assert "dim" in rows[0]
+    for row, j in zip(rows[1:], built):
+        assert row.split()[-2:] == [str(j.dim), str(catalog.degree(j))]
+        assert row.startswith(j.name + " ")
 
 
 def test_verify_jordan(capsys):
