@@ -1,5 +1,7 @@
 """Arithmetic modes and the shared tolerance settings.
 
+The mode of an algebra decides the dtype its identity checks run in
+(integers over a common denominator, or float64) and their zero test.
 Every floating-point comparison in the library routes through one
 ``Tolerances`` record so that thresholds are set in exactly one place.
 Rational-mode checks never use tolerances; they compare exactly.
@@ -16,8 +18,11 @@ FLOAT = "float"
 class Tolerances:
     """Float-mode thresholds used across the verification suites.
 
-    rel: relative tolerance for residuals of algebraic identities.
-    abs_floor: absolute floor under which any residual counts as zero.
+    rel: relative tolerance for residuals of algebraic identities, and
+        the relative cutoff of float inertia, rank and unit solves.  A
+        float identity residual is taken relative to the largest term it
+        cancels, and passes when at most ``rel + abs_floor``.
+    abs_floor: added to ``rel`` in that zero test.
     level: relative tolerance for hypersurface level-set membership.
     det_floor: relative floor below which a quadratic-operator
         determinant is treated as singular when inverting.

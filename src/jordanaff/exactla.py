@@ -7,7 +7,9 @@ through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
 it bounds the result in Python ints from the operands' max-abs values,
 the contracted sizes and the coefficients, then runs in int64 when the
 bound fits and on Python big integers (``dtype=object``) otherwise.  It
-never wraps and never refuses an input for its size.
+never wraps and never refuses an input for its size.  A float64 operand
+makes the whole call run in float64, which is how float-mode algebras
+share the exact code paths.
 
 Rank decisions are deterministic: ranks are computed modulo a descending
 list of 30-bit primes until the accumulated prime product exceeds a
@@ -52,10 +54,6 @@ def fvec(seq) -> Vec:
     return tuple(as_fraction(x) for x in seq)
 
 
-def fmat(rows) -> Mat:
-    return tuple(fvec(r) for r in rows)
-
-
 def identity(n) -> Mat:
     z, one = Fraction(0), Fraction(1)
     return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
@@ -65,17 +63,9 @@ def vec_add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(a, u):
     a = as_fraction(a)
     return tuple(a * x for x in u)
-
-
-def mat_sub(A, B):
-    return tuple(vec_sub(r, s) for r, s in zip(A, B))
 
 
 def mat_add(A, B):
@@ -84,10 +74,6 @@ def mat_add(A, B):
 
 def mat_scale(a, A):
     return tuple(vec_scale(a, r) for r in A)
-
-
-def transpose(A):
-    return tuple(zip(*A)) if A else ()
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +118,21 @@ def asint(ints):
     return arr
 
 
-def max_abs(arr) -> int:
-    """Largest absolute entry of an integer ndarray, as a Python int."""
-    return int(np.abs(arr).max()) if arr.size else 0
+def max_abs(arr):
+    """Largest absolute entry of a kernel array: a Python int for an
+    integer array, a float for a float64 one."""
+    if not arr.size:
+        return 0
+    m = np.abs(arr).max()
+    return float(m) if arr.dtype.kind == "f" else int(m)
+
+
+def _dtype(arrs, bound):
+    """float64 when any operand is float64; else int64 when ``bound``
+    fits, Python big integers otherwise."""
+    if any(a.dtype.kind == "f" for a in arrs):
+        return np.float64
+    return np.int64 if bound < _INT64_SAFE else object
 
 
 def _operand(op):
@@ -170,7 +168,8 @@ def einsum(spec, *ops):
     and every partial sum of the result and of any pairwise intermediate,
     so int64 is used exactly when that bound fits and nothing can wrap.
     An operand may be passed as ``(array, m)`` with m >= its max-abs, so a
-    cached tensor is scanned once.
+    cached tensor is scanned once.  With a float64 operand the call runs
+    in float64.
     """
     summed, kept = _index_axes(spec)
     arrs, bound = [], 1
@@ -182,7 +181,7 @@ def einsum(spec, *ops):
     for k, axis in summed:
         loop *= arrs[k].shape[axis]
     bound *= loop
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    dtype = _dtype(arrs, bound)
     for k, axis in kept:
         loop *= arrs[k].shape[axis]
     return np.einsum(spec, *(a.astype(dtype, copy=False) for a in arrs),
@@ -192,9 +191,9 @@ def einsum(spec, *ops):
 def bracket(x, y):
     """Exact commutator x @ y - y @ x of integer matrices or stacks of
     them (broadcast as by ``np.matmul``); int64 exactly when
-    2 * n * max-abs(x) * max-abs(y) fits."""
+    2 * n * max-abs(x) * max-abs(y) fits, float64 for a float64 operand."""
     (x, mx), (y, my) = _operand(x), _operand(y)
-    dtype = np.int64 if 2 * x.shape[-1] * mx * my < _INT64_SAFE else object
+    dtype = _dtype((x, y), 2 * x.shape[-1] * mx * my)
     x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
     return x @ y - y @ x
 
@@ -203,12 +202,12 @@ def lincomb(*terms):
     """Exact sum of ``c * arr`` over ``(c, arr)`` terms of one shape.
 
     The coefficients are ints; int64 is used exactly when
-    sum |c| * max-abs(arr) fits.  ``arr`` may be an ``(array, m)`` pair
-    as in :func:`einsum`.
+    sum |c| * max-abs(arr) fits, float64 when an ``arr`` is float64.
+    ``arr`` may be an ``(array, m)`` pair as in :func:`einsum`.
     """
     terms = [(int(c), _operand(op)) for c, op in terms]
     bound = sum(abs(c) * m for c, (_, m) in terms)
-    dtype = np.int64 if bound < _INT64_SAFE else object
+    dtype = _dtype([arr for _, (arr, _) in terms], bound)
     out = None
     for c, (arr, m) in terms:
         if c and m:

@@ -213,27 +213,23 @@ class HypersurfaceModel:
         function has vanishing first-order term along V0 at the base
         point and V0 is the tangent space there."""
         j = self.algebra
-        e = j.unity()
+        e, de = j._elem(j.unity())
+        eye = np.eye(j.dim, dtype=np.int64)
         worst = Fraction(0)
         tangency = Fraction(0)
         count = 0
         for idx in range(min(self.n, 6)):
-            x = la.fvec(self.v0[idx])
-            tx = j.t_operator(x)
-            tx2 = j.t_operator(j.square(x))
-            quad = la.mat_sub(la.mat_scale(2, la.mat_mul(tx, tx)), tx2)
-            tangency = max(tangency, abs(sum(tx[i][i]
-                                             for i in range(j.dim))))
+            x = la.asint(self.v0[idx])
+            tx, dt = j._t_int(x, 1)
+            px, dp = j._p_int(x, 1)
+            tangency = max(tangency, Fraction(abs(int(np.trace(tx))), dt))
             for h in hs:
-                u = tuple(a + h * b for a, b in zip(e, x))
-                p = j.p_operator(u)
-                ident = la.identity(j.dim)
-                pred = la.mat_add(
-                    ident, la.mat_add(la.mat_scale(2 * h, tx),
-                                      la.mat_scale(h * h, quad)))
-                r = max((abs(x1 - x2) for r1, r2 in zip(p, pred)
-                         for x1, x2 in zip(r1, r2)), default=Fraction(0))
-                worst = max(worst, r)
+                p, q = h.numerator, h.denominator
+                pu, du = j._p_int(
+                    la.lincomb((q, e), (p * de, x)), q * de)
+                worst = max(worst, j._residual(
+                    (1, pu, du), (-1, eye, 1), (-2 * p, tx, q * dt),
+                    (-p * p, px, q * q * dp)))
                 count += 1
         return CheckResult(
             name="tangent_quadratic_expansion",
@@ -325,9 +321,7 @@ class HypersurfaceModel:
         worst = 0.0
         sign_ok = True
         for x in pts:
-            t = np.asarray(jf.t_operator(x))
-            p = 2.0 * (t @ t) - np.asarray(jf.t_operator(jf.square(x)))
-            sign, logabs = np.linalg.slogdet(p)
+            sign, logabs = np.linalg.slogdet(jf.p_operator(x))
             sign_ok = sign_ok and sign > 0
             worst = max(worst, abs(logabs - log_target))
         return CheckResult(

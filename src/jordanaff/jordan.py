@@ -1,9 +1,13 @@
 """Commutative structure-constant algebras and the Jordan-algebra toolkit.
 
 An algebra is a tensor c with (b_i o b_j) = sum_k c[i][j][k] b_k over a
-fixed basis.  Rational mode keeps every coefficient a Fraction and all
-verification residuals are exact; float mode mirrors the same operations
-in numpy float64 with tolerances from :mod:`jordanaff.config`.
+fixed basis, in one of two modes.  A rational algebra keeps every
+coefficient a Fraction and certifies each identity exactly; a float
+algebra (``mode=FLOAT``, e.g. from :meth:`JordanAlgebra.to_float`) holds
+float64 coefficients.  Each identity has one implementation for both:
+it runs on kernel arrays from :meth:`JordanAlgebra._operands`, integers
+over a common denominator or float64 over 1, and the mode decides only
+that dtype and the zero test of :meth:`JordanAlgebra._residual`.
 
 The multiplication operator of u is T_u = u o (.), the quadratic operator
 is P_u = 2 T_u^2 - T_{u^2}, the element determinant and trace are those of
@@ -15,7 +19,7 @@ cover every basis choice of v at once.
 Exact computations clear denominators and run through the one integer
 kernel of :mod:`jordanaff.exactla`, which picks int64 or Python big
 integers from a bound on each result and never wraps or refuses an input
-for its size.
+for its size; float64 operands pass through it in float64.
 """
 
 from __future__ import annotations
@@ -65,6 +69,10 @@ class JordanAlgebra:
         if mode == RATIONAL:
             tensor = tuple(
                 tuple(la.fvec(cij) for cij in ci) for ci in c)
+            if any(len(ci) != dim or any(len(cij) != dim for cij in ci)
+                   for ci in tensor):
+                raise DimensionMismatchError(
+                    "structure tensor must be cubic")
         elif mode == FLOAT:
             tensor = np.asarray(c, dtype=np.float64)
             if tensor.shape != (dim, dim, dim):
@@ -72,11 +80,8 @@ class JordanAlgebra:
                     f"structure tensor must be cubic, got {tensor.shape}")
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        if mode == RATIONAL:
-            for ci in tensor:
-                if len(ci) != dim or any(len(cij) != dim for cij in ci):
-                    raise DimensionMismatchError(
-                        "structure tensor must be cubic")
+        # the zero test: a residual passes when it is at most this
+        self._tol = TOL.rel + TOL.abs_floor if mode == FLOAT else 0
         self.dim = dim
         self.c = tensor
         self.labels = tuple(labels) if labels else tuple(
@@ -85,25 +90,30 @@ class JordanAlgebra:
             raise DimensionMismatchError("one label per basis element")
         self._cache = {}
 
-    # -- basic representations ------------------------------------------
+    # -- kernel arrays and the API edge -----------------------------------
 
     def _int_tensor(self):
-        """(ci, den) with c == ci / den; ci is int64 or object-dtype."""
+        """(ci, den) with c == ci / den: ci is int64 or object-dtype for a
+        rational algebra, the float64 tensor over den 1 for a float one."""
         if "ci" not in self._cache:
-            den = 1
-            for ci in self.c:
-                for cij in ci:
-                    for x in cij:
-                        den = den // math.gcd(den, x.denominator) \
-                            * x.denominator
-            ci = la.asint([[[x.numerator * (den // x.denominator)
-                             for x in cij] for cij in ci] for ci in self.c])
+            if self.mode == FLOAT:
+                ci, den = self.c, 1
+            else:
+                den = 1
+                for ci in self.c:
+                    for cij in ci:
+                        for x in cij:
+                            den = den // math.gcd(den, x.denominator) \
+                                * x.denominator
+                ci = la.asint([[[x.numerator * (den // x.denominator)
+                                 for x in cij] for cij in ci]
+                               for ci in self.c])
             self._cache["ci"] = (ci, den)
             self._cache["cmax"] = la.max_abs(ci)
         return self._cache["ci"]
 
     def _t_stack(self):
-        """Integer stack S with S[i] = T_{b_i} (scaled by the tensor den)."""
+        """Stack S with S[i] = T_{b_i} (scaled by the tensor den)."""
         if "tstack" not in self._cache:
             ci, den = self._int_tensor()
             self._cache["tstack"] = (ci.transpose(0, 2, 1).copy(), den)
@@ -116,16 +126,6 @@ class JordanAlgebra:
         m = self._cache["cmax"]
         return (ci, m), (st, m), den
 
-    def _float_tensor(self):
-        if "cf" not in self._cache:
-            if self.mode == FLOAT:
-                self._cache["cf"] = self.c
-            else:
-                self._cache["cf"] = np.array(
-                    [[[float(x) for x in cij] for cij in ci]
-                     for ci in self.c], dtype=np.float64)
-        return self._cache["cf"]
-
     def coerce(self, u):
         """Normalize an element to the mode's canonical representation."""
         if len(u) != self.dim:
@@ -136,6 +136,39 @@ class JordanAlgebra:
             return la.fvec(u)
         return np.asarray(u, dtype=np.float64)
 
+    def _elem(self, u):
+        """Kernel form (x, dx) of an element, with u == x / dx."""
+        u = self.coerce(u)
+        if self.mode == FLOAT:
+            return u, 1
+        ints, den = la.clear_denominators_vec(u)
+        return la.asint(ints), den
+
+    def _out(self, arr, den):
+        """API form of the kernel array arr / den: nested tuples of
+        Fractions for a rational algebra, the float64 array itself for a
+        float one (whose den is 1)."""
+        if self.mode == FLOAT:
+            return arr
+        if arr.ndim > 1:
+            return tuple(self._out(a, den) for a in arr)
+        return tuple(Fraction(int(x), den) for x in arr)
+
+    def _residual(self, *terms):
+        """The residual of sum c * arr / den over ``(c, arr, den)`` terms.
+
+        One :func:`exactla.lincomb` over the least common denominator
+        gives r.  A rational algebra reports max-abs(r) / den, exactly; a
+        float one reports max-abs(r) relative to the largest of the
+        aligned terms (at least 1), which the zero test holds to ``TOL``.
+        """
+        d = math.lcm(*(den for _, _, den in terms))
+        scaled = [(c * (d // den), arr) for c, arr, den in terms]
+        r = la.max_abs(la.lincomb(*scaled))
+        if self.mode == FLOAT:
+            return r / max(1.0, *(abs(c) * la.max_abs(a) for c, a in scaled))
+        return Fraction(r, d)
+
     def zero(self):
         return self.coerce([0] * self.dim)
 
@@ -143,89 +176,66 @@ class JordanAlgebra:
         return self.coerce([1 if j == i else 0 for j in range(self.dim)])
 
     def to_float(self):
-        """Float-mode copy of this algebra."""
-        J = JordanAlgebra(self._float_tensor(), mode=FLOAT, name=self.name,
-                          labels=self.labels, meta=dict(self.meta))
-        return J
+        """Float-mode copy of this algebra, built once and cached."""
+        if "float" not in self._cache:
+            self._cache["float"] = JordanAlgebra(
+                np.asarray(self.c, dtype=np.float64), mode=FLOAT,
+                name=self.name, labels=self.labels, meta=dict(self.meta))
+        return self._cache["float"]
 
     # -- products and operators -----------------------------------------
 
-    def product(self, u, v):
-        u = self.coerce(u)
-        v = self.coerce(v)
-        if self.mode == FLOAT:
-            return np.einsum("i,j,ijk->k", u, v, self._float_tensor())
+    def _prod_int(self, x, dx, y, dy):
+        """Kernel form of the product of x / dx and y / dy."""
         c, _, den = self._operands()
-        ui, du = la.clear_denominators_vec(u)
-        vi, dv = la.clear_denominators_vec(v)
-        w = la.einsum("i,j,ijk->k", la.asint(ui), la.asint(vi), c)
-        d = Fraction(1, den * du * dv)
-        return tuple(d * int(x) for x in w)
+        return la.einsum("i,j,ijk->k", x, y, c), den * dx * dy
+
+    def _t_int(self, x, dx):
+        """Kernel form (matrix, den) of T_u for u = x / dx."""
+        _, st, den = self._operands()
+        return la.einsum("i,ikj->kj", x, st), den * dx
+
+    def _p_int(self, x, dx):
+        """Kernel form of P_u = 2 T_u^2 - T_{u^2} for u = x / dx; both
+        terms carry the same den, (tensor den * dx)^2."""
+        t, dt = self._t_int(x, dx)
+        tu2, _ = self._t_int(*self._prod_int(x, dx, x, dx))
+        return la.lincomb((2, la.einsum("ab,bc->ac", t, t)), (-1, tu2)), \
+            dt * dt
+
+    def product(self, u, v):
+        return self._out(*self._prod_int(*self._elem(u), *self._elem(v)))
 
     def square(self, u):
         return self.product(u, u)
 
     def t_operator(self, u):
         """Matrix of v -> u o v in the basis."""
-        u = self.coerce(u)
-        if self.mode == FLOAT:
-            return np.einsum("i,ijk->kj", u, self._float_tensor())
-        m, d = self._t_int(u)
-        frac = Fraction(1, d)
-        return tuple(tuple(frac * int(x) for x in row) for row in m)
-
-    def _t_int(self, u):
-        """Integer-scaled T_u: returns (matrix, den)."""
-        _, st, den = self._operands()
-        ui, du = la.clear_denominators_vec(la.fvec(u))
-        return la.einsum("i,ikj->kj", la.asint(ui), st), den * du
+        return self._out(*self._t_int(*self._elem(u)))
 
     def p_operator(self, u):
         """Quadratic operator P_u = 2 T_u^2 - T_{u^2}."""
-        u = self.coerce(u)
-        if self.mode == FLOAT:
-            t = self.t_operator(u)
-            return 2.0 * (t @ t) - self.t_operator(self.square(u))
-        m, d = self._p_int(u)
-        frac = Fraction(1, d)
-        return tuple(tuple(frac * int(x) for x in row) for row in m)
-
-    def _p_int(self, u):
-        t, dt = self._t_int(u)
-        t2 = la.einsum("ab,bc->ac", t, t)
-        usq = self.square(u)
-        tu2, du2 = self._t_int(usq)
-        # scales: t2 carries dt^2, tu2 carries du2; align on lcm
-        lcm = dt * dt // math.gcd(dt * dt, du2) * du2
-        a = lcm // (dt * dt)
-        b = lcm // du2
-        return la.lincomb((2 * a, t2), (-b, tu2)), lcm
+        return self._out(*self._p_int(*self._elem(u)))
 
     # -- traces, determinants, the trace form ----------------------------
 
     def _basis_traces(self):
-        """tr T_{b_i} for each i, as integer vector plus denominator."""
+        """tr T_{b_i} for each i, as a list of numerators plus the den."""
         if "traces" not in self._cache:
             c, _, den = self._operands()
-            tr = la.einsum("ijj->i", c)
-            self._cache["traces"] = ([int(x) for x in tr], den)
+            self._cache["traces"] = (la.einsum("ijj->i", c).tolist(), den)
         return self._cache["traces"]
 
     def element_trace(self, u):
-        u = self.coerce(u)
         tr, den = self._basis_traces()
-        if self.mode == FLOAT:
-            return float(np.dot(u, np.array(tr, dtype=np.float64) / den))
-        return sum((a * t for a, t in zip(u, tr)), Fraction(0)) / den
+        return sum((a * t for a, t in zip(self.coerce(u), tr)),
+                   Fraction(0)) / den
 
     def element_det(self, u):
         """det P_u, the squared analogue of a norm-form value."""
-        u = self.coerce(u)
+        m, d = self._p_int(*self._elem(u))
         if self.mode == FLOAT:
-            t = self.t_operator(u)
-            p = 2.0 * (t @ t) - self.t_operator(self.square(u))
-            return float(np.linalg.det(p))
-        m, d = self._p_int(u)
+            return float(np.linalg.det(m))
         rows = m.tolist()
         sign = la._bareiss_forward(rows, self.dim, self.dim)
         if self.dim == 1:
@@ -241,27 +251,26 @@ class JordanAlgebra:
         w = self.product(u, v)
         return self.element_trace(w)
 
+    def _gram_int(self):
+        """Kernel form (G, den) of the trace-form Gram matrix."""
+        if "gram_int" not in self._cache:
+            c, _, den = self._operands()
+            tr = la.einsum("ijj->i", c)
+            self._cache["gram_int"] = (la.einsum("ijk,k->ij", c, tr),
+                                       den * den)
+        return self._cache["gram_int"]
+
     def gram(self):
         """Gram matrix of the trace form on the basis."""
         if "gram" not in self._cache:
-            tr, dtr = self._basis_traces()
-            if self.mode == FLOAT:
-                g = np.einsum("ijk,k->ij", self._float_tensor(),
-                              np.array(tr, dtype=np.float64) / dtr)
-                self._cache["gram"] = g
-            else:
-                c, _, den = self._operands()
-                g = la.einsum("ijk,k->ij", c, la.asint(tr))
-                f = Fraction(1, den * dtr)
-                self._cache["gram"] = tuple(
-                    tuple(f * int(x) for x in row) for row in g)
+            self._cache["gram"] = self._out(*self._gram_int())
         return self._cache["gram"]
 
     def is_semisimple(self):
         """(nondegenerate trace form?, inertia (pos, neg, zero))."""
         g = self.gram()
         if self.mode == FLOAT:
-            w = np.linalg.eigvalsh(np.asarray(g))
+            w = np.linalg.eigvalsh(g)
             scale = max(1.0, float(np.max(np.abs(w))))
             pos = int(np.sum(w > TOL.rel * scale))
             neg = int(np.sum(w < -TOL.rel * scale))
@@ -272,13 +281,12 @@ class JordanAlgebra:
 
     def is_nondegenerate(self):
         """Whether v -> T_v is injective (no absolute zero divisors)."""
+        st, _ = self._t_stack()
+        m = st.reshape(self.dim, -1).T
         if self.mode == FLOAT:
-            ci = self._float_tensor()
-            m = ci.transpose(0, 2, 1).reshape(self.dim, -1).T
             s = np.linalg.svd(m, compute_uv=False)
             return bool(s[-1] > TOL.rel * s[0])
-        st, _ = self._t_stack()
-        return la.int_rank(st.reshape(self.dim, -1).T) == self.dim
+        return la.int_rank(m) == self.dim
 
     # -- unity and inversion ---------------------------------------------
 
@@ -288,12 +296,12 @@ class JordanAlgebra:
             return self._cache["unity"]
         dim = self.dim
         if self.mode == FLOAT:
-            cf = self._float_tensor()
-            a = cf.transpose(0, 2, 1).reshape(dim, -1).T
+            st, _ = self._t_stack()
+            a = st.reshape(dim, -1).T
             rhs = np.eye(dim).reshape(-1)
             e, *_ = np.linalg.lstsq(a, rhs, rcond=None)
             resid = np.max(np.abs(a @ e - rhs))
-            unity = e if resid <= TOL.rel * max(1.0, np.max(np.abs(cf))) \
+            unity = e if resid <= TOL.rel * max(1.0, la.max_abs(st)) \
                 else None
         else:
             rows = []
@@ -314,11 +322,10 @@ class JordanAlgebra:
 
     def invert(self, v):
         """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
-        e = self.unity()
+        self.unity()
         v = self.coerce(v)
+        p = self.p_operator(v)
         if self.mode == FLOAT:
-            t = self.t_operator(v)
-            p = 2.0 * (t @ t) - self.t_operator(self.square(v))
             d = np.linalg.det(p)
             scale = max(1.0, float(np.linalg.norm(p, "fro"))) ** self.dim
             if abs(d) <= TOL.det_floor * scale:
@@ -326,7 +333,6 @@ class JordanAlgebra:
                     "quadratic operator is numerically singular; no inverse "
                     "(invertibility fails exactly when det P_v = 0)")
             return np.linalg.solve(p, v)
-        p = self.p_operator(v)
         x = la.solve(p, v)
         if x is None:
             raise NotInvertibleError(
@@ -334,14 +340,16 @@ class JordanAlgebra:
         return x
 
     # -- the Jordan axioms -------------------------------------------------
+    #
+    # Each check below is the one implementation of its identity.  Every
+    # residual goes through _residual and every verdict is
+    # ``residual <= self._tol``: exact zero for a rational algebra, TOL
+    # for a float one.  Both modes draw the same seeded integer samples.
 
     def random_element(self, rng, bound=9, den=1):
-        if self.mode == FLOAT:
-            return np.array([rng.uniform(-bound, bound)
-                             for _ in range(self.dim)])
-        return tuple(Fraction(rng.randint(-bound, bound),
-                              rng.randint(1, den) if den > 1 else 1)
-                     for _ in range(self.dim))
+        return self.coerce([Fraction(rng.randint(-bound, bound),
+                                     rng.randint(1, den) if den > 1 else 1)
+                            for _ in range(self.dim)])
 
     def check_jordan(self, n_samples=5, seed=0) -> CheckResult:
         """Commutativity of the tensor plus the Jordan identity.
@@ -353,115 +361,65 @@ class JordanAlgebra:
         elements are applied on the right as extra v samples.
         """
         rng = random.Random(seed)
-        if self.mode == FLOAT:
-            return self._check_jordan_float(n_samples, rng)
         ci, den = self._int_tensor()
-        ja1 = Fraction(la.max_abs(la.lincomb(
-            (1, ci), (-1, ci.transpose(1, 0, 2)))), den)
+        ci_t = ci.transpose(1, 0, 2)
+        ja1 = self._residual((1, ci, den), (-1, ci_t, den))
         ja1_witness = None
         if ja1:
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    row_ij, row_ji = self.c[i][j], self.c[j][i]
-                    if row_ij != row_ji:
-                        ja1_witness = (i, j)
-                        break
-                if ja1_witness:
-                    break
+            i, j, _ = np.argwhere(ci != ci_t)[0]
+            ja1_witness = (int(i), int(j))
         samples = [self.basis_element(i) for i in range(self.dim)]
-        extra = [self.random_element(rng) for _ in range(n_samples)]
-        samples += extra
-        ja2 = Fraction(0)
-        ja2_witness = None
-        for idx, u in enumerate(samples):
-            t, dt = self._t_int(u)
-            t2, d2 = self._t_int(self.square(u))
-            m = la.max_abs(la.bracket(t, t2))
-            r = Fraction(m, dt * d2)
-            if r > ja2:
-                ja2, ja2_witness = r, idx
+        samples += [self.random_element(rng) for _ in range(n_samples)]
+        res = []
+        for u in samples:
+            x, dx = self._elem(u)
+            t, dt = self._t_int(x, dx)
+            t2, d2 = self._t_int(*self._prod_int(x, dx, x, dx))
+            res.append(self._residual(
+                (1, la.einsum("ab,bc->ac", t, t2), dt * d2),
+                (-1, la.einsum("ab,bc->ac", t2, t), dt * d2)))
+        ja2 = max(res)
+        ja2_witness = res.index(ja2) if ja2 else None
         residual = max(ja1, ja2)
         return CheckResult(
-            name="jordan_axioms", passed=residual == 0,
+            name="jordan_axioms", passed=residual <= self._tol,
             max_residual=residual, samples=len(samples), seed=seed,
             details={"commutativity_residual": ja1,
                      "jordan_identity_residual": ja2,
                      "commutativity_witness": ja1_witness,
                      "jordan_identity_witness": ja2_witness})
 
-    def _check_jordan_float(self, n_samples, rng):
-        cf = self._float_tensor()
-        scale_c = max(1.0, float(np.max(np.abs(cf))))
-        ja1 = float(np.max(np.abs(cf - cf.transpose(1, 0, 2))))
-        samples = [np.eye(self.dim)[i] for i in range(self.dim)]
-        samples += [np.array([rng.uniform(-9, 9) for _ in range(self.dim)])
-                    for _ in range(n_samples)]
-        ja2 = 0.0
-        for u in samples:
-            t = self.t_operator(u)
-            t2 = self.t_operator(self.square(u))
-            scale = (scale_c * max(1.0, float(np.max(np.abs(u))))) ** 3 \
-                * self.dim ** 2
-            r = float(np.max(np.abs(t @ t2 - t2 @ t))) / scale
-            ja2 = max(ja2, r)
-        residual = max(ja1 / scale_c, ja2)
-        tol = TOL.rel + TOL.abs_floor
-        return CheckResult(
-            name="jordan_axioms", passed=residual <= tol,
-            max_residual=residual, samples=len(samples),
-            details={"commutativity_residual": ja1,
-                     "jordan_identity_residual": ja2})
-
     def triple(self, u, v, w):
         """Jordan triple product {u, v, w}."""
-        a = self.product(self.product(u, v), w)
-        b = self.product(self.product(w, v), u)
-        c = self.product(self.product(u, w), v)
-        if self.mode == FLOAT:
-            return a + b - c
-        return tuple(x + y - z for x, y, z in zip(a, b, c))
+        x, y, z = (self._elem(a) for a in (u, v, w))
+
+        def prod(a, b, c):
+            return self._prod_int(*self._prod_int(*a, *b), *c)
+
+        (a, d), (b, _), (c, _) = prod(x, y, z), prod(z, y, x), prod(x, z, y)
+        return self._out(la.lincomb((1, a), (1, b), (-1, c)), d)
 
     def check_fundamental(self, n_samples=4, seed=0) -> CheckResult:
         """P_{P_u v} = P_u P_v P_u on seeded random pairs.
 
-        Rational mode compares scaled integer matrices, so larger sample
-        counts stay affordable even when the intermediate entries
-        outgrow machine words.
+        The operators are compared as scaled integer matrices in a
+        rational algebra, so larger sample counts stay affordable even
+        when the intermediate entries outgrow machine words.
         """
         rng = random.Random(seed)
-        if self.mode == FLOAT:
-            worst = 0.0
-            for _ in range(n_samples):
-                u = self.random_element(rng)
-                v = self.random_element(rng)
-                pu = np.asarray(self.p_operator(u))
-                pv = np.asarray(self.p_operator(v))
-                lhs = np.asarray(self.p_operator(pu @ v))
-                rhs = pu @ pv @ pu
-                scale = max(1.0, float(np.max(np.abs(rhs))))
-                worst = max(worst, float(np.max(np.abs(lhs - rhs))) / scale)
-            return CheckResult(name="quadratic_fundamental",
-                               passed=worst <= TOL.rel + TOL.abs_floor,
-                               max_residual=worst, samples=n_samples,
-                               seed=seed)
-        worst = Fraction(0)
+        worst = 0
         for _ in range(n_samples):
             u = self.random_element(rng, bound=3)
             v = self.random_element(rng, bound=3)
-            pu, dpu = self._p_int(u)
-            pv, dpv = self._p_int(v)
-            a = la.einsum("ab,b->a", pu, la.asint([int(x) for x in v]))
-            # a = dpu * P_u(v), and pa = (dpu)^2 P_{P_u v} * dpa
-            pa, dpa = self._p_int(la.fvec(a))
+            pu, dpu = self._p_int(*self._elem(u))
+            y, dy = self._elem(v)
+            pv, dpv = self._p_int(y, dy)
+            pa, dpa = self._p_int(la.einsum("ab,b->a", pu, y), dpu * dy)
             rhs = la.einsum("ab,bc,cd->ad", pu, pv, pu)
-            # lhs / (dpa dpu^2)  vs  rhs / (dpu^2 dpv)
-            gl = dpa * dpu * dpu
-            gr = dpu * dpu * dpv
-            lcm = gl // math.gcd(gl, gr) * gr
-            m = la.max_abs(la.lincomb((lcm // gl, pa), (-(lcm // gr), rhs)))
-            worst = max(worst, Fraction(m, lcm))
+            worst = max(worst, self._residual(
+                (1, pa, dpa), (-1, rhs, dpu * dpu * dpv)))
         return CheckResult(name="quadratic_fundamental",
-                           passed=worst == 0, max_residual=worst,
+                           passed=worst <= self._tol, max_residual=worst,
                            samples=n_samples, seed=seed)
 
     def _int_elements(self, rng, count, bound):
@@ -483,11 +441,10 @@ class JordanAlgebra:
           * the commutation rule
               [L(w,z), L(u,v)] = L(t(w,z,u), v) - L(u, t(z,w,v)).
 
-        Rational mode compares integer tensors and is exact.
+        All six run batched over the samples; a rational algebra compares
+        integer tensors and is exact.
         """
         rng = random.Random(seed)
-        if self.mode == FLOAT:
-            return self._check_triple_float(n_samples, rng, seed)
         c, st, dc = self._operands()
         U, V, W, Z = (self._int_elements(rng, n_samples, 3)
                       for _ in range(4))
@@ -509,71 +466,47 @@ class JordanAlgebra:
             p3 = la.einsum("skl,sj,ljm->skm", r, b, c)
             return la.lincomb((1, p1), (1, p2), (-1, p3)).transpose(0, 2, 1)
 
-        def residual(*terms):
-            return la.max_abs(la.lincomb(*terms))
+        def mm(x, y):
+            return la.einsum("sab,sbc->sac", x, y)
 
+        d2 = dc * dc
         worsts = {}
         tuvw = trip(U, V, W)
-        worsts["outer_symmetry"] = Fraction(
-            residual((1, tuvw), (-1, trip(W, V, U))), dc * dc)
+        worsts["outer_symmetry"] = self._residual(
+            (1, tuvw, d2), (-1, trip(W, V, U), d2))
 
         luv, lvu = lmat(U, V), lmat(V, U)
-        comm = la.bracket(la.einsum("si,ikj->skj", U, st),
-                          la.einsum("si,ikj->skj", V, st))
+        tu = la.einsum("si,ikj->skj", U, st)
+        tv = la.einsum("si,ikj->skj", V, st)
+        tutv, tvtu = mm(tu, tv), mm(tv, tu)
         t_uv = la.einsum("sl,lkj->skj", prod(U, V), st)
-        worsts["operator_form"] = Fraction(
-            residual((1, luv), (-1, comm), (-1, t_uv)), dc * dc)
-        worsts["symmetric_part"] = Fraction(
-            residual((1, luv), (1, lvu), (-2, t_uv)), dc * dc)
-        worsts["antisymmetric_part"] = Fraction(
-            residual((1, luv), (-1, lvu), (-2, comm)), dc * dc)
+        worsts["operator_form"] = self._residual(
+            (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
+        worsts["symmetric_part"] = self._residual(
+            (1, luv, d2), (1, lvu, d2), (-2, t_uv, d2))
+        worsts["antisymmetric_part"] = self._residual(
+            (1, luv, d2), (-1, lvu, d2), (-2, tutv, d2), (2, tvtu, d2))
 
-        g_int, dg = la.clear_denominators(self.gram())
-        g_arr = la.asint(g_int)
-        lhs = la.einsum("sm,mq,sq->s", tuvw, g_arr, Z)
-        rhs = la.einsum("sm,mq,sq->s", trip(V, U, Z), g_arr, W)
-        worsts["trace_form_transpose"] = Fraction(
-            residual((1, lhs), (-1, rhs)), dc * dc * dg)
+        g, dg = self._gram_int()
+        lhs = la.einsum("sm,mq,sq->s", tuvw, g, Z)
+        rhs = la.einsum("sm,mq,sq->s", trip(V, U, Z), g, W)
+        worsts["trace_form_transpose"] = self._residual(
+            (1, lhs, d2 * dg), (-1, rhs, d2 * dg))
 
         # [L(w,z), L(u,v)] = L(t(w,z,u), v) - L(u, t(z,w,v)); every term
         # carries dc^4
         lwz = lmat(W, Z)
         a = la.einsum("sab,sb->sa", lwz, U)
         b = la.einsum("sab,sb->sa", lmat(Z, W), V)
-        worsts["commutation_rule"] = Fraction(
-            residual((1, la.bracket(lwz, luv)), (-1, lmat(a, V)),
-                     (1, lmat(U, b))), dc ** 4)
+        worsts["commutation_rule"] = self._residual(
+            (1, mm(lwz, luv), d2 * d2), (-1, mm(luv, lwz), d2 * d2),
+            (-1, lmat(a, V), d2 * d2), (1, lmat(U, b), d2 * d2))
 
         worst = max(worsts.values())
         return CheckResult(
-            name="triple_identities", passed=worst == 0,
+            name="triple_identities", passed=worst <= self._tol,
             max_residual=worst, samples=n_samples, seed=seed,
-            details={k: v for k, v in worsts.items()})
-
-    def _check_triple_float(self, n_samples, rng, seed):
-        cf = self._float_tensor()
-        n = self.dim
-        worst = 0.0
-        for _ in range(n_samples):
-            u, v, w, z = (self.random_element(rng, bound=2)
-                          for _ in range(4))
-            t1 = self.triple(u, v, w)
-            t2 = self.triple(w, v, u)
-            scale = (max(1.0, float(np.max(np.abs(cf)))) *
-                     max(1.0, *(float(np.max(np.abs(x)))
-                                for x in (u, v, w, z)))) ** 3 * n ** 2
-            worst = max(worst, float(np.max(np.abs(t1 - t2))) / scale)
-            tu = np.asarray(self.t_operator(u))
-            tv = np.asarray(self.t_operator(v))
-            op = tu @ tv - tv @ tu + np.asarray(
-                self.t_operator(self.product(u, v)))
-            cols = np.stack([self.triple(u, v, np.eye(n)[k])
-                             for k in range(n)], axis=1)
-            worst = max(worst, float(np.max(np.abs(cols - op))) / scale)
-        tol = TOL.rel + TOL.abs_floor
-        return CheckResult(name="triple_identities", passed=worst <= tol,
-                           max_residual=worst, samples=n_samples,
-                           seed=seed)
+            details=worsts)
 
     def check_self_adjoint(self, n_samples=100, seed=0) -> CheckResult:
         """T_v and P_v are self-adjoint for the trace form.
@@ -582,77 +515,31 @@ class JordanAlgebra:
         vector settles it for all v; P is quadratic and is sampled.
         """
         rng = random.Random(seed)
-        if self.mode == FLOAT:
-            g = np.asarray(self.gram())
-            st = np.stack([np.asarray(self.t_operator(np.eye(self.dim)[i]))
-                           for i in range(self.dim)])
-            gt = np.einsum("ab,ibc->iac", g, st)
-            scale = max(1.0, float(np.max(np.abs(gt))))
-            worst = float(np.max(np.abs(gt - gt.transpose(0, 2, 1))))
-            worst /= scale
-            for _ in range(n_samples):
-                u = self.random_element(rng, bound=3)
-                gp = g @ np.asarray(self.p_operator(u))
-                sc = max(1.0, float(np.max(np.abs(gp))))
-                worst = max(worst,
-                            float(np.max(np.abs(gp - gp.T))) / sc)
-            tol = TOL.rel + TOL.abs_floor
-            return CheckResult(name="operators_self_adjoint",
-                               passed=worst <= tol, max_residual=worst,
-                               samples=self.dim + n_samples, seed=seed)
-        g_int, dg = la.clear_denominators(self.gram())
-        g_arr = la.asint(g_int)
+        g, dg = self._gram_int()
         _, st, dt = self._operands()
-        gt = la.einsum("ab,ibc->iac", g_arr, st)
-        worst = Fraction(la.max_abs(la.lincomb(
-            (1, gt), (-1, gt.transpose(0, 2, 1)))), dg * dt)
+        gt = la.einsum("ab,ibc->iac", g, st)
+        worst = self._residual((1, gt, dg * dt),
+                               (-1, gt.transpose(0, 2, 1), dg * dt))
         for _ in range(n_samples):
             u = self.random_element(rng, bound=3)
-            p, dp = self._p_int(u)
-            gp = la.einsum("ab,bc->ac", g_arr, p)
-            worst = max(worst, Fraction(
-                la.max_abs(la.lincomb((1, gp), (-1, gp.T))), dg * dp))
+            p, dp = self._p_int(*self._elem(u))
+            gp = la.einsum("ab,bc->ac", g, p)
+            worst = max(worst, self._residual((1, gp, dg * dp),
+                                              (-1, gp.T, dg * dp)))
         return CheckResult(name="operators_self_adjoint",
-                           passed=worst == 0, max_residual=worst,
+                           passed=worst <= self._tol, max_residual=worst,
                            samples=self.dim + n_samples, seed=seed)
 
     def check_inverse_identities(self, n_samples=20, seed=0) -> CheckResult:
         """Inverse laws through the quadratic operator.
 
         For invertible v with w = v^{-1}: P_v w = v, P_w = P_v^{-1},
-        and T_w = T_v P_v^{-1} = P_v^{-1} T_v.  Exact in rational mode;
-        singular draws are skipped (they have no inverse by definition).
+        and T_w = T_v P_v^{-1} = P_v^{-1} T_v.  Singular draws are
+        skipped (they have no inverse by definition).
         """
         rng = random.Random(seed)
-        n = self.dim
-        if self.mode == FLOAT:
-            worst = 0.0
-            done = 0
-            for _ in range(4 * n_samples):
-                if done == n_samples:
-                    break
-                v = self.random_element(rng, bound=3)
-                try:
-                    w = self.invert(v)
-                except NotInvertibleError:
-                    continue
-                done += 1
-                pv = np.asarray(self.p_operator(v))
-                pw = np.asarray(self.p_operator(w))
-                tw = np.asarray(self.t_operator(w))
-                tv = np.asarray(self.t_operator(v))
-                sc = max(1.0, float(np.max(np.abs(pv))))
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(pv @ w - v))) / sc,
-                    float(np.max(np.abs(pw @ pv - np.eye(n)))) / sc,
-                    float(np.max(np.abs(tw @ pv - tv))) / sc,
-                    float(np.max(np.abs(pv @ tw - tv))) / sc)
-            tol = TOL.rel + TOL.abs_floor
-            return CheckResult(name="inverse_identities",
-                               passed=worst <= tol, max_residual=worst,
-                               samples=done, seed=seed)
-        worst = Fraction(0)
+        eye = np.eye(self.dim, dtype=np.int64)
+        worst = 0
         done = 0
         for _ in range(4 * n_samples):
             if done == n_samples:
@@ -663,57 +550,42 @@ class JordanAlgebra:
             except NotInvertibleError:
                 continue
             done += 1
-            y, dw = la.clear_denominators_vec(w)
-            pv, dpv = self._p_int(v)
-            # P_v w = v  <=>  pv . y = dpv dw v
-            r1 = la.einsum("ab,b->a", pv, la.asint(y))
-            m1 = la.max_abs(la.lincomb(
-                (1, r1), (-dpv * dw, la.asint([int(x) for x in v]))))
-            worst = max(worst, Fraction(m1, dpv * dw))
-            # P_w P_v = I  <=>  py . pv = dpy dw^2 dpv I
-            py, dpy = self._p_int(la.fvec(y))
-            pp = la.einsum("ab,bc->ac", py, pv)
-            full = dpy * dw * dw * dpv
-            m2 = la.max_abs(la.lincomb((1, pp), (-full, np.eye(n, dtype=int))))
-            worst = max(worst, Fraction(m2, full))
-            # T_w P_v = T_v and P_v T_w = T_v, aligned on integers
-            ty, dty = self._t_int(la.fvec(y))
-            tv_i, dtv = self._t_int(v)
-            scale_r = dty * dw * dpv // dtv
-            for lhs in (la.einsum("ab,bc->ac", ty, pv),
-                        la.einsum("ab,bc->ac", pv, ty)):
-                m3 = la.max_abs(la.lincomb((1, lhs), (-scale_r, tv_i)))
-                worst = max(worst, Fraction(m3, dty * dw * dpv))
-        return CheckResult(name="inverse_identities", passed=worst == 0,
-                           max_residual=worst, samples=done, seed=seed)
+            (x, dv), (y, dw) = self._elem(v), self._elem(w)
+            pv, dpv = self._p_int(x, dv)
+            py, dpy = self._p_int(y, dw)
+            ty, dty = self._t_int(y, dw)
+            tv, dtv = self._t_int(x, dv)
+            worst = max(
+                worst,
+                # P_v w = v
+                self._residual((1, la.einsum("ab,b->a", pv, y), dpv * dw),
+                               (-1, x, dv)),
+                # P_w P_v = I
+                self._residual((1, la.einsum("ab,bc->ac", py, pv),
+                                dpy * dpv), (-1, eye, 1)),
+                # T_w P_v = T_v and P_v T_w = T_v
+                *(self._residual((1, lhs, dty * dpv), (-1, tv, dtv))
+                  for lhs in (la.einsum("ab,bc->ac", ty, pv),
+                              la.einsum("ab,bc->ac", pv, ty))))
+        return CheckResult(name="inverse_identities",
+                           passed=worst <= self._tol, max_residual=worst,
+                           samples=done, seed=seed)
 
     # -- isotopes -----------------------------------------------------------
 
     def isotope(self, gamma):
         """Mutation u o_G v = u o (v o G) + v o (u o G) - (u o v) o G."""
-        gamma = self.coerce(gamma)
-        if self.mode == FLOAT:
-            cf = self._float_tensor()
-            tg = np.einsum("i,ijk->kj", gamma, cf)
-            w = np.einsum("ikj,j->ik", cf.transpose(0, 2, 1), gamma)
-            term1 = np.einsum("ika,ja->ijk", cf.transpose(0, 2, 1), w)
-            term3 = np.einsum("ka,ija->ijk", tg, cf)
-            new_c = term1 + term1.transpose(1, 0, 2) - term3
-        else:
-            c, st, den = self._operands()
-            gi, dg = la.clear_denominators_vec(gamma)
-            garr = la.asint(gi)
-            w = la.einsum("ikj,j->ik", st, garr)
-            tg = la.einsum("i,ikj->kj", garr, st)
-            term1 = la.einsum("ika,ja->ijk", st, w)
-            term3 = la.einsum("ka,ija->ijk", tg, c)
-            new_int = la.lincomb((1, term1), (1, term1.transpose(1, 0, 2)),
-                                 (-1, term3))
-            d = Fraction(1, den * den * dg)
-            new_c = [[[d * int(x) for x in row] for row in plane]
-                     for plane in new_int]
-        return JordanAlgebra(new_c, mode=self.mode,
-                             name=f"{self.name}^gamma", labels=self.labels,
+        c, st, den = self._operands()
+        garr, dg = self._elem(gamma)
+        w = la.einsum("ikj,j->ik", st, garr)
+        tg = la.einsum("i,ikj->kj", garr, st)
+        term1 = la.einsum("ika,ja->ijk", st, w)
+        term3 = la.einsum("ka,ija->ijk", tg, c)
+        new_c = la.lincomb((1, term1), (1, term1.transpose(1, 0, 2)),
+                           (-1, term3))
+        return JordanAlgebra(self._out(new_c, den * den * dg),
+                             mode=self.mode, name=f"{self.name}^gamma",
+                             labels=self.labels,
                              meta={**self.meta, "isotope_of": self.name})
 
     # -- center and decomposition -------------------------------------------
@@ -721,7 +593,7 @@ class JordanAlgebra:
     def _commutator_columns(self, z):
         """Integer matrix whose column i is vec([T_{b_i}, T_z])."""
         _, st, _ = self._operands()
-        tz, _ = self._t_int(z)
+        tz, _ = self._t_int(*self._elem(z))
         return la.bracket(st, tz).reshape(self.dim, -1).T
 
     def center(self, seed=0):
@@ -738,10 +610,10 @@ class JordanAlgebra:
         for j in range(self.dim):
             if not cands:
                 break
-            tj, _ = self._t_int(self.basis_element(j))
+            tj, _ = self._t_int(*self._elem(self.basis_element(j)))
             small = []
             for w in cands:
-                tw, _ = self._t_int(w)
+                tw, _ = self._t_int(*self._elem(w))
                 small.append(la.bracket(tw, tj).reshape(-1))
             if not any(col.any() for col in small):
                 continue
@@ -809,10 +681,6 @@ class JordanAlgebra:
         factors = sympy.factor_list(sympy.Poly(poly, x))[1]
         if any(mult > 1 for _, mult in factors):
             return None
-        if len(factors) == 1:
-            # the center is a field, so the algebra is already simple
-            return [(self, [self.basis_element(i)
-                            for i in range(self.dim)])]
         # exact path requires each factor to be R-irreducible
         for f, _ in factors:
             deg = f.degree()
@@ -822,6 +690,11 @@ class JordanAlgebra:
                 c2, c1, c0 = [Fraction(str(v)) for v in f.all_coeffs()]
                 if c1 * c1 - 4 * c2 * c0 > 0:
                     return None
+        if len(factors) == 1:
+            # one quadratic factor with negative discriminant: the center
+            # is C, a field over R, so the algebra is already simple
+            return [(self, [self.basis_element(i)
+                            for i in range(self.dim)])]
         # T_z restricted to the center, in center coordinates
         tcols = [la.solve_tall(zmat, self.product(z, w)) for w in zc]
         a = tuple(tuple(tcols[j][i] for j in range(m)) for i in range(m))
@@ -952,25 +825,12 @@ def direct_sum(algebras, name=None):
         raise ValueError("direct sum factors must share one arithmetic mode")
     dims = [j.dim for j in algebras]
     dim = sum(dims)
-    if mode == FLOAT:
-        c = np.zeros((dim, dim, dim))
-        at = 0
-        for j in algebras:
-            c[at:at + j.dim, at:at + j.dim, at:at + j.dim] = \
-                j._float_tensor()
-            at += j.dim
-    else:
-        zero = Fraction(0)
-        c = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        at = 0
-        for jal in algebras:
-            for i in range(jal.dim):
-                for jj in range(jal.dim):
-                    row = jal.c[i][jj]
-                    tgt = c[at + i][at + jj]
-                    for k in range(jal.dim):
-                        tgt[at + k] = row[k]
-            at += jal.dim
+    c = np.zeros((dim, dim, dim), dtype=object)
+    at = 0
+    for j in algebras:
+        block = slice(at, at + j.dim)
+        c[block, block, block] = np.asarray(j.c, dtype=object)
+        at += j.dim
     labels = []
     for t, j in enumerate(algebras):
         labels += [f"f{t}.{lab}" for lab in j.labels]

@@ -95,6 +95,14 @@ def test_build_then_verify_file(capsys, tmp_path):
     assert code == 0
     code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
     assert code == 0
+    # a float-mode file certifies through the same checks
+    float_path = tmp_path / "alg_float.json"
+    ser.save(ser.load(path).to_float(), float_path)
+    for target in ("semisimple", "triple"):
+        code, out, _ = run(capsys, ["verify", target, "--file",
+                                    str(float_path), "--samples", "4"])
+        assert code == 0, (target, out)
+        assert "mode: float" in out
 
 
 def test_reconstruct_roundtrip(capsys):

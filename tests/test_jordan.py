@@ -1,7 +1,9 @@
 """Core engine behavior on hand-built and catalog algebras."""
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from jordanaff import catalog
 from jordanaff.jordan import (
     DimensionMismatchError,
     JordanAlgebra,
+    JordanError,
     NotInvertibleError,
     NotUnitalError,
     direct_sum,
@@ -226,3 +229,93 @@ def test_float_mode_roundtrip(get_algebra):
     w = j.invert(u + np.array([3.0, 0, 0]))  # shifted to stay invertible
     e = j.unity()
     assert np.allclose(j.product(u + np.array([3.0, 0, 0]), w), e)
+
+
+def test_decompose_rejects_float_mode(get_algebra):
+    j = direct_sum([get_algebra("reals"), get_algebra("reals")]).to_float()
+    with pytest.raises(JordanError):
+        j.decompose()
+
+
+def test_decompose_splits_real_quadratic_center():
+    # b0 is the unit and b1 o b1 = 2 b0: R[x]/(x^2 - 2), which is R (+) R
+    # over R although x^2 - 2 is irreducible over Q
+    c = [[[F(1), F(0)], [F(0), F(1)]],
+         [[F(0), F(1)], [F(2), F(0)]]]
+    parts = JordanAlgebra(c, name="sqrt2").decompose(seed=0)
+    assert sorted(p.dim for p, _ in parts) == [1, 1]
+    for part, _ in parts:
+        assert part.check_jordan(n_samples=3, seed=1).passed
+
+
+FLOAT_BATTERY = (("check_jordan", {"n_samples": 5, "seed": 1}),
+                 ("check_fundamental", {"n_samples": 4, "seed": 2}),
+                 ("check_triple", {"n_samples": 10, "seed": 3}),
+                 ("check_self_adjoint", {"n_samples": 10, "seed": 4}),
+                 ("check_inverse_identities", {"n_samples": 8, "seed": 5}),
+                 ("is_semisimple", {}),
+                 ("is_nondegenerate", {}))
+
+
+def _verdict(j, check, kwargs):
+    try:
+        res = getattr(j, check)(**kwargs)
+    except Exception as err:  # the exception class is the verdict
+        return type(err)
+    return getattr(res, "passed", res)
+
+
+def test_float_verdicts_match_exact(desk_instances, get_algebra):
+    """Each check gives the same verdict on an algebra and on its float
+    copy, for desk instances and for mutants whose perturbation 2**-10
+    is exact in binary, so both copies hold the same tensor."""
+    cases = []
+    for name, params in desk_instances:
+        j = get_algebra(name, **params)
+        if 2 <= j.dim <= 9:
+            n = j.dim
+            c = [[list(cij) for cij in ci] for ci in j.c]
+            c[n - 1][n - 1][0] += F(1, 2 ** 10)
+            cases += [j, JordanAlgebra(c, name=f"{j.name}*")]
+    failing = 0
+    for j in cases:
+        jf = j.to_float()
+        assert (jf.c == np.array(j.c, dtype=float)).all()
+        for check, kwargs in FLOAT_BATTERY:
+            want = _verdict(j, check, kwargs)
+            assert _verdict(jf, check, kwargs) == want, (j.name, check)
+            failing += want is False
+    assert failing >= 20  # the mutants make the battery able to fail
+
+
+def test_identities_have_one_implementation():
+    """jordan.py keeps no float twin of a check and decides on the mode
+    only in the places listed here; passing the mode on unchanged
+    (``mode=self.mode``) decides nothing."""
+    allowed = {
+        "_int_tensor",                          # storage
+        "coerce", "_elem", "_out",              # API-edge conversion
+        "_residual",                            # the zero test
+        "is_semisimple", "is_nondegenerate",    # dtype switches
+        "find_unity", "invert", "element_det",
+        "center",                               # exact only
+    }
+    src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+    tree = ast.parse((src / "jordan.py").read_text())
+    offenders = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        if fn.name.startswith("_check_") and fn.name.endswith("_float"):
+            offenders.append(fn.name)
+        passed_on = {id(k.value) for k in ast.walk(fn)
+                     if isinstance(k, ast.keyword) and k.arg == "mode"}
+        for node in ast.walk(fn):
+            if (isinstance(node, ast.Attribute) and node.attr == "mode"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in passed_on
+                    and fn.name not in allowed):
+                offenders.append(f"{fn.name}:{node.lineno}")
+    assert offenders == []
