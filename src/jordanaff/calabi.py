@@ -33,6 +33,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla as la
+from .config import TOL
 from .hypersurface import HypersurfaceModel, ModelError, build_model
 from .jordan import direct_sum
 from .reports import CheckResult, VerificationReport
@@ -110,7 +111,7 @@ def compose_point(comp, factor_points, t=None):
         t = np.zeros(r)
     t = np.asarray(t, dtype=np.float64)
     drift = float(np.dot(comp.weights, t))
-    if abs(drift) > 1e-12 * max(1.0, float(np.max(np.abs(t)))):
+    if abs(drift) > TOL.abs_floor * max(1.0, float(np.max(np.abs(t)))):
         raise ModelError(
             f"exponents violate the balance constraint by {drift:.3e}")
     big_dim = comp.model.algebra.dim
@@ -192,7 +193,6 @@ def check_composition(comp, n_samples=6, seed=0):
         sign, logabs = np.linalg.slogdet(jf.p_operator(x))
         sign_ok = sign_ok and sign > 0
         worst_l = max(worst_l, abs(logabs - log_target))
-    from .config import TOL
     report.add(CheckResult(
         name="composed_level_samples",
         passed=sign_ok and worst_l <= TOL.level,

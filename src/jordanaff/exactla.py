@@ -1,15 +1,22 @@
 """Exact linear algebra over the rationals, tuned for structure-constant work.
 
-Matrices at the API level are nested tuples of ``fractions.Fraction``.
-Internally the routines clear denominators and run on integer ndarrays.
-Every integer contraction, commutator and linear combination goes
-through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
-it bounds the result in Python ints from the operands' max-abs values,
-the contracted sizes and the coefficients, then runs in int64 when the
-bound fits and on Python big integers (``dtype=object``) otherwise.  It
-never wraps and never refuses an input for its size.  A float64 operand
-makes the whole call run in float64, which is how float-mode algebras
-share the exact code paths.
+Exact data is an integer ndarray over one shared denominator; Fractions
+appear only at the edge (:func:`as_fraction`, :func:`fvec`,
+:func:`clear_denominators`) and in the independent determinant and
+signature routines of symmetric and complex matrices (:func:`inertia`,
+:class:`QI`, :func:`field_det`).  Every integer contraction, commutator
+and linear combination goes through one kernel, :func:`einsum`,
+:func:`bracket` and :func:`lincomb`: it bounds the result in Python ints
+from the operands' max-abs values, the contracted sizes and the
+coefficients, then runs in int64 when the bound fits and on Python big
+integers (``dtype=object``) otherwise.  It never wraps and never refuses
+an input for its size.  A float64 operand makes the whole call run in
+float64, which is how float-mode algebras share the exact code paths.
+
+Linear systems go through one fraction-free Gauss-Jordan elimination on
+Python integers, reached by :func:`solve`, :func:`null_space` and
+:func:`det`; a tall system eliminates only candidate pivot rows and
+certifies the result on every row.
 
 Rank decisions are deterministic: ranks are computed modulo a descending
 list of 30-bit primes until the accumulated prime product exceeds a
@@ -31,10 +38,6 @@ import numpy as np
 # -2**63, the one int64 value whose abs wraps, out of int64 arrays.
 _INT64_SAFE = 2 ** 63
 
-Vec = tuple
-Mat = tuple
-
-
 # ---------------------------------------------------------------------------
 # scalars and small vector helpers
 
@@ -50,30 +53,8 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def fvec(seq) -> Vec:
+def fvec(seq) -> tuple:
     return tuple(as_fraction(x) for x in seq)
-
-
-def identity(n) -> Mat:
-    z, one = Fraction(0), Fraction(1)
-    return tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_scale(a, u):
-    a = as_fraction(a)
-    return tuple(a * x for x in u)
-
-
-def mat_add(A, B):
-    return tuple(vec_add(r, s) for r, s in zip(A, B))
-
-
-def mat_scale(a, A):
-    return tuple(vec_scale(a, r) for r in A)
 
 
 # ---------------------------------------------------------------------------
@@ -220,173 +201,6 @@ def lincomb(*terms):
 
 
 # ---------------------------------------------------------------------------
-# Fraction matrix products through the kernel
-
-
-def mat_mul(A, B):
-    """Exact Fraction matrix product via the scaled-integer kernel."""
-    ia, da = clear_denominators(A)
-    ib, db = clear_denominators(B)
-    prod = einsum("ab,bc->ac", asint(ia), asint(ib))
-    d = Fraction(1, da * db)
-    return tuple(tuple(d * int(x) for x in row) for row in prod)
-
-
-def mat_vec(A, v):
-    iv, dv = clear_denominators_vec(v)
-    ia, da = clear_denominators(A)
-    d = Fraction(1, da * dv)
-    return tuple(d * sum(a * b for a, b in zip(row, iv)) for row in ia)
-
-
-# ---------------------------------------------------------------------------
-# determinants, solving, inversion (fraction-free Bareiss)
-
-
-def _bareiss_forward(a, n, width):
-    """In-place Bareiss elimination on an n x width integer augmented matrix.
-
-    Returns the permutation sign, or 0 if a zero pivot column is found
-    (the matrix a is left partially reduced in that case).
-    """
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        akk = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, width):
-                row_i[j] = (row_i[j] * akk - aik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = akk
-    return sign
-
-
-def det(A) -> Fraction:
-    """Determinant of a square Fraction matrix, exact."""
-    n = len(A)
-    if n == 0:
-        return Fraction(1)
-    rows = []
-    dens = 1
-    for row in A:
-        ints, d = clear_denominators_vec(row)
-        rows.append(ints)
-        dens *= d
-    if n == 1:
-        return Fraction(rows[0][0], dens)
-    sign = _bareiss_forward(rows, n, n)
-    if sign == 0:
-        return Fraction(0)
-    return Fraction(sign * rows[n - 1][n - 1], dens)
-
-
-def solve(A, b):
-    """Solve the square system A x = b exactly; None if A is singular."""
-    n = len(A)
-    rows = []
-    for row, bi in zip(A, b):
-        ints, _ = clear_denominators_vec(tuple(row) + (bi,))
-        rows.append(ints)
-    sign = _bareiss_forward(rows, n, n + 1)
-    if sign == 0 or rows[n - 1][n - 1] == 0:
-        return None
-    x = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        acc = Fraction(rows[i][n])
-        for j in range(i + 1, n):
-            acc -= rows[i][j] * x[j]
-        x[i] = acc / rows[i][i]
-    return tuple(x)
-
-
-def inverse(A):
-    """Exact inverse of a square Fraction matrix; raises if singular."""
-    n = len(A)
-    rows = []
-    for i, row in enumerate(A):
-        ints, d = clear_denominators_vec(row)
-        aug = ints + [0] * n
-        aug[n + i] = d
-        rows.append(aug)
-    sign = _bareiss_forward(rows, n, 2 * n)
-    if sign == 0 or rows[n - 1][n - 1] == 0:
-        raise ValueError("matrix is singular")
-    cols = []
-    for c in range(n):
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            acc = Fraction(rows[i][n + c])
-            for j in range(i + 1, n):
-                acc -= rows[i][j] * x[j]
-            x[i] = acc / rows[i][i]
-        cols.append(x)
-    return tuple(tuple(cols[c][r] for c in range(n)) for r in range(n))
-
-
-# ---------------------------------------------------------------------------
-# reduced row echelon form over the rationals (small systems, and oracle)
-
-
-def rref(rows):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
-
-
-def null_space(A):
-    """Exact basis of {x : A x = 0} for a Fraction matrix of modest size."""
-    if not A:
-        return []
-    reduced, pivots = rref(A)
-    n = len(A[0])
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
-        basis.append(tuple(v))
-    return basis
-
-
-# ---------------------------------------------------------------------------
 # deterministic certified rank over the integers
 
 
@@ -460,17 +274,18 @@ def _mod_rank(A, p, want_pivot_rows=False):
     return r, None
 
 
-def _hadamard_bits(M, size):
-    """Upper bound, in bits, on any size x size minor of integer matrix M."""
-    if size <= 0:
-        return 0.0
-    logs = []
-    for row in M.tolist():
-        m = max(map(abs, row))
-        if m:
-            logs.append(0.5 * math.log2(size) + math.log2(m))
-    logs.sort(reverse=True)
-    return sum(logs[:size]) + 8.0
+def _row_bits(M):
+    """log2 of the max-abs entry of each nonzero row of M, largest first."""
+    m = np.abs(M).max(axis=1)
+    bits = np.frompyfunc(math.log2, 1, 1)(m[m != 0]).astype(float)
+    return np.sort(bits)[::-1]
+
+
+def _hadamard_bits(row_bits, size):
+    """Upper bound, in bits, on any size x size minor of an integer matrix
+    with these row bits (from :func:`_row_bits`)."""
+    top = row_bits[:size]
+    return 0.5 * math.log2(size) * len(top) + float(top.sum()) + 8.0
 
 
 def int_rank(M) -> int:
@@ -479,6 +294,7 @@ def int_rank(M) -> int:
     if M.size == 0:
         return 0
     limit = min(M.shape)
+    row_bits = _row_bits(M)
     best = 0
     acc_bits = 0.0
     for p in PRIMES_30BIT:
@@ -487,7 +303,7 @@ def int_rank(M) -> int:
         if best == limit:
             return best
         acc_bits += math.log2(p)
-        if acc_bits > _hadamard_bits(M, best + 1):
+        if acc_bits > _hadamard_bits(row_bits, best + 1):
             return best
     raise ArithmeticError("certified rank: prime supply exhausted")
 
@@ -509,70 +325,110 @@ def independent_rows(M):
 
 
 # ---------------------------------------------------------------------------
-# tall systems: pick candidate pivot rows mod p, solve small, verify exactly
+# exact elimination: fraction-free Gauss-Jordan on integer arrays
 
 
-def _pivot_row_candidates(ints, extra=()):
-    p = PRIMES_30BIT[0]
-    _, piv = _mod_rank(_reduce_mod(asint(ints), p), p, want_pivot_rows=True)
-    rows = sorted(set(piv) | set(extra))
-    return rows
+def _echelon(M):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer M.
 
-
-def _verify_zero_rows(ints, basis_cols_int):
-    """Indices of rows of ints whose dot with any candidate column is nonzero."""
-    prod = einsum("ab,cb->ac", asint(ints), asint(basis_cols_int))
-    return [int(i) for i in np.nonzero(np.any(prod != 0, axis=1))[0]]
-
-
-def null_space_tall(A):
-    """Exact null space basis for systems with many rows and few columns.
-
-    Candidate pivot rows are located modulo one prime; the null space of
-    that subsystem is computed exactly and then verified against every row,
-    pulling violated rows into the subsystem until verification passes.
+    Returns ``(R, pivots, d, sign)``: R holds one row per pivot column and
+    equals d * rref(M) with d > 0, and det M = sign * d for a nonsingular
+    square M.  Every intermediate entry is a minor of M, so each division
+    is exact.
     """
-    rows = [r for r in A if any(x != 0 for x in r)]
-    if not rows:
-        n = len(A[0]) if A else 0
-        return [tuple(Fraction(1) if j == i else Fraction(0) for j in range(n))
-                for i in range(n)]
-    ints = [clear_denominators_vec(r)[0] for r in rows]
-    sel = _pivot_row_candidates(ints)
-    for _ in range(len(rows[0]) + 1):
-        basis = null_space([rows[i] for i in sel])
-        if not basis:
-            return []
-        bints = [clear_denominators_vec(v)[0] for v in basis]
-        bad = _verify_zero_rows(ints, bints)
-        if not bad:
-            return basis
-        sel = sorted(set(sel) | {bad[0]})
-    raise ArithmeticError("null_space_tall failed to stabilize")
+    a = np.array(M, dtype=object)
+    n_rows = a.shape[0]
+    pivots, sign, d = [], 1, 1
+    for c in range(a.shape[1]):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if not nz.size:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            a[[r, i]] = a[[i, r]]
+            sign = -sign
+        p = a[r, c]
+        rest = np.arange(n_rows) != r
+        a[rest] = (p * a[rest] - np.outer(a[rest, c], a[r])) // d
+        pivots.append(c)
+        d = p
+    a = a[:len(pivots)]
+    if d < 0:
+        a, d, sign = -a, -d, -sign
+    return a, pivots, d, sign
 
 
-def solve_tall(A, b):
-    """Exact solution of a consistent overdetermined system, else None."""
-    aug = [tuple(row) + (bi,) for row, bi in zip(A, b)]
-    ints = [clear_denominators_vec(r)[0] for r in aug]
-    sel = _pivot_row_candidates(ints)
-    n = len(A[0])
-    for _ in range(n + 2):
-        sub = [A[i] for i in sel]
-        subb = [b[i] for i in sel]
-        reduced, pivots = rref([tuple(r) + (v,) for r, v in zip(sub, subb)])
-        if n in pivots:
-            return None
-        x = [Fraction(0)] * n
-        for r, pc in enumerate(pivots):
-            x[pc] = reduced[r][n]
-        residual_rows = []
-        xi, _ = clear_denominators_vec(tuple(x) + (Fraction(-1),))
-        residual_rows = _verify_zero_rows(ints, [xi])
-        if not residual_rows:
-            return tuple(x)
-        sel = sorted(set(sel) | {residual_rows[0]})
-    return None
+def _tall(M):
+    """Reduced row space of a tall integer system, certified on every row.
+
+    Candidate pivot rows are picked modulo one prime and only they are
+    eliminated; the kernel basis of that subsystem is then checked against
+    every row of M, and a violated row joins the subsystem until none is.
+    Returns ``(R, pivots, d, K)`` as in :func:`_echelon`, plus the kernel
+    basis K (one row per free column f, with d at f and 0 at the other
+    free columns).
+    """
+    M = asint(M)
+    n_cols = M.shape[1]
+    p = PRIMES_30BIT[0]
+    _, sel = _mod_rank(_reduce_mod(M, p), p, want_pivot_rows=True)
+    for _ in range(n_cols + 1):
+        R, pivots, d, _ = _echelon(M[sorted(sel)])
+        free = [c for c in range(n_cols) if c not in pivots]
+        K = np.zeros((len(free), n_cols), dtype=object)
+        K[np.arange(len(free)), free] = d
+        K[:, pivots] = -R[:, free].T
+        K = asint(K)
+        bad = np.flatnonzero(einsum("ab,cb->ac", M, K).any(axis=1))
+        if not bad.size:
+            return R, pivots, d, K
+        sel.append(int(bad[0]))
+    raise ArithmeticError("elimination failed to stabilize")
+
+
+def lowest_terms(arr, den):
+    """The kernel pair (arr, den) divided by the gcd of den and every
+    entry of arr."""
+    g = math.gcd(den, *arr.flat)
+    if g == 1:
+        return arr, den
+    return asint(arr.astype(object) // g), den // g
+
+
+def null_space(A):
+    """Kernel of integer A as ``(K, d)`` in lowest terms: the rows of K
+    are an integer basis, and K / d is the reduced one (1 at its own free
+    column, 0 at the other free columns)."""
+    _, _, d, K = _tall(A)
+    return lowest_terms(K, d)
+
+
+def solve(A, B):
+    """The unique exact solution of A X = B for integer arrays.
+
+    B is a vector or a matrix of right-hand sides.  Returns ``(X, d)``
+    in lowest terms with A X = d B, or None when the system is
+    inconsistent or its solution is not unique.
+    """
+    A, B = asint(A), asint(B)
+    n = A.shape[1]
+    R, pivots, d, _ = _tall(np.concatenate([A, B.reshape(len(B), -1)],
+                                           axis=1))
+    if pivots != list(range(n)):
+        return None
+    return lowest_terms(asint(R[:, n:].reshape((n,) + B.shape[1:])), d)
+
+
+def det(M):
+    """Exact determinant of a square integer matrix, as a Python int."""
+    M = asint(M)
+    if not M.size:
+        return 1
+    _, pivots, d, sign = _echelon(M)
+    return sign * d if len(pivots) == len(M) else 0
 
 
 # ---------------------------------------------------------------------------

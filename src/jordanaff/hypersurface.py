@@ -332,36 +332,42 @@ class HypersurfaceModel:
                      "positive_branch": sign_ok})
 
 
+def _adapted_basis(model):
+    """(b, db, binv, dinv): the rows of b / db are the adapted basis
+    (e, V0), and binv / dinv is the inverse of the matrix with those
+    columns."""
+    j = model.algebra
+    e, de = j._elem(j.unity())
+    v0 = la.asint(model.v0).reshape(model.n, j.dim)
+    b = np.concatenate([e[None], la.lincomb((de, v0))])
+    sol = la.solve(b.T, np.eye(j.dim, dtype=np.int64))
+    if sol is None:
+        raise ModelError("unit and trace-zero basis do not span")
+    binv, dinv = sol
+    return b, de, la.lincomb((de, binv)), dinv
+
+
 def reconstruct_algebra(model):
     """Rebuild the algebra from model data alone, in the basis (e, V0).
 
     Returns a new :class:`JordanAlgebra` whose products come from
-    X o Y = A(X, Y) - L1 g(X, Y) e with e adjoined as unit.  Exact
-    Fraction arithmetic throughout; intended for small dimensions.
+    X o Y = A(X, Y) - L1 g(X, Y) e with e adjoined as unit.  A(X, Y) is
+    read off the integer A stack in adapted coordinates with one kernel
+    einsum; Fractions are made once, for the returned tensor.
     """
     j = model.algebra
     nn = j.dim
-    e = j.unity()
-    cols = [e] + [la.fvec(v) for v in model.v0]
-    bmat = tuple(tuple(cols[c][r] for c in range(nn)) for r in range(nn))
-    binv = la.inverse(bmat)
-    if binv is None:
-        raise ModelError("unit and trace-zero basis do not span")
-    zero = Fraction(0)
-    c = [[None] * nn for _ in range(nn)]
-    for i in range(nn):
-        c[0][i] = tuple(Fraction(1) if t == i else zero
-                        for t in range(nn))
-        c[i][0] = c[0][i]
+    _, _, binv, dinv = _adapted_basis(model)
     s = model._stacks()
-    d = Fraction(1, s["a_den"])
-    for a in range(model.n):
-        aop = tuple(tuple(d * int(x) for x in row) for row in s["a_ops"][a])
-        for b in range(model.n):
-            img = la.mat_vec(aop, la.fvec(model.v0[b]))
-            coords = la.mat_vec(binv, img)
-            lam = -model.l1 * model.g_v0[a][b]
-            c[1 + a][1 + b] = (coords[0] + lam,) + tuple(coords[1:])
+    coords = la.einsum("ti,aij,bj->abt", binv, (s["a_ops"], s["a_max"]),
+                       s["v0"])
+    unit = [tuple(Fraction(int(t == i)) for t in range(nn))
+            for i in range(nn)]
+    c = [unit]
+    for a, row in enumerate(j._out(coords, s["a_den"] * dinv)):
+        c.append([unit[1 + a]] + [
+            (xy[0] - model.l1 * model.g_v0[a][b],) + xy[1:]
+            for b, xy in enumerate(row)])
     return JordanAlgebra(
         c, name=f"rebuilt({j.name})",
         meta={"rebuilt_from": j.name, "l1": str(model.l1)})
@@ -376,23 +382,11 @@ def adapted_constants(model):
     certifies the reconstruction entry by entry.
     """
     j = model.algebra
-    nn = j.dim
-    cols = [j.unity()] + [la.fvec(v) for v in model.v0]
-    bmat = tuple(tuple(cols[c][r] for c in range(nn)) for r in range(nn))
-    binv = la.inverse(bmat)
-    if binv is None:
-        raise ModelError("unit and trace-zero basis do not span")
-    bi, dbi = la.clear_denominators(binv)
-    b_int, db = la.clear_denominators(cols)
-    b_arr = la.asint(b_int)
+    b, db, binv, dinv = _adapted_basis(model)
     c, _, cden = j._operands()
-    prod = la.einsum("ijk,ai,bj->abk", c, b_arr, b_arr)
-    fc = la.einsum("abk,tk->abt", prod, la.asint(bi))
-    den = cden * dbi * db * db
-    return tuple(
-        tuple(tuple(Fraction(int(fc[a, b, t]), den) for t in range(nn))
-              for b in range(nn))
-        for a in range(nn))
+    prod = la.einsum("ijk,ai,bj->abk", c, b, b)
+    return j._out(la.einsum("abk,tk->abt", prod, binv),
+                  cden * db * db * dinv)
 
 
 def build_model(j, l1):
@@ -409,15 +403,11 @@ def build_model(j, l1):
             f"{j.name}: the trace form is degenerate {sig}; the affine "
             "metric of the model would be degenerate too")
     v0 = _trace_zero_basis(j) if n else ()
-    g = j.gram()
-    scale = Fraction(-1, (n + 1)) / l1
-    g_v0 = tuple(
-        tuple(scale * sum(
-            Fraction(xa) * g[r][c] * Fraction(xb)
-            for r, xa in enumerate(va) if xa
-            for c, xb in enumerate(vb) if xb)
-            for vb in v0)
-        for va in v0)
+    # g(X, Y) = -<X, Y> / ((n + 1) L1) on the v0 basis
+    g, g_den = j._gram_int()
+    v0_arr = la.asint(v0).reshape(n, j.dim)
+    g_v0 = j._out(la.lincomb((-l1.denominator, la.einsum(
+        "ai,ij,bj->ab", v0_arr, g, v0_arr))), g_den * (n + 1) * l1.numerator)
     return HypersurfaceModel(
         algebra=j, l1=l1, n=n, c_squared=c_sq, c_float=c_f, v0=v0,
         g_v0=g_v0)

@@ -236,15 +236,7 @@ class JordanAlgebra:
         m, d = self._p_int(*self._elem(u))
         if self.mode == FLOAT:
             return float(np.linalg.det(m))
-        rows = m.tolist()
-        sign = la._bareiss_forward(rows, self.dim, self.dim)
-        if self.dim == 1:
-            det_int = rows[0][0]
-            return Fraction(det_int, d)
-        if sign == 0:
-            return Fraction(0)
-        return Fraction(sign * rows[self.dim - 1][self.dim - 1],
-                        d ** self.dim)
+        return Fraction(la.det(m), d ** self.dim)
 
     def trace_form(self, u, v):
         """<u, v> = tr T_{u o v}."""
@@ -295,22 +287,17 @@ class JordanAlgebra:
         if "unity" in self._cache:
             return self._cache["unity"]
         dim = self.dim
+        st, den = self._t_stack()
+        a = st.reshape(dim, -1).T
+        rhs = np.eye(dim, dtype=np.int64).reshape(-1)
         if self.mode == FLOAT:
-            st, _ = self._t_stack()
-            a = st.reshape(dim, -1).T
-            rhs = np.eye(dim).reshape(-1)
             e, *_ = np.linalg.lstsq(a, rhs, rcond=None)
             resid = np.max(np.abs(a @ e - rhs))
             unity = e if resid <= TOL.rel * max(1.0, la.max_abs(st)) \
                 else None
         else:
-            rows = []
-            rhs = []
-            for k in range(dim):
-                for j in range(dim):
-                    rows.append(tuple(self.c[i][j][k] for i in range(dim)))
-                    rhs.append(Fraction(1 if k == j else 0))
-            unity = la.solve_tall(rows, rhs)
+            sol = la.solve(a, la.lincomb((den, rhs)))
+            unity = None if sol is None else self._out(*sol)
         self._cache["unity"] = unity
         return unity
 
@@ -323,9 +310,9 @@ class JordanAlgebra:
     def invert(self, v):
         """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
         self.unity()
-        v = self.coerce(v)
-        p = self.p_operator(v)
         if self.mode == FLOAT:
+            v = self.coerce(v)
+            p = self.p_operator(v)
             d = np.linalg.det(p)
             scale = max(1.0, float(np.linalg.norm(p, "fro"))) ** self.dim
             if abs(d) <= TOL.det_floor * scale:
@@ -333,11 +320,13 @@ class JordanAlgebra:
                     "quadratic operator is numerically singular; no inverse "
                     "(invertibility fails exactly when det P_v = 0)")
             return np.linalg.solve(p, v)
-        x = la.solve(p, v)
-        if x is None:
+        x, dx = self._elem(v)
+        p, dp = self._p_int(x, dx)
+        sol = la.solve(p, la.lincomb((dp // dx, x)))
+        if sol is None:
             raise NotInvertibleError(
                 "quadratic operator P_v is singular, so v has no inverse")
-        return x
+        return self._out(*sol)
 
     # -- the Jordan axioms -------------------------------------------------
     #
@@ -597,34 +586,42 @@ class JordanAlgebra:
         return la.bracket(st, tz).reshape(self.dim, -1).T
 
     def center(self, seed=0):
-        """Exact basis of {v : [T_v, T_u] = 0 for all u}."""
+        """Exact basis of {v : [T_v, T_u] = 0 for all u}.
+
+        The kernel form (K, d), with the basis the rows of K / d, is
+        cached as well for :meth:`decompose`.
+        """
         if "center" in self._cache:
             return self._cache["center"]
         if self.mode == FLOAT:
             raise JordanError("center extraction runs in rational mode")
+        _, (st, ms), _ = self._operands()
         rng = random.Random(seed)
         z = self.random_element(rng, bound=7)
-        rows = [tuple(Fraction(int(x)) for x in r)
-                for r in self._commutator_columns(z)]
-        cands = la.null_space_tall(rows)
+        cands, dc = la.null_space(self._commutator_columns(z))
         for j in range(self.dim):
-            if not cands:
+            if not len(cands):
                 break
-            tj, _ = self._t_int(*self._elem(self.basis_element(j)))
-            small = []
-            for w in cands:
-                tw, _ = self._t_int(*self._elem(w))
-                small.append(la.bracket(tw, tj).reshape(-1))
-            if not any(col.any() for col in small):
+            tw = la.einsum("wi,ikj->wkj", cands, (st, ms))
+            small = la.bracket(tw, (st[j], ms)).reshape(len(cands), -1)
+            if not small.any():
                 continue
-            coeff_rows = [la.fvec(r) for r in zip(*small)]
-            combos = la.null_space(coeff_rows)
-            cands = [
-                tuple(sum((a * w[t] for a, w in zip(combo, cands)),
-                          Fraction(0)) for t in range(self.dim))
-                for combo in combos]
-        self._cache["center"] = cands
-        return cands
+            combos, dm = la.null_space(small.T)
+            cands, dc = la.lowest_terms(la.einsum("ab,bi->ai", combos, cands),
+                                        dc * dm)
+        self._cache["center_int"] = (cands, dc)
+        self._cache["center"] = list(self._out(cands, dc))
+        return self._cache["center"]
+
+    def _center_coords(self, vecs, dv):
+        """Kernel form (Y, d) of the center coordinates of the rows of
+        vecs / dv, one column per row; None when one is not central."""
+        zk, dc = self._cache["center_int"]
+        sol = la.solve(zk.T, vecs.T)
+        if sol is None:
+            return None
+        y, d = sol
+        return la.lowest_terms(la.lincomb((dc, y)), d * dv)
 
     def decompose(self, seed=0, max_attempts=8):
         """Split a semisimple algebra into simple ideals.
@@ -639,41 +636,43 @@ class JordanAlgebra:
             raise NotSemisimpleError(
                 f"{self.name}: trace form is degenerate {sig}; "
                 "decomposition into simple ideals needs semisimplicity")
-        e = self.unity()
-        zc = self.center(seed=seed)
-        m = len(zc)
+        e, de = self._elem(self.unity())
+        m = len(self.center(seed=seed))
+        zk, dc = self._cache["center_int"]
         ambient = [self.basis_element(i) for i in range(self.dim)]
         if m == 1:
             return [(self, ambient)]  # the only central idempotent is e
-        zmat = [tuple(w[r] for w in zc) for r in range(self.dim)]
         rng = random.Random(seed + 1)
         for attempt in range(max_attempts):
-            coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
-            z = tuple(sum((a * w[r] for a, w in zip(coeffs, zc)),
-                          Fraction(0)) for r in range(self.dim))
-            # coordinates of powers of z inside the center
-            powers = [la.solve_tall(zmat, self.coerce(e))]
-            cur = z
-            for _ in range(m):
-                powers.append(la.solve_tall(zmat, cur))
-                cur = self.product(cur, z)
-            if any(p is None for p in powers):
+            coeffs = la.asint([rng.randint(-9, 9) for _ in range(m)])
+            z = la.einsum("a,ai->i", coeffs, zk)
+            # e, z, ..., z^m over one den, then their center coordinates
+            powers = [(e, de), (z, dc)]
+            for _ in range(m - 1):
+                powers.append(self._prod_int(*powers[-1], z, dc))
+            d = math.lcm(*(dp for _, dp in powers))
+            coords = self._center_coords(
+                np.stack([la.lincomb((d // dp, p)) for p, dp in powers]), d)
+            if coords is None:
                 raise JordanError("center is not closed under products")
-            reduced, pivots = la.rref(powers[:-1])
-            if len(pivots) < m:
-                continue  # z not generic, try again
-            rel = la.solve_tall([tuple(p[i] for p in powers[:-1])
-                                 for i in range(m)], powers[-1])
-            # minimal polynomial x^m - sum rel_k x^k
-            ideals = self._split_by_min_poly(z, rel, zc, zmat)
+            y, dy = coords
+            # the minimal polynomial x^m - sum rel_k x^k, unless z is not
+            # generic (then e, ..., z^(m-1) are dependent)
+            sol = la.solve(y[:, :m], y[:, m])
+            if sol is None:
+                continue
+            rel = [Fraction(int(r), sol[1]) for r in sol[0]]
+            ideals = self._split_by_min_poly((z, dc), rel, (y[:, 0], dy))
             if ideals is not None:
                 return ideals
         return self._decompose_float(seed)
 
-    def _split_by_min_poly(self, z, rel, zc, zmat):
+    def _split_by_min_poly(self, z, rel, e_coords):
+        """Ideals from the minimal polynomial of the central z = (x, dx),
+        given the center coordinates e_coords = (y, dy) of the unit."""
         import sympy
 
-        m = len(zc)
+        m = len(rel)
         x = sympy.Symbol("x")
         poly = x ** m - sum(sympy.Rational(rel[k].numerator,
                                            rel[k].denominator) * x ** k
@@ -695,72 +694,66 @@ class JordanAlgebra:
             # is C, a field over R, so the algebra is already simple
             return [(self, [self.basis_element(i)
                             for i in range(self.dim)])]
-        # T_z restricted to the center, in center coordinates
-        tcols = [la.solve_tall(zmat, self.product(z, w)) for w in zc]
-        a = tuple(tuple(tcols[j][i] for j in range(m)) for i in range(m))
+        c, _, den = self._operands()
+        zk, dc = self._cache["center_int"]
+        # T_z restricted to the center, in center coordinates: a / da
+        a, da = self._center_coords(la.einsum("i,wj,ijk->wk", z[0], zk, c),
+                                    den * z[1] * dc)
+        eye = np.eye(m, dtype=np.int64)
         blocks = []
         for f, _ in factors:
             cs = [Fraction(str(v)) for v in f.all_coeffs()]
-            fa = None
-            for coeff in cs:
-                fa = la.mat_scale(coeff, la.identity(m)) if fa is None \
-                    else la.mat_add(la.mat_mul(fa, a),
-                                    la.mat_scale(coeff, la.identity(m)))
-            blocks.append(la.null_space(fa))
+            lead = math.lcm(*(q.denominator for q in cs))
+            # Horner: da^t f_t(a) with f_t the leading t + 1 coefficients
+            fa = la.lincomb((cs[0] * lead, eye))
+            for t, q in enumerate(cs[1:], 1):
+                fa = la.lincomb((1, la.einsum("ab,bc->ac", fa, a)),
+                                (q * lead * da ** t, eye))
+            blocks.append(la.null_space(fa)[0])
         if sum(len(b) for b in blocks) != m:
             return None
         # unit components along the block decomposition of the center
-        cols = [v for b in blocks for v in b]
-        bigmat = [tuple(col[i] for col in cols) for i in range(m)]
-        ecoords = la.solve_tall(zmat, self.coerce(self.unity()))
-        comp = la.solve(bigmat, ecoords)
-        if comp is None:
+        sol = la.solve(np.concatenate(blocks).T, e_coords[0])
+        if sol is None:
             return None
+        comp, dw = sol[0], sol[1] * e_coords[1] * dc
         out = []
         at = 0
         for b in blocks:
-            w = [Fraction(0)] * m
-            for v in b:
-                for i in range(m):
-                    w[i] += comp[at] * v[i]
-                at += 1
-            eps = tuple(sum((w[i] * zc[i][r] for i in range(m)), Fraction(0))
-                        for r in range(self.dim))
-            if self.product(eps, eps) != tuple(eps):
+            w = la.einsum("v,vi->i", comp[at:at + len(b)], b)
+            at += len(b)
+            eps, de = la.lowest_terms(la.einsum("i,ir->r", w, zk), dw)
+            sq, dsq = self._prod_int(eps, de, eps, de)
+            if la.lincomb((de, sq), (-dsq, eps)).any():
                 return None
-            sub = self._ideal_of_idempotent(eps)
+            sub = self._ideal_of_idempotent(eps, de)
             if sub is None:
                 return None
             out.append(sub)
         # verify pairwise annihilation
         for i in range(len(out)):
             for j in range(i):
-                for u in out[i][1]:
-                    for v in out[j][1]:
-                        if any(self.product(u, v)):
-                            return None
-        return out
-
-    def _ideal_of_idempotent(self, eps):
-        p = self.p_operator(eps)
-        cols = [tuple(row) for row in zip(*p)]
-        ints = [la.clear_denominators_vec(cv)[0] for cv in cols]
-        idx, r = la.independent_rows(ints)
-        basis = [cols[i] for i in idx]
-        bmat = [tuple(b[i] for b in basis) for i in range(self.dim)]
-        sub_c = []
-        for u in basis:
-            row = []
-            for v in basis:
-                w = la.solve_tall(bmat, self.product(u, v))
-                if w is None:
+                if la.einsum("ui,vj,ijk->uvk", out[i][2], out[j][2],
+                             c).any():
                     return None
-                row.append(w)
-            sub_c.append(row)
-        sub = JordanAlgebra(sub_c, mode=RATIONAL,
-                            name=f"{self.name}[ideal]",
+        return [(sub, basis) for sub, basis, _ in out]
+
+    def _ideal_of_idempotent(self, eps, de):
+        """(ideal, basis, integer basis) of the ideal P_eps V for the
+        central idempotent eps / de, or None."""
+        c, _, den = self._operands()
+        p, dp = self._p_int(eps, de)
+        idx, k = la.independent_rows(p.T)
+        basis = p.T[idx]
+        prods = la.einsum("ui,vj,ijk->uvk", basis, basis, c)
+        sol = la.solve(basis.T, prods.reshape(k * k, self.dim).T)
+        if sol is None:
+            return None
+        y, dy = sol
+        sub = JordanAlgebra(self._out(y.T.reshape(k, k, k), dy * den * dp),
+                            mode=RATIONAL, name=f"{self.name}[ideal]",
                             meta={"parent": self.name})
-        return sub, basis
+        return sub, list(self._out(basis, dp)), basis
 
     def _decompose_float(self, seed):
         rng = random.Random(seed + 101)
@@ -777,9 +770,9 @@ class JordanAlgebra:
         evals = np.linalg.eigvals(a)
         clusters = []
         for lam in evals:
-            if lam.imag < -1e-9:
+            if lam.imag < -TOL.rel:
                 continue
-            if lam.imag > 1e-9:
+            if lam.imag > TOL.rel:
                 clusters.append((lam, np.conj(lam)))
             else:
                 clusters.append((lam.real,))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .config import FLOAT, RATIONAL
+from .config import FLOAT, RATIONAL, TOL
 from .jordan import JordanAlgebra, JordanError
 
 FORMAT = "jordanaff-algebra"
@@ -124,7 +124,7 @@ def from_jsonable(data):
             raise SerializationError("stored unit element does not act "
                                      "as the identity")
     else:
-        if max(abs(a - b) for a, b in zip(stored, e)) > 1e-9:
+        if max(abs(a - b) for a, b in zip(stored, e)) > TOL.rel:
             raise SerializationError("stored unit element does not act "
                                      "as the identity")
     return j

@@ -210,7 +210,7 @@ def test_criterion_03_trace_identities(desk_instances, get_algebra,
         # <X, Y> over the trace-zero basis, computed once per algebra
         pairings = []
         for va in base.v0:
-            gx = la.mat_vec(g, la.fvec(va))
+            gx = [sum(p * q for p, q in zip(row, va)) for row in g]
             pairings.append([sum(p * q for p, q in zip(gx, la.fvec(vb)))
                              for vb in base.v0])
         for l1 in L1_GRID:

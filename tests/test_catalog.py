@@ -168,7 +168,7 @@ def test_matrix_form_of_unity(get_algebra):
     j = get_algebra("full_real", m=3)
     _, mat = catalog.matrix_form(j, j.unity())
     flat = [[entry[0] for entry in row] for row in mat]
-    assert flat == [list(row) for row in la.identity(3)]
+    assert flat == [[int(r == c) for c in range(3)] for r in range(3)]
 
 
 def test_quadratic_norm_is_quadratic(get_algebra):

@@ -1,10 +1,13 @@
 """Exact linear algebra against independent oracles.
 
 Determinants are cross-checked with sympy's Matrix.det on the same
-rational data, ranks against sympy's rank, and inertia counts against
-numpy's eigenvalue signs on integer symmetric matrices.
+integer data, solutions and kernels against sympy's LUsolve, inv,
+gauss_jordan_solve and nullspace, ranks against sympy's rank, and
+inertia counts against numpy's eigenvalue signs on integer symmetric
+matrices.
 """
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -19,74 +22,73 @@ from hypothesis import strategies as st
 from jordanaff import exactla as la
 
 
-def _rand_fmat(rng, n, bound=9, den=4):
-    return [[Fraction(rng.randint(-bound, bound), rng.randint(1, den))
-             for _ in range(n)] for _ in range(n)]
+def _rand_imat(rng, n, bound=36):
+    return [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
 
 
 def _sympy_det(rows):
-    m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator)
-                       for x in r] for r in rows])
-    return m.det()
+    return sympy.Matrix(rows).det()
+
+
+def _rationals(arr, den):
+    return sympy.Matrix(arr.tolist()) / den
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_det_matches_sympy(n):
     rng = random.Random(100 + n)
     for _ in range(6):
-        a = _rand_fmat(rng, n)
+        a = _rand_imat(rng, n)
         got = la.det(a)
-        want = _sympy_det(a)
-        assert got == Fraction(int(want.p), int(want.q))
+        assert isinstance(got, int)
+        assert got == _sympy_det(a)
 
 
 def test_det_singular():
-    a = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-    assert la.det(a) == 0
+    assert la.det([[1, 2], [2, 4]]) == 0
 
 
 @given(st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
 def test_det_multiplicative_3x3(rows):
-    a = [[Fraction(x) for x in r] for r in rows]
-    b = [[Fraction(1, 2), Fraction(3), Fraction(0)],
-         [Fraction(-2), Fraction(1), Fraction(5)],
-         [Fraction(0), Fraction(1, 3), Fraction(-1)]]
-    ab = la.mat_mul(a, b)
+    a = la.asint(rows)
+    b = la.asint([[1, 6, 0], [-2, 1, 5], [0, 1, -3]])
+    ab = la.einsum("ab,bc->ac", a, b)
     assert la.det(ab) == la.det(a) * la.det(b)
 
 
 def test_solve_and_inverse():
     rng = random.Random(7)
     for n in (2, 3, 5):
-        a = _rand_fmat(rng, n)
+        a = _rand_imat(rng, n)
         while la.det(a) == 0:
-            a = _rand_fmat(rng, n)
-        b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
-        x = la.solve(a, b)
-        assert la.mat_vec(a, x) == tuple(b)
-        inv = la.inverse(a)
-        prod = la.mat_mul(a, inv)
-        ident = la.identity(n)
-        assert prod == ident
+            a = _rand_imat(rng, n)
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        x, d = la.solve(a, b)
+        assert x.shape == (n,)
+        assert _rationals(x, d) == sympy.Matrix(a).LUsolve(sympy.Matrix(b))
+        inv, d = la.solve(a, np.eye(n, dtype=np.int64))
+        assert _rationals(inv, d) == sympy.Matrix(a).inv()
+        prod = la.einsum("ab,bc->ac", la.asint(a), inv)
+        assert (prod == d * np.eye(n, dtype=np.int64)).all()
 
 
 def test_solve_singular_returns_none():
-    a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1)]]
-    assert la.solve(a, [Fraction(1), Fraction(0)]) is None
+    a = [[1, 1], [1, 1]]
+    assert la.solve(a, [1, 0]) is None   # inconsistent
+    assert la.solve(a, [1, 1]) is None   # consistent, not unique
 
 
 def test_null_space_annihilates():
     rng = random.Random(11)
-    a = _rand_fmat(rng, 4)
+    a = [[rng.randint(-36, 36) for _ in range(4)] for _ in range(4)]
     a[3] = [x + y for x, y in zip(a[0], a[1])]  # force a relation
-    rows_as_int, _ = la.clear_denominators(a)
-    ns = la.null_space(a)
+    ns, d = la.null_space(a)
     assert len(ns) >= 1
-    for v in ns:
-        out = la.mat_vec(a, v)
-        assert all(x == 0 for x in out)
+    assert not la.einsum("ab,cb->ac", la.asint(a), ns).any()
+    assert [list(_rationals(v, d)) for v in ns] == \
+        [list(v) for v in sympy.Matrix(a).nullspace()]
 
 
 def _sympy_rank(m):
@@ -101,6 +103,22 @@ def test_int_rank_matches_sympy():
         if rows >= 3:
             m[-1] = [2 * a - b for a, b in zip(m[0], m[1])]
         assert la.int_rank(m) == _sympy_rank(m)
+
+
+def test_hadamard_bits_match_row_loop():
+    """The row bounds are computed once per matrix; the bound must equal
+    the per-row loop it replaced, up to float rounding."""
+    rng = random.Random(29)
+    for rows, cols, e in [(3, 5, 4), (9, 4, 40), (6, 6, 90)]:
+        m = [[rng.randint(-2 ** e, 2 ** e) * rng.randint(0, 1)
+              for _ in range(cols)] for _ in range(rows)]
+        row_bits = la._row_bits(la.asint(m))
+        for size in range(1, rows + 2):
+            logs = sorted((0.5 * math.log2(size) + math.log2(max(map(abs, r)))
+                           for r in m if any(r)), reverse=True)
+            want = sum(logs[:size]) + 8.0
+            assert la._hadamard_bits(row_bits, size) == \
+                pytest.approx(want, rel=1e-12)
 
 
 def test_independent_rows_certified():
@@ -150,7 +168,9 @@ KERNEL_SPECS = (
     "skl,si,lim->skm", "sab,sb->sa", "sm,mq,sq->s", "ab,ibc->iac",
     "b,ic->ibc", "iab,jb->ija", "ija,ab,kb->ijk", "iaa->i",
     "kab,ib,a->ki", "ijk,ai,bj->abk", "abk,tk->abt", "ai,ij,bj,k->abk",
-    "kji,jac->kiac", "vi,ikj->vkj",
+    "kji,jac->kiac", "vi,ikj->vkj", "ab,cb->ac", "ai,ij,bj->ab",
+    "ti,aij,bj->abt", "wi,ikj->wkj", "ab,bi->ai", "a,ai->i",
+    "i,wj,ijk->wk", "v,vi->i", "i,ir->r", "ui,vj,ijk->uvk",
 )
 
 
@@ -247,14 +267,62 @@ def test_int64_limits_only_in_kernel():
 
 
 def test_solve_tall_consistency():
-    cols = [(Fraction(1), Fraction(0), Fraction(2)),
-            (Fraction(0), Fraction(1), Fraction(-1))]
+    cols = [(1, 0, 2), (0, 1, -1)]
     rows = [tuple(c[i] for c in cols) for i in range(3)]
-    rhs = (Fraction(3), Fraction(4), Fraction(2))
-    sol = la.solve_tall(rows, rhs)
-    assert sol == (Fraction(3), Fraction(4))
-    bad = (Fraction(1), Fraction(0), Fraction(0))
-    assert la.solve_tall(rows, bad) is None
+    x, d = la.solve(rows, [3, 4, 2])
+    assert (x == [3, 4]).all() and d == 1
+    assert la.solve(rows, [1, 0, 0]) is None
+
+
+def _tall_system(data, n_rows, n_cols):
+    e = data.draw(st.integers(0, 40))
+    return [[data.draw(st.integers(-2 ** e, 2 ** e)) for _ in range(n_cols)]
+            for _ in range(n_rows)]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_tall_solve_and_null_space_match_sympy(data):
+    """Tall integer systems with entries up to 2**40: consistent,
+    inconsistent and rank-deficient right-hand sides."""
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(n, 3 * n + 2))
+    a = _tall_system(data, m, n)
+    if data.draw(st.booleans()):   # rank-deficient: last column repeats
+        for row in a:
+            row[-1] = row[0]
+    sa = sympy.Matrix(a)
+    kind = data.draw(st.sampled_from(["consistent", "inconsistent"]))
+    if kind == "consistent":
+        x0 = [data.draw(st.integers(-2 ** 40, 2 ** 40)) for _ in range(n)]
+        b = list(sa * sympy.Matrix(x0))
+    else:
+        b = [data.draw(st.integers(-2 ** 40, 2 ** 40)) for _ in range(m)]
+    ns, d = la.null_space(a)
+    assert [list(_rationals(v, d)) for v in ns] == \
+        [list(v) for v in sa.nullspace()]
+    try:
+        want, params = sa.gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:       # inconsistent
+        want = None
+    got = la.solve(a, b)
+    if want is None or params.shape[0]:
+        assert got is None
+    else:
+        assert _rationals(*got) == want
+
+
+def test_solve_sees_rows_hidden_from_the_prime():
+    """The only inconsistent row is divisible by the candidate prime, so
+    the modular pivot selection skips it; the exact check on every row
+    must still find it."""
+    p = la.PRIMES_30BIT[0]
+    a = [[1, 0], [0, 1], [p, 2 * p]]
+    x, d = la.solve(a, [1, 1, 3 * p])
+    assert x.tolist() == [1, 1] and d == 1
+    assert la.solve(a, [1, 1, 4 * p]) is None
+    ns, _ = la.null_space([[p, 0], [0, 0]])
+    assert ns.tolist() == [[0, 1]]
 
 
 class TestGaussianInteger:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from jordanaff import catalog, structure
+from jordanaff.jordan import direct_sum
 from jordanaff.structure import PairError, restricted_pair, check_pair
 
 # (family, params) -> (dim k, dim p); p excludes the unit direction, so
@@ -30,7 +31,7 @@ def test_pair_dimensions(get_pair):
         assert (len(pair.k_ops), len(pair.p_ops)) == (dk, dp), name
 
 
-def test_pair_checks_small_families(get_pair, big_isotopes):
+def test_pair_checks_small_families(get_pair, get_algebra, big_isotopes):
     pairs = [get_pair(name, **params) for name, params in [
         ("quadratic", {"signs": (1, -1, 1)}),
         ("full_real", {"m": 2}),
@@ -39,6 +40,8 @@ def test_pair_checks_small_families(get_pair, big_isotopes):
         ("skew_hamiltonian", {"m": 2}),
         ("hermitian_complex", {"m": 2, "gammas": (1, -1)})]]
     pairs += [restricted_pair(j) for j in big_isotopes.values()]
+    # R (+) R (+) R is associative: k = 0 while p has two generators
+    pairs.append(restricted_pair(direct_sum([get_algebra("reals")] * 3)))
     for pair in pairs:
         name = pair.algebra.name
         rep = check_pair(pair, n_samples=3, seed=0)
