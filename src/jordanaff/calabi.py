@@ -70,21 +70,15 @@ def compose(models, l1=Fraction(-1)):
         at += m.algebra.dim
     # integer basis of p0: weighted differences of embedded unit elements
     weights = [m.n + 1 for m in models]
-    embedded = []
-    for m, off in zip(models, offsets):
-        e = m.algebra.unity()
-        vec = [Fraction(0)] * big.dim
-        for i, x in enumerate(e):
-            vec[off + i] = x
-        embedded.append(vec)
+    units = [m.algebra._elem(m.algebra.unity()) for m in models]
+    (xl, dl), last = units[-1], offsets[-1]
     p0 = []
-    last = len(models) - 1
-    for a in range(last):
-        v = [weights[last] * x for x in embedded[a]]
-        for i, x in enumerate(embedded[last]):
-            v[i] -= weights[a] * x
-        ints, _ = la.clear_denominators_vec(v)
-        p0.append(tuple(ints))
+    for (x, dx), off, w in zip(units[:-1], offsets, weights):
+        d = math.lcm(dx, dl)
+        v = np.zeros(big.dim, dtype=object)
+        v[off:off + len(x)] = la.lincomb((weights[-1] * (d // dx), x))
+        v[last:last + len(xl)] = la.lincomb((-w * (d // dl), xl))
+        p0.append(tuple(la.lowest_terms(v, d)[0].tolist()))
     return CalabiComposition(
         factors=tuple(models), model=model,
         scale_squares=scale_squares, scale_floats=scale_floats,

@@ -134,7 +134,8 @@ def _basis_stack(kind, m, sig, slots):
 def _structure_tensor(kind, m, sig, factor=None):
     """Structure constants of the given matrix shape under the product
     X o Y = (X G Y + Y G X) / 2, where G is ``factor``, an integer
-    (m, m, sig.dim) array, or the identity when it is None.
+    (m, m, sig.dim) array, or the identity when it is None.  They come
+    back as the kernel pair (2 X o Y coordinates, 2), with the labels.
 
     Raises if any basis product falls outside the span of the shape,
     which would mean the product does not close on the subspace.
@@ -155,9 +156,7 @@ def _structure_tensor(kind, m, sig, factor=None):
         raise BadParameterError(
             f"product of basis elements {p}, {q} leaves the "
             f"{kind} matrix space")
-    half = {v: Fraction(v, 2) for v in np.unique(coords).tolist()}
-    c = [[[half[v] for v in cpq] for cpq in cp] for cp in coords.tolist()]
-    return c, [_slot_label(s, sig) for s in slots]
+    return (coords, 2), [_slot_label(s, sig) for s in slots]
 
 
 def _diagonal(sig, entries):
@@ -375,9 +374,9 @@ def _instance_name(name, params):
 
 
 def _make_matrix_algebra(family, kind, m, sig, factor, params):
-    c, labels = _structure_tensor(kind, m, sig, factor)
+    kernel, labels = _structure_tensor(kind, m, sig, factor)
     return JordanAlgebra(
-        c, name=_instance_name(family, params), labels=labels,
+        kernel=kernel, name=_instance_name(family, params), labels=labels,
         meta={"family": family, "params": dict(params),
               "entry_signature": sig.gammas, "matrix_size": m})
 
@@ -414,20 +413,15 @@ def _matrix_form_eval(fam, params, coords):
 _FAMILY_SHAPES = {}
 
 
-def _complexify_tensor(c):
-    n = len(c)
-    zero = Fraction(0)
-    out = [[[zero] * (2 * n) for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = c[i][j][k]
-                if not v:
-                    continue
-                out[i][j][k] = v
-                out[i][n + j][n + k] = v
-                out[n + i][j][n + k] = v
-                out[n + i][n + j][k] = -v
+def _complexify_tensor(ci):
+    """The tensor of the complexification J + iJ, viewed as real, from
+    the kernel array of J."""
+    n = len(ci)
+    out = np.zeros((2 * n,) * 3, dtype=ci.dtype)
+    out[:n, :n, :n] = ci
+    out[:n, n:, n:] = ci
+    out[n:, :n, n:] = ci
+    out[n:, n:, :n] = -ci
     return out
 
 
@@ -436,10 +430,11 @@ def _complexified(name, base_name, base_params_of, desk):
 
     def _build(**params):
         bj = base.build(**base_params_of(params))
-        c = _complexify_tensor(bj.c)
+        ci, den = bj._int_tensor()
         labels = list(bj.labels) + [f"i*{lab}" for lab in bj.labels]
         return JordanAlgebra(
-            c, name=_instance_name(name, params), labels=labels,
+            kernel=(_complexify_tensor(ci), den),
+            name=_instance_name(name, params), labels=labels,
             meta={"family": name, "params": dict(params),
                   "base_family": base_name})
 

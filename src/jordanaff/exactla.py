@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals, tuned for structure-constant work.
 
-Exact data is an integer ndarray over one shared denominator; Fractions
-appear only at the edge (:func:`as_fraction`, :func:`fvec`,
-:func:`clear_denominators`) and in the independent determinant and
-signature routines of symmetric and complex matrices (:func:`inertia`,
-:class:`QI`, :func:`field_det`).  Every integer contraction, commutator
+Exact data is an integer ndarray over one shared denominator, the
+kernel form in which a ``JordanAlgebra`` stores its structure tensor.
+Fractions appear only at the API edge and in the independent
+determinant and signature routines of symmetric and complex matrices
+(:func:`inertia`, :class:`QI`, :func:`field_det`).  At the edge
+:func:`as_fraction` coerces scalars, and only :mod:`jordanaff.jordan`
+turns element and tensor entries into kernel form, with :func:`fvec`
+and :func:`clear_denominators_vec`.  Every integer contraction, commutator
 and linear combination goes through one kernel, :func:`einsum`,
 :func:`bracket` and :func:`lincomb`: it bounds the result in Python ints
 from the operands' max-abs values, the contracted sizes and the
@@ -58,28 +61,13 @@ def fvec(seq) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# conversion between Fraction matrices and scaled integer arrays
-
-
-def _lcm(a, b):
-    return a // math.gcd(a, b) * b
-
-
-def clear_denominators(rows):
-    """Return (int_rows, den) with rows == int_rows / den exactly."""
-    den = 1
-    for row in rows:
-        for x in row:
-            den = _lcm(den, x.denominator)
-    ints = [[x.numerator * (den // x.denominator) for x in row]
-            for row in rows]
-    return ints, den
+# the API edge: Fractions to one integer vector over one denominator
 
 
 def clear_denominators_vec(vec):
-    den = 1
-    for x in vec:
-        den = _lcm(den, x.denominator)
+    """Return (ints, den) with vec == ints / den; den is the lcm of the
+    entries' denominators, so the pair is in lowest terms."""
+    den = math.lcm(*(x.denominator for x in vec))
     return [x.numerator * (den // x.denominator) for x in vec], den
 
 
@@ -244,10 +232,11 @@ def _reduce_mod(M, p):
     return (M % p).astype(np.int64)
 
 
-def _mod_rank(A, p, want_pivot_rows=False):
-    """Rank of int64 matrix A modulo prime p; A is consumed."""
+def _mod_rank(A, p):
+    """Rank of int64 matrix A modulo prime p and the indices of its pivot
+    rows; A is consumed."""
     n_rows, n_cols = A.shape
-    perm = np.arange(n_rows) if want_pivot_rows else None
+    perm = np.arange(n_rows)
     r = 0
     for c in range(n_cols):
         if r == n_rows:
@@ -259,8 +248,7 @@ def _mod_rank(A, p, want_pivot_rows=False):
         i = r + int(nz[0])
         if i != r:
             A[[r, i], c:] = A[[i, r], c:]
-            if perm is not None:
-                perm[[r, i]] = perm[[i, r]]
+            perm[[r, i]] = perm[[i, r]]
         inv = pow(int(A[r, c]), p - 2, p)
         A[r, c:] = A[r, c:] * inv % p
         below = A[r + 1:, c]
@@ -269,9 +257,7 @@ def _mod_rank(A, p, want_pivot_rows=False):
             rows = r + 1 + nzb
             A[rows, c:] = (A[rows, c:] - np.outer(below[nzb], A[r, c:])) % p
         r += 1
-    if want_pivot_rows:
-        return r, [int(x) for x in perm[:r]]
-    return r, None
+    return r, [int(x) for x in perm[:r]]
 
 
 def _row_bits(M):
@@ -290,38 +276,37 @@ def _hadamard_bits(row_bits, size):
 
 def int_rank(M) -> int:
     """Certified rank of an integer matrix (nested ints or an ndarray)."""
-    M = asint(M)
-    if M.size == 0:
-        return 0
-    limit = min(M.shape)
-    row_bits = _row_bits(M)
-    best = 0
-    acc_bits = 0.0
-    for p in PRIMES_30BIT:
-        r, _ = _mod_rank(_reduce_mod(M, p), p)
-        best = max(best, r)
-        if best == limit:
-            return best
-        acc_bits += math.log2(p)
-        if acc_bits > _hadamard_bits(row_bits, best + 1):
-            return best
-    raise ArithmeticError("certified rank: prime supply exhausted")
+    return independent_rows(M)[1]
 
 
 def independent_rows(M):
-    """Indices of a certified maximal independent row subset of int matrix M.
+    """Indices of a certified maximal independent row subset of int matrix
+    M, and the certified rank.
 
-    The returned subset is independent with certainty (independence modulo a
-    prime lifts to the rationals) and maximal because its size equals the
-    certified rank.
+    Ranks modulo successive primes only under-report, so the pivot rows
+    of the first prime reaching the largest rank seen are kept; the loop
+    ends when that rank is full or the prime product passes the Hadamard
+    bound on the next larger minors.  The subset is independent with
+    certainty (independence modulo a prime lifts to the rationals) and
+    maximal because its size equals the certified rank.
     """
     M = asint(M)
-    r_total = int_rank(M)
+    if M.size == 0:
+        return [], 0
+    limit = min(M.shape)
+    row_bits = _row_bits(M)
+    rows = []
+    acc_bits = 0.0
     for p in PRIMES_30BIT:
-        r, piv = _mod_rank(_reduce_mod(M, p), p, want_pivot_rows=True)
-        if r == r_total:
-            return sorted(piv), r_total
-    raise ArithmeticError("independent rows: prime supply exhausted")
+        r, piv = _mod_rank(_reduce_mod(M, p), p)
+        if r > len(rows):
+            rows = piv
+        if len(rows) == limit:
+            return sorted(rows), limit
+        acc_bits += math.log2(p)
+        if acc_bits > _hadamard_bits(row_bits, len(rows) + 1):
+            return sorted(rows), len(rows)
+    raise ArithmeticError("certified rank: prime supply exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +359,7 @@ def _tall(M):
     M = asint(M)
     n_cols = M.shape[1]
     p = PRIMES_30BIT[0]
-    _, sel = _mod_rank(_reduce_mod(M, p), p, want_pivot_rows=True)
+    _, sel = _mod_rank(_reduce_mod(M, p), p)
     for _ in range(n_cols + 1):
         R, pivots, d, _ = _echelon(M[sorted(sel)])
         free = [c for c in range(n_cols) if c not in pivots]

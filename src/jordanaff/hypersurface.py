@@ -113,13 +113,11 @@ class HypersurfaceModel:
         j = self.algebra
         nn = j.dim
         t_ops, t_den = _operator_stack(j, self.v0)
-        e_int, e_den = la.clear_denominators_vec(j.unity())
-        e_arr = la.asint(e_int)
-        g_int, g_den = la.clear_denominators(j.gram())
-        g_arr = la.asint(g_int)
+        e_arr, e_den = j._elem(j.unity())
+        g_arr, g_den = la.lowest_terms(*j._gram_int())
         v0_arr = la.asint(self.v0).reshape(self.n, nn)
         outer_den = e_den * g_den * nn
-        d = t_den * outer_den // math.gcd(t_den, outer_den)
+        d = math.lcm(t_den, outer_den)
         w = la.einsum("ab,ib->ia", g_arr, v0_arr)
         outer = la.einsum("b,ic->ibc", e_arr, w)
         a_ops = la.lincomb((d // t_den, t_ops), (-(d // outer_den), outer))
@@ -185,9 +183,7 @@ class HypersurfaceModel:
         den_t = s["t_den"] ** 2
         den_a = s["a_den"] ** 2
         den_g = s["g_den"] * nn
-        d = den_t
-        for x in (den_a, den_g):
-            d = d * x // math.gcd(d, x)
+        d = math.lcm(den_t, den_a, den_g)
         ft, fa, fg = d // den_t, d // den_a, d // den_g
         mt, ma = s["t_max"], s["a_max"]
         w = la.einsum("ab,ib->ia", g_arr, v0)
@@ -259,21 +255,15 @@ class HypersurfaceModel:
         s = self._stacks()
         v0, e_arr = s["v0"], s["e"]
         c, _, cden = j._operands()
-        ex = la.lincomb((1, la.einsum("ijk,j,bk->ib", c, e_arr, v0)),
-                        (-cden * s["e_den"], v0.T))
-        worst = max(worst, Fraction(la.max_abs(ex), cden * s["e_den"]))
+        ex = la.einsum("ijk,j,bk->ib", c, e_arr, v0)
+        worst = max(worst, j._residual((1, ex, cden * s["e_den"]),
+                                       (-1, v0.T, 1)))
         prod = la.einsum("ijk,ai,bj->abk", c, v0, v0)
         img = la.einsum("aij,bj->abi", (s["a_ops"], s["a_max"]), v0)
         unit_term = la.einsum("ai,ij,bj,k->abk", v0, s["g"], v0, e_arr)
-        den_p = cden
-        den_a = s["a_den"]
-        den_u = s["g_den"] * nn * s["e_den"]
-        d = den_p
-        for x in (den_a, den_u):
-            d = d * x // math.gcd(d, x)
-        res = la.lincomb((d // den_p, prod), (-(d // den_a), img),
-                         (-(d // den_u), unit_term))
-        worst = max(worst, Fraction(la.max_abs(res), d))
+        worst = max(worst, j._residual(
+            (1, prod, cden), (-1, img, s["a_den"]),
+            (-1, unit_term, s["g_den"] * nn * s["e_den"])))
         return CheckResult(
             name="reconstruction_roundtrip", passed=worst == 0,
             max_residual=worst, samples=self.n * self.n + self.n + 1)
@@ -353,7 +343,8 @@ def reconstruct_algebra(model):
     Returns a new :class:`JordanAlgebra` whose products come from
     X o Y = A(X, Y) - L1 g(X, Y) e with e adjoined as unit.  A(X, Y) is
     read off the integer A stack in adapted coordinates with one kernel
-    einsum; Fractions are made once, for the returned tensor.
+    einsum, and -L1 g(X, Y) = <X, Y> / (n+1) from the trace form; the
+    tensor is assembled in kernel form over one denominator.
     """
     j = model.algebra
     nn = j.dim
@@ -361,15 +352,16 @@ def reconstruct_algebra(model):
     s = model._stacks()
     coords = la.einsum("ti,aij,bj->abt", binv, (s["a_ops"], s["a_max"]),
                        s["v0"])
-    unit = [tuple(Fraction(int(t == i)) for t in range(nn))
-            for i in range(nn)]
-    c = [unit]
-    for a, row in enumerate(j._out(coords, s["a_den"] * dinv)):
-        c.append([unit[1 + a]] + [
-            (xy[0] - model.l1 * model.g_v0[a][b],) + xy[1:]
-            for b, xy in enumerate(row)])
+    gv = la.einsum("ai,ij,bj->ab", s["v0"], s["g"], s["v0"])
+    da, dg = s["a_den"] * dinv, s["g_den"] * nn
+    d = math.lcm(da, dg)
+    c = np.zeros((nn, nn, nn), dtype=object)
+    # e = b_0 is the unit: b_0 o b_t = b_t o b_0 = b_t
+    c[0] = c[:, 0] = d * np.eye(nn, dtype=object)
+    c[1:, 1:] = la.lincomb((d // da, coords))
+    c[1:, 1:, 0] += la.lincomb((d // dg, gv))
     return JordanAlgebra(
-        c, name=f"rebuilt({j.name})",
+        kernel=(c, d), name=f"rebuilt({j.name})",
         meta={"rebuilt_from": j.name, "l1": str(model.l1)})
 
 

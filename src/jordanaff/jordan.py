@@ -56,74 +56,81 @@ class NotSemisimpleError(JordanError):
 
 
 class JordanAlgebra:
-    """A finite-dimensional commutative algebra over R in a fixed basis."""
+    """A finite-dimensional commutative algebra over R in a fixed basis.
 
-    def __init__(self, c, mode=RATIONAL, name="algebra", labels=None,
-                 meta=None):
+    ``c`` is the nested tensor c[i][j][k]: Fractions, ints or rational
+    strings, or floats for ``mode=FLOAT``.  Internal producers pass
+    ``kernel=(array, den)`` with c == array / den instead.  Either way
+    the algebra stores only that kernel pair, in lowest terms (float64
+    over 1 for a float algebra); :attr:`c` is derived from it.
+    """
+
+    def __init__(self, c=None, mode=RATIONAL, name="algebra", labels=None,
+                 meta=None, *, kernel=None):
+        if mode not in (RATIONAL, FLOAT):
+            raise ValueError(f"unknown mode {mode!r}")
         self.mode = mode
         self.name = name
         self.meta = dict(meta or {})
-        dim = len(c)
+        dim = len(c) if kernel is None else len(kernel[0])
         if dim == 0:
             raise ValueError("algebra dimension must be at least 1")
-        if mode == RATIONAL:
-            tensor = tuple(
-                tuple(la.fvec(cij) for cij in ci) for ci in c)
-            if any(len(ci) != dim or any(len(cij) != dim for cij in ci)
-                   for ci in tensor):
-                raise DimensionMismatchError(
-                    "structure tensor must be cubic")
+        if kernel is not None:
+            ci, den = kernel
         elif mode == FLOAT:
-            tensor = np.asarray(c, dtype=np.float64)
-            if tensor.shape != (dim, dim, dim):
-                raise DimensionMismatchError(
-                    f"structure tensor must be cubic, got {tensor.shape}")
+            ci, den = np.asarray(c, dtype=np.float64), 1
+        elif any(len(ci) != dim or any(len(cij) != dim for cij in ci)
+                 for ci in c):
+            raise DimensionMismatchError("structure tensor must be cubic")
         else:
-            raise ValueError(f"unknown mode {mode!r}")
+            ints, den = la.clear_denominators_vec(
+                la.fvec(x for ci in c for cij in ci for x in cij))
+            ci = la.asint(ints).reshape(dim, dim, dim)
+        if ci.shape != (dim, dim, dim):
+            raise DimensionMismatchError(
+                f"structure tensor must be cubic, got {ci.shape}")
+        if mode == RATIONAL:
+            ci, den = la.lowest_terms(la.asint(ci), den)
+        self._kernel = (ci, den)
+        self._cmax = la.max_abs(ci)
         # the zero test: a residual passes when it is at most this
         self._tol = TOL.rel + TOL.abs_floor if mode == FLOAT else 0
         self.dim = dim
-        self.c = tensor
         self.labels = tuple(labels) if labels else tuple(
             f"b{i}" for i in range(dim))
         if len(self.labels) != dim:
             raise DimensionMismatchError("one label per basis element")
         self._cache = {}
 
+    @property
+    def c(self):
+        """The structure tensor at the API edge, made from the kernel
+        pair on first read: nested tuples of Fractions, or the float64
+        array of a float algebra."""
+        if "c" not in self._cache:
+            self._cache["c"] = self._out(*self._kernel)
+        return self._cache["c"]
+
     # -- kernel arrays and the API edge -----------------------------------
 
     def _int_tensor(self):
-        """(ci, den) with c == ci / den: ci is int64 or object-dtype for a
-        rational algebra, the float64 tensor over den 1 for a float one."""
-        if "ci" not in self._cache:
-            if self.mode == FLOAT:
-                ci, den = self.c, 1
-            else:
-                den = 1
-                for ci in self.c:
-                    for cij in ci:
-                        for x in cij:
-                            den = den // math.gcd(den, x.denominator) \
-                                * x.denominator
-                ci = la.asint([[[x.numerator * (den // x.denominator)
-                                 for x in cij] for cij in ci]
-                               for ci in self.c])
-            self._cache["ci"] = (ci, den)
-            self._cache["cmax"] = la.max_abs(ci)
-        return self._cache["ci"]
+        """(ci, den) with c == ci / den in lowest terms: ci is int64 or
+        object-dtype for a rational algebra, the float64 tensor over den
+        1 for a float one."""
+        return self._kernel
 
     def _t_stack(self):
         """Stack S with S[i] = T_{b_i} (scaled by the tensor den)."""
         if "tstack" not in self._cache:
-            ci, den = self._int_tensor()
+            ci, den = self._kernel
             self._cache["tstack"] = (ci.transpose(0, 2, 1).copy(), den)
         return self._cache["tstack"]
 
     def _operands(self):
         """Kernel operands (ci, S) with their cached max-abs, and the den."""
-        ci, den = self._int_tensor()
+        ci, den = self._kernel
         st, _ = self._t_stack()
-        m = self._cache["cmax"]
+        m = self._cmax
         return (ci, m), (st, m), den
 
     def coerce(self, u):
@@ -150,9 +157,15 @@ class JordanAlgebra:
         float one (whose den is 1)."""
         if self.mode == FLOAT:
             return arr
-        if arr.ndim > 1:
-            return tuple(self._out(a, den) for a in arr)
-        return tuple(Fraction(int(x), den) for x in arr)
+        # one Fraction per distinct value; .tolist() gives Python ints,
+        # so Fraction(v, den) never wraps
+        frac = {v: Fraction(v, den) for v in set(arr.ravel().tolist())}
+
+        def nest(rows):
+            if rows and isinstance(rows[0], list):
+                return tuple(nest(r) for r in rows)
+            return tuple([frac[v] for v in rows])
+        return nest(arr.tolist())
 
     def _residual(self, *terms):
         """The residual of sum c * arr / den over ``(c, arr, den)`` terms.
@@ -178,8 +191,11 @@ class JordanAlgebra:
     def to_float(self):
         """Float-mode copy of this algebra, built once and cached."""
         if "float" not in self._cache:
+            ci, den = self._kernel
+            # Python int division rounds each entry of ci / den correctly
             self._cache["float"] = JordanAlgebra(
-                np.asarray(self.c, dtype=np.float64), mode=FLOAT,
+                kernel=(np.asarray(ci.astype(object) / den,
+                                   dtype=np.float64), 1), mode=FLOAT,
                 name=self.name, labels=self.labels, meta=dict(self.meta))
         return self._cache["float"]
 
@@ -350,7 +366,7 @@ class JordanAlgebra:
         elements are applied on the right as extra v samples.
         """
         rng = random.Random(seed)
-        ci, den = self._int_tensor()
+        ci, den = self._kernel
         ci_t = ci.transpose(1, 0, 2)
         ja1 = self._residual((1, ci, den), (-1, ci_t, den))
         ja1_witness = None
@@ -572,7 +588,7 @@ class JordanAlgebra:
         term3 = la.einsum("ka,ija->ijk", tg, c)
         new_c = la.lincomb((1, term1), (1, term1.transpose(1, 0, 2)),
                            (-1, term3))
-        return JordanAlgebra(self._out(new_c, den * den * dg),
+        return JordanAlgebra(kernel=(new_c, den * den * dg),
                              mode=self.mode, name=f"{self.name}^gamma",
                              labels=self.labels,
                              meta={**self.meta, "isotope_of": self.name})
@@ -750,7 +766,7 @@ class JordanAlgebra:
         if sol is None:
             return None
         y, dy = sol
-        sub = JordanAlgebra(self._out(y.T.reshape(k, k, k), dy * den * dp),
+        sub = JordanAlgebra(kernel=(y.T.reshape(k, k, k), dy * den * dp),
                             mode=RATIONAL, name=f"{self.name}[ideal]",
                             meta={"parent": self.name})
         return sub, list(self._out(basis, dp)), basis
@@ -818,17 +834,20 @@ def direct_sum(algebras, name=None):
         raise ValueError("direct sum factors must share one arithmetic mode")
     dims = [j.dim for j in algebras]
     dim = sum(dims)
-    c = np.zeros((dim, dim, dim), dtype=object)
+    kernels = [j._int_tensor() for j in algebras]
+    den = math.lcm(*(d for _, d in kernels))
+    blocks = [la.lincomb((den // d, ci)) for ci, d in kernels]
+    c = np.zeros((dim, dim, dim), dtype=np.result_type(*blocks))
     at = 0
-    for j in algebras:
-        block = slice(at, at + j.dim)
-        c[block, block, block] = np.asarray(j.c, dtype=object)
-        at += j.dim
+    for b in blocks:
+        block = slice(at, at + len(b))
+        c[block, block, block] = b
+        at += len(b)
     labels = []
     for t, j in enumerate(algebras):
         labels += [f"f{t}.{lab}" for lab in j.labels]
     return JordanAlgebra(
-        c, mode=mode,
+        kernel=(c, den), mode=mode,
         name=name or "(+) ".join(j.name for j in algebras),
         labels=labels,
         meta={"factors": [j.name for j in algebras],

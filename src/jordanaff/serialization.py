@@ -107,16 +107,18 @@ def from_jsonable(data):
                     f"row ({i}, {k}) has wrong length")
             rows.append(tuple(_decode_entry(x, mode) for x in raw[i][k]))
         c.append(tuple(rows))
-    for i in range(dim):
-        for k in range(i):
-            if c[i][k] != c[k][i]:
-                raise SerializationError(
-                    f"structure constants not symmetric at ({i}, {k})")
     meta = data.get("meta")
     j = JordanAlgebra(c, mode=mode, name=data.get("name", "loaded"),
                       labels=tuple(data["labels"]) if data.get("labels")
                       else None,
                       meta=meta if meta else None)
+    # the first (i, k) with k < i where slices c[i][k] and c[k][i] differ
+    ci, _ = j._int_tensor()
+    asym = np.argwhere(np.tril((ci != ci.transpose(1, 0, 2)).any(axis=2)))
+    if len(asym):
+        i, k = asym[0]
+        raise SerializationError(
+            f"structure constants not symmetric at ({i}, {k})")
     stored = [_decode_entry(x, mode) for x in data["unity"]]
     e = j.unity()
     if mode == RATIONAL:

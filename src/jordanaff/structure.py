@@ -74,12 +74,6 @@ class SymmetricPair:
         return self.dim_k + self.dim_p
 
 
-def _unit_vector(j):
-    e = j.unity()
-    ints, den = la.clear_denominators_vec(e)
-    return la.asint(ints), den
-
-
 def _trace_zero_basis(j):
     """Integer basis of {u : tr T_u = 0}."""
     tr, _ = j._basis_traces()
@@ -200,16 +194,16 @@ def check_pair(pair, n_samples=3, seed=0):
         report.add(CheckResult(name="derivation_identity", passed=True))
 
     # k kills the unit
-    e_int, _ = _unit_vector(j)
+    e_int, _ = j._elem(j.unity())
     worst_e = la.max_abs(la.einsum("kab,b->ka", kb, e_int))
     report.add(CheckResult(
         name="k_kills_unity", passed=worst_e == 0,
         max_residual=Fraction(worst_e, pair.k_den)))
 
     # skewness for the trace form: (G Phi)^T = -G Phi
-    g_int, g_den = la.clear_denominators(j.gram())
+    g_int, g_den = la.lowest_terms(*j._gram_int())
     if dim_k:
-        gk = la.einsum("ab,kbc->kac", la.asint(g_int), kb)
+        gk = la.einsum("ab,kbc->kac", g_int, kb)
         worst_skew = la.max_abs(la.lincomb(
             (1, gk), (1, gk.transpose(0, 2, 1))))
         report.add(CheckResult(

@@ -266,6 +266,19 @@ def test_int64_limits_only_in_kernel():
     assert offenders == []
 
 
+def test_denominators_cleared_only_in_jordan():
+    """Only jordan.py turns Fractions into kernel form; every other module
+    reads the kernel arrays an algebra stores."""
+    src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+    pattern = re.compile(r"clear_denominators|\bfvec\b")
+    offenders = [f"{path.name}:{no}"
+                 for path in sorted(src.glob("*.py"))
+                 if path.name not in ("exactla.py", "jordan.py")
+                 for no, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert offenders == []
+
+
 def test_solve_tall_consistency():
     cols = [(1, 0, 2), (0, 1, -1)]
     rows = [tuple(c[i] for c in cols) for i in range(3)]

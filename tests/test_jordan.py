@@ -1,6 +1,7 @@
 """Core engine behavior on hand-built and catalog algebras."""
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +10,8 @@ import numpy as np
 import pytest
 
 from jordanaff import catalog
+from jordanaff import exactla as la
+from jordanaff.config import RATIONAL
 from jordanaff.jordan import (
     DimensionMismatchError,
     JordanAlgebra,
@@ -190,6 +193,31 @@ def test_direct_sum_blocks(get_algebra):
     assert all(v == 0 for v in x)
     ok, _ = s.is_semisimple()
     assert ok
+
+
+def test_stored_kernel_is_in_lowest_terms(desk_instances, get_algebra,
+                                          big_isotopes):
+    """An algebra stores one kernel pair (ci, den) in lowest terms, and
+    building it from the nested ``c`` or from a scaled kernel pair gives
+    the same pair back."""
+    cases = [get_algebra(n, **p) for n, p in desk_instances]
+    cases += big_isotopes.values()
+    cases.append(direct_sum([get_algebra("reals"),
+                             get_algebra("quadratic", signs=(1, -1, 1)),
+                             big_isotopes["full_real(m=3)^(q=31)"]]))
+    cases.append(cases[-1].to_float())
+    for j in cases:
+        ci, den = j._int_tensor()
+        if j.mode == RATIONAL:
+            assert math.gcd(den, *ci.ravel().tolist()) == 1, j.name
+            scaled = (la.lincomb((7, ci)), 7 * den)
+        else:
+            assert den == 1 and ci.dtype == np.float64, j.name
+            scaled = (ci, 1)
+        for again in (JordanAlgebra(j.c, mode=j.mode),
+                      JordanAlgebra(kernel=scaled, mode=j.mode)):
+            ai, ad = again._int_tensor()
+            assert ad == den and np.array_equal(ai, ci), j.name
 
 
 def test_decompose_direct_sums(get_algebra):
