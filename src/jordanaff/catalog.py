@@ -453,7 +453,8 @@ def _complexified(name, base_name, base_params_of, desk):
 # -- reals ------------------------------------------------------------------
 
 def _build_reals():
-    return JordanAlgebra([[[Fraction(1)]]], name="reals", labels=("1",),
+    return JordanAlgebra(kernel=(np.ones((1, 1, 1), dtype=np.int64), 1),
+                         name="reals", labels=("1",),
                          meta={"family": "reals", "params": {}})
 
 
@@ -471,17 +472,12 @@ def _build_quadratic(signs):
         raise BadParameterError(
             "a simple quadratic factor needs at least two square terms")
     n = len(signs) + 1
-    zero, one = Fraction(0), Fraction(1)
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        c[0][a][a] = one
-        c[a][0][a] = one
-    for a in range(1, n):
-        c[a][a] = [zero] * n
-        c[a][a][0] = Fraction(signs[a - 1])
+    ci, a = np.zeros((n, n, n), dtype=np.int64), np.arange(n)
+    ci[0, a, a] = ci[a, 0, a] = 1
+    ci[a[1:], a[1:], 0] = signs
     labels = ("1",) + tuple(f"x{a}" for a in range(1, n))
     return JordanAlgebra(
-        c, name=_instance_name("quadratic", {"signs": signs}),
+        kernel=(ci, 1), name=_instance_name("quadratic", {"signs": signs}),
         labels=labels, meta={"family": "quadratic",
                              "params": {"signs": signs}})
 

@@ -59,7 +59,9 @@ class JordanAlgebra:
     """A finite-dimensional commutative algebra over R in a fixed basis.
 
     ``c`` is the nested tensor c[i][j][k]: Fractions, ints or rational
-    strings, or floats for ``mode=FLOAT``.  Internal producers pass
+    strings (never floats), or finite floats for ``mode=FLOAT``; this is
+    the one parser of such input, and it parses each distinct entry once
+    (ValueError or TypeError on a bad one).  Internal producers pass
     ``kernel=(array, den)`` with c == array / den instead.  Either way
     the algebra stores only that kernel pair, in lowest terms (float64
     over 1 for a float algebra); :attr:`c` is derived from it.
@@ -77,15 +79,23 @@ class JordanAlgebra:
             raise ValueError("algebra dimension must be at least 1")
         if kernel is not None:
             ci, den = kernel
-        elif mode == FLOAT:
-            ci, den = np.asarray(c, dtype=np.float64), 1
         elif any(len(ci) != dim or any(len(cij) != dim for cij in ci)
                  for ci in c):
             raise DimensionMismatchError("structure tensor must be cubic")
+        elif mode == FLOAT:
+            ci, den = np.asarray(c, dtype=np.float64), 1
+            bad = ci[~np.isfinite(ci)]
+            if bad.size:
+                raise ValueError(f"structure constant {bad[0]} is not finite")
         else:
+            # parse each distinct entry once; keyed by type too, so a
+            # float 1.0 is refused even where an int 1 came first
+            index = {}
+            codes = [index.setdefault((type(x), x), len(index))
+                     for ci in c for cij in ci for x in cij]
             ints, den = la.clear_denominators_vec(
-                la.fvec(x for ci in c for cij in ci for x in cij))
-            ci = la.asint(ints).reshape(dim, dim, dim)
+                la.fvec(x for _, x in index))
+            ci = la.asint(ints)[codes].reshape(dim, dim, dim)
         if ci.shape != (dim, dim, dim):
             raise DimensionMismatchError(
                 f"structure tensor must be cubic, got {ci.shape}")
@@ -818,7 +828,7 @@ class JordanAlgebra:
                 for j in range(k):
                     w = jf.product(basis[i], basis[j])
                     sub_c[i, j], *_ = np.linalg.lstsq(bmat, w, rcond=None)
-            out.append((JordanAlgebra(sub_c, mode=FLOAT,
+            out.append((JordanAlgebra(kernel=(sub_c, 1), mode=FLOAT,
                                       name=f"{self.name}[ideal]",
                                       meta={"parent": self.name,
                                             "exact": False}), basis))

@@ -1,10 +1,15 @@
 """JSON persistence for algebras.
 
-An algebra serializes to a plain dict: exact entries become "p/q"
-strings, float entries stay numbers, and any catalog metadata rides
-along so a loaded file can be cross-checked against a fresh build.
-Loading re-validates the symmetry of the structure constants and the
-stored unit element before handing back a working algebra.
+An algebra serializes to a plain dict holding its structure tensor "c"
+and its unit "unity", with any catalog metadata riding along so a loaded
+file can be cross-checked against a fresh build.  In a rational file an
+entry is a "p/q" string (JSON integers are read too, JSON floats never);
+in a float file it is a finite number.  Loading hands the raw tensor to
+:class:`JordanAlgebra`, the one parser of entries, which checks its
+cubic shape and each distinct entry; the stored unit goes through
+:meth:`JordanAlgebra.coerce`, which checks its length.  The loader then
+checks the symmetry of the structure constants and that the stored unit
+is the algebra's unit before handing the algebra back.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import FLOAT, RATIONAL, TOL
-from .jordan import JordanAlgebra, JordanError
+from .jordan import DimensionMismatchError, JordanAlgebra, JordanError
 
 FORMAT = "jordanaff-algebra"
 VERSION = 1
@@ -26,6 +31,8 @@ class SerializationError(JordanError):
 
 
 def _encode_value(x):
+    if isinstance(x, np.ndarray):
+        x = x.tolist()
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, (np.floating, float)):
@@ -39,35 +46,17 @@ def _encode_value(x):
     return x
 
 
-def _decode_entry(x, mode):
-    try:
-        if mode == RATIONAL:
-            return Fraction(x)
-        return float(x)
-    except (ValueError, TypeError) as err:
-        raise SerializationError(f"bad entry {x!r}: {err}") from None
-
-
 def to_jsonable(j):
-    dim = j.dim
-    if j.mode == RATIONAL:
-        tensor = [[[str(j.c[i][k][l]) for l in range(dim)]
-                   for k in range(dim)] for i in range(dim)]
-        unity = [str(x) for x in j.unity()]
-    else:
-        arr = np.asarray(j.c, dtype=np.float64)
-        tensor = arr.tolist()
-        unity = [float(x) for x in j.unity()]
     return {
         "format": FORMAT,
         "version": VERSION,
         "name": j.name,
-        "dim": dim,
+        "dim": j.dim,
         "mode": j.mode,
         "labels": list(j.labels) if j.labels else None,
         "meta": _encode_value(j.meta) if j.meta else None,
-        "unity": unity,
-        "c": tensor,
+        "unity": _encode_value(j.unity()),
+        "c": _encode_value(j.c),
     }
 
 
@@ -88,30 +77,24 @@ def from_jsonable(data):
     if data.get("version") != VERSION:
         raise SerializationError(
             f"unsupported version {data.get('version')!r}")
-    dim = data["dim"]
     mode = data["mode"]
     if mode not in (RATIONAL, FLOAT):
         raise SerializationError(f"unknown mode {mode!r}")
-    raw = data["c"]
-    if len(raw) != dim:
-        raise SerializationError(
-            f"tensor has {len(raw)} slices, dim says {dim}")
-    c = []
-    for i in range(dim):
-        if len(raw[i]) != dim:
-            raise SerializationError(f"slice {i} has wrong row count")
-        rows = []
-        for k in range(dim):
-            if len(raw[i][k]) != dim:
-                raise SerializationError(
-                    f"row ({i}, {k}) has wrong length")
-            rows.append(tuple(_decode_entry(x, mode) for x in raw[i][k]))
-        c.append(tuple(rows))
     meta = data.get("meta")
-    j = JordanAlgebra(c, mode=mode, name=data.get("name", "loaded"),
-                      labels=tuple(data["labels"]) if data.get("labels")
-                      else None,
-                      meta=meta if meta else None)
+    try:
+        j = JordanAlgebra(data["c"], mode=mode,
+                          name=data.get("name", "loaded"),
+                          labels=tuple(data["labels"])
+                          if data.get("labels") else None,
+                          meta=meta if meta else None)
+        stored = j.coerce(data["unity"])
+    except DimensionMismatchError as err:
+        raise SerializationError(str(err)) from None
+    except (ValueError, TypeError, ArithmeticError) as err:
+        raise SerializationError(f"bad entry: {err}") from None
+    if j.dim != data["dim"]:
+        raise SerializationError(
+            f"tensor has {j.dim} slices, dim says {data['dim']}")
     # the first (i, k) with k < i where slices c[i][k] and c[k][i] differ
     ci, _ = j._int_tensor()
     asym = np.argwhere(np.tril((ci != ci.transpose(1, 0, 2)).any(axis=2)))
@@ -119,16 +102,12 @@ def from_jsonable(data):
         i, k = asym[0]
         raise SerializationError(
             f"structure constants not symmetric at ({i}, {k})")
-    stored = [_decode_entry(x, mode) for x in data["unity"]]
     e = j.unity()
-    if mode == RATIONAL:
-        if tuple(stored) != tuple(e):
-            raise SerializationError("stored unit element does not act "
-                                     "as the identity")
-    else:
-        if max(abs(a - b) for a, b in zip(stored, e)) > TOL.rel:
-            raise SerializationError("stored unit element does not act "
-                                     "as the identity")
+    # a float comparison that fails on NaN
+    if (stored != e if mode == RATIONAL
+            else not np.abs(stored - e).max() <= TOL.rel):
+        raise SerializationError("stored unit element does not act "
+                                 "as the identity")
     return j
 
 
@@ -159,7 +138,8 @@ def rebuild_from_catalog(j):
     if fresh.dim != j.dim:
         raise SerializationError(
             f"catalog rebuild has dim {fresh.dim}, stored dim {j.dim}")
-    if j.mode == RATIONAL and fresh.c != j.c:
+    (ci, den), (fi, fden) = j._int_tensor(), fresh._int_tensor()
+    if j.mode == RATIONAL and (den != fden or not np.array_equal(ci, fi)):
         raise SerializationError("catalog rebuild disagrees with stored "
                                  "structure constants")
     return fresh

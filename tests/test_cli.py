@@ -154,3 +154,18 @@ def test_malformed_file_exits_2_with_path(capsys, tmp_path):
     code, _, err = run(capsys, ["verify", "jordan", "--file", str(path)])
     assert code == 2
     assert "broken.json" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["c"][0][0].__setitem__(0, "Infinity"),
+    lambda doc: doc.__setitem__("unity", []),
+], ids=["infinite_entry", "empty_unity"])
+def test_bad_float_file_exits_2_with_path(capsys, tmp_path, edit):
+    doc = json.loads(ser.dumps(
+        catalog.build("quadratic", signs=(1, 1)).to_float()))
+    edit(doc)
+    path = tmp_path / "bad_float.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, ["verify", "jordan", "--file", str(path)])
+    assert code == 2
+    assert "bad_float.json" in err

@@ -279,6 +279,17 @@ def test_denominators_cleared_only_in_jordan():
     assert offenders == []
 
 
+def test_serialization_constructs_no_fraction():
+    """The JordanAlgebra constructor is the one parser of exact entries:
+    serialization.py hands it the raw tensor and never makes a Fraction."""
+    path = (Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+            / "serialization.py")
+    offenders = [no for no, line in
+                 enumerate(path.read_text().splitlines(), 1)
+                 if "Fraction(" in line]
+    assert offenders == []
+
+
 def test_solve_tall_consistency():
     cols = [(1, 0, 2), (0, 1, -1)]
     rows = [tuple(c[i] for c in cols) for i in range(3)]

@@ -11,7 +11,7 @@ import pytest
 
 from jordanaff import catalog
 from jordanaff import exactla as la
-from jordanaff.config import RATIONAL
+from jordanaff.config import FLOAT, RATIONAL
 from jordanaff.jordan import (
     DimensionMismatchError,
     JordanAlgebra,
@@ -218,6 +218,32 @@ def test_stored_kernel_is_in_lowest_terms(desk_instances, get_algebra,
                       JordanAlgebra(kernel=scaled, mode=j.mode)):
             ai, ad = again._int_tensor()
             assert ad == den and np.array_equal(ai, ci), j.name
+
+
+def test_constructor_parses_each_distinct_entry_once(monkeypatch,
+                                                     get_algebra):
+    """Nested input is parsed once per distinct entry; a float is refused
+    in a rational tensor wherever it sits, and a float tensor must be
+    finite."""
+    j = get_algebra("full_real", m=3)
+    nested = [[[str(x) for x in row] for row in sl] for sl in j.c]
+    seen = []
+    parse = la.as_fraction
+    monkeypatch.setattr(la, "as_fraction",
+                        lambda x: seen.append(x) or parse(x))
+    again = JordanAlgebra(nested)
+    monkeypatch.undo()
+    assert sorted(seen) == sorted({x for sl in nested for row in sl
+                                   for x in row})
+    ci, den = again._int_tensor()
+    assert den == j._int_tensor()[1]
+    assert np.array_equal(ci, j._int_tensor()[0])
+    for row in ([1, 1.0], [1.0, 1]):
+        with pytest.raises(TypeError):
+            JordanAlgebra([[row, row], [row, row]])
+    for bad in (None, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="not finite"):
+            JordanAlgebra([[[bad]]], mode=FLOAT)
 
 
 def test_decompose_direct_sums(get_algebra):

@@ -1,14 +1,17 @@
 """JSON persistence of algebras."""
 
+import copy
 import json
 
+import numpy as np
 import pytest
 
 from jordanaff import serialization as ser
+from jordanaff.jordan import direct_sum
 from jordanaff.serialization import SerializationError
 
 
-def test_roundtrip_exact(get_algebra):
+def test_roundtrip_exact(desk_instances, get_algebra, big_isotopes):
     j = get_algebra("hermitian_complex", m=2, gammas=(1, -1))
     text = ser.dumps(j)
     back = ser.loads(text)
@@ -16,6 +19,21 @@ def test_roundtrip_exact(get_algebra):
     assert back.name == j.name
     assert back.labels == j.labels
     assert ser.dumps(back) == text
+    # every desk instance of dim <= 27, the big isotopes, a three-factor
+    # direct sum and its float copy load back to the same kernel pair
+    cases = [get_algebra(n, **p) for n, p in desk_instances]
+    cases = [j for j in cases if j.dim <= 27] + list(big_isotopes.values())
+    cases.append(direct_sum([get_algebra("reals"),
+                             get_algebra("quadratic", signs=(1, -1, 1)),
+                             big_isotopes["full_real(m=3)^(q=31)"]]))
+    cases.append(cases[-1].to_float())
+    for j in cases:
+        text = ser.dumps(j)
+        back = ser.loads(text)
+        (ci, den), (bi, bden) = j._int_tensor(), back._int_tensor()
+        assert back.mode == j.mode and bden == den, j.name
+        assert bi.dtype == ci.dtype and np.array_equal(bi, ci), j.name
+        assert ser.dumps(back) == text, j.name
 
 
 def test_roundtrip_float(get_algebra):
@@ -64,6 +82,40 @@ def test_bad_payloads_rejected(get_algebra):
     bad["c"][0] = bad["c"][0][:0]  # ragged slice
     with pytest.raises(SerializationError):
         ser.from_jsonable(bad)
+
+    exact = json.loads(ser.dumps(get_algebra("quadratic", signs=(1, 1))))
+    floats = json.loads(ser.dumps(
+        get_algebra("quadratic", signs=(1, 1)).to_float()))
+
+    def spoil(doc, *edits):
+        bad = copy.deepcopy(doc)
+        for path, value in edits:
+            *head, last = path
+            target = bad
+            for key in head:
+                target = target[key]
+            target[last] = value
+        return bad
+
+    c000, c011, c012 = ("c", 0, 0, 0), ("c", 0, 1, 1), ("c", 0, 1, 2)
+    cases = [
+        # float files: non-finite or unconvertible constants
+        (spoil(floats, (c000, "Infinity")), "bad entry"),
+        (spoil(floats, (c000, 10 ** 400)), "bad entry"),
+        # float files: a short, empty or NaN unit
+        (spoil(floats, (("unity",), floats["unity"][:2])), "length 2"),
+        (spoil(floats, (("unity",), [])), "length 0"),
+        (spoil(floats, (("unity",), ["NaN"] * 3)), "identity"),
+        # exact files: JSON floats wherever they sit, and a zero denominator
+        (spoil(exact, (c000, 1.0)), "bad entry"),
+        (spoil(exact, (c012, 0.0)), "bad entry"),
+        (spoil(exact, (c000, 1), (c011, 1.0)), "bad entry"),
+        (spoil(exact, (("unity",), [1.0, 0, 0])), "bad entry"),
+        (spoil(exact, (c012, "0/0")), "bad entry"),
+    ]
+    for bad, message in cases:
+        with pytest.raises(SerializationError, match=message):
+            ser.from_jsonable(bad)
 
 
 def test_unity_is_validated(get_algebra):
