@@ -70,7 +70,7 @@ def compose(models, l1=Fraction(-1)):
         at += m.algebra.dim
     # integer basis of p0: weighted differences of embedded unit elements
     weights = [m.n + 1 for m in models]
-    units = [m.algebra._elem(m.algebra.unity()) for m in models]
+    units = [m.algebra._unit_int() for m in models]
     (xl, dl), last = units[-1], offsets[-1]
     p0 = []
     for (x, dx), off, w in zip(units[:-1], offsets, weights):

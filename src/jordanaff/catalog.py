@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import inspect
 from itertools import permutations
 import random
 from typing import Callable
@@ -318,7 +319,7 @@ class Family:
     expected_dim: Callable  # (params) -> int
     desk: tuple             # parameter sets for the standard instance batch
     base: str | None = None  # set on complexified families
-    base_params_of: Callable | None = None
+    base_params_of: Callable | None = None  # (**params) -> base params
 
 
 CATALOG: dict[str, Family] = {}
@@ -334,9 +335,15 @@ def family_names():
 
 
 def build(name, **params):
+    """Build the family's instance; an unknown or missing parameter name
+    raises BadParameterError."""
     if name not in CATALOG:
         raise UnknownFamilyError(
             f"unknown family {name!r}; known: {', '.join(CATALOG)}")
+    try:
+        inspect.signature(CATALOG[name].build).bind(**params)
+    except TypeError as err:
+        raise BadParameterError(f"{name}: {err}") from None
     j = CATALOG[name].build(**params)
     expected = CATALOG[name].expected_dim(params)
     if j.dim != expected:
@@ -359,7 +366,7 @@ def generic_norm(j, u):
         base = CATALOG[fam.base]
         n = j.dim // 2
         zc = tuple(QI(u[k], u[n + k]) for k in range(n))
-        return base.norm_eval(fam.base_params_of(params), zc).norm()
+        return base.norm_eval(fam.base_params_of(**params), zc).norm()
     val = fam.norm_eval(params, u)
     if isinstance(val, QI):
         raise ArithmeticError("real family norm came out complex")
@@ -393,7 +400,7 @@ def matrix_form(j, u):
         n = j.dim // 2
         zc = tuple(QI(u[k], u[n + k]) for k in range(n))
         return _matrix_form_eval(CATALOG[fam.base],
-                                 fam.base_params_of(params), zc)
+                                 fam.base_params_of(**params), zc)
     return _matrix_form_eval(fam, params, u)
 
 
@@ -429,7 +436,7 @@ def _complexified(name, base_name, base_params_of, desk):
     base = CATALOG[base_name]
 
     def _build(**params):
-        bj = base.build(**base_params_of(params))
+        bj = base.build(**base_params_of(**params))
         ci, den = bj._int_tensor()
         labels = list(bj.labels) + [f"i*{lab}" for lab in bj.labels]
         return JordanAlgebra(
@@ -437,11 +444,13 @@ def _complexified(name, base_name, base_params_of, desk):
             name=_instance_name(name, params), labels=labels,
             meta={"family": name, "params": dict(params),
                   "base_family": base_name})
+    # the family's parameters are those of base_params_of
+    _build.__signature__ = inspect.signature(base_params_of)
 
     fam = Family(
         name=name, build=_build, norm_eval=base.norm_eval,
-        degree=lambda p: 2 * base.degree(base_params_of(p)),
-        expected_dim=lambda p: 2 * base.expected_dim(base_params_of(p)),
+        degree=lambda p: 2 * base.degree(base_params_of(**p)),
+        expected_dim=lambda p: 2 * base.expected_dim(base_params_of(**p)),
         desk=desk, base=base_name, base_params_of=base_params_of)
     # complexified norms reuse the base shape with QI scalars
     if base_name in _FAMILY_SHAPES:
@@ -708,17 +717,17 @@ _FAMILY_SHAPES["split_octonion_hermitian"] = ("herm", lambda p: 3,
 
 # -- complexified families --------------------------------------------------
 
-_complexified("complex_field", "reals", lambda p: {}, ({},))
+_complexified("complex_field", "reals", lambda: {}, ({},))
 _complexified("complex_quadratic", "quadratic",
-              lambda p: {"signs": (1,) * (p["m"] - 1)},
+              lambda m: {"signs": (1,) * (m - 1)},
               ({"m": 3},))
 _complexified("symmetric_complex", "symmetric_real",
-              lambda p: {"m": p["m"], "gammas": (1,) * p["m"]},
+              lambda m: {"m": m, "gammas": (1,) * m},
               ({"m": 3},))
 _complexified("skew_complex", "skew_hamiltonian",
-              lambda p: {"m": p["m"]}, ({"m": 2},))
+              lambda m: {"m": m}, ({"m": 2},))
 _complexified("complex_octonion_hermitian", "split_octonion_hermitian",
-              lambda p: {}, ({},))
+              lambda: {}, ({},))
 
 
 # --------------------------------------------------------------------------

@@ -7,11 +7,12 @@
     jordanaff sample --family NAME [--l1 Q] [--count N] [-o CSV]
     jordanaff reconstruct (--family NAME ... | --file FILE) [--l1 Q]
 
-Verification targets: jordan, fundamental, semisimple, detformula,
-decompose, pair, model, gauss, calabi.  `verify TARGET --desk` sweeps
-every desk catalog instance.  --alg is accepted for --file and --L1 for
---l1.  Every verify invocation exits 0 only when all of its checks
-pass.
+Verification targets: jordan, fundamental, triple, semisimple,
+detformula, decompose, pair, model, gauss, calabi.  `verify TARGET
+--desk` sweeps every desk catalog instance.  --alg is accepted for
+--file and --L1 for --l1.  Every verify invocation exits 0 only when all
+of its checks pass; a failed check exits 1, and a bad argument, family,
+parameter or algebra file exits 2 with a message on stderr.
 """
 
 from __future__ import annotations
@@ -32,9 +33,13 @@ from .structure import check_pair, restricted_pair
 
 
 def _parse_params(text):
-    if not text:
-        return {}
-    params = json.loads(text)
+    """A JSON object of family parameters; lists become tuples."""
+    try:
+        params = json.loads(text) if text else {}
+    except json.JSONDecodeError as err:
+        raise argparse.ArgumentTypeError(f"{text!r} is not JSON: {err}")
+    if not isinstance(params, dict):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a JSON object")
     return {k: tuple(v) if isinstance(v, list) else v
             for k, v in params.items()}
 
@@ -44,7 +49,7 @@ def _algebra_from_args(args):
         return serialization.load(args.file)
     if not getattr(args, "family", None):
         raise SystemExit("need --family or --file")
-    return catalog.build(args.family, **_parse_params(args.params))
+    return catalog.build(args.family, **args.params)
 
 
 def _parse_factor(text):
@@ -90,7 +95,7 @@ def _cmd_catalog(args):
 
 
 def _cmd_build(args):
-    j = catalog.build(args.family, **_parse_params(args.params))
+    j = catalog.build(args.family, **args.params)
     text = serialization.dumps(j, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
@@ -108,12 +113,9 @@ def _cmd_verify(args):
             raise SystemExit("calabi verification needs --factors")
         if args.desk:
             raise SystemExit("--desk does not apply to calabi")
-        l1 = Fraction(args.l1)
-        models = []
-        for factor in args.factors:
-            name, params = _parse_factor(factor)
-            models.append(build_model(catalog.build(name, **params), l1))
-        comp = compose(models, l1)
+        models = [build_model(catalog.build(name, **params), args.l1)
+                  for name, params in args.factors]
+        comp = compose(models, args.l1)
         report = check_composition(comp, n_samples=args.samples,
                                    seed=args.seed)
         _print_report(report, args.json)
@@ -158,7 +160,7 @@ def _verify_one(j, args, t0):
                                              seed=args.seed)]
         report = _wrap(j.name, j.mode, checks, t0)
     elif args.target == "gauss":
-        model = build_model(j, Fraction(args.l1))
+        model = build_model(j, args.l1)
         checks = [model.check_gauss(), model.check_cubic_form(),
                   model.check_difference_tensor()]
         report = _wrap(f"model({j.name}, l1={args.l1})", j.mode,
@@ -190,7 +192,7 @@ def _verify_one(j, args, t0):
         pair = restricted_pair(j)
         report = check_pair(pair, n_samples=args.samples, seed=args.seed)
     elif args.target == "model":
-        _, report = verify_model(j, Fraction(args.l1),
+        _, report = verify_model(j, args.l1,
                                  n_float_samples=args.samples,
                                  seed=args.seed)
     else:
@@ -200,7 +202,7 @@ def _verify_one(j, args, t0):
 
 def _cmd_sample(args):
     j = _algebra_from_args(args)
-    model = build_model(j, Fraction(args.l1))
+    model = build_model(j, args.l1)
     pts = model.sample_points(count=args.count, seed=args.seed,
                               steps=args.steps)
     lines = []
@@ -221,7 +223,7 @@ def _cmd_sample(args):
 
 def _cmd_reconstruct(args):
     j = _algebra_from_args(args)
-    model = build_model(j, Fraction(args.l1))
+    model = build_model(j, args.l1)
     rebuilt = reconstruct_algebra(model)
     same = rebuilt.c == adapted_constants(model)
     print(f"model on {j.name}: rebuilt product "
@@ -232,11 +234,13 @@ def _cmd_reconstruct(args):
 
 def _add_algebra_opts(p, with_l1=False):
     p.add_argument("--family", help="catalog family name")
-    p.add_argument("--params", help="family parameters as JSON")
+    p.add_argument("--params", type=_parse_params, default={},
+                   help="family parameters as JSON")
     p.add_argument("--file", "--alg", dest="file",
                    help="algebra JSON file")
     if with_l1:
-        p.add_argument("--l1", "--L1", dest="l1", default="-1",
+        p.add_argument("--l1", "--L1", dest="l1", type=Fraction,
+                       default="-1",
                        help="affine mean curvature (rational, default -1)")
 
 
@@ -256,7 +260,7 @@ def main(argv=None):
 
     p = sub.add_parser("build", help="build an algebra, print or save")
     p.add_argument("--family", required=True)
-    p.add_argument("--params")
+    p.add_argument("--params", type=_parse_params, default={})
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_build)
 
@@ -268,7 +272,7 @@ def main(argv=None):
     _add_algebra_opts(p, with_l1=True)
     p.add_argument("--desk", action="store_true",
                    help="sweep every desk catalog instance")
-    p.add_argument("--factors", nargs="+",
+    p.add_argument("--factors", nargs="+", type=_parse_factor,
                    help="calabi factors, each 'family' or "
                         "'family:{\"m\": 2}'")
     p.add_argument("--samples", type=int, default=5)

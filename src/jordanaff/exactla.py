@@ -3,23 +3,24 @@
 Exact data is an integer ndarray over one shared denominator, the
 kernel form in which a ``JordanAlgebra`` stores its structure tensor.
 Fractions appear only at the API edge and in the independent
-determinant and signature routines of symmetric and complex matrices
-(:func:`inertia`, :class:`QI`, :func:`field_det`).  At the edge
-:func:`as_fraction` coerces scalars, and only :mod:`jordanaff.jordan`
-turns element and tensor entries into kernel form, with :func:`fvec`
-and :func:`clear_denominators_vec`.  Every integer contraction, commutator
-and linear combination goes through one kernel, :func:`einsum`,
-:func:`bracket` and :func:`lincomb`: it bounds the result in Python ints
-from the operands' max-abs values, the contracted sizes and the
-coefficients, then runs in int64 when the bound fits and on Python big
-integers (``dtype=object``) otherwise.  It never wraps and never refuses
-an input for its size.  A float64 operand makes the whole call run in
-float64, which is how float-mode algebras share the exact code paths.
+determinant routines of complex matrix realizations (:class:`QI`,
+:func:`field_det`).  At the edge :func:`as_fraction` coerces scalars,
+and only :mod:`jordanaff.jordan` turns element and tensor entries into
+kernel form, with :func:`fvec` and :func:`clear_denominators_vec`.
+Every integer contraction, commutator and linear combination goes
+through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
+it bounds the result in Python ints from the operands' max-abs values,
+the contracted sizes and the coefficients, then runs in int64 when the
+bound fits and on Python big integers (``dtype=object``) otherwise.  It
+never wraps and never refuses an input for its size.  A float64 operand
+makes the whole call run in float64, which is how float-mode algebras
+share the exact code paths.
 
 Linear systems go through one fraction-free Gauss-Jordan elimination on
 Python integers, reached by :func:`solve`, :func:`null_space` and
 :func:`det`; a tall system eliminates only candidate pivot rows and
-certifies the result on every row.
+certifies the result on every row.  :func:`inertia` is the symmetric
+counterpart, a fraction-free elimination that pivots on the diagonal.
 
 Rank decisions are deterministic: ranks are computed modulo a descending
 list of 30-bit primes until the accumulated prime product exceeds a
@@ -417,48 +418,48 @@ def det(M):
 
 
 # ---------------------------------------------------------------------------
-# inertia of a symmetric Fraction matrix (exact Sylvester signature)
+# inertia of a symmetric integer matrix (exact Sylvester signature)
 
 
 def inertia(G):
-    """Signature (positive, negative, zero) of a symmetric Fraction matrix."""
-    n = len(G)
-    A = [list(map(as_fraction, row)) for row in G]
-    active = list(range(n))
+    """Signature (positive, negative, zero) of a symmetric integer matrix.
+
+    Fraction-free (Bareiss) symmetric elimination that pivots on a nonzero
+    diagonal entry; the remaining block is the previous pivot times the
+    Schur complement.  A zero remaining diagonal first gets row and
+    column j added to row and column i for some a_ij != 0, a unimodular
+    congruence, so every division stays exact.  A pivot counts as positive
+    when its sign matches the previous pivot's (Sylvester/Jacobi).  Entries
+    that are not integers raise TypeError.
+    """
+    a = np.array(G, dtype=object)
+    n = len(a)
+    bad = [x for x in a.flat if not isinstance(x, (int, np.integer))]
+    if bad:
+        raise TypeError(f"inertia needs integer entries, got {bad[0]!r}")
+    a = np.frompyfunc(int, 1, 1)(a).reshape(n, n)
     pos = neg = 0
-    while active:
-        k = next((i for i in active if A[i][i] != 0), None)
-        if k is None:
-            pair = None
-            for ii, i in enumerate(active):
-                for j in active[ii + 1:]:
-                    if A[i][j] != 0:
-                        pair = (i, j)
-                        break
-                if pair:
-                    break
-            if pair is None:
+    d = 1
+    while len(a):
+        diag = np.flatnonzero(a.diagonal())
+        if diag.size:
+            k = int(diag[0])
+        else:
+            nz = np.argwhere(a)
+            if not nz.size:
                 break
-            i, j = pair
-            for c in range(n):
-                A[i][c] += A[j][c]
-            for r in range(n):
-                A[r][i] += A[r][j]
-            k = i
-        d = A[k][k]
-        if d > 0:
+            k, j = nz[0]
+            a[k] += a[j]
+            a[:, k] += a[:, j]
+        p = a[k, k]
+        if (p > 0) == (d > 0):
             pos += 1
         else:
             neg += 1
-        active.remove(k)
-        for i in active:
-            if A[i][k] != 0:
-                f = A[i][k] / d
-                for j in active:
-                    A[i][j] -= f * A[k][j]
-        for i in active:
-            A[i][k] = Fraction(0)
-            A[k][i] = Fraction(0)
+        rest = np.arange(len(a)) != k
+        col = a[rest, k]
+        a = (p * a[np.ix_(rest, rest)] - np.outer(col, col)) // d
+        d = p
     return pos, neg, n - pos - neg
 
 

@@ -81,9 +81,12 @@ class HypersurfaceModel:
         return self.c_squared ** (self.n + 1)
 
     def metric_signature(self):
+        # g = -<X, Y> / ((n+1) L1) has the trace form's inertia on V0,
+        # with positive and negative swapped when L1 > 0
         if self.n == 0:
             return (0, 0, 0)
-        return la.inertia(self.g_v0)
+        pos, neg, zero = la.inertia(self._stacks()["gv"])
+        return (neg, pos, zero) if self.l1 > 0 else (pos, neg, zero)
 
     def affine_normal(self):
         """The normal at the base point, exactly -L1 C e."""
@@ -103,7 +106,8 @@ class HypersurfaceModel:
     # -- integer stacks ---------------------------------------------------
 
     def _stacks(self):
-        """Integer T and A stacks over the v0 basis plus denominators.
+        """Integer T and A stacks over the v0 basis, the trace form g and
+        its restriction gv to v0, plus denominators.
 
         ``t_max`` and ``a_max`` cache the max-abs of the two stacks for
         the kernel.
@@ -113,7 +117,7 @@ class HypersurfaceModel:
         j = self.algebra
         nn = j.dim
         t_ops, t_den = _operator_stack(j, self.v0)
-        e_arr, e_den = j._elem(j.unity())
+        e_arr, e_den = j._unit_int()
         g_arr, g_den = la.lowest_terms(*j._gram_int())
         v0_arr = la.asint(self.v0).reshape(self.n, nn)
         outer_den = e_den * g_den * nn
@@ -124,8 +128,8 @@ class HypersurfaceModel:
         self._ints = {
             "t_ops": t_ops, "t_den": t_den, "t_max": la.max_abs(t_ops),
             "a_ops": a_ops, "a_den": d, "a_max": la.max_abs(a_ops),
-            "e": e_arr, "e_den": e_den, "g": g_arr, "g_den": g_den,
-            "v0": v0_arr,
+            "g": g_arr, "g_den": g_den, "v0": v0_arr,
+            "gv": la.einsum("ai,ij,bj->ab", v0_arr, g_arr, v0_arr),
         }
         return self._ints
 
@@ -209,7 +213,7 @@ class HypersurfaceModel:
         function has vanishing first-order term along V0 at the base
         point and V0 is the tangent space there."""
         j = self.algebra
-        e, de = j._elem(j.unity())
+        e, de = j._unit_int()
         eye = np.eye(j.dim, dtype=np.int64)
         worst = Fraction(0)
         tangency = Fraction(0)
@@ -243,27 +247,24 @@ class HypersurfaceModel:
         """
         j = self.algebra
         nn = j.dim
-        e = j.unity()
-        worst = Fraction(0)
-        ee = j.product(e, e)
-        worst = max(worst, max((abs(x - y) for x, y in zip(ee, e)),
-                               default=Fraction(0)))
+        e, de = j._unit_int()
+        ee, dee = j._prod_int(e, de, e, de)
+        worst = j._residual((1, ee, dee), (-1, e, de))
         if self.n == 0:
             return CheckResult(name="reconstruction_roundtrip",
                                passed=worst == 0, max_residual=worst,
                                samples=1)
         s = self._stacks()
-        v0, e_arr = s["v0"], s["e"]
+        v0 = s["v0"]
         c, _, cden = j._operands()
-        ex = la.einsum("ijk,j,bk->ib", c, e_arr, v0)
-        worst = max(worst, j._residual((1, ex, cden * s["e_den"]),
-                                       (-1, v0.T, 1)))
+        ex = la.einsum("ijk,j,bk->ib", c, e, v0)
+        worst = max(worst, j._residual((1, ex, cden * de), (-1, v0.T, 1)))
         prod = la.einsum("ijk,ai,bj->abk", c, v0, v0)
         img = la.einsum("aij,bj->abi", (s["a_ops"], s["a_max"]), v0)
-        unit_term = la.einsum("ai,ij,bj,k->abk", v0, s["g"], v0, e_arr)
+        unit_term = la.einsum("ab,k->abk", s["gv"], e)
         worst = max(worst, j._residual(
             (1, prod, cden), (-1, img, s["a_den"]),
-            (-1, unit_term, s["g_den"] * nn * s["e_den"])))
+            (-1, unit_term, s["g_den"] * nn * de)))
         return CheckResult(
             name="reconstruction_roundtrip", passed=worst == 0,
             max_residual=worst, samples=self.n * self.n + self.n + 1)
@@ -327,7 +328,7 @@ def _adapted_basis(model):
     (e, V0), and binv / dinv is the inverse of the matrix with those
     columns."""
     j = model.algebra
-    e, de = j._elem(j.unity())
+    e, de = j._unit_int()
     v0 = la.asint(model.v0).reshape(model.n, j.dim)
     b = np.concatenate([e[None], la.lincomb((de, v0))])
     sol = la.solve(b.T, np.eye(j.dim, dtype=np.int64))
@@ -352,7 +353,7 @@ def reconstruct_algebra(model):
     s = model._stacks()
     coords = la.einsum("ti,aij,bj->abt", binv, (s["a_ops"], s["a_max"]),
                        s["v0"])
-    gv = la.einsum("ai,ij,bj->ab", s["v0"], s["g"], s["v0"])
+    gv = s["gv"]
     da, dg = s["a_den"] * dinv, s["g_den"] * nn
     d = math.lcm(da, dg)
     c = np.zeros((nn, nn, nn), dtype=object)

@@ -1,8 +1,8 @@
 """Commutative structure-constant algebras and the Jordan-algebra toolkit.
 
 An algebra is a tensor c with (b_i o b_j) = sum_k c[i][j][k] b_k over a
-fixed basis, in one of two modes.  A rational algebra keeps every
-coefficient a Fraction and certifies each identity exactly; a float
+fixed basis, in one of two modes.  A rational algebra stores integers
+over one denominator and certifies each identity exactly; a float
 algebra (``mode=FLOAT``, e.g. from :meth:`JordanAlgebra.to_float`) holds
 float64 coefficients.  Each identity has one implementation for both:
 it runs on kernel arrays from :meth:`JordanAlgebra._operands`, integers
@@ -286,7 +286,7 @@ class JordanAlgebra:
 
     def is_semisimple(self):
         """(nondegenerate trace form?, inertia (pos, neg, zero))."""
-        g = self.gram()
+        g, _ = self._gram_int()
         if self.mode == FLOAT:
             w = np.linalg.eigvalsh(g)
             scale = max(1.0, float(np.max(np.abs(w))))
@@ -319,19 +319,24 @@ class JordanAlgebra:
         if self.mode == FLOAT:
             e, *_ = np.linalg.lstsq(a, rhs, rcond=None)
             resid = np.max(np.abs(a @ e - rhs))
-            unity = e if resid <= TOL.rel * max(1.0, la.max_abs(st)) \
+            sol = (e, 1) if resid <= TOL.rel * max(1.0, la.max_abs(st)) \
                 else None
         else:
             sol = la.solve(a, la.lincomb((den, rhs)))
-            unity = None if sol is None else self._out(*sol)
-        self._cache["unity"] = unity
-        return unity
+        self._cache["unity_int"] = sol
+        self._cache["unity"] = None if sol is None else self._out(*sol)
+        return self._cache["unity"]
 
     def unity(self):
         e = self.find_unity()
         if e is None:
             raise NotUnitalError(f"{self.name} has no unit element")
         return e
+
+    def _unit_int(self):
+        """Kernel form (e, de) of the unit; raises as :meth:`unity`."""
+        self.unity()
+        return self._cache["unity_int"]
 
     def invert(self, v):
         """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
@@ -361,10 +366,14 @@ class JordanAlgebra:
     # ``residual <= self._tol``: exact zero for a rational algebra, TOL
     # for a float one.  Both modes draw the same seeded integer samples.
 
-    def random_element(self, rng, bound=9, den=1):
-        return self.coerce([Fraction(rng.randint(-bound, bound),
-                                     rng.randint(1, den) if den > 1 else 1)
-                            for _ in range(self.dim)])
+    def _int_elements(self, rng, count, bound):
+        """``count`` seeded integer elements, the rows of an int64 array."""
+        return np.array([[rng.randint(-bound, bound)
+                          for _ in range(self.dim)] for _ in range(count)],
+                        dtype=np.int64)
+
+    def random_element(self, rng, bound=9):
+        return self.coerce(self._int_elements(rng, 1, bound)[0])
 
     def check_jordan(self, n_samples=5, seed=0) -> CheckResult:
         """Commutativity of the tensor plus the Jordan identity.
@@ -383,13 +392,12 @@ class JordanAlgebra:
         if ja1:
             i, j, _ = np.argwhere(ci != ci_t)[0]
             ja1_witness = (int(i), int(j))
-        samples = [self.basis_element(i) for i in range(self.dim)]
-        samples += [self.random_element(rng) for _ in range(n_samples)]
+        samples = np.concatenate([np.eye(self.dim, dtype=np.int64),
+                                  self._int_elements(rng, n_samples, 9)])
         res = []
-        for u in samples:
-            x, dx = self._elem(u)
-            t, dt = self._t_int(x, dx)
-            t2, d2 = self._t_int(*self._prod_int(x, dx, x, dx))
+        for x in samples:
+            t, dt = self._t_int(x, 1)
+            t2, d2 = self._t_int(*self._prod_int(x, 1, x, 1))
             res.append(self._residual(
                 (1, la.einsum("ab,bc->ac", t, t2), dt * d2),
                 (-1, la.einsum("ab,bc->ac", t2, t), dt * d2)))
@@ -424,23 +432,16 @@ class JordanAlgebra:
         rng = random.Random(seed)
         worst = 0
         for _ in range(n_samples):
-            u = self.random_element(rng, bound=3)
-            v = self.random_element(rng, bound=3)
-            pu, dpu = self._p_int(*self._elem(u))
-            y, dy = self._elem(v)
-            pv, dpv = self._p_int(y, dy)
-            pa, dpa = self._p_int(la.einsum("ab,b->a", pu, y), dpu * dy)
+            x, y = self._int_elements(rng, 2, 3)
+            pu, dpu = self._p_int(x, 1)
+            pv, dpv = self._p_int(y, 1)
+            pa, dpa = self._p_int(la.einsum("ab,b->a", pu, y), dpu)
             rhs = la.einsum("ab,bc,cd->ad", pu, pv, pu)
             worst = max(worst, self._residual(
                 (1, pa, dpa), (-1, rhs, dpu * dpu * dpv)))
         return CheckResult(name="quadratic_fundamental",
                            passed=worst <= self._tol, max_residual=worst,
                            samples=n_samples, seed=seed)
-
-    def _int_elements(self, rng, count, bound):
-        return np.array([[rng.randint(-bound, bound)
-                          for _ in range(self.dim)] for _ in range(count)],
-                        dtype=np.int64)
 
     def check_triple(self, n_samples=100, seed=0) -> CheckResult:
         """The induced triple product and its operator identities.
@@ -535,9 +536,8 @@ class JordanAlgebra:
         gt = la.einsum("ab,ibc->iac", g, st)
         worst = self._residual((1, gt, dg * dt),
                                (-1, gt.transpose(0, 2, 1), dg * dt))
-        for _ in range(n_samples):
-            u = self.random_element(rng, bound=3)
-            p, dp = self._p_int(*self._elem(u))
+        for x in self._int_elements(rng, n_samples, 3):
+            p, dp = self._p_int(x, 1)
             gp = la.einsum("ab,bc->ac", g, p)
             worst = max(worst, self._residual((1, gp, dg * dp),
                                               (-1, gp.T, dg * dp)))
@@ -559,22 +559,22 @@ class JordanAlgebra:
         for _ in range(4 * n_samples):
             if done == n_samples:
                 break
-            v = self.random_element(rng, bound=3)
+            (x,) = self._int_elements(rng, 1, 3)
             try:
-                w = self.invert(v)
+                w = self.invert(x)
             except NotInvertibleError:
                 continue
             done += 1
-            (x, dv), (y, dw) = self._elem(v), self._elem(w)
-            pv, dpv = self._p_int(x, dv)
+            y, dw = self._elem(w)
+            pv, dpv = self._p_int(x, 1)
             py, dpy = self._p_int(y, dw)
             ty, dty = self._t_int(y, dw)
-            tv, dtv = self._t_int(x, dv)
+            tv, dtv = self._t_int(x, 1)
             worst = max(
                 worst,
                 # P_v w = v
                 self._residual((1, la.einsum("ab,b->a", pv, y), dpv * dw),
-                               (-1, x, dv)),
+                               (-1, x, 1)),
                 # P_w P_v = I
                 self._residual((1, la.einsum("ab,bc->ac", py, pv),
                                 dpy * dpv), (-1, eye, 1)),
@@ -605,12 +605,6 @@ class JordanAlgebra:
 
     # -- center and decomposition -------------------------------------------
 
-    def _commutator_columns(self, z):
-        """Integer matrix whose column i is vec([T_{b_i}, T_z])."""
-        _, st, _ = self._operands()
-        tz, _ = self._t_int(*self._elem(z))
-        return la.bracket(st, tz).reshape(self.dim, -1).T
-
     def center(self, seed=0):
         """Exact basis of {v : [T_v, T_u] = 0 for all u}.
 
@@ -622,9 +616,11 @@ class JordanAlgebra:
         if self.mode == FLOAT:
             raise JordanError("center extraction runs in rational mode")
         _, (st, ms), _ = self._operands()
-        rng = random.Random(seed)
-        z = self.random_element(rng, bound=7)
-        cands, dc = la.null_space(self._commutator_columns(z))
+        (z,) = self._int_elements(random.Random(seed), 1, 7)
+        tz, _ = self._t_int(z, 1)
+        # column i of the system is vec([T_{b_i}, T_z])
+        cands, dc = la.null_space(
+            la.bracket((st, ms), tz).reshape(self.dim, -1).T)
         for j in range(self.dim):
             if not len(cands):
                 break
@@ -662,7 +658,7 @@ class JordanAlgebra:
             raise NotSemisimpleError(
                 f"{self.name}: trace form is degenerate {sig}; "
                 "decomposition into simple ideals needs semisimplicity")
-        e, de = self._elem(self.unity())
+        e, de = self._unit_int()
         m = len(self.center(seed=seed))
         zk, dc = self._cache["center_int"]
         ambient = [self.basis_element(i) for i in range(self.dim)]
@@ -783,10 +779,10 @@ class JordanAlgebra:
 
     def _decompose_float(self, seed):
         rng = random.Random(seed + 101)
-        zc = self.center(seed=seed)
-        m = len(zc)
-        zmat = np.array([[float(w[r]) for w in zc]
-                         for r in range(self.dim)])
+        m = len(self.center(seed=seed))
+        zk, dc = self._cache["center_int"]
+        # Python int division rounds each entry of zk / dc correctly
+        zmat = np.asarray(zk.T.astype(object) / dc, dtype=np.float64)
         coeffs = [rng.randint(-9, 9) for _ in range(m)]
         z = zmat @ np.array(coeffs, dtype=float)
         jf = self.to_float()

@@ -71,12 +71,19 @@ def save(j, path, indent=2):
 
 
 def from_jsonable(data):
+    if not isinstance(data, dict):
+        raise SerializationError(
+            f"not an algebra file (top level is a {type(data).__name__}, "
+            "not an object)")
     if data.get("format") != FORMAT:
         raise SerializationError(
             f"not an algebra file (format={data.get('format')!r})")
     if data.get("version") != VERSION:
         raise SerializationError(
             f"unsupported version {data.get('version')!r}")
+    missing = [k for k in ("mode", "dim", "c", "unity") if k not in data]
+    if missing:
+        raise SerializationError(f"missing field {missing[0]!r}")
     mode = data["mode"]
     if mode not in (RATIONAL, FLOAT):
         raise SerializationError(f"unknown mode {mode!r}")

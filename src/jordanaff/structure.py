@@ -194,7 +194,7 @@ def check_pair(pair, n_samples=3, seed=0):
         report.add(CheckResult(name="derivation_identity", passed=True))
 
     # k kills the unit
-    e_int, _ = j._elem(j.unity())
+    e_int, _ = j._unit_int()
     worst_e = la.max_abs(la.einsum("kab,b->ka", kb, e_int))
     report.add(CheckResult(
         name="k_kills_unity", passed=worst_e == 0,

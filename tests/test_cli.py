@@ -169,3 +169,40 @@ def test_bad_float_file_exits_2_with_path(capsys, tmp_path, edit):
     code, _, err = run(capsys, ["verify", "jordan", "--file", str(path)])
     assert code == 2
     assert "bad_float.json" in err
+
+
+def _without(key):
+    doc = json.loads(ser.dumps(catalog.build("full_real", m=2)))
+    del doc[key]
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]", _without("mode"), _without("c"), _without("unity"),
+    _without("dim"),
+], ids=["top_level_list", "no_mode", "no_c", "no_unity", "no_dim"])
+def test_malformed_algebra_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    code, _, err = run(capsys, ["verify", "jordan", "--file", str(path)])
+    assert code == 2
+    assert "malformed.json" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "full_real", "--params", "{m: 3}"],
+    ["build", "--family", "full_real", "--params", "[3]"],
+    ["build", "--family", "full_real", "--params", '{"n": 3}'],
+    ["build", "--family", "full_real", "--params", "{}"],
+    ["verify", "model", "--family", "reals", "--l1", "abc"],
+], ids=["not_json", "not_an_object", "unknown_name", "missing_name",
+        "bad_l1"])
+def test_bad_arguments_exit_2(capsys, argv):
+    """argparse rejects a bad value with SystemExit(2); a parameter set
+    the family builder cannot bind is a BadParameterError, also exit 2."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().err.strip()

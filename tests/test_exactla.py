@@ -4,7 +4,7 @@ Determinants are cross-checked with sympy's Matrix.det on the same
 integer data, solutions and kernels against sympy's LUsolve, inv,
 gauss_jordan_solve and nullspace, ranks against sympy's rank, and
 inertia counts against numpy's eigenvalue signs on integer symmetric
-matrices.
+matrices and against the Fraction elimination it replaced.
 """
 
 import math
@@ -136,13 +136,103 @@ def test_inertia_matches_eigenvalues():
         for i in range(n):
             for j in range(i + 1):
                 m[i][j] = m[j][i] = rng.randint(-6, 6)
-        frac = [[Fraction(x) for x in r] for r in m]
-        pos, neg, zero = la.inertia(frac)
+        pos, neg, zero = la.inertia(m)
         w = np.linalg.eigvalsh(np.array(m, dtype=float))
         tol = 1e-9 * max(1.0, float(np.max(np.abs(w))))
         assert pos == int(np.sum(w > tol))
         assert neg == int(np.sum(w < -tol))
         assert zero == int(np.sum(np.abs(w) <= tol))
+
+
+def _inertia_fraction(G):
+    """Reference signature: the Fraction elimination that exactla.inertia
+    ran before it became fraction-free."""
+    n = len(G)
+    A = [list(map(la.as_fraction, row)) for row in G]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        k = next((i for i in active if A[i][i] != 0), None)
+        if k is None:
+            pair = None
+            for ii, i in enumerate(active):
+                for j in active[ii + 1:]:
+                    if A[i][j] != 0:
+                        pair = (i, j)
+                        break
+                if pair:
+                    break
+            if pair is None:
+                break
+            i, j = pair
+            for c in range(n):
+                A[i][c] += A[j][c]
+            for r in range(n):
+                A[r][i] += A[r][j]
+            k = i
+        d = A[k][k]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        active.remove(k)
+        for i in active:
+            if A[i][k] != 0:
+                f = A[i][k] / d
+                for j in active:
+                    A[i][j] -= f * A[k][j]
+        for i in active:
+            A[i][k] = Fraction(0)
+            A[k][i] = Fraction(0)
+    return pos, neg, n - pos - neg
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_inertia_matches_fraction_reference(data):
+    """Symmetric integer matrices B^T D B up to 8x8: rank-deficient when
+    B has fewer rows than columns, with entries up to 2**40, and with the
+    diagonal zeroed on request so the congruence step runs."""
+    n = data.draw(st.integers(0, 8))
+    r = data.draw(st.integers(0, n))
+    e = data.draw(st.integers(0, 20))
+    b = np.array(data.draw(st.lists(st.integers(-2 ** e, 2 ** e),
+                                    min_size=r * n, max_size=r * n)),
+                 dtype=object).reshape(r, n)
+    d = np.diag(np.array(data.draw(st.lists(
+        st.integers(-3, 3), min_size=r, max_size=r)), dtype=object))
+    m = b.T @ d @ b if r else np.zeros((n, n), dtype=object)
+    if data.draw(st.booleans()):
+        np.fill_diagonal(m, 0)
+    if data.draw(st.booleans()):
+        m = np.array(data.draw(st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                        min_size=n * n, max_size=n * n)),
+                     dtype=object).reshape(n, n)
+        m = m + m.T
+    assert la.inertia(m) == _inertia_fraction(m.tolist())
+    assert la.inertia(m.tolist()) == la.inertia(la.asint(m))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.5, Fraction(2), 2.0])
+def test_inertia_refuses_non_integers(bad):
+    with pytest.raises(TypeError):
+        la.inertia([[1, 0], [0, bad]])
+
+
+def test_metric_signature_matches_reference(desk_instances, get_algebra,
+                                            get_model):
+    """The model metric g = -<X, Y> / ((n+1) L1) has the signature of the
+    Fraction elimination on g_v0, for both signs of L1."""
+    count = 0
+    for name, params in desk_instances:
+        if get_algebra(name, **params).dim > 27:
+            continue
+        for l1 in (Fraction(-1), Fraction(2, 3), Fraction(-7, 5)):
+            model = get_model(name, l1=l1, **params)
+            assert model.metric_signature() == \
+                _inertia_fraction(model.g_v0), (name, l1)
+            count += 1
+    assert count == 78
 
 
 def test_int_matmul_big_entries_exact():

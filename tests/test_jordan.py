@@ -246,6 +246,28 @@ def test_constructor_parses_each_distinct_entry_once(monkeypatch,
             JordanAlgebra([[[bad]]], mode=FLOAT)
 
 
+def test_checks_make_no_fractions(monkeypatch):
+    """The sampled checks, the inertia of the trace form and of the model
+    metric, and the center run on kernel arrays: none of them parses a
+    Fraction."""
+    from jordanaff.hypersurface import build_model
+    j = catalog.build("hermitian_complex", m=3)
+    model = build_model(j, -1)
+    seen = []
+    parse = la.as_fraction
+    monkeypatch.setattr(la, "as_fraction",
+                        lambda x: seen.append(x) or parse(x))
+    assert j.check_jordan(n_samples=3, seed=1).passed
+    assert j.check_fundamental(n_samples=2, seed=2).passed
+    assert j.check_self_adjoint(n_samples=3, seed=3).passed
+    assert j.check_triple(n_samples=3, seed=4).passed
+    assert j.is_semisimple()[0]
+    assert len(j.center()) == 1
+    assert model.metric_signature()[2] == 0
+    monkeypatch.undo()
+    assert seen == []
+
+
 def test_decompose_direct_sums(get_algebra):
     pieces = [("full_real", {"m": 2}),
               ("quadratic", {"signs": (1, -1, 1)}),

@@ -83,6 +83,13 @@ def test_bad_payloads_rejected(get_algebra):
     with pytest.raises(SerializationError):
         ser.from_jsonable(bad)
 
+    with pytest.raises(SerializationError, match="top level is a list"):
+        ser.from_jsonable([1, 2])
+    for key in ("mode", "c", "unity", "dim"):
+        bad = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(SerializationError, match=f"missing field '{key}'"):
+            ser.from_jsonable(bad)
+
     exact = json.loads(ser.dumps(get_algebra("quadratic", signs=(1, 1))))
     floats = json.loads(ser.dumps(
         get_algebra("quadratic", signs=(1, 1)).to_float()))
