@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import inspect
 from itertools import permutations
+import numbers
 import random
 from typing import Callable
 
@@ -334,9 +335,17 @@ def family_names():
     return tuple(CATALOG)
 
 
+def _is_int(x):
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 def build(name, **params):
-    """Build the family's instance; an unknown or missing parameter name
-    raises BadParameterError."""
+    """Build the family's instance; an unknown or missing parameter name,
+    or a value of the wrong type, raises BadParameterError.
+
+    ``m`` is an integer; ``signs`` and ``gammas`` are lists or tuples of
+    integers.  The builders check the ranges (m >= 1, entries +-1).
+    """
     if name not in CATALOG:
         raise UnknownFamilyError(
             f"unknown family {name!r}; known: {', '.join(CATALOG)}")
@@ -344,6 +353,13 @@ def build(name, **params):
         inspect.signature(CATALOG[name].build).bind(**params)
     except TypeError as err:
         raise BadParameterError(f"{name}: {err}") from None
+    for key, value in params.items():
+        ok = (_is_int(value) if key == "m" else
+              isinstance(value, (list, tuple)) and all(map(_is_int, value)))
+        if not ok:
+            want = "an integer" if key == "m" else "a list of integers"
+            raise BadParameterError(
+                f"{name}: {key} must be {want}, got {value!r}")
     j = CATALOG[name].build(**params)
     expected = CATALOG[name].expected_dim(params)
     if j.dim != expected:

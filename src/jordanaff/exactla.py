@@ -22,12 +22,15 @@ Python integers, reached by :func:`solve`, :func:`null_space` and
 certifies the result on every row.  :func:`inertia` is the symmetric
 counterpart, a fraction-free elimination that pivots on the diagonal.
 
-Rank decisions are deterministic: ranks are computed modulo a descending
-list of 30-bit primes until the accumulated prime product exceeds a
-Hadamard bound on the relevant minors.  A prime can only under-report the
-rank of an integer matrix when it divides a nonzero minor, and no nonzero
-minor survives division by a product larger than its own magnitude, so the
-reported rank is certified rather than probabilistic.
+Ranks are certified, not probabilistic.  A Gauss-Jordan elimination
+modulo one 30-bit prime gives a lower bound: rows independent modulo a
+prime are independent over Q.  The witness for the upper bound is one
+exact identity, checked with :func:`einsum`: the coordinates Y / d of
+every row on those pivot rows, solved modulo the prime and rebuilt by
+rational reconstruction, satisfy Y @ M[pivot rows] == d * M (after
+Kaltofen, Nehring and Saunders, "Quadratic-time certificates in linear
+algebra", ISSAC 2011).  More primes are drawn only when the identity
+fails to reconstruct or to hold.
 """
 
 from __future__ import annotations
@@ -234,80 +237,169 @@ def _reduce_mod(M, p):
 
 
 def _mod_rank(A, p):
-    """Rank of int64 matrix A modulo prime p and the indices of its pivot
-    rows; A is consumed."""
+    """Gauss-Jordan elimination of the int64 matrix A modulo the prime p.
+
+    A is reduced in place: its first r rows become the reduced row
+    echelon form.  Returns r, the indices of the pivot rows in A as given
+    and the pivot columns; the r x r minor of A on those rows and columns
+    is nonzero modulo p.
+    """
     n_rows, n_cols = A.shape
     perm = np.arange(n_rows)
-    r = 0
+    cols = []
     for c in range(n_cols):
+        r = len(cols)
         if r == n_rows:
             break
-        col = A[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
+        rows = A[:, c].nonzero()[0]
+        k = int(rows.searchsorted(r))
+        if k == rows.size:
             continue
-        i = r + int(nz[0])
+        # rows r and below are zero left of c, so swapping from c is a
+        # full row swap; row r was zero at c, so row i's place in rows
+        # passes to r
+        i = int(rows[k])
         if i != r:
             A[[r, i], c:] = A[[i, r], c:]
             perm[[r, i]] = perm[[i, r]]
-        inv = pow(int(A[r, c]), p - 2, p)
-        A[r, c:] = A[r, c:] * inv % p
-        below = A[r + 1:, c]
-        nzb = np.nonzero(below)[0]
-        if nzb.size:
-            rows = r + 1 + nzb
-            A[rows, c:] = (A[rows, c:] - np.outer(below[nzb], A[r, c:])) % p
-        r += 1
-    return r, [int(x) for x in perm[:r]]
+            rows[k] = r
+        pivot = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
+        # clearing column c in every row zeroes row r too; it then gets
+        # its normalized self back
+        A[rows, c:] = (A[rows, c:] - A[rows, c, None] * pivot) % p
+        A[r, c:] = pivot
+        cols.append(c)
+    r = len(cols)
+    return r, [int(x) for x in perm[:r]], cols
 
 
-def _row_bits(M):
-    """log2 of the max-abs entry of each nonzero row of M, largest first."""
-    m = np.abs(M).max(axis=1)
-    bits = np.frompyfunc(math.log2, 1, 1)(m[m != 0]).astype(float)
-    return np.sort(bits)[::-1]
+def _solve_mod(M, rows, cols, p):
+    """X with X @ M[rows][:, cols] == M[:, cols] modulo p, one row per
+    row of M, or None when that minor is singular modulo p.
+
+    The transposed system [M[rows, cols]^T | M[:, cols]^T] goes through
+    :func:`_mod_rank`; it reduces to [I | X^T] exactly when the minor is
+    nonsingular.
+    """
+    r = len(rows)
+    sub = _reduce_mod(M[:, cols], p)
+    aug = np.concatenate([sub[rows].T, sub.T], axis=1)
+    _, _, pivots = _mod_rank(aug, p)
+    if pivots != list(range(r)):
+        return None
+    return aug[:, r:].T
 
 
-def _hadamard_bits(row_bits, size):
-    """Upper bound, in bits, on any size x size minor of an integer matrix
-    with these row bits (from :func:`_row_bits`)."""
-    top = row_bits[:size]
-    return 0.5 * math.log2(size) * len(top) + float(top.sum()) + 8.0
+def _crt(x, m, y, q):
+    """The residues modulo m * q that are x modulo m and y modulo q."""
+    t = (y - _reduce_mod(x, q)) % q * pow(m, -1, q) % q
+    return lincomb((1, x), (m, t))
+
+
+def _denominator(u, m, bound):
+    """The denominator b <= bound of a fraction a / b with |a| <= bound
+    and a == b * u modulo m, or None (half-extended Euclid)."""
+    r0, r1, t0, t1 = m, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return abs(t1) if 0 < abs(t1) <= bound else None
+
+
+def _reconstruct(X, m):
+    """Rational reconstruction of the residues X modulo m over one
+    denominator: ``(Y, d)`` with Y == d * X modulo m and every |Y| and d
+    at most sqrt(m / 2), or None.
+
+    d grows one entry at a time: the first entry whose residue times the
+    running d is not small is reconstructed, and its denominator joins d.
+    Each step at least doubles d, so there are few.
+    """
+    bound = math.isqrt(m // 2)
+    d = 1
+    while True:
+        Y = lincomb((d, (X, m))) % m
+        Y = np.where(Y > m // 2, Y - m, Y)
+        big = np.flatnonzero(np.abs(Y) > bound)
+        if not big.size:
+            return asint(Y), d
+        b = _denominator(int(Y.flat[big[0]]) % m, m, bound)
+        if b is None or d * b > bound:
+            return None
+        d *= b
+
+
+def _certify(M, rows, cols):
+    """Certify that ``rows`` of the integer matrix M span its row space.
+
+    ``rows`` (sorted) and ``cols`` come from :func:`_mod_rank` at the
+    first prime, so the minor M[rows, cols] is nonzero modulo that prime
+    and the rows are independent over Q.  The coordinates X of every row
+    on the minor's columns are solved modulo the prime, rebuilt as Y / d
+    by rational reconstruction and accepted only if Y @ M[rows] == d * M
+    holds exactly.  Another prime is drawn only when reconstruction or
+    that check fails: its residues join X by CRT, a prime at which the
+    minor is singular is skipped, and a prime at which M has a larger
+    rank restarts from that prime's pivots.
+
+    Returns ``(rows, (Y, d))``.
+    """
+    primes = iter(PRIMES_30BIT)
+    p = next(primes)
+    X = None
+    while True:
+        Xp = _solve_mod(M, rows, cols, p)
+        if Xp is not None:
+            X, m = (Xp, p) if X is None else (_crt(X, m, Xp, p), m * p)
+            witness = _reconstruct(X, m)
+            if witness is not None:
+                Y, d = witness
+                if np.array_equal(einsum("ab,bc->ac", Y, M[rows]),
+                                  lincomb((d, M))):
+                    return rows, witness
+        for p in primes:
+            r, rows_p, cols_p = _mod_rank(_reduce_mod(M, p), p)
+            if r >= len(rows):
+                break
+        else:
+            raise ArithmeticError("certified rank: prime supply exhausted")
+        if r > len(rows):
+            rows, cols, X = sorted(rows_p), cols_p, None
+
+
+def _first_prime(M):
+    """M as a kernel array, with its pivot rows (sorted) and pivot
+    columns modulo the first prime."""
+    M = asint(M)
+    p = PRIMES_30BIT[0]
+    _, rows, cols = _mod_rank(_reduce_mod(M, p), p)
+    return M, sorted(rows), cols
 
 
 def int_rank(M) -> int:
-    """Certified rank of an integer matrix (nested ints or an ndarray)."""
-    return independent_rows(M)[1]
+    """Certified rank of an integer matrix (nested ints or an ndarray).
+
+    A rank of min(shape) at the first prime needs no witness, since no
+    larger rank exists; any smaller one is certified by the span
+    identity of :func:`independent_rows`.
+    """
+    M, rows, cols = _first_prime(M)
+    if len(rows) < min(M.shape):
+        rows, _ = _certify(M, rows, cols)
+    return len(rows)
 
 
 def independent_rows(M):
-    """Indices of a certified maximal independent row subset of int matrix
-    M, and the certified rank.
+    """A certified maximal independent row subset of the integer matrix
+    M, with the witness that it spans every row.
 
-    Ranks modulo successive primes only under-report, so the pivot rows
-    of the first prime reaching the largest rank seen are kept; the loop
-    ends when that rank is full or the prime product passes the Hadamard
-    bound on the next larger minors.  The subset is independent with
-    certainty (independence modulo a prime lifts to the rationals) and
-    maximal because its size equals the certified rank.
+    Returns ``(rows, (Y, d))``: the sorted row indices, independent over
+    Q because they are independent modulo a prime, and the integer
+    coordinates Y (one row per row of M, one column per index in
+    ``rows``) with Y @ M[rows] == d * M, checked exactly before return.
+    The rank is ``len(rows)``.
     """
-    M = asint(M)
-    if M.size == 0:
-        return [], 0
-    limit = min(M.shape)
-    row_bits = _row_bits(M)
-    rows = []
-    acc_bits = 0.0
-    for p in PRIMES_30BIT:
-        r, piv = _mod_rank(_reduce_mod(M, p), p)
-        if r > len(rows):
-            rows = piv
-        if len(rows) == limit:
-            return sorted(rows), limit
-        acc_bits += math.log2(p)
-        if acc_bits > _hadamard_bits(row_bits, len(rows) + 1):
-            return sorted(rows), len(rows)
-    raise ArithmeticError("certified rank: prime supply exhausted")
+    return _certify(*_first_prime(M))
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +449,8 @@ def _tall(M):
     basis K (one row per free column f, with d at f and 0 at the other
     free columns).
     """
-    M = asint(M)
+    M, sel, _ = _first_prime(M)
     n_cols = M.shape[1]
-    p = PRIMES_30BIT[0]
-    _, sel = _mod_rank(_reduce_mod(M, p), p)
     for _ in range(n_cols + 1):
         R, pivots, d, _ = _echelon(M[sorted(sel)])
         free = [c for c in range(n_cols) if c not in pivots]

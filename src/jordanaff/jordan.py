@@ -338,26 +338,29 @@ class JordanAlgebra:
         self.unity()
         return self._cache["unity_int"]
 
-    def invert(self, v):
-        """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
+    def _invert_int(self, x, dx, p, dp):
+        """Kernel form of the Jordan inverse P_v^{-1} v of v = x / dx,
+        given P_v = p / dp; raises when P_v is singular."""
         self.unity()
+        rhs = la.lincomb((dp // dx, x))
         if self.mode == FLOAT:
-            v = self.coerce(v)
-            p = self.p_operator(v)
             d = np.linalg.det(p)
             scale = max(1.0, float(np.linalg.norm(p, "fro"))) ** self.dim
             if abs(d) <= TOL.det_floor * scale:
                 raise NotInvertibleError(
                     "quadratic operator is numerically singular; no inverse "
                     "(invertibility fails exactly when det P_v = 0)")
-            return np.linalg.solve(p, v)
-        x, dx = self._elem(v)
-        p, dp = self._p_int(x, dx)
-        sol = la.solve(p, la.lincomb((dp // dx, x)))
+            return np.linalg.solve(p, rhs), 1
+        sol = la.solve(p, rhs)
         if sol is None:
             raise NotInvertibleError(
                 "quadratic operator P_v is singular, so v has no inverse")
-        return self._out(*sol)
+        return sol
+
+    def invert(self, v):
+        """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
+        x, dx = self._elem(v)
+        return self._out(*self._invert_int(x, dx, *self._p_int(x, dx)))
 
     # -- the Jordan axioms -------------------------------------------------
     #
@@ -560,13 +563,12 @@ class JordanAlgebra:
             if done == n_samples:
                 break
             (x,) = self._int_elements(rng, 1, 3)
+            pv, dpv = self._p_int(x, 1)
             try:
-                w = self.invert(x)
+                y, dw = self._invert_int(x, 1, pv, dpv)
             except NotInvertibleError:
                 continue
             done += 1
-            y, dw = self._elem(w)
-            pv, dpv = self._p_int(x, 1)
             py, dpy = self._p_int(y, dw)
             ty, dty = self._t_int(y, dw)
             tv, dtv = self._t_int(x, 1)
@@ -765,8 +767,8 @@ class JordanAlgebra:
         central idempotent eps / de, or None."""
         c, _, den = self._operands()
         p, dp = self._p_int(eps, de)
-        idx, k = la.independent_rows(p.T)
-        basis = p.T[idx]
+        idx, _ = la.independent_rows(p.T)
+        basis, k = p.T[idx], len(idx)
         prods = la.einsum("ui,vj,ijk->uvk", basis, basis, c)
         sol = la.solve(basis.T, prods.reshape(k * k, self.dim).T)
         if sol is None:

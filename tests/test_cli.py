@@ -195,11 +195,14 @@ def test_malformed_algebra_file_exits_2(capsys, tmp_path, text):
     ["build", "--family", "full_real", "--params", '{"n": 3}'],
     ["build", "--family", "full_real", "--params", "{}"],
     ["verify", "model", "--family", "reals", "--l1", "abc"],
+    ["build", "--family", "full_real", "--params", '{"m": "x"}'],
+    ["build", "--family", "quadratic", "--params", '{"signs": 3}'],
 ], ids=["not_json", "not_an_object", "unknown_name", "missing_name",
-        "bad_l1"])
+        "bad_l1", "size_not_an_integer", "signs_not_a_list"])
 def test_bad_arguments_exit_2(capsys, argv):
     """argparse rejects a bad value with SystemExit(2); a parameter set
-    the family builder cannot bind is a BadParameterError, also exit 2."""
+    the family builder cannot bind, or a parameter value of the wrong
+    type, is a BadParameterError, also exit 2."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:

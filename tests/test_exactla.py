@@ -7,7 +7,6 @@ inertia counts against numpy's eigenvalue signs on integer symmetric
 matrices and against the Fraction elimination it replaced.
 """
 
-import math
 import random
 import re
 from fractions import Fraction
@@ -105,28 +104,67 @@ def test_int_rank_matches_sympy():
         assert la.int_rank(m) == _sympy_rank(m)
 
 
-def test_hadamard_bits_match_row_loop():
-    """The row bounds are computed once per matrix; the bound must equal
-    the per-row loop it replaced, up to float rounding."""
-    rng = random.Random(29)
-    for rows, cols, e in [(3, 5, 4), (9, 4, 40), (6, 6, 90)]:
-        m = [[rng.randint(-2 ** e, 2 ** e) * rng.randint(0, 1)
-              for _ in range(cols)] for _ in range(rows)]
-        row_bits = la._row_bits(la.asint(m))
-        for size in range(1, rows + 2):
-            logs = sorted((0.5 * math.log2(size) + math.log2(max(map(abs, r)))
-                           for r in m if any(r)), reverse=True)
-            want = sum(logs[:size]) + 8.0
-            assert la._hadamard_bits(row_bits, size) == \
-                pytest.approx(want, rel=1e-12)
+def _assert_spans(m, rows, witness):
+    """The witness identity Y @ M[rows] == d * M, in Python ints."""
+    y, d = witness
+    m = np.array(m, dtype=object).reshape(len(m), -1)
+    assert d > 0
+    assert (y.astype(object) @ m[rows] == d * m).all()
 
 
 def test_independent_rows_certified():
     m = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0], [5, -3, 0]]
-    idx, r = la.independent_rows(m)
-    assert r == 2
-    assert len(idx) == 2
+    idx, witness = la.independent_rows(m)
+    assert idx == [0, 1]
+    _assert_spans(m, idx, witness)
+    assert witness[0].tolist() == [[1, 0], [0, 1], [1, 1], [0, 0], [5, -3]]
     assert la.int_rank([m[i] for i in idx]) == 2
+
+
+def test_rank_below_the_first_prime_draws_another(monkeypatch):
+    """The 2x2 minor [[1, 0], [0, p]] vanishes modulo the first prime p,
+    so that prime reports rank 1; the span identity fails, and the next
+    prime must find the true rank 2."""
+    p = la.PRIMES_30BIT[0]
+    m = [[1, 0, 1], [0, p, p], [1, p, p + 1]]
+    primes = []
+    mod_rank = la._mod_rank
+
+    def counted(a, q):
+        primes.append(q)
+        return mod_rank(a, q)
+
+    monkeypatch.setattr(la, "_mod_rank", counted)
+    assert la.int_rank(m) == 2
+    assert la.PRIMES_30BIT[1] in primes
+    idx, witness = la.independent_rows(m)
+    assert len(idx) == 2
+    _assert_spans(m, idx, witness)
+
+
+@st.composite
+def _low_rank_products(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    inner = draw(st.integers(0, min(rows, cols) - 1))
+    entry = st.integers(-2 ** 40, 2 ** 40)
+    b = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                      min_size=rows, max_size=rows))
+    c = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=inner, max_size=inner))
+    return (sympy.Matrix(rows, inner, sum(b, []))
+            * sympy.Matrix(inner, cols, sum(c, []))).tolist()
+
+
+@given(_low_rank_products())
+@settings(max_examples=40, deadline=None)
+def test_rank_witness_matches_sympy(m):
+    """Rank-deficient products B C with entries up to 2**40: the rank
+    agrees with sympy and the returned identity holds exactly."""
+    want = _sympy_rank(m)
+    assert la.int_rank(m) == want
+    idx, witness = la.independent_rows(m)
+    assert len(idx) == want
+    _assert_spans(m, idx, witness)
 
 
 def test_inertia_matches_eigenvalues():

@@ -1,9 +1,11 @@
 """Restricted structure algebra and its symmetric decomposition."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from jordanaff import catalog, structure
+from jordanaff import catalog, exactla, structure
 from jordanaff.jordan import direct_sum
 from jordanaff.structure import PairError, restricted_pair, check_pair
 
@@ -88,3 +90,38 @@ def test_quadratic_pair_dims_scale():
         pair = restricted_pair(j)
         assert len(pair.p_ops) == n
         assert len(pair.k_ops) == n * (n - 1) // 2
+
+
+def test_corrupted_span_witness_fails(get_pair):
+    """pp_spans_k checks the stored coordinates, so changing one of them
+    by 1 must fail it, while the rank of [k; [p, p]] stays dim k; the
+    vacuous witness (0, 0) must fail too."""
+    pair = get_pair("quadratic", signs=(1, -1, 1))
+    y, d = pair.pp_coords
+    y = y.copy()
+    y[-1, 0] += 1
+    for coords in [(y, d), (0 * y, 0)]:
+        bad = dataclasses.replace(pair, pp_coords=coords)
+        checks = {c.name: c for c in check_pair(bad).checks}
+        assert not checks["pp_spans_k"].passed
+        assert checks["pp_spans_k"].max_residual == 0
+        assert all(c.passed for name, c in checks.items()
+                   if name != "pp_spans_k")
+
+
+def test_pair_rank_count(monkeypatch):
+    """restricted_pair + check_pair on octonion_hermitian make at most six
+    modular eliminations: the unit's solve, the rank of the commutators
+    and its span witness, the ranks of k (+) p and of u -> T_u, and the
+    kk_in_k solve.  pp_spans_k runs none on a passing pair."""
+    j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
+    calls = []
+    mod_rank = exactla._mod_rank
+
+    def counted(a, p):
+        calls.append(a.shape)
+        return mod_rank(a, p)
+
+    monkeypatch.setattr(exactla, "_mod_rank", counted)
+    assert check_pair(restricted_pair(j)).passed
+    assert len(calls) <= 6, calls
