@@ -44,6 +44,17 @@ def _parse_params(text):
             for k, v in params.items()}
 
 
+def _count(text):
+    """A non-negative integer: a sample, point or step count."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def _algebra_from_args(args):
     if getattr(args, "file", None):
         return serialization.load(args.file)
@@ -275,7 +286,7 @@ def main(argv=None):
     p.add_argument("--factors", nargs="+", type=_parse_factor,
                    help="calabi factors, each 'family' or "
                         "'family:{\"m\": 2}'")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_count, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
@@ -283,8 +294,8 @@ def main(argv=None):
 
     p = sub.add_parser("sample", help="sample points on a model, CSV out")
     _add_algebra_opts(p, with_l1=True)
-    p.add_argument("--count", type=int, default=8)
-    p.add_argument("--steps", type=int, default=2)
+    p.add_argument("--count", type=_count, default=8)
+    p.add_argument("--steps", type=_count, default=2)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_sample)

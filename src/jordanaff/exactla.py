@@ -10,11 +10,15 @@ kernel form, with :func:`fvec` and :func:`clear_denominators_vec`.
 Every integer contraction, commutator and linear combination goes
 through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
 it bounds the result in Python ints from the operands' max-abs values,
-the contracted sizes and the coefficients, then runs in int64 when the
-bound fits and on Python big integers (``dtype=object``) otherwise.  It
-never wraps and never refuses an input for its size.  A float64 operand
-makes the whole call run in float64, which is how float-mode algebras
-share the exact code paths.
+the contracted sizes and the coefficients, then picks one dtype.  A
+contraction whose bound is below 2**53 and whose loop is large runs in
+float64, through BLAS, and is cast back to int64 once: every partial sum
+is then an integer float64 holds exactly.  Otherwise the call runs in
+int64 when the bound fits and on Python big integers (``dtype=object``)
+when it does not.  It never wraps, never rounds and never refuses an
+input for its size, and integer operands always give integer results.
+A float64 operand makes the whole call run in float64, which is how
+float-mode algebras share the exact code paths.
 
 Linear systems go through one fraction-free Gauss-Jordan elimination on
 Python integers, reached by :func:`solve`, :func:`null_space` and
@@ -44,6 +48,8 @@ import numpy as np
 # A kernel result runs in int64 when its bound is below this.  asint keeps
 # -2**63, the one int64 value whose abs wraps, out of int64 arrays.
 _INT64_SAFE = 2 ** 63
+# Every integer of absolute value below this is exact in float64.
+_FLOAT_EXACT = 2 ** 53
 
 # ---------------------------------------------------------------------------
 # scalars and small vector helpers
@@ -100,24 +106,31 @@ def max_abs(arr):
     return float(m) if arr.dtype.kind == "f" else int(m)
 
 
-def _dtype(arrs, bound):
-    """float64 when any operand is float64; else int64 when ``bound``
-    fits, Python big integers otherwise."""
-    if any(a.dtype.kind == "f" for a in arrs):
+# Loops with fewer iterations than this (the product of all index sizes)
+# run faster as one naive einsum than after a contraction-path search, and
+# faster in int64 than in float64 with its two casts.
+_PATH_MIN = 2 ** 16
+
+
+def _dtype(bound, loop=0):
+    """The dtype of an integer kernel call whose result is bounded by
+    ``bound``: float64 when the bound is below 2**53 and the loop is at
+    least ``_PATH_MIN``, so that BLAS pays for the casts; else int64 when
+    the bound fits; else Python big integers.  :func:`lincomb` passes no
+    loop, since elementwise work gains nothing from BLAS."""
+    if bound < _FLOAT_EXACT and loop >= _PATH_MIN:
         return np.float64
     return np.int64 if bound < _INT64_SAFE else object
 
 
-def _operand(op):
-    """(array, bound on its max-abs); ``op`` is an array or such a pair."""
-    if isinstance(op, tuple):
-        return op
-    return op, max_abs(op)
+def _array(op):
+    """The array of an operand: an array or an ``(array, m)`` pair."""
+    return op[0] if isinstance(op, tuple) else op
 
 
-# Loops with fewer iterations than this (the product of all index sizes)
-# run faster as one naive einsum than after a contraction-path search.
-_PATH_MIN = 2 ** 16
+def _max(op):
+    """A bound on an operand's max-abs: its m, or a scan of its array."""
+    return op[1] if isinstance(op, tuple) else max_abs(op)
 
 
 @functools.lru_cache(maxsize=256)
@@ -139,57 +152,90 @@ def einsum(spec, *ops):
     The bound is the product of the operands' max-abs values (at least 1
     each) and of the sizes of the summed indices.  It bounds every entry
     and every partial sum of the result and of any pairwise intermediate,
-    so int64 is used exactly when that bound fits and nothing can wrap.
-    An operand may be passed as ``(array, m)`` with m >= its max-abs, so a
-    cached tensor is scanned once.  With a float64 operand the call runs
-    in float64.
+    so nothing can wrap in int64 when that bound fits.  Below 2**53 every
+    such intermediate is an integer that float64 holds exactly, in any
+    summation order, BLAS blocking and fused multiply-adds included; so a
+    loop of at least ``_PATH_MIN`` then runs in float64, through BLAS, and
+    its result is cast back to int64 once.  Otherwise the call runs in
+    int64 when the bound fits and on Python big integers when it does
+    not.  An operand may be passed as ``(array, m)`` with m >= its
+    max-abs, so a cached tensor is scanned once.  With a float64 operand
+    the call runs in float64 and no operand is scanned.
     """
     summed, kept = _index_axes(spec)
-    arrs, bound = [], 1
-    for op in ops:
-        arr, m = _operand(op)
-        arrs.append(arr)
-        bound *= max(m, 1)
-    loop = 1
+    arrs = [_array(op) for op in ops]
+    bound = 1
     for k, axis in summed:
-        loop *= arrs[k].shape[axis]
-    bound *= loop
-    dtype = _dtype(arrs, bound)
+        bound *= arrs[k].shape[axis]
+    loop = bound
     for k, axis in kept:
         loop *= arrs[k].shape[axis]
-    return np.einsum(spec, *(a.astype(dtype, copy=False) for a in arrs),
-                     optimize=len(arrs) > 2 and loop >= _PATH_MIN)
+    floats = any(a.dtype.kind == "f" for a in arrs)
+    if floats:
+        dtype = np.float64
+    else:
+        for op in ops:
+            bound *= max(_max(op), 1)
+        dtype = _dtype(bound, loop)
+    arrs = [a.astype(dtype, copy=False) for a in arrs]
+    # a path search pays off for a large loop, and reaches BLAS in float64
+    if loop >= _PATH_MIN and (dtype is np.float64 or len(arrs) > 2):
+        out = np.einsum(spec, *arrs, optimize=True)
+    else:
+        out = np.einsum(spec, *arrs)
+    if dtype is np.float64 and not floats:
+        out = out.astype(np.int64)
+    return out
 
 
 def bracket(x, y):
     """Exact commutator x @ y - y @ x of integer matrices or stacks of
-    them (broadcast as by ``np.matmul``); int64 exactly when
-    2 * n * max-abs(x) * max-abs(y) fits, float64 for a float64 operand."""
-    (x, mx), (y, my) = _operand(x), _operand(y)
-    dtype = _dtype((x, y), 2 * x.shape[-1] * mx * my)
-    x, y = x.astype(dtype, copy=False), y.astype(dtype, copy=False)
-    return x @ y - y @ x
+    them (broadcast as by ``np.matmul``).
+
+    The bound is 2 * n * max-abs(x) * max-abs(y) and the loop is n times
+    the size of the result; the dtype follows from them as in
+    :func:`einsum`, float64 through BLAS included.  A float64 operand
+    makes the call run in float64 without a scan.
+    """
+    xa, ya = _array(x), _array(y)
+    floats = xa.dtype.kind == "f" or ya.dtype.kind == "f"
+    if floats:
+        dtype = np.float64
+    else:
+        n, d = xa.shape[-1], xa.ndim - ya.ndim
+        dtype = _dtype(2 * n * _max(x) * _max(y),
+                       n * math.prod(map(max, (1,) * -d + xa.shape,
+                                         (1,) * d + ya.shape)))
+    xa, ya = xa.astype(dtype, copy=False), ya.astype(dtype, copy=False)
+    out = np.matmul(xa, ya)
+    out -= np.matmul(ya, xa)
+    if dtype is np.float64 and not floats:
+        out = out.astype(np.int64)
+    return out
 
 
 def lincomb(*terms):
     """Exact sum of ``c * arr`` over ``(c, arr)`` terms of one shape.
 
     The coefficients are ints; int64 is used exactly when
-    sum |c| * max-abs(arr) fits, float64 when an ``arr`` is float64.
-    ``arr`` may be an ``(array, m)`` pair as in :func:`einsum`.
+    sum |c| * max-abs(arr) fits, float64 when an ``arr`` is float64, in
+    which case no ``arr`` is scanned.  ``arr`` may be an ``(array, m)``
+    pair as in :func:`einsum`.
     """
-    terms = [(int(c), _operand(op)) for c, op in terms]
-    bound = sum(abs(c) * m for c, (_, m) in terms)
-    dtype = _dtype([arr for _, (arr, _) in terms], bound)
+    floats = any(_array(op).dtype.kind == "f" for _, op in terms)
+    terms = [(int(c), _array(op), 1 if floats else _max(op))
+             for c, op in terms]
+    dtype = np.float64 if floats else _dtype(sum(abs(c) * m
+                                                 for c, _, m in terms))
     out = None
-    for c, (arr, m) in terms:
+    for c, arr, m in terms:
         if c and m:
             term = c * arr.astype(dtype, copy=False)
             if out is None:
                 out = term
             else:
                 out += term
-    return np.zeros(terms[0][1][0].shape, dtype) if out is None else out
+    return np.zeros(terms[0][1].shape, dtype) if out is None else out
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,10 @@ checked through the operator commutator [T_u, T_{u^2}], whose columns
 cover every basis choice of v at once.
 
 Exact computations clear denominators and run through the one integer
-kernel of :mod:`jordanaff.exactla`, which picks int64 or Python big
+kernel of :mod:`jordanaff.exactla`, which picks float64 (exact below
+2**53, for large contractions through BLAS), int64 or Python big
 integers from a bound on each result and never wraps or refuses an input
-for its size; float64 operands pass through it in float64.
+for its size; float64 operands pass through it in float64, unscanned.
 """
 
 from __future__ import annotations
@@ -373,7 +374,7 @@ class JordanAlgebra:
         """``count`` seeded integer elements, the rows of an int64 array."""
         return np.array([[rng.randint(-bound, bound)
                           for _ in range(self.dim)] for _ in range(count)],
-                        dtype=np.int64)
+                        dtype=np.int64).reshape(count, self.dim)
 
     def random_element(self, rng, bound=9):
         return self.coerce(self._int_elements(rng, 1, bound)[0])

@@ -19,9 +19,11 @@ again.
 The bracket computations stay in scaled-integer form throughout: the
 algebra's multiplication operators share one denominator, so commutators
 and products compare exactly as integer matrices.  They run through the
-kernel of :mod:`jordanaff.exactla`, which picks int64 or Python big
+kernel of :mod:`jordanaff.exactla`, which picks float64 (exact below
+2**53, for large contractions through BLAS), int64 or Python big
 integers from a bound on each result and never wraps or refuses an input
-for its size.
+for its size.  The derivation identity runs over blocks of k, so its
+dim_k x n^3 stack is never held at once.
 """
 
 from __future__ import annotations
@@ -38,6 +40,12 @@ from . import exactla as la
 from .config import RATIONAL
 from .jordan import JordanAlgebra, JordanError, NotUnitalError
 from .reports import CheckResult, VerificationReport
+
+
+# Entries per block of the derivation-identity stack in check_pair: few
+# enough to bound its memory, enough that each block's loop stays on the
+# kernel's float64 rung.
+_BLOCK = 2 ** 18
 
 
 class PairError(JordanError):
@@ -198,10 +206,16 @@ def check_pair(pair, n_samples=3, seed=0):
     _, st, s_den = j._operands()
     if dim_k:
         st_arr, ms = st
-        # [Phi_k, T_{b_i}] for every pair (k, i)
-        comm = la.bracket((k[:, None], kb[1]), (st_arr[None], ms))
-        worst = la.max_abs(la.lincomb(
-            (1, comm), (-1, la.einsum("kji,jac->kiac", kb, st))))
+        # [Phi_k, T_{b_i}] for every pair (k, i), over blocks of k rows
+        # whose stacks hold about _BLOCK entries each
+        rows = max(1, _BLOCK // n ** 3)
+        worst = 0
+        for b in range(0, dim_k, rows):
+            kr = k[b:b + rows]
+            comm = la.bracket((kr[:, None], kb[1]), (st_arr[None], ms))
+            worst = max(worst, la.max_abs(la.lincomb(
+                (1, comm),
+                (-1, la.einsum("kji,jac->kiac", (kr, kb[1]), st)))))
         # common denominator: k carries k_den, st carries s_den on both
         # sides, so the integer difference is exact
         report.add(CheckResult(

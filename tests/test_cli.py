@@ -197,15 +197,31 @@ def test_malformed_algebra_file_exits_2(capsys, tmp_path, text):
     ["verify", "model", "--family", "reals", "--l1", "abc"],
     ["build", "--family", "full_real", "--params", '{"m": "x"}'],
     ["build", "--family", "quadratic", "--params", '{"signs": 3}'],
+    ["verify", "jordan", "--family", "reals", "--samples", "-1"],
+    ["verify", "triple", "--family", "reals", "--samples", "-3"],
+    ["sample", "--family", "reals", "--count", "-2"],
+    ["sample", "--family", "reals", "--steps", "-1"],
+    ["verify", "jordan", "--family", "reals", "--samples", "2.5"],
 ], ids=["not_json", "not_an_object", "unknown_name", "missing_name",
-        "bad_l1", "size_not_an_integer", "signs_not_a_list"])
+        "bad_l1", "size_not_an_integer", "signs_not_a_list",
+        "negative_samples", "negative_triple_samples", "negative_count",
+        "negative_steps", "samples_not_an_integer"])
 def test_bad_arguments_exit_2(capsys, argv):
-    """argparse rejects a bad value with SystemExit(2); a parameter set
-    the family builder cannot bind, or a parameter value of the wrong
-    type, is a BadParameterError, also exit 2."""
+    """argparse rejects a bad value with SystemExit(2), a negative count
+    included; a parameter set the family builder cannot bind, or a
+    parameter value of the wrong type, is a BadParameterError, also
+    exit 2."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:
         code = exc.code
     assert code == 2
     assert capsys.readouterr().err.strip()
+
+
+@pytest.mark.parametrize("target", ["jordan", "triple"])
+def test_zero_samples_pass(capsys, target):
+    """--samples 0 leaves the exhaustive part of each check."""
+    assert cli.main(["verify", target, "--family", "full_real", "--params",
+                     '{"m": 2}', "--samples", "0"]) == 0
+    assert "RESULT: PASS" in capsys.readouterr().out

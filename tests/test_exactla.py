@@ -366,7 +366,68 @@ def test_bracket_matches_object_reference(data):
     assert (got.dtype == np.int64) == (bound < 2 ** 63)
 
 
-def test_kernel_dtype_at_the_int64_edge():
+def _draw_large(data, shape, e):
+    """Object array of the given shape whose max-abs is exactly 2**e,
+    from a generator seeded by hypothesis."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.integers(-2 ** e, 2 ** e, size=shape, endpoint=True)
+    arr.flat[data.draw(st.integers(0, arr.size - 1))] = \
+        data.draw(st.sampled_from([-1, 1])) * 2 ** e
+    return arr.astype(object)
+
+
+def _draw_exponents(data):
+    """Two exponents, each at most 62, whose sum is near 53 or 63, so that
+    kernel bounds straddle the float64 and the int64 rung."""
+    total = data.draw(st.integers(44, 66))
+    e = data.draw(st.integers(max(0, total - 62), min(total, 62)))
+    return e, total - e
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_large_einsum_matches_object_reference(data):
+    """Loops of at least 2**16 reach the float64 rung when the bound is
+    below 2**53; the result must still be exact and integer."""
+    spec = data.draw(st.sampled_from(["ab,bc->ac", "kji,jac->kiac"]))
+    subs, out = spec.split("->")
+    names = sorted(set(subs) - {","})
+    sizes = {c: data.draw(st.integers(2, 10)) for c in names}
+    if spec == "ab,bc->ac":
+        sizes["b"] = data.draw(st.integers(1, 64))
+    # grow the first output index until the loop reaches 2**16
+    rest = int(np.prod([v for c, v in sizes.items() if c != out[0]]))
+    sizes[out[0]] = max(sizes[out[0]], -(-2 ** 16 // rest))
+    e = _draw_exponents(data)
+    ops = [_draw_large(data, tuple(sizes[c] for c in sub), ek)
+           for sub, ek in zip(subs.split(","), e)]
+    got = la.einsum(spec, *(la.asint(op) for op in ops))
+    assert (got == np.einsum(spec, *ops)).all()
+    bound = 2 ** sum(e) * int(np.prod([v for c, v in sizes.items()
+                                       if c not in out]))
+    assert (got.dtype == np.int64) == (bound < 2 ** 63)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_large_bracket_matches_object_reference(data):
+    """Stacked commutators whose loop reaches 2**16, as in
+    test_large_einsum_matches_object_reference."""
+    n = data.draw(st.integers(4, 24))
+    # k products of n x n matrices make a loop of at least 2**16
+    k = -(-2 ** 16 // n ** 3)
+    sx, sy = data.draw(st.sampled_from([
+        ((k, n, n), (k, n, n)), ((n, n), (k, n, n)),
+        ((k, 1, n, n), (1, 2, n, n))]))
+    ex, ey = _draw_exponents(data)
+    x, y = _draw_large(data, sx, ex), _draw_large(data, sy, ey)
+    got = la.bracket(la.asint(x), la.asint(y))
+    assert (got == x @ y - y @ x).all()
+    bound = 2 * n * 2 ** (ex + ey)
+    assert (got.dtype == np.int64) == (bound < 2 ** 63)
+
+
+def test_kernel_dtype_at_the_int64_edge(monkeypatch):
     # bound (2**31 - 1) * 2**31 * 2 fits; 2**31 * 2**31 * 2 = 2**63 does not
     b = la.asint([[2 ** 31], [2 ** 31]])
     fits = la.einsum("ab,bc->ac", la.asint([[2 ** 31 - 1] * 2]), b)
@@ -380,6 +441,23 @@ def test_kernel_dtype_at_the_int64_edge():
     # -2**63 fits int64, but its absolute value does not
     assert la.asint([-2 ** 63]).dtype == object
     assert la.max_abs(la.asint([[-2 ** 63, 1]])) == 2 ** 63
+    # loops of at least 2**16 whose entry m * b equals the bound: at
+    # 2**53 - 1 they run in float64, exactly; at 2**53 + 1 in int64, where
+    # float64 would round the entry to 2**53
+    ran = []
+    np_einsum = np.einsum
+
+    def spy(spec, *ops, **kwargs):
+        ran.append(ops[0].dtype)
+        return np_einsum(spec, *ops, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    for top, b, n, rung in ((2 ** 53 - 1, 6361, 4, np.float64),
+                            (2 ** 53 + 1, 3, 148, np.int64)):
+        x = la.asint(np.full((n, b), top // b))
+        out = la.einsum("ab,bc->ac", x, la.asint(np.ones((b, n), int)))
+        assert ran.pop() == rung
+        assert out.dtype == np.int64 and (out == top).all()
 
 
 def test_int64_limits_only_in_kernel():

@@ -125,3 +125,51 @@ def test_pair_rank_count(monkeypatch):
     monkeypatch.setattr(exactla, "_mod_rank", counted)
     assert check_pair(restricted_pair(j)).passed
     assert len(calls) <= 6, calls
+
+
+def test_pair_runs_on_the_float64_rung(monkeypatch):
+    """On octonion_hermitian the span products of restricted_pair and
+    check_pair and the derivation-identity bracket have small bounds and
+    large loops, so they run in float64; every array the kernel returns
+    to them is still integer: int64, or Python ints where a bound (the
+    kk_in_k solve's) passes 2**63."""
+    j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
+    ran, returned = [], []
+    np_einsum, np_matmul = np.einsum, np.matmul
+
+    def einsum(spec, *ops, **kwargs):
+        ran.append((spec, tuple((op.dtype, op.shape) for op in ops)))
+        return np_einsum(spec, *ops, **kwargs)
+
+    def matmul(x, y):
+        ran.append(("matmul", ((x.dtype, x.shape), (y.dtype, y.shape))))
+        return np_matmul(x, y)
+
+    def returning(f):
+        def wrapped(*args):
+            out = f(*args)
+            returned.append(out.dtype == np.int64 or out.dtype == object
+                            and all(isinstance(v, int) for v in out.flat))
+            return out
+        return wrapped
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(np, "matmul", matmul)
+    for name in ("einsum", "bracket", "lincomb"):
+        monkeypatch.setattr(exactla, name, returning(getattr(exactla, name)))
+    assert check_pair(restricted_pair(j)).passed
+    n, dim_k, npairs = 27, 52, 26 * 25 // 2
+    f8 = np.dtype(np.float64)
+    # the span witness, checked in independent_rows and in pp_spans_k
+    span = ((f8, (npairs, dim_k)), (f8, (dim_k, n * n)))
+    assert ("ab,bc->ac", span) in ran
+    assert ("gk,kc->gc", span) in ran
+    # the derivation identity [Phi_k, T_{b_i}] - T_{Phi_k(b_i)}, over
+    # blocks of k rows that cover k
+    brackets = [ops[0] for name, ops in ran
+                if name == "matmul" and ops[1] == (f8, (1, n, n, n))]
+    contractions = [ops[0] for name, ops in ran if name == "kji,jac->kiac"]
+    for blocks in (brackets, contractions):
+        assert all(dt == f8 for dt, _ in blocks)
+        assert sum(shape[0] for _, shape in blocks) == dim_k
+    assert returned and all(returned)
