@@ -20,26 +20,25 @@ input for its size, and integer operands always give integer results.
 A float64 operand makes the whole call run in float64, which is how
 float-mode algebras share the exact code paths.
 
-Linear systems go through one fraction-free Gauss-Jordan elimination on
-Python integers, reached by :func:`solve`, :func:`null_space` and
-:func:`det`; a tall system eliminates only candidate pivot rows and
-certifies the result on every row.  :func:`inertia` is the symmetric
-counterpart, a fraction-free elimination that pivots on the diagonal.
-
-Ranks are certified, not probabilistic.  A Gauss-Jordan elimination
-modulo one 30-bit prime gives a lower bound: rows independent modulo a
-prime are independent over Q.  The witness for the upper bound is one
-exact identity, checked with :func:`einsum`: the coordinates Y / d of
-every row on those pivot rows, solved modulo the prime and rebuilt by
-rational reconstruction, satisfy Y @ M[pivot rows] == d * M (after
-Kaltofen, Nehring and Saunders, "Quadratic-time certificates in linear
-algebra", ISSAC 2011).  More primes are drawn only when the identity
-fails to reconstruct or to hold.
+Ranks and solutions are certified, not probabilistic, and none of them
+eliminates over Python integers.  A Gauss-Jordan elimination modulo one
+30-bit prime finds the pivots: rows independent modulo a prime are
+independent over Q.  What it solves is rebuilt by rational
+reconstruction and accepted only when one exact identity, checked with
+:func:`einsum`, holds on every row: Y @ M[pivot rows] == d * M for a
+rank (after Kaltofen, Nehring and Saunders, "Quadratic-time certificates
+in linear algebra", ISSAC 2011), A Y == d B for :func:`solve` and
+A K^T == 0 for :func:`null_space` (after Dixon, Numer. Math. 40, 1982).
+More primes are drawn, their residues joined by CRT, only when that
+fails.  :func:`det` keeps one fraction-free elimination on Python
+integers, and :func:`inertia` is its symmetric counterpart, which
+pivots on the diagonal.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -239,7 +238,7 @@ def lincomb(*terms):
 
 
 # ---------------------------------------------------------------------------
-# deterministic certified rank over the integers
+# certified ranks and exact solutions over the integers
 
 
 def _is_prime(n):
@@ -265,17 +264,9 @@ def _is_prime(n):
     return True
 
 
-def _gen_primes(count, below):
-    out = []
-    n = below - 1 if below % 2 == 0 else below - 2
-    while len(out) < count:
-        if _is_prime(n):
-            out.append(n)
-        n -= 2
-    return tuple(out)
-
-
-PRIMES_30BIT = _gen_primes(150, 2 ** 30)
+# the 150 largest primes below 2**30, largest first
+PRIMES_30BIT = tuple(itertools.islice(
+    filter(_is_prime, range(2 ** 30 - 1, 0, -2)), 150))
 
 
 def _reduce_mod(M, p):
@@ -319,21 +310,22 @@ def _mod_rank(A, p):
     return r, [int(x) for x in perm[:r]], cols
 
 
+def _rref(M, p):
+    """The reduced row echelon form of the integer matrix M modulo p:
+    ``(R, cols)``, one row of R per pivot column in ``cols``."""
+    R = _reduce_mod(M, p)
+    r, _, cols = _mod_rank(R, p)
+    return R[:r], cols
+
+
 def _solve_mod(M, rows, cols, p):
     """X with X @ M[rows][:, cols] == M[:, cols] modulo p, one row per
-    row of M, or None when that minor is singular modulo p.
-
-    The transposed system [M[rows, cols]^T | M[:, cols]^T] goes through
-    :func:`_mod_rank`; it reduces to [I | X^T] exactly when the minor is
-    nonsingular.
-    """
-    r = len(rows)
-    sub = _reduce_mod(M[:, cols], p)
-    aug = np.concatenate([sub[rows].T, sub.T], axis=1)
-    _, _, pivots = _mod_rank(aug, p)
-    if pivots != list(range(r)):
-        return None
-    return aug[:, r:].T
+    row of M, or None when that minor is singular modulo p: the
+    transposed system [M[rows, cols]^T | M[:, cols]^T] reduces to
+    [I | X^T] exactly when the minor is nonsingular."""
+    sub = M[:, cols]
+    R, pivots = _rref(np.concatenate([sub[rows].T, sub.T], axis=1), p)
+    return R[:, len(rows):].T if pivots == list(range(len(rows))) else None
 
 
 def _crt(x, m, y, q):
@@ -448,69 +440,6 @@ def independent_rows(M):
     return _certify(*_first_prime(M))
 
 
-# ---------------------------------------------------------------------------
-# exact elimination: fraction-free Gauss-Jordan on integer arrays
-
-
-def _echelon(M):
-    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer M.
-
-    Returns ``(R, pivots, d, sign)``: R holds one row per pivot column and
-    equals d * rref(M) with d > 0, and det M = sign * d for a nonsingular
-    square M.  Every intermediate entry is a minor of M, so each division
-    is exact.
-    """
-    a = np.array(M, dtype=object)
-    n_rows = a.shape[0]
-    pivots, sign, d = [], 1, 1
-    for c in range(a.shape[1]):
-        r = len(pivots)
-        if r == n_rows:
-            break
-        nz = np.flatnonzero(a[r:, c])
-        if not nz.size:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-            sign = -sign
-        p = a[r, c]
-        rest = np.arange(n_rows) != r
-        a[rest] = (p * a[rest] - np.outer(a[rest, c], a[r])) // d
-        pivots.append(c)
-        d = p
-    a = a[:len(pivots)]
-    if d < 0:
-        a, d, sign = -a, -d, -sign
-    return a, pivots, d, sign
-
-
-def _tall(M):
-    """Reduced row space of a tall integer system, certified on every row.
-
-    Candidate pivot rows are picked modulo one prime and only they are
-    eliminated; the kernel basis of that subsystem is then checked against
-    every row of M, and a violated row joins the subsystem until none is.
-    Returns ``(R, pivots, d, K)`` as in :func:`_echelon`, plus the kernel
-    basis K (one row per free column f, with d at f and 0 at the other
-    free columns).
-    """
-    M, sel, _ = _first_prime(M)
-    n_cols = M.shape[1]
-    for _ in range(n_cols + 1):
-        R, pivots, d, _ = _echelon(M[sorted(sel)])
-        free = [c for c in range(n_cols) if c not in pivots]
-        K = np.zeros((len(free), n_cols), dtype=object)
-        K[np.arange(len(free)), free] = d
-        K[:, pivots] = -R[:, free].T
-        K = asint(K)
-        bad = np.flatnonzero(einsum("ab,cb->ac", M, K).any(axis=1))
-        if not bad.size:
-            return R, pivots, d, K
-        sel.append(int(bad[0]))
-    raise ArithmeticError("elimination failed to stabilize")
-
-
 def lowest_terms(arr, den):
     """The kernel pair (arr, den) divided by the gcd of den and every
     entry of arr."""
@@ -523,9 +452,34 @@ def lowest_terms(arr, den):
 def null_space(A):
     """Kernel of integer A as ``(K, d)`` in lowest terms: the rows of K
     are an integer basis, and K / d is the reduced one (1 at its own free
-    column, 0 at the other free columns)."""
-    _, _, d, K = _tall(A)
-    return lowest_terms(K, d)
+    column, 0 at the other free columns).
+
+    The basis is read from the reduced form modulo a prime, rebuilt by
+    rational reconstruction and accepted only if A K^T == 0 holds
+    exactly.  Then the rank and the pivot columns modulo p are those over
+    Q, since each free column is a combination of earlier pivot columns.
+    A prime with a larger rank or lexicographically smaller pivot columns
+    restarts the residues; one with a smaller rank or larger pivot
+    columns is skipped.
+    """
+    A = asint(A)
+    n = A.shape[1]
+    best = X = None
+    for p in PRIMES_30BIT:
+        R, cols = _rref(A, p)
+        key = (-len(cols), cols)
+        if best is not None and key > best:
+            continue
+        free = [c for c in range(n) if c not in cols]
+        Kp = np.eye(n, dtype=np.int64)[free]
+        Kp[:, cols] = -R[:, free].T % p
+        X, m = (_crt(X, m, Kp, p), m * p) if key == best else (Kp, p)
+        best = key
+        witness = _reconstruct(X, m)
+        if witness is not None and \
+                not einsum("ab,cb->ac", A, witness[0]).any():
+            return lowest_terms(*witness)
+    raise ArithmeticError("null space: prime supply exhausted")
 
 
 def solve(A, B):
@@ -534,23 +488,68 @@ def solve(A, B):
     B is a vector or a matrix of right-hand sides.  Returns ``(X, d)``
     in lowest terms with A X = d B, or None when the system is
     inconsistent or its solution is not unique.
+
+    Each verdict is certified.  [A | B] is reduced modulo a prime; all n
+    columns of A pivots certify rank A = n (a minor nonzero modulo p is
+    nonzero over Z), and a further pivot, in B, then certifies an
+    inconsistent system.  A smaller rank of A modulo p means None only
+    when :func:`int_rank` certifies it.  The solution read from the
+    reduced form, joined by CRT to those of earlier primes and rebuilt
+    by rational reconstruction, is returned only if A Y == d B exactly.
     """
     A, B = asint(A), asint(B)
     n = A.shape[1]
-    R, pivots, d, _ = _tall(np.concatenate([A, B.reshape(len(B), -1)],
-                                           axis=1))
-    if pivots != list(range(n)):
-        return None
-    return lowest_terms(asint(R[:, n:].reshape((n,) + B.shape[1:])), d)
+    rhs = B.reshape(len(B), -1)
+    M = np.concatenate([A, rhs], axis=1)
+    full, X = False, None  # full: rank A == n is certified
+    for p in PRIMES_30BIT:
+        R, cols = _rref(M, p)
+        if cols[:n] != list(range(n)):
+            # rank A < n over Q, or p divides every nonzero n x n minor
+            if not full and int_rank(A) < n:
+                return None
+        elif len(cols) > n:
+            return None
+        else:
+            X, m = (R[:, n:], p) if X is None else \
+                (_crt(X, m, R[:, n:], p), m * p)
+            witness = _reconstruct(X, m)
+            if witness is not None:
+                Y, d = witness
+                if np.array_equal(einsum("ab,bc->ac", A, Y),
+                                  lincomb((d, rhs))):
+                    return lowest_terms(Y.reshape((n,) + B.shape[1:]), d)
+        full = True
+    raise ArithmeticError("exact solve: prime supply exhausted")
+
+
+def _echelon(M):
+    """``(d, sign)`` with det M = sign * d for a square integer M, by
+    fraction-free (Bareiss) elimination on Python ints: d is 0 when M is
+    singular, and each division is exact, as every entry is a minor of M.
+    :func:`det` keeps it: no identity checks a determinant's residues,
+    and a Hadamard-bound CRT would be longer for det's small matrices.
+    """
+    a = np.array(M, dtype=object)
+    sign, d = 1, 1
+    for c in range(len(a)):
+        nz = np.flatnonzero(a[c:, c])
+        if not nz.size:
+            return 0, 1
+        i = c + int(nz[0])
+        if i != c:
+            a[[c, i]] = a[[i, c]]
+            sign = -sign
+        p, rest = a[c, c], a[c + 1:, c + 1:]
+        rest[:] = (p * rest - np.outer(a[c + 1:, c], a[c, c + 1:])) // d
+        d = p
+    return d, sign
 
 
 def det(M):
     """Exact determinant of a square integer matrix, as a Python int."""
-    M = asint(M)
-    if not M.size:
-        return 1
-    _, pivots, d, sign = _echelon(M)
-    return sign * d if len(pivots) == len(M) else 0
+    d, sign = _echelon(asint(M))
+    return sign * d
 
 
 # ---------------------------------------------------------------------------

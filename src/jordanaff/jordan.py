@@ -224,11 +224,19 @@ class JordanAlgebra:
 
     def _p_int(self, x, dx):
         """Kernel form of P_u = 2 T_u^2 - T_{u^2} for u = x / dx; both
-        terms carry the same den, (tensor den * dx)^2."""
+        terms carry the same den, (tensor den * dx)^2.  u^2 is T_u u.
+        Only x and T_u are scanned: every later operand reaches the
+        kernel as ``(array, m)`` with the bound m the kernel put on it.
+        """
+        n = self.dim
+        _, (st, ms), _ = self._operands()
+        x = (x, la.max_abs(x))
         t, dt = self._t_int(x, dx)
-        tu2, _ = self._t_int(*self._prod_int(x, dx, x, dx))
-        return la.lincomb((2, la.einsum("ab,bc->ac", t, t)), (-1, tu2)), \
-            dt * dt
+        t = (t, la.max_abs(t))
+        x2 = (la.einsum("kj,j->k", t, x), n * t[1] * x[1])
+        tu2 = (la.einsum("i,ikj->kj", x2, (st, ms)), n * x2[1] * ms)
+        tt = (la.einsum("ab,bc->ac", t, t), n * t[1] * t[1])
+        return la.lincomb((2, tt), (-1, tu2)), dt * dt
 
     def product(self, u, v):
         return self._out(*self._prod_int(*self._elem(u), *self._elem(v)))

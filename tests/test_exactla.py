@@ -19,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jordanaff import exactla as la
+from jordanaff.hypersurface import build_model, reconstruct_algebra
+from jordanaff.jordan import JordanAlgebra, NotInvertibleError
 
 
 def _rand_imat(rng, n, bound=36):
@@ -553,6 +555,82 @@ def test_solve_sees_rows_hidden_from_the_prime():
     assert la.solve(a, [1, 1, 4 * p]) is None
     ns, _ = la.null_space([[p, 0], [0, 0]])
     assert ns.tolist() == [[0, 1]]
+
+
+def test_solve_draws_more_primes(monkeypatch):
+    """An entry above sqrt(p / 2) cannot be rebuilt from one prime, a
+    prime that divides det A shows too small a rank, and a pivot that
+    moves to another column modulo the first prime fails the exact
+    check: each draws more primes and still gives the exact answer."""
+    p = la.PRIMES_30BIT[0]
+    primes = []
+    mod_rank = la._mod_rank
+
+    def counted(a, q):
+        primes.append(q)
+        return mod_rank(a, q)
+
+    monkeypatch.setattr(la, "_mod_rank", counted)
+    x, d = la.solve([[1]], [2 ** 40])
+    assert x.tolist() == [2 ** 40] and d == 1
+    assert la.PRIMES_30BIT[1] in primes
+    # p divides det A: rank A = 2 is certified, and the next prime solves
+    x, d = la.solve([[p, 0], [0, 1]], [1, 1])
+    assert x.tolist() == [1, p] and d == p
+    primes.clear()
+    # modulo p the pivot is column 1, over Q it is column 0
+    ns, d = la.null_space([[p, 1]])
+    assert [list(_rationals(v, d)) for v in ns] == \
+        [list(v) for v in sympy.Matrix([[p, 1]]).nullspace()]
+    assert la.PRIMES_30BIT[1] in primes
+
+
+def test_solvers_never_eliminate_over_objects(monkeypatch, desk_instances,
+                                              get_algebra):
+    """The unit, inverses, the split into simple ideals and the
+    reconstruction's adapted basis run on residues modulo primes and one
+    exact check each: the exact elimination behind det is never reached.
+    Each algebra is rebuilt from its tensor, so no cached solution
+    stands in for a solve."""
+    def refuse(_):
+        raise AssertionError("exact elimination reached")
+
+    monkeypatch.setattr(la, "_echelon", refuse)
+    rng = random.Random(3)
+    count = 0
+    for name, params in desk_instances:
+        built = get_algebra(name, **params)
+        if built.dim > 27:
+            continue
+        j = JordanAlgebra(kernel=built._int_tensor(), name=built.name)
+        e = j.unity()
+        u = j.random_element(rng, bound=5)
+        try:
+            assert j.product(u, j.invert(u)) == e, name
+        except NotInvertibleError:
+            pass
+        assert sum(part.dim for part, _ in j.decompose(seed=0)) == j.dim
+        assert reconstruct_algebra(build_model(j, Fraction(-1))).dim == \
+            j.dim
+        count += 1
+    assert count == 26
+
+
+def test_only_det_eliminates_exactly():
+    """solve and null_space have no second path: ``_tall`` is gone, and
+    the exact elimination ``_echelon`` is referenced only from det."""
+    assert not hasattr(la, "_tall")
+    src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+    users = []
+    for path in sorted(src.glob("*.py")):
+        top = None  # the enclosing top-level def or class
+        for line in path.read_text().splitlines():
+            found = re.match(r"(?:def|class) (\w+)", line)
+            if found:
+                top = found.group(1)
+            elif re.search(r"\b(_tall|_echelon)\b", line):
+                users.append((path.name, top))
+    assert users == [("exactla.py", "det")]
 
 
 class TestGaussianInteger:
