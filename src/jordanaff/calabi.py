@@ -139,10 +139,8 @@ def check_composition(comp, n_samples=6, seed=0):
 
     # p0 is central: [T_v, T_u] = 0 for all basis u
     _, st, s_den = big._operands()
-    worst_c = 0
-    for v in comp.p0:
-        tv, _ = big._t_int(la.asint(v), 1)
-        worst_c = max(worst_c, la.max_abs(la.bracket(tv, st)))
+    tv, _ = big._t_int(la.asint(comp.p0).reshape(-1, big.dim), 1)
+    worst_c = la.max_abs(la.bracket(tv[:, None], st))
     report.add(CheckResult(
         name="p0_central", passed=worst_c == 0,
         max_residual=Fraction(worst_c, s_den ** 2),
@@ -176,17 +174,17 @@ def check_composition(comp, n_samples=6, seed=0):
     # sampled composed points sit on the composed level set
     jf = big.to_float()
     log_target = comp.model.log_level_value()
-    worst_l = 0.0
-    sign_ok = True
+    xs = np.empty((n_samples, big.dim))
     for s in range(n_samples):
         pts = [m.sample_points(count=1, seed=seed + 7 * s + i, steps=2)[0]
                for i, m in enumerate(comp.factors)]
         t = project_exponents(
             comp.weights, [rng.uniform(-0.5, 0.5) for _ in comp.factors])
-        x = compose_point(comp, pts, t)
-        sign, logabs = np.linalg.slogdet(jf.p_operator(x))
-        sign_ok = sign_ok and sign > 0
-        worst_l = max(worst_l, abs(logabs - log_target))
+        xs[s] = compose_point(comp, pts, t)
+    px, _ = jf._p_int(xs, 1)
+    sign, logabs = np.linalg.slogdet(px)
+    sign_ok = bool(np.all(sign > 0))
+    worst_l = float(np.max(np.abs(logabs - log_target), initial=0.0))
     report.add(CheckResult(
         name="composed_level_samples",
         passed=sign_ok and worst_l <= TOL.level,

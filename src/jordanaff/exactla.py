@@ -216,24 +216,30 @@ def bracket(x, y):
 def lincomb(*terms):
     """Exact sum of ``c * arr`` over ``(c, arr)`` terms of one shape.
 
-    The coefficients are ints; int64 is used exactly when
-    sum |c| * max-abs(arr) fits, float64 when an ``arr`` is float64, in
-    which case no ``arr`` is scanned.  ``arr`` may be an ``(array, m)``
-    pair as in :func:`einsum`.
+    A coefficient is an int, or a 1-D array of ints with one coefficient
+    per row (axis 0) of ``arr``; int64 is used exactly when
+    sum max-abs(c) * max-abs(arr) fits, float64 when an ``arr`` is
+    float64, in which case no ``arr`` is scanned.  ``arr`` may be an
+    ``(array, m)`` pair as in :func:`einsum`.
     """
     floats = any(_array(op).dtype.kind == "f" for _, op in terms)
-    terms = [(int(c), _array(op), 1 if floats else _max(op))
-             for c, op in terms]
-    dtype = np.float64 if floats else _dtype(sum(abs(c) * m
-                                                 for c, _, m in terms))
+    terms = [(c if isinstance(c, np.ndarray) else int(c), _array(op),
+              1 if floats else _max(op)) for c, op in terms]
+    dtype = np.float64 if floats else _dtype(sum(
+        (max_abs(c) if isinstance(c, np.ndarray) else abs(c)) * m
+        for c, _, m in terms))
     out = None
     for c, arr, m in terms:
-        if c and m:
-            term = c * arr.astype(dtype, copy=False)
-            if out is None:
-                out = term
-            else:
-                out += term
+        rows = isinstance(c, np.ndarray)
+        if not (m and (c.any() if rows else c)):
+            continue
+        if rows:
+            c = c.astype(dtype).reshape((-1,) + (1,) * (arr.ndim - 1))
+        term = c * arr.astype(dtype, copy=False)
+        if out is None:
+            out = term
+        else:
+            out += term
     return np.zeros(terms[0][1].shape, dtype) if out is None else out
 
 

@@ -211,30 +211,36 @@ class HypersurfaceModel:
                                             Fraction(-1, 5))):
         """P_{e+hX} = I + 2h T_X + h^2 (2 T_X^2 - T_{X^2}), so the level
         function has vanishing first-order term along V0 at the base
-        point and V0 is the tangent space there."""
+        point and V0 is the tangent space there.
+
+        X runs over the first min(n, 6) vectors of the V0 basis and h
+        over ``hs``; all those points run as one stack, each over its
+        own denominator q de for h = p / q.
+        """
         j = self.algebra
         e, de = j._unit_int()
-        eye = np.eye(j.dim, dtype=np.int64)
-        worst = Fraction(0)
-        tangency = Fraction(0)
-        count = 0
-        for idx in range(min(self.n, 6)):
-            x = la.asint(self.v0[idx])
-            tx, dt = j._t_int(x, 1)
-            px, dp = j._p_int(x, 1)
-            tangency = max(tangency, Fraction(abs(int(np.trace(tx))), dt))
-            for h in hs:
-                p, q = h.numerator, h.denominator
-                pu, du = j._p_int(
-                    la.lincomb((q, e), (p * de, x)), q * de)
-                worst = max(worst, j._residual(
-                    (1, pu, du), (-1, eye, 1), (-2 * p, tx, q * dt),
-                    (-p * p, px, q * q * dp)))
-                count += 1
+        x = la.asint(self.v0[:min(self.n, 6)]).reshape(-1, j.dim)
+        tx, dt = j._t_int(x, 1)
+        px, dp = j._p_int(x, 1)
+        tangency = max((Fraction(abs(int(t)), dt)
+                        for t in np.trace(tx, axis1=1, axis2=2)),
+                       default=Fraction(0))
+        # one row per (h, X), h-major; p and q are h = p / q per row
+        k = len(x)
+        p = np.repeat(np.array([h.numerator for h in hs], dtype=object), k)
+        q = np.repeat(np.array([h.denominator for h in hs], dtype=object), k)
+        u = la.lincomb((q, np.broadcast_to(e, (len(p), j.dim))),
+                       (p * de, np.tile(x, (len(hs), 1))))
+        pu, du = j._p_int(u, q * de)
+        eye = np.broadcast_to(np.eye(j.dim, dtype=np.int64), pu.shape)
+        worst = j._worst(
+            (1, pu, du), (-1, (eye, 1), 1),
+            (-2 * p, np.tile(tx, (len(hs), 1, 1)), q * dt),
+            (-p * p, np.tile(px, (len(hs), 1, 1)), q * q * dp))
         return CheckResult(
             name="tangent_quadratic_expansion",
             passed=worst == 0 and tangency == 0,
-            max_residual=max(worst, tangency), samples=count,
+            max_residual=max(worst, tangency), samples=len(u),
             details={"first_order_trace": tangency})
 
     def check_reconstruction(self):
@@ -248,8 +254,8 @@ class HypersurfaceModel:
         j = self.algebra
         nn = j.dim
         e, de = j._unit_int()
-        ee, dee = j._prod_int(e, de, e, de)
-        worst = j._residual((1, ee, dee), (-1, e, de))
+        ee, dee = j._prod_int(e[None], de, e[None], de)
+        worst = j._worst((1, ee, dee), (-1, e[None], de))
         if self.n == 0:
             return CheckResult(name="reconstruction_roundtrip",
                                passed=worst == 0, max_residual=worst,
@@ -258,11 +264,11 @@ class HypersurfaceModel:
         v0 = s["v0"]
         c, _, cden = j._operands()
         ex = la.einsum("ijk,j,bk->ib", c, e, v0)
-        worst = max(worst, j._residual((1, ex, cden * de), (-1, v0.T, 1)))
+        worst = max(worst, j._worst((1, ex, cden * de), (-1, v0.T, 1)))
         prod = la.einsum("ijk,ai,bj->abk", c, v0, v0)
         img = la.einsum("aij,bj->abi", (s["a_ops"], s["a_max"]), v0)
         unit_term = la.einsum("ab,k->abk", s["gv"], e)
-        worst = max(worst, j._residual(
+        worst = max(worst, j._worst(
             (1, prod, cden), (-1, img, s["a_den"]),
             (-1, unit_term, s["g_den"] * nn * de)))
         return CheckResult(
@@ -309,12 +315,10 @@ class HypersurfaceModel:
         jf = self.algebra.to_float()
         pts = self.sample_points(count=count, seed=seed, steps=steps)
         log_target = self.log_level_value()
-        worst = 0.0
-        sign_ok = True
-        for x in pts:
-            sign, logabs = np.linalg.slogdet(jf.p_operator(x))
-            sign_ok = sign_ok and sign > 0
-            worst = max(worst, abs(logabs - log_target))
+        p, _ = jf._p_int(pts, 1)
+        sign, logabs = np.linalg.slogdet(p)
+        sign_ok = bool(np.all(sign > 0))
+        worst = float(np.max(np.abs(logabs - log_target), initial=0.0))
         return CheckResult(
             name="level_set_samples",
             passed=sign_ok and worst <= TOL.level,

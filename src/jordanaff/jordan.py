@@ -14,7 +14,9 @@ is P_u = 2 T_u^2 - T_{u^2}, the element determinant and trace are those of
 P_u and T_u, and the trace form is <u, v> = tr T_{u o v}.  The Jordan
 axioms are commutativity and u o (u^2 o v) = u^2 o (u o v); the second is
 checked through the operator commutator [T_u, T_{u^2}], whose columns
-cover every basis choice of v at once.
+cover every basis choice of v at once.  The sampled checks draw their
+elements as the rows of one stack and evaluate each identity on the
+whole stack, one residual per row.
 
 Exact computations clear denominators and run through the one integer
 kernel of :mod:`jordanaff.exactla`, which picks float64 (exact below
@@ -25,6 +27,7 @@ for its size; float64 operands pass through it in float64, unscanned.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -104,8 +107,10 @@ class JordanAlgebra:
             ci, den = la.lowest_terms(la.asint(ci), den)
         self._kernel = (ci, den)
         self._cmax = la.max_abs(ci)
-        # the zero test: a residual passes when it is at most this
+        # the zero test: a residual passes when it is at most this; a
+        # check over no samples reports the zero residual
         self._tol = TOL.rel + TOL.abs_floor if mode == FLOAT else 0
+        self._zero = 0.0 if mode == FLOAT else Fraction(0)
         self.dim = dim
         self.labels = tuple(labels) if labels else tuple(
             f"b{i}" for i in range(dim))
@@ -179,19 +184,32 @@ class JordanAlgebra:
         return nest(arr.tolist())
 
     def _residual(self, *terms):
-        """The residual of sum c * arr / den over ``(c, arr, den)`` terms.
+        """The residuals of sum c * arr / den over ``(c, arr, den)``
+        terms, one per row (axis 0) of the stacks ``arr``, as a list.
 
-        One :func:`exactla.lincomb` over the least common denominator
-        gives r.  A rational algebra reports max-abs(r) / den, exactly; a
-        float one reports max-abs(r) relative to the largest of the
-        aligned terms (at least 1), which the zero test holds to ``TOL``.
+        ``arr`` may be an ``(array, m)`` pair as in :func:`exactla.einsum`,
+        so that nothing the kernel already bounded is scanned again; c
+        and den are ints or object arrays of one int per row.  One
+        :func:`exactla.lincomb` over each row's least common denominator
+        d gives r.  A rational algebra reports max-abs(r) / d of each
+        row, exactly; a float one reports max-abs(r) relative to the
+        largest of that row's aligned terms (at least 1), which the zero
+        test holds to ``TOL``.
         """
-        d = math.lcm(*(den for _, _, den in terms))
-        scaled = [(c * (d // den), arr) for c, arr, den in terms]
-        r = la.max_abs(la.lincomb(*scaled))
+        d = functools.reduce(_lcm, (den for _, _, den in terms))
+        scaled = [(c * (d // den), op) for c, op, den in terms]
+        r = _row_max(la.lincomb(*scaled))
         if self.mode == FLOAT:
-            return r / max(1.0, *(abs(c) * la.max_abs(a) for c, a in scaled))
-        return Fraction(r, d)
+            scale = functools.reduce(np.maximum, (abs(c) * _row_max(op)
+                                                  for c, op in scaled))
+            return (r / np.maximum(1.0, scale)).tolist()
+        dens = d.tolist() if isinstance(d, np.ndarray) else [d] * len(r)
+        return [Fraction(a, b) for a, b in zip(r.tolist(), dens)]
+
+    def _worst(self, *terms):
+        """The largest of the :meth:`_residual` rows; the zero residual
+        for an empty stack."""
+        return max(self._residual(*terms), default=self._zero)
 
     def zero(self):
         return self.coerce([0] * self.dim)
@@ -212,45 +230,60 @@ class JordanAlgebra:
 
     # -- products and operators -----------------------------------------
 
+    # The kernel forms below run over a stack: the elements are the rows
+    # of x / dx, where x is an (s, n) array and dx one int for the stack
+    # or an object array of one int per row.  The result is an (s, n) or
+    # (s, n, n) stack over the den that follows from dx in the same way.
+
     def _prod_int(self, x, dx, y, dy):
-        """Kernel form of the product of x / dx and y / dy."""
+        """Kernel form of the products of the rows of x / dx and y / dy."""
         c, _, den = self._operands()
-        return la.einsum("i,j,ijk->k", x, y, c), den * dx * dy
+        return la.einsum("si,sj,ijk->sk", x, y, c), den * dx * dy
 
     def _t_int(self, x, dx):
-        """Kernel form (matrix, den) of T_u for u = x / dx."""
+        """Kernel form (stack, den) of T_u for the rows u of x / dx."""
         _, st, den = self._operands()
-        return la.einsum("i,ikj->kj", x, st), den * dx
+        return la.einsum("si,ikj->skj", x, st), den * dx
 
     def _p_int(self, x, dx):
-        """Kernel form of P_u = 2 T_u^2 - T_{u^2} for u = x / dx; both
-        terms carry the same den, (tensor den * dx)^2.  u^2 is T_u u.
-        Only x and T_u are scanned: every later operand reaches the
-        kernel as ``(array, m)`` with the bound m the kernel put on it.
+        """Kernel form of P_u = 2 T_u^2 - T_{u^2} for the rows u of
+        x / dx; both terms carry the same den, (tensor den * dx)^2.
+        u^2 is T_u u.  Only x and T_u are scanned: every later operand
+        reaches the kernel as ``(array, m)`` with the bound m the kernel
+        put on it.
         """
         n = self.dim
         _, (st, ms), _ = self._operands()
         x = (x, la.max_abs(x))
         t, dt = self._t_int(x, dx)
         t = (t, la.max_abs(t))
-        x2 = (la.einsum("kj,j->k", t, x), n * t[1] * x[1])
-        tu2 = (la.einsum("i,ikj->kj", x2, (st, ms)), n * x2[1] * ms)
-        tt = (la.einsum("ab,bc->ac", t, t), n * t[1] * t[1])
+        x2 = (la.einsum("skj,sj->sk", t, x), n * t[1] * x[1])
+        tu2 = (la.einsum("si,ikj->skj", x2, (st, ms)), n * x2[1] * ms)
+        tt = (la.einsum("sab,sbc->sac", t, t), n * t[1] * t[1])
         return la.lincomb((2, tt), (-1, tu2)), dt * dt
 
+    def _single(self, kernel_op, *elements):
+        """API form of a stack kernel op on single elements."""
+        args = []
+        for u in elements:
+            x, dx = self._elem(u)
+            args += [x[None], dx]
+        arr, den = kernel_op(*args)
+        return self._out(arr[0], den)
+
     def product(self, u, v):
-        return self._out(*self._prod_int(*self._elem(u), *self._elem(v)))
+        return self._single(self._prod_int, u, v)
 
     def square(self, u):
         return self.product(u, u)
 
     def t_operator(self, u):
         """Matrix of v -> u o v in the basis."""
-        return self._out(*self._t_int(*self._elem(u)))
+        return self._single(self._t_int, u)
 
     def p_operator(self, u):
         """Quadratic operator P_u = 2 T_u^2 - T_{u^2}."""
-        return self._out(*self._p_int(*self._elem(u)))
+        return self._single(self._p_int, u)
 
     # -- traces, determinants, the trace form ----------------------------
 
@@ -268,7 +301,8 @@ class JordanAlgebra:
 
     def element_det(self, u):
         """det P_u, the squared analogue of a norm-form value."""
-        m, d = self._p_int(*self._elem(u))
+        x, dx = self._elem(u)
+        (m,), d = self._p_int(x[None], dx)
         if self.mode == FLOAT:
             return float(np.linalg.det(m))
         return Fraction(la.det(m), d ** self.dim)
@@ -369,14 +403,16 @@ class JordanAlgebra:
     def invert(self, v):
         """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
         x, dx = self._elem(v)
-        return self._out(*self._invert_int(x, dx, *self._p_int(x, dx)))
+        (p,), dp = self._p_int(x[None], dx)
+        return self._out(*self._invert_int(x, dx, p, dp))
 
     # -- the Jordan axioms -------------------------------------------------
     #
     # Each check below is the one implementation of its identity.  Every
     # residual goes through _residual and every verdict is
     # ``residual <= self._tol``: exact zero for a rational algebra, TOL
-    # for a float one.  Both modes draw the same seeded integer samples.
+    # for a float one.  Both modes draw the same seeded integer samples,
+    # and each check runs them as one stack, with one residual per sample.
 
     def _int_elements(self, rng, count, bound):
         """``count`` seeded integer elements, the rows of an int64 array."""
@@ -394,25 +430,29 @@ class JordanAlgebra:
         commutator [T_u, T_{u^2}] for u ranging over the basis and
         ``n_samples`` seeded random elements; the commutator columns give
         the residual for every basis vector v, and the same seeded
-        elements are applied on the right as extra v samples.
+        elements are applied on the right as extra v samples.  All rows u
+        run as one stack, so the kernel calls do not grow with the
+        sample count.
         """
         rng = random.Random(seed)
         ci, den = self._kernel
         ci_t = ci.transpose(1, 0, 2)
-        ja1 = self._residual((1, ci, den), (-1, ci_t, den))
+        ja1 = max(self._residual((1, ci, den), (-1, ci_t, den)))
         ja1_witness = None
         if ja1:
             i, j, _ = np.argwhere(ci != ci_t)[0]
             ja1_witness = (int(i), int(j))
         samples = np.concatenate([np.eye(self.dim, dtype=np.int64),
                                   self._int_elements(rng, n_samples, 9)])
-        res = []
-        for x in samples:
-            t, dt = self._t_int(x, 1)
-            t2, d2 = self._t_int(*self._prod_int(x, 1, x, 1))
-            res.append(self._residual(
-                (1, la.einsum("ab,bc->ac", t, t2), dt * d2),
-                (-1, la.einsum("ab,bc->ac", t2, t), dt * d2)))
+        t, dt = self._t_int(samples, 1)
+        t2, d2 = self._t_int(*self._prod_int(samples, 1, samples, 1))
+        # both products of the commutator, so that a float algebra holds
+        # the residual to the larger of them
+        t, t2 = (t, la.max_abs(t)), (t2, la.max_abs(t2))
+        m = self.dim * t[1] * t2[1]
+        res = self._residual(
+            (1, (la.einsum("sab,sbc->sac", t, t2), m), dt * d2),
+            (-1, (la.einsum("sab,sbc->sac", t2, t), m), dt * d2))
         ja2 = max(res)
         ja2_witness = res.index(ja2) if ja2 else None
         residual = max(ja1, ja2)
@@ -426,31 +466,33 @@ class JordanAlgebra:
 
     def triple(self, u, v, w):
         """Jordan triple product {u, v, w}."""
-        x, y, z = (self._elem(a) for a in (u, v, w))
+        x, y, z = ((e[None], d) for e, d in map(self._elem, (u, v, w)))
 
         def prod(a, b, c):
             return self._prod_int(*self._prod_int(*a, *b), *c)
 
         (a, d), (b, _), (c, _) = prod(x, y, z), prod(z, y, x), prod(x, z, y)
-        return self._out(la.lincomb((1, a), (1, b), (-1, c)), d)
+        return self._out(la.lincomb((1, a), (1, b), (-1, c))[0], d)
 
     def check_fundamental(self, n_samples=4, seed=0) -> CheckResult:
         """P_{P_u v} = P_u P_v P_u on seeded random pairs.
 
-        The operators are compared as scaled integer matrices in a
-        rational algebra, so larger sample counts stay affordable even
-        when the intermediate entries outgrow machine words.
+        The pairs are drawn as 2 * ``n_samples`` rows, u then v of each
+        pair, and run as one stack.  The operators are compared as scaled
+        integer matrices in a rational algebra, so larger sample counts
+        stay affordable even when the intermediate entries outgrow
+        machine words.
         """
         rng = random.Random(seed)
-        worst = 0
-        for _ in range(n_samples):
-            x, y = self._int_elements(rng, 2, 3)
-            pu, dpu = self._p_int(x, 1)
-            pv, dpv = self._p_int(y, 1)
-            pa, dpa = self._p_int(la.einsum("ab,b->a", pu, y), dpu)
-            rhs = la.einsum("ab,bc,cd->ad", pu, pv, pu)
-            worst = max(worst, self._residual(
-                (1, pa, dpa), (-1, rhs, dpu * dpu * dpv)))
+        rows = self._int_elements(rng, 2 * n_samples, 3)
+        x, y = rows[0::2], rows[1::2]
+        pu, dpu = self._p_int(x, 1)
+        pv, dpv = self._p_int(y, 1)
+        pu, pv = (pu, la.max_abs(pu)), (pv, la.max_abs(pv))
+        pa, dpa = self._p_int(la.einsum("sab,sb->sa", pu, y), dpu)
+        rhs = (la.einsum("sab,sbc,scd->sad", pu, pv, pu),
+               self.dim ** 2 * pu[1] * pv[1] * pu[1])
+        worst = self._worst((1, pa, dpa), (-1, rhs, dpu * dpu * dpv))
         return CheckResult(name="quadratic_fundamental",
                            passed=worst <= self._tol, max_residual=worst,
                            samples=n_samples, seed=seed)
@@ -500,7 +542,7 @@ class JordanAlgebra:
         d2 = dc * dc
         worsts = {}
         tuvw = trip(U, V, W)
-        worsts["outer_symmetry"] = self._residual(
+        worsts["outer_symmetry"] = self._worst(
             (1, tuvw, d2), (-1, trip(W, V, U), d2))
 
         luv, lvu = lmat(U, V), lmat(V, U)
@@ -508,17 +550,17 @@ class JordanAlgebra:
         tv = la.einsum("si,ikj->skj", V, st)
         tutv, tvtu = mm(tu, tv), mm(tv, tu)
         t_uv = la.einsum("sl,lkj->skj", prod(U, V), st)
-        worsts["operator_form"] = self._residual(
+        worsts["operator_form"] = self._worst(
             (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
-        worsts["symmetric_part"] = self._residual(
+        worsts["symmetric_part"] = self._worst(
             (1, luv, d2), (1, lvu, d2), (-2, t_uv, d2))
-        worsts["antisymmetric_part"] = self._residual(
+        worsts["antisymmetric_part"] = self._worst(
             (1, luv, d2), (-1, lvu, d2), (-2, tutv, d2), (2, tvtu, d2))
 
         g, dg = self._gram_int()
         lhs = la.einsum("sm,mq,sq->s", tuvw, g, Z)
         rhs = la.einsum("sm,mq,sq->s", trip(V, U, Z), g, W)
-        worsts["trace_form_transpose"] = self._residual(
+        worsts["trace_form_transpose"] = self._worst(
             (1, lhs, d2 * dg), (-1, rhs, d2 * dg))
 
         # [L(w,z), L(u,v)] = L(t(w,z,u), v) - L(u, t(z,w,v)); every term
@@ -526,7 +568,7 @@ class JordanAlgebra:
         lwz = lmat(W, Z)
         a = la.einsum("sab,sb->sa", lwz, U)
         b = la.einsum("sab,sb->sa", lmat(Z, W), V)
-        worsts["commutation_rule"] = self._residual(
+        worsts["commutation_rule"] = self._worst(
             (1, mm(lwz, luv), d2 * d2), (-1, mm(luv, lwz), d2 * d2),
             (-1, lmat(a, V), d2 * d2), (1, lmat(U, b), d2 * d2))
 
@@ -540,19 +582,26 @@ class JordanAlgebra:
         """T_v and P_v are self-adjoint for the trace form.
 
         T is linear in v, so symmetry of G T_{b_i} for every basis
-        vector settles it for all v; P is quadratic and is sampled.
+        vector settles it for all v; P is quadratic and is sampled, all
+        samples as one stack.
         """
         rng = random.Random(seed)
+        n = self.dim
         g, dg = self._gram_int()
-        _, st, dt = self._operands()
-        gt = la.einsum("ab,ibc->iac", g, st)
-        worst = self._residual((1, gt, dg * dt),
-                               (-1, gt.transpose(0, 2, 1), dg * dt))
-        for x in self._int_elements(rng, n_samples, 3):
-            p, dp = self._p_int(x, 1)
-            gp = la.einsum("ab,bc->ac", g, p)
-            worst = max(worst, self._residual((1, gp, dg * dp),
-                                              (-1, gp.T, dg * dp)))
+        _, (st, ms), dt = self._operands()
+        p, dp = self._p_int(self._int_elements(rng, n_samples, 3), 1)
+        mg, mp = la.max_abs(g), la.max_abs(p)
+
+        def asymmetry(a, m, d):
+            # each matrix of the stack a / d (max-abs at most m) minus
+            # its transpose
+            return self._residual((1, (a, m), d),
+                                  (-1, (a.transpose(0, 2, 1), m), d))
+        worst = max(
+            asymmetry(la.einsum("ab,ibc->iac", (g, mg), (st, ms)),
+                      n * mg * ms, dg * dt) +
+            asymmetry(la.einsum("ab,sbc->sac", (g, mg), (p, mp)),
+                      n * mg * mp, dg * dp))
         return CheckResult(name="operators_self_adjoint",
                            passed=worst <= self._tol, max_residual=worst,
                            samples=self.dim + n_samples, seed=seed)
@@ -562,40 +611,58 @@ class JordanAlgebra:
 
         For invertible v with w = v^{-1}: P_v w = v, P_w = P_v^{-1},
         and T_w = T_v P_v^{-1} = P_v^{-1} T_v.  Singular draws are
-        skipped (they have no inverse by definition).
+        skipped (they have no inverse by definition).  Up to
+        4 * ``n_samples`` elements are drawn, in chunks of the count
+        still missing, so the draws are those of one element at a time.
+        Each w is solved on its own, and the identities then run on the
+        stack of invertible v.  w keeps its own denominator: scaled to a
+        common one, its integers would grow with every other sample's.
         """
         rng = random.Random(seed)
-        eye = np.eye(self.dim, dtype=np.int64)
-        worst = 0
-        done = 0
-        for _ in range(4 * n_samples):
-            if done == n_samples:
-                break
-            (x,) = self._int_elements(rng, 1, 3)
-            pv, dpv = self._p_int(x, 1)
-            try:
-                y, dw = self._invert_int(x, 1, pv, dpv)
-            except NotInvertibleError:
-                continue
-            done += 1
-            py, dpy = self._p_int(y, dw)
-            ty, dty = self._t_int(y, dw)
-            tv, dtv = self._t_int(x, 1)
-            worst = max(
-                worst,
-                # P_v w = v
-                self._residual((1, la.einsum("ab,b->a", pv, y), dpv * dw),
-                               (-1, x, 1)),
-                # P_w P_v = I
-                self._residual((1, la.einsum("ab,bc->ac", py, pv),
-                                dpy * dpv), (-1, eye, 1)),
-                # T_w P_v = T_v and P_v T_w = T_v
-                *(self._residual((1, lhs, dty * dpv), (-1, tv, dtv))
-                  for lhs in (la.einsum("ab,bc->ac", ty, pv),
-                              la.einsum("ab,bc->ac", pv, ty))))
+        xs, ps, ws = [], [], []
+        drawn = 0
+        while len(ws) < n_samples and drawn < 4 * n_samples:
+            rows = self._int_elements(rng, min(n_samples - len(ws),
+                                               4 * n_samples - drawn), 3)
+            drawn += len(rows)
+            p, dpv = self._p_int(rows, 1)
+            kept = []
+            for i in range(len(rows)):
+                try:
+                    ws.append(self._invert_int(rows[i], 1, p[i], dpv))
+                except NotInvertibleError:
+                    continue
+                kept.append(i)
+            xs.append(rows[kept])
+            ps.append(p[kept])
+        if not ws:
+            return CheckResult(name="inverse_identities", passed=True,
+                               max_residual=self._zero, samples=0, seed=seed)
+        x, pv = np.concatenate(xs), np.concatenate(ps)
+        y = np.array([w for w, _ in ws])
+        dw = np.array([d for _, d in ws], dtype=object)
+        n = self.dim
+        py, dpy = self._p_int(y, dw)
+        ty, dty = self._t_int(y, dw)
+        tv, dtv = self._t_int(x, 1)
+        pv, py, ty = ((a, la.max_abs(a)) for a in (pv, py, ty))
+        eye = np.broadcast_to(np.eye(n, dtype=np.int64), py[0].shape)
+        m = n * ty[1] * pv[1]
+        worst = max(
+            # P_v w = v
+            self._worst((1, la.einsum("sab,sb->sa", pv, y), dpv * dw),
+                        (-1, x, 1)),
+            # P_w P_v = I
+            self._worst((1, (la.einsum("sab,sbc->sac", py, pv),
+                             n * py[1] * pv[1]), dpy * dpv),
+                        (-1, (eye, 1), 1)),
+            # T_w P_v = T_v and P_v T_w = T_v
+            *(self._worst((1, (lhs, m), dty * dpv), (-1, tv, dtv))
+              for lhs in (la.einsum("sab,sbc->sac", ty, pv),
+                          la.einsum("sab,sbc->sac", pv, ty))))
         return CheckResult(name="inverse_identities",
                            passed=worst <= self._tol, max_residual=worst,
-                           samples=done, seed=seed)
+                           samples=len(ws), seed=seed)
 
     # -- isotopes -----------------------------------------------------------
 
@@ -627,8 +694,8 @@ class JordanAlgebra:
         if self.mode == FLOAT:
             raise JordanError("center extraction runs in rational mode")
         _, (st, ms), _ = self._operands()
-        (z,) = self._int_elements(random.Random(seed), 1, 7)
-        tz, _ = self._t_int(z, 1)
+        (tz,), _ = self._t_int(
+            self._int_elements(random.Random(seed), 1, 7), 1)
         # column i of the system is vec([T_{b_i}, T_z])
         cands, dc = la.null_space(
             la.bracket((st, ms), tz).reshape(self.dim, -1).T)
@@ -682,7 +749,9 @@ class JordanAlgebra:
             # e, z, ..., z^m over one den, then their center coordinates
             powers = [(e, de), (z, dc)]
             for _ in range(m - 1):
-                powers.append(self._prod_int(*powers[-1], z, dc))
+                x, dx = powers[-1]
+                (x,), dx = self._prod_int(x[None], dx, z[None], dc)
+                powers.append((x, dx))
             d = math.lcm(*(dp for _, dp in powers))
             coords = self._center_coords(
                 np.stack([la.lincomb((d // dp, p)) for p, dp in powers]), d)
@@ -756,7 +825,7 @@ class JordanAlgebra:
             w = la.einsum("v,vi->i", comp[at:at + len(b)], b)
             at += len(b)
             eps, de = la.lowest_terms(la.einsum("i,ir->r", w, zk), dw)
-            sq, dsq = self._prod_int(eps, de, eps, de)
+            (sq,), dsq = self._prod_int(eps[None], de, eps[None], de)
             if la.lincomb((de, sq), (-dsq, eps)).any():
                 return None
             sub = self._ideal_of_idempotent(eps, de)
@@ -775,7 +844,7 @@ class JordanAlgebra:
         """(ideal, basis, integer basis) of the ideal P_eps V for the
         central idempotent eps / de, or None."""
         c, _, den = self._operands()
-        p, dp = self._p_int(eps, de)
+        (p,), dp = self._p_int(eps[None], de)
         idx, _ = la.independent_rows(p.T)
         basis, k = p.T[idx], len(idx)
         prods = la.einsum("ui,vj,ijk->uvk", basis, basis, c)
@@ -840,6 +909,20 @@ class JordanAlgebra:
                                       meta={"parent": self.name,
                                             "exact": False}), basis))
         return out
+
+
+def _lcm(a, b):
+    """lcm of two dens: ints, or object arrays of one int per row."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.lcm(a, b)
+    return math.lcm(a, b)
+
+
+def _row_max(op):
+    """Max-abs of each row (axis 0) of an array or ``(array, m)`` pair;
+    0 for an empty row."""
+    arr = op[0] if isinstance(op, tuple) else op
+    return np.abs(arr).max(axis=tuple(range(1, arr.ndim)), initial=0)
 
 
 def direct_sum(algebras, name=None):
