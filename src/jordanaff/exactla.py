@@ -28,11 +28,16 @@ reconstruction and accepted only when one exact identity, checked with
 :func:`einsum`, holds on every row: Y @ M[pivot rows] == d * M for a
 rank (after Kaltofen, Nehring and Saunders, "Quadratic-time certificates
 in linear algebra", ISSAC 2011), A Y == d B for :func:`solve` and
-A K^T == 0 for :func:`null_space` (after Dixon, Numer. Math. 40, 1982).
-More primes are drawn, their residues joined by CRT, only when that
-fails.  :func:`det` keeps one fraction-free elimination on Python
-integers, and :func:`inertia` is its symmetric counterpart, which
-pivots on the diagonal.
+A K^T == 0 for :func:`null_space`.  For a rank and a kernel more primes
+are drawn, their residues joined by CRT, only when that fails.
+:func:`solve` takes a stack of systems and eliminates it modulo the
+first prime in one batched pass; a system whose solution that prime
+cannot rebuild is lifted p-adically on its pivot rows (Dixon, Numer.
+Math. 40, 1982), each extra digit one matrix product, until
+reconstruction succeeds or a Hadamard bound says it must have.
+:func:`det` keeps one fraction-free elimination on Python integers, and
+:func:`inertia` is its symmetric counterpart, which pivots on the
+diagonal.
 """
 
 from __future__ import annotations
@@ -306,7 +311,7 @@ def _mod_rank(A, p):
             A[[r, i], c:] = A[[i, r], c:]
             perm[[r, i]] = perm[[i, r]]
             rows[k] = r
-        pivot = A[r, c:] * pow(int(A[r, c]), p - 2, p) % p
+        pivot = A[r, c:] * pow(int(A[r, c]), -1, p) % p
         # clearing column c in every row zeroes row r too; it then gets
         # its normalized self back
         A[rows, c:] = (A[rows, c:] - A[rows, c, None] * pivot) % p
@@ -322,6 +327,68 @@ def _rref(M, p):
     R = _reduce_mod(M, p)
     r, _, cols = _mod_rank(R, p)
     return R[:r], cols
+
+
+def _eliminate(M, n, p):
+    """Gauss-Jordan elimination modulo the prime p of the first n
+    columns of every matrix of the stack M (s, m, w), all at once.
+
+    Returns ``(R, piv)``: the reduced int64 stack and, per matrix, the
+    row of each column's pivot, or -1 where the column has none.  No row
+    moves: the pivot of column c is the first row that is not yet a
+    pivot row and is nonzero at c.  The elimination is fraction-free, so
+    no inverse is taken per column: a row with entry a at c becomes
+    v * row - a * (pivot row), v the pivot, each product below 2**60.
+    Pivot rows therefore come out scaled by a unit; :func:`_pivot_rows`
+    divides them out.  Unless the matrices are square, a column updates
+    only the rows nonzero at c in some matrix of the stack, which keeps
+    tall sparse systems cheap.
+    """
+    R = _reduce_mod(M, p)
+    s, m, _ = R.shape
+    free = np.ones((s, m), dtype=bool)
+    piv = np.full((s, n), -1)
+    every = np.arange(s)
+    for c in range(n):
+        nz = R[:, :, c] != 0
+        cand = nz & free
+        has = cand.any(axis=1)
+        if has.all():
+            ps = every
+        else:
+            ps = has.nonzero()[0]
+            if not ps.size:
+                continue
+            cand, nz = cand[ps], nz[ps]
+        pr = cand.argmax(axis=1)
+        prow = R[ps, pr]
+        # R itself when every matrix pivots and is square or has every
+        # row touched
+        dense = ps is every and (m == n or nz.all())
+        if not dense:
+            at = ps[:, None], nz.any(axis=0).nonzero()[0]
+        block = R if dense else R[at]
+        col = block[:, :, c, None] * prow[:, None]
+        block *= prow[:, None, c, None]
+        block -= col
+        block %= p
+        if not dense:
+            R[at] = block
+        R[ps, pr] = prow
+        free[ps, pr] = False
+        piv[ps, c] = pr
+    return R, piv
+
+
+def _pivot_rows(R, piv, n, p):
+    """Columns n: of the pivot rows of an :func:`_eliminate` stack in
+    which each of the first n columns pivots, divided by the pivots: one
+    row per column, as (s, n, w - n) residues modulo p."""
+    rows = R[np.arange(len(R))[:, None], piv]
+    diag = rows[:, np.arange(n), np.arange(n)]
+    inv = np.array([pow(v, -1, p) for v in diag.ravel().tolist()],
+                   dtype=np.int64).reshape(diag.shape)
+    return rows[:, :, n:] * inv[:, :, None] % p
 
 
 def _solve_mod(M, rows, cols, p):
@@ -351,26 +418,32 @@ def _denominator(u, m, bound):
 
 
 def _reconstruct(X, m):
-    """Rational reconstruction of the residues X modulo m over one
-    denominator: ``(Y, d)`` with Y == d * X modulo m and every |Y| and d
-    at most sqrt(m / 2), or None.
+    """Rational reconstruction of the residues X modulo m, one
+    denominator per system along axis 0: ``(Y, d)`` with
+    Y[i] == d[i] * X[i] modulo m and every |Y[i]| and d[i] at most
+    sqrt(m / 2).  d[i] is 0, and Y[i] zero, where no such pair exists.
 
-    d grows one entry at a time: the first entry whose residue times the
-    running d is not small is reconstructed, and its denominator joins d.
-    Each step at least doubles d, so there are few.
+    Each d grows one entry at a time: the first entry of a system whose
+    residue times the running d is not small is reconstructed, and its
+    denominator joins d.  Each step at least doubles d, so there are few.
     """
     bound = math.isqrt(m // 2)
-    d = 1
+    flat = (X.reshape(len(X), math.prod(X.shape[1:])), m - 1)
+    d = np.ones(len(X), dtype=np.int64 if bound < _INT64_SAFE else object)
+    Y = flat[0]
     while True:
-        Y = lincomb((d, (X, m))) % m
         Y = np.where(Y > m // 2, Y - m, Y)
-        big = np.flatnonzero(np.abs(Y) > bound)
-        if not big.size:
-            return asint(Y), d
-        b = _denominator(int(Y.flat[big[0]]) % m, m, bound)
-        if b is None or d * b > bound:
-            return None
-        d *= b
+        big = np.abs(Y) > bound
+        grow = big.any(axis=1).nonzero()[0]
+        if not grow.size:
+            return asint(Y).reshape(X.shape), d
+        for i, k in zip(grow.tolist(), big[grow].argmax(axis=1).tolist()):
+            b = _denominator(int(Y[i, k]) % m, m, bound)
+            b = b and int(d[i]) * b
+            d[i] = b if b and b <= bound else 0
+        if not d.any():
+            return np.zeros(X.shape, dtype=np.int64), d
+        Y = lincomb((d, flat)) % m
 
 
 def _certify(M, rows, cols):
@@ -395,12 +468,10 @@ def _certify(M, rows, cols):
         Xp = _solve_mod(M, rows, cols, p)
         if Xp is not None:
             X, m = (Xp, p) if X is None else (_crt(X, m, Xp, p), m * p)
-            witness = _reconstruct(X, m)
-            if witness is not None:
-                Y, d = witness
-                if np.array_equal(einsum("ab,bc->ac", Y, M[rows]),
-                                  lincomb((d, M))):
-                    return rows, witness
+            (Y,), (d,) = _reconstruct(X[None], m)
+            if d and np.array_equal(einsum("ab,bc->ac", Y, M[rows]),
+                                    lincomb((d, M))):
+                return rows, (Y, d)
         for p in primes:
             r, rows_p, cols_p = _mod_rank(_reduce_mod(M, p), p)
             if r >= len(rows):
@@ -481,52 +552,176 @@ def null_space(A):
         Kp[:, cols] = -R[:, free].T % p
         X, m = (_crt(X, m, Kp, p), m * p) if key == best else (Kp, p)
         best = key
-        witness = _reconstruct(X, m)
-        if witness is not None and \
-                not einsum("ab,cb->ac", A, witness[0]).any():
-            return lowest_terms(*witness)
+        (K,), (d,) = _reconstruct(X[None], m)
+        if d and not einsum("ab,cb->ac", A, K).any():
+            return lowest_terms(K, d)
     raise ArithmeticError("null space: prime supply exhausted")
 
 
+def _solves(A, rhs, Y, d):
+    """Per system of a stack, whether A Y == d B holds exactly with
+    d > 0: one :func:`einsum` for the stack, d one int per system."""
+    same = einsum("smn,snk->smk", A, Y) == lincomb((d, rhs))
+    return d.astype(bool) & same.all(axis=(1, 2))
+
+
 def solve(A, B):
-    """The unique exact solution of A X = B for integer arrays.
+    """The unique exact solution of A X = B, for one integer system or
+    a stack of them.
 
-    B is a vector or a matrix of right-hand sides.  Returns ``(X, d)``
-    in lowest terms with A X = d B, or None when the system is
-    inconsistent or its solution is not unique.
+    A is an (m, n) matrix and B a vector or a matrix of right-hand
+    sides; or A is a stack (s, m, n) and B is (s, m) or (s, m, k), one
+    system per index of axis 0.  A system gives ``(X, d)`` in lowest
+    terms with A X = d B, or None when it is inconsistent or its
+    solution is not unique; a stack gives the list of them, and a 2-D
+    call is a stack of one.
 
-    Each verdict is certified.  [A | B] is reduced modulo a prime; all n
-    columns of A pivots certify rank A = n (a minor nonzero modulo p is
-    nonzero over Z), and a further pivot, in B, then certifies an
-    inconsistent system.  A smaller rank of A modulo p means None only
-    when :func:`int_rank` certifies it.  The solution read from the
-    reduced form, joined by CRT to those of earlier primes and rebuilt
-    by rational reconstruction, is returned only if A Y == d B exactly.
+    Each verdict is certified.  The whole stack [A | B] is reduced
+    modulo the first prime in one :func:`_eliminate`.  All n columns of
+    A pivoting certify rank A = n (a minor nonzero modulo p is nonzero
+    over Z), and a nonzero left in B then certifies an inconsistent
+    system.  A smaller rank of A modulo p means None only when
+    :func:`_certify` certifies it; otherwise the n rows it certifies are
+    lifted.  The solutions that rational reconstruction rebuilds from
+    the first prime are accepted only if A Y == d B holds exactly, one
+    check for the stack; the systems that fail go to :func:`_lift`.
     """
     A, B = asint(A), asint(B)
-    n = A.shape[1]
-    rhs = B.reshape(len(B), -1)
-    M = np.concatenate([A, rhs], axis=1)
-    full, X = False, None  # full: rank A == n is certified
-    for p in PRIMES_30BIT:
-        R, cols = _rref(M, p)
-        if cols[:n] != list(range(n)):
-            # rank A < n over Q, or p divides every nonzero n x n minor
-            if not full and int_rank(A) < n:
-                return None
-        elif len(cols) > n:
-            return None
+    one = A.ndim == 2
+    if one:
+        A, B = A[None], B[None]
+    s, m, n = A.shape
+    rhs = B.reshape(s, m, -1)
+    out = _solve_stack(A, rhs) if s and m >= n else [None] * s
+    shape = (n,) + B.shape[2:]
+    out = [sol and (sol[0].reshape(shape), sol[1]) for sol in out]
+    return out[0] if one else out
+
+
+def _solve_stack(A, rhs):
+    """:func:`solve` on a nonempty stack with m >= n."""
+    s, m, n = A.shape
+    p = PRIMES_30BIT[0]
+    R, piv = _eliminate(np.concatenate([A, rhs], axis=2), n, p)
+    ok = (piv >= 0).all(axis=1)
+    lift = {}  # system: n of its rows, independent over Q
+    for i in (~ok).nonzero()[0].tolist():
+        # rank A < n over Q, or p divides every nonzero n x n minor
+        cols = (piv[i] >= 0).nonzero()[0]
+        rows, _ = _certify(A[i], sorted(piv[i, cols].tolist()),
+                           cols.tolist())
+        if len(rows) == n:
+            lift[i] = rows
+    if m > n:
+        # after the n pivots, B must vanish outside the pivot rows (the
+        # -1 of a system without full rank clears a row of its own)
+        tail = R[:, :, n:].any(axis=2)
+        tail[np.arange(s)[:, None], piv] = False
+        ok &= ~tail.any(axis=1)
+    idx = ok.nonzero()[0]
+    at = slice(None) if len(idx) == s else idx  # a view when all are left
+    Y, d = _reconstruct(_pivot_rows(R[at], piv[at], n, p), p)
+    out = [None] * s
+    for i, done, y, dy in zip(idx.tolist(), _solves(A[at], rhs[at], Y, d),
+                              Y, d.tolist()):
+        if done:
+            out[i] = lowest_terms(y, dy)
         else:
-            X, m = (R[:, n:], p) if X is None else \
-                (_crt(X, m, R[:, n:], p), m * p)
-            witness = _reconstruct(X, m)
-            if witness is not None:
-                Y, d = witness
-                if np.array_equal(einsum("ab,bc->ac", A, Y),
-                                  lincomb((d, rhs))):
-                    return lowest_terms(Y.reshape((n,) + B.shape[1:]), d)
-        full = True
+            lift[i] = piv[i]
+    if lift:
+        keys = sorted(lift)
+        S = np.array([lift[i] for i in keys])
+        for i, sol in zip(keys, _lift(A[keys], rhs[keys], S)):
+            out[i] = sol
+    return out
+
+
+def _lift(A, rhs, S):
+    """Solutions of a stack of systems A X = B (``rhs`` (s, m, k)) whose
+    rows S (s, n) are independent over Q, by Dixon's p-adic lifting on
+    the square subsystems A_S X = B_S; one ``(Y, d)`` or None per system.
+
+    C = A_S^{-1} modulo q comes from one :func:`_eliminate` of
+    [A_S | I], q the first prime at which A_S is nonsingular: the first
+    prime itself, unless S was certified at a prime that saw a larger
+    rank.  The systems are then lifted together by :func:`_dixon`.
+    """
+    s, _, n = A.shape
+    at = np.arange(s)[:, None]
+    sub, bsub = A[at, S], rhs[at, S]
+    out = [None] * s
+    todo = np.arange(s)
+    for q in PRIMES_30BIT:
+        eye = np.broadcast_to(np.eye(n, dtype=np.int64), (len(todo), n, n))
+        R, piv = _eliminate(np.concatenate([sub[todo], eye], axis=2), n, q)
+        ok = (piv >= 0).all(axis=1)
+        k = todo[ok]
+        if k.size:
+            C = _pivot_rows(R[ok], piv[ok], n, q)
+            for i, sol in zip(k.tolist(), _dixon(A[k], rhs[k], sub[k],
+                                                 bsub[k], C, q)):
+                out[i] = sol
+        todo = todo[~ok]
+        if not todo.size:
+            return out
     raise ArithmeticError("exact solve: prime supply exhausted")
+
+
+def _dixon(A, rhs, sub, bsub, C, q):
+    """Dixon's lifting of the stack of square systems ``sub`` X =
+    ``bsub``, C their inverses modulo q; each solution is accepted on
+    the full system A X = ``rhs``.
+
+    x_i = C r_i mod q and r_{i+1} = (r_i - A_S x_i) / q, r_0 = B_S, are
+    the q-adic digits of A_S^{-1} B_S; each product reaches the kernel
+    as an ``(array, bound)`` operand, so the residues r stay small and
+    int64 while the sum of the digits grows.  After 2, 4, 8, ... steps
+    the digits so far are rebuilt by rational reconstruction (one step
+    would repeat the first prime's).  A Y that solves A Y == d B exactly
+    is the solution; one that solves only A_S Y == d B_S certifies an
+    inconsistent system (None), since A_S determines Y.
+
+    By Hadamard, det A_S and each Cramer numerator are at most sqrt(H)
+    with H = prod_i (|row i of A_S|^2 + max |row i of B_S|^2), so
+    reconstruction cannot fail once q^k > 2 H.  A system still open
+    after that step raises ArithmeticError.
+    """
+    n = sub.shape[1]
+    limit = 2 * max(math.prod(h) for h in (
+        (sub.astype(object) ** 2).sum(axis=2)
+        + np.abs(bsub.astype(object)).max(axis=2, initial=0) ** 2).tolist())
+    live = np.arange(len(A))
+    out = [None] * len(A)
+    ma = max_abs(sub)
+    res, mres = bsub, max_abs(bsub)
+    acc = np.zeros(bsub.shape, dtype=np.int64)
+    step, mod = 0, 1
+    while True:
+        x = einsum("sij,sjk->sik", (C, q - 1), (res, mres)) % q
+        ax = einsum("sij,sjk->sik", (sub, ma), (x, q - 1))
+        res = lincomb((1, (res, mres)), (-1, (ax, n * ma * (q - 1)))) // q
+        mres = (mres + n * ma * (q - 1)) // q
+        acc = lincomb((1, (acc, mod - 1)), (mod, (x, q - 1)))
+        mod *= q
+        step += 1
+        if (step == 1 or step & (step - 1)) and mod <= limit:
+            continue
+        Y, d = _reconstruct(acc, mod)
+        done = _solves(A, rhs, Y, d)
+        for k in done.nonzero()[0].tolist():
+            out[live[k]] = lowest_terms(asint(Y[k]), int(d[k]))
+        keep = ~done
+        failed = (keep & d.astype(bool)).nonzero()[0]
+        if failed.size:
+            keep[failed] = ~_solves(sub[failed], bsub[failed], Y[failed],
+                                    d[failed])
+        if not keep.any():
+            return out
+        if mod > limit:
+            raise ArithmeticError(
+                "exact solve: lifting passed its Hadamard bound")
+        live, A, rhs, sub, bsub, C, res, acc = (
+            a[keep] for a in (live, A, rhs, sub, bsub, C, res, acc))
 
 
 def _echelon(M):

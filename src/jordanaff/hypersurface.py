@@ -112,7 +112,7 @@ class HypersurfaceModel:
         ``t_max`` and ``a_max`` cache the max-abs of the two stacks for
         the kernel.
         """
-        if self._ints:
+        if "t_ops" in self._ints:
             return self._ints
         j = self.algebra
         nn = j.dim
@@ -125,12 +125,12 @@ class HypersurfaceModel:
         w = la.einsum("ab,ib->ia", g_arr, v0_arr)
         outer = la.einsum("b,ic->ibc", e_arr, w)
         a_ops = la.lincomb((d // t_den, t_ops), (-(d // outer_den), outer))
-        self._ints = {
+        self._ints.update({
             "t_ops": t_ops, "t_den": t_den, "t_max": la.max_abs(t_ops),
             "a_ops": a_ops, "a_den": d, "a_max": la.max_abs(a_ops),
             "g": g_arr, "g_den": g_den, "v0": v0_arr,
             "gv": la.einsum("ai,ij,bj->ab", v0_arr, g_arr, v0_arr),
-        }
+        })
         return self._ints
 
     # -- exact checks ------------------------------------------------------
@@ -330,16 +330,19 @@ class HypersurfaceModel:
 def _adapted_basis(model):
     """(b, db, binv, dinv): the rows of b / db are the adapted basis
     (e, V0), and binv / dinv is the inverse of the matrix with those
-    columns."""
-    j = model.algebra
-    e, de = j._unit_int()
-    v0 = la.asint(model.v0).reshape(model.n, j.dim)
-    b = np.concatenate([e[None], la.lincomb((de, v0))])
-    sol = la.solve(b.T, np.eye(j.dim, dtype=np.int64))
-    if sol is None:
-        raise ModelError("unit and trace-zero basis do not span")
-    binv, dinv = sol
-    return b, de, la.lincomb((de, binv)), dinv
+    columns.  Solved once per model: :func:`reconstruct_algebra` and
+    :func:`adapted_constants` both read it."""
+    if "adapted" not in model._ints:
+        j = model.algebra
+        e, de = j._unit_int()
+        v0 = la.asint(model.v0).reshape(model.n, j.dim)
+        b = np.concatenate([e[None], la.lincomb((de, v0))])
+        sol = la.solve(b.T, np.eye(j.dim, dtype=np.int64))
+        if sol is None:
+            raise ModelError("unit and trace-zero basis do not span")
+        binv, dinv = sol
+        model._ints["adapted"] = (b, de, la.lincomb((de, binv)), dinv)
+    return model._ints["adapted"]
 
 
 def reconstruct_algebra(model):

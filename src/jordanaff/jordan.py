@@ -382,29 +382,31 @@ class JordanAlgebra:
         return self._cache["unity_int"]
 
     def _invert_int(self, x, dx, p, dp):
-        """Kernel form of the Jordan inverse P_v^{-1} v of v = x / dx,
-        given P_v = p / dp; raises when P_v is singular."""
+        """Kernel forms of the Jordan inverses P_v^{-1} v of the rows v
+        of x / dx, given the stack P_v = p / dp: one ``(w, dw)`` per row,
+        or None where P_v is singular.  All rows are solved in one call."""
         self.unity()
         rhs = la.lincomb((dp // dx, x))
         if self.mode == FLOAT:
             d = np.linalg.det(p)
-            scale = max(1.0, float(np.linalg.norm(p, "fro"))) ** self.dim
-            if abs(d) <= TOL.det_floor * scale:
-                raise NotInvertibleError(
-                    "quadratic operator is numerically singular; no inverse "
-                    "(invertibility fails exactly when det P_v = 0)")
-            return np.linalg.solve(p, rhs), 1
-        sol = la.solve(p, rhs)
-        if sol is None:
-            raise NotInvertibleError(
-                "quadratic operator P_v is singular, so v has no inverse")
-        return sol
+            scale = np.maximum(1.0, np.linalg.norm(p, axis=(1, 2))) ** self.dim
+            ok = np.abs(d) > TOL.det_floor * scale
+            w = np.zeros(rhs.shape)
+            w[ok] = np.linalg.solve(p[ok], rhs[ok][..., None])[..., 0]
+            return [(wi, 1) if k else None for wi, k in zip(w, ok)]
+        return la.solve(p, rhs)
 
     def invert(self, v):
-        """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
+        """Jordan inverse P_v^{-1} v; raises when P_v is singular (in
+        float mode, numerically singular)."""
         x, dx = self._elem(v)
-        (p,), dp = self._p_int(x[None], dx)
-        return self._out(*self._invert_int(x, dx, p, dp))
+        p, dp = self._p_int(x[None], dx)
+        (sol,) = self._invert_int(x[None], dx, p, dp)
+        if sol is None:
+            raise NotInvertibleError(
+                "quadratic operator P_v is singular, so v has no inverse "
+                "(invertibility fails exactly when det P_v = 0)")
+        return self._out(*sol)
 
     # -- the Jordan axioms -------------------------------------------------
     #
@@ -515,41 +517,53 @@ class JordanAlgebra:
         integer tensors and is exact.
         """
         rng = random.Random(seed)
-        c, st, dc = self._operands()
+        c, _, dc = self._operands()
         U, V, W, Z = (self._int_elements(rng, n_samples, 3)
                       for _ in range(4))
 
         def prod(a, b):
             return la.einsum("si,sj,ijk->sk", a, b, c)
 
-        def trip(a, b, w):
-            return la.lincomb((1, prod(prod(a, b), w)),
-                              (1, prod(prod(w, b), a)),
-                              (-1, prod(prod(a, w), b)))
-
-        def lmat(a, b):
-            # columns of L(a, b): images of the basis vectors
-            p1 = la.einsum("sl,lkm->skm", prod(a, b), c)
-            q = la.einsum("sj,kjl->skl", b, c)
-            p2 = la.einsum("skl,si,lim->skm", q, a, c)
-            r = la.einsum("si,ikl->skl", a, c)
-            p3 = la.einsum("skl,sj,ljm->skm", r, b, c)
-            return la.lincomb((1, p1), (1, p2), (-1, p3)).transpose(0, 2, 1)
-
         def mm(x, y):
             return la.einsum("sab,sbc->sac", x, y)
 
+        def mv(x, y):
+            return la.einsum("sab,sb->sa", x, y)
+
+        def scanned(x):
+            return x, la.max_abs(x)
+
+        # multiplication stacks, [s, k, l] = (a o e_k)_l and (e_k o a)_l;
+        # left(a) is T_a transposed
+        def left(a):
+            return scanned(la.einsum("si,ikl->skl", a, c))
+
+        def right(a):
+            return scanned(la.einsum("sj,kjl->skl", a, c))
+
+        def lmat(lab, la_, ra, rb):
+            # L(a, b) = T_{a o b} + R_b R_a - L_a R_b, transposed, from the
+            # left stacks of a o b and a and the right stacks of a and b:
+            # its columns are the images of the basis vectors, so
+            # L(a, b) w = t(a, b, w)
+            return la.lincomb((1, lab), (1, mm(rb, ra)),
+                              (-1, mm(la_, rb))).transpose(0, 2, 1)
+
+        (lu, ru), (lv, rv), (lw, rw), (lz, rz) = (
+            (left(x), right(x)) for x in (U, V, W, Z))
+        l_uv = left(prod(U, V))
+        luv = lmat(l_uv, lu, ru, rv)
+        lvu = lmat(left(prod(V, U)), lv, rv, ru)
+        lwv = lmat(left(prod(W, V)), lw, rw, rv)
+
         d2 = dc * dc
         worsts = {}
-        tuvw = trip(U, V, W)
+        tuvw = mv(luv, W)
         worsts["outer_symmetry"] = self._worst(
-            (1, tuvw, d2), (-1, trip(W, V, U), d2))
+            (1, tuvw, d2), (-1, mv(lwv, U), d2))
 
-        luv, lvu = lmat(U, V), lmat(V, U)
-        tu = la.einsum("si,ikj->skj", U, st)
-        tv = la.einsum("si,ikj->skj", V, st)
+        tu, tv, t_uv = (x[0].transpose(0, 2, 1) for x in (lu, lv, l_uv))
         tutv, tvtu = mm(tu, tv), mm(tv, tu)
-        t_uv = la.einsum("sl,lkj->skj", prod(U, V), st)
         worsts["operator_form"] = self._worst(
             (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
         worsts["symmetric_part"] = self._worst(
@@ -559,18 +573,19 @@ class JordanAlgebra:
 
         g, dg = self._gram_int()
         lhs = la.einsum("sm,mq,sq->s", tuvw, g, Z)
-        rhs = la.einsum("sm,mq,sq->s", trip(V, U, Z), g, W)
+        rhs = la.einsum("sm,mq,sq->s", mv(lvu, Z), g, W)
         worsts["trace_form_transpose"] = self._worst(
             (1, lhs, d2 * dg), (-1, rhs, d2 * dg))
 
         # [L(w,z), L(u,v)] = L(t(w,z,u), v) - L(u, t(z,w,v)); every term
         # carries dc^4
-        lwz = lmat(W, Z)
-        a = la.einsum("sab,sb->sa", lwz, U)
-        b = la.einsum("sab,sb->sa", lmat(Z, W), V)
+        lwz = lmat(left(prod(W, Z)), lw, rw, rz)
+        a = mv(lwz, U)
+        b = mv(lmat(left(prod(Z, W)), lz, rz, rw), V)
         worsts["commutation_rule"] = self._worst(
             (1, mm(lwz, luv), d2 * d2), (-1, mm(luv, lwz), d2 * d2),
-            (-1, lmat(a, V), d2 * d2), (1, lmat(U, b), d2 * d2))
+            (-1, lmat(left(prod(a, V)), left(a), right(a), rv), d2 * d2),
+            (1, lmat(left(prod(U, b)), lu, ru, right(b)), d2 * d2))
 
         worst = max(worsts.values())
         return CheckResult(
@@ -614,9 +629,10 @@ class JordanAlgebra:
         skipped (they have no inverse by definition).  Up to
         4 * ``n_samples`` elements are drawn, in chunks of the count
         still missing, so the draws are those of one element at a time.
-        Each w is solved on its own, and the identities then run on the
-        stack of invertible v.  w keeps its own denominator: scaled to a
-        common one, its integers would grow with every other sample's.
+        The w of a chunk are solved in one call, and the identities then
+        run on the stack of invertible v.  w keeps its own denominator:
+        scaled to a common one, its integers would grow with every other
+        sample's.
         """
         rng = random.Random(seed)
         xs, ps, ws = [], [], []
@@ -626,13 +642,9 @@ class JordanAlgebra:
                                                4 * n_samples - drawn), 3)
             drawn += len(rows)
             p, dpv = self._p_int(rows, 1)
-            kept = []
-            for i in range(len(rows)):
-                try:
-                    ws.append(self._invert_int(rows[i], 1, p[i], dpv))
-                except NotInvertibleError:
-                    continue
-                kept.append(i)
+            sols = self._invert_int(rows, 1, p, dpv)
+            kept = [i for i, sol in enumerate(sols) if sol is not None]
+            ws += [sols[i] for i in kept]
             xs.append(rows[kept])
             ps.append(p[kept])
         if not ws:

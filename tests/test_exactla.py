@@ -7,6 +7,8 @@ inertia counts against numpy's eigenvalue signs on integer symmetric
 matrices and against the Fraction elimination it replaced.
 """
 
+import ast
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -544,6 +546,84 @@ def test_tall_solve_and_null_space_match_sympy(data):
         assert _rationals(*got) == want
 
 
+def _stacked_system(data, m, n, k):
+    """One system of an m x n stack, with k right-hand sides (k = 0: a
+    vector): unique, rank-deficient or (when tall) mostly inconsistent."""
+    a = _tall_system(data, m, n)
+    kind = data.draw(st.sampled_from(["unique", "singular", "random"]))
+    if kind == "singular":   # the last column repeats the first
+        for row in a:
+            row[-1] = row[0] if n > 1 else 0
+    entry = st.integers(-2 ** 40, 2 ** 40)
+    if kind == "random":
+        return a, [[data.draw(entry) for _ in range(k or 1)]
+                   for _ in range(m)]
+    x0 = [[data.draw(entry) for _ in range(k or 1)] for _ in range(n)]
+    return a, (sympy.Matrix(a) * sympy.Matrix(x0)).tolist()
+
+
+def _assert_solves_like_sympy(a, b, got):
+    sa, sb = sympy.Matrix(a), sympy.Matrix(b)
+    try:
+        want, params = sa.gauss_jordan_solve(sb)
+    except ValueError:       # inconsistent
+        want = None
+    if want is None or params.shape[0]:
+        assert got is None
+    else:
+        assert _rationals(*got) == want
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_stacked_solve_matches_sympy(data):
+    """A stack mixes unique, rank-deficient and inconsistent systems with
+    a system whose answer is 2**40 and one whose pivot block is divisible
+    by the first prime; each result is sympy's, and the same as solving
+    that system alone."""
+    p = la.PRIMES_30BIT[0]
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(n, n + 3))
+    k = data.draw(st.integers(0, 2))
+    systems = [_stacked_system(data, m, n, k)
+               for _ in range(data.draw(st.integers(0, 4)))]
+    pad = [[0] * n for _ in range(m - n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    big = [[2 ** 40 if i == 0 else 1] * (k or 1) for i in range(m)]
+    big[n:] = [[0] * (k or 1)] * (m - n)
+    block = [[p if i == j == 0 else int(i == j) for j in range(n)]
+             for i in range(n)]
+    for extra in ((eye + pad, big), (block + pad, big)):
+        systems.insert(data.draw(st.integers(0, len(systems))), extra)
+    a = la.asint([ai for ai, _ in systems])
+    b = la.asint([[r if k else r[0] for r in bi] for _, bi in systems])
+    got = la.solve(a, b)
+    assert len(got) == len(systems)
+    for (ai, bi), sol, alone in zip(systems, got,
+                                    (la.solve(x, y) for x, y in zip(a, b))):
+        _assert_solves_like_sympy(ai, bi, sol)
+        assert (sol is None) == (alone is None)
+        if sol is not None:
+            assert sol[1] == alone[1] and (sol[0] == alone[0]).all()
+            assert sol[0].shape == ((n, k) if k else (n,))
+
+
+def test_stacked_inverses_of_a_big_isotope(big_isotopes):
+    """The inverses of the full_real(m=2)^(10^9/3) isotope, as
+    check_inverse_identities solves them: P_v w = v for a stack of v,
+    against sympy's LUsolve."""
+    j = big_isotopes["full_real(m=2)^(10^9/3)"]
+    x = j._int_elements(random.Random(5), 8, 3)
+    pv, dp = j._p_int(x, 1)
+    rhs = la.lincomb((dp, x))
+    for pi, ri, sol in zip(pv, rhs, la.solve(pv, rhs)):
+        sp = sympy.Matrix(pi.tolist())
+        if sp.det() == 0:
+            assert sol is None
+        else:
+            assert _rationals(*sol) == sp.LUsolve(sympy.Matrix(ri.tolist()))
+
+
 def test_solve_sees_rows_hidden_from_the_prime():
     """The only inconsistent row is divisible by the candidate prime, so
     the modular pivot selection skips it; the exact check on every row
@@ -558,31 +638,68 @@ def test_solve_sees_rows_hidden_from_the_prime():
 
 
 def test_solve_draws_more_primes(monkeypatch):
-    """An entry above sqrt(p / 2) cannot be rebuilt from one prime, a
-    prime that divides det A shows too small a rank, and a pivot that
-    moves to another column modulo the first prime fails the exact
-    check: each draws more primes and still gives the exact answer."""
+    """An entry above sqrt(p / 2) cannot be rebuilt from the first prime
+    p: [A | B] is eliminated once modulo p, and the solution is lifted
+    p-adically with no other prime.  Reconstruction is tried after 2
+    steps and after the third, the first past the Hadamard bound.  A
+    prime that divides det A shows too small a rank: rank A = 2 is
+    certified, and A is lifted modulo the next prime.  A pivot that
+    moves to another column modulo p fails null_space's exact check and
+    draws more primes.  Each gives the exact answer."""
     p = la.PRIMES_30BIT[0]
-    primes = []
-    mod_rank = la._mod_rank
+    primes, eliminated, moduli = [], [], []
+    mod_rank, eliminate, reconstruct = \
+        la._mod_rank, la._eliminate, la._reconstruct
 
     def counted(a, q):
         primes.append(q)
         return mod_rank(a, q)
 
+    def counted_eliminate(m, n, q):
+        eliminated.append((q, m.shape))
+        return eliminate(m, n, q)
+
+    def counted_reconstruct(x, m):
+        moduli.append(m)
+        return reconstruct(x, m)
+
     monkeypatch.setattr(la, "_mod_rank", counted)
+    monkeypatch.setattr(la, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(la, "_reconstruct", counted_reconstruct)
     x, d = la.solve([[1]], [2 ** 40])
     assert x.tolist() == [2 ** 40] and d == 1
-    assert la.PRIMES_30BIT[1] in primes
-    # p divides det A: rank A = 2 is certified, and the next prime solves
+    # [A | B] modulo p, then [A_S | I] to invert A_S for the lifting
+    assert eliminated == [(p, (1, 1, 2)), (p, (1, 1, 2))] and primes == []
+    assert moduli == [p, p ** 2, p ** 3]
+    # p divides det A: rank A = 2 is certified, and the next prime lifts
+    eliminated.clear()
     x, d = la.solve([[p, 0], [0, 1]], [1, 1])
     assert x.tolist() == [1, p] and d == p
+    assert [q for q, _ in eliminated] == [p, p, la.PRIMES_30BIT[1]]
     primes.clear()
     # modulo p the pivot is column 1, over Q it is column 0
     ns, d = la.null_space([[p, 1]])
     assert [list(_rationals(v, d)) for v in ns] == \
         [list(v) for v in sympy.Matrix([[p, 1]]).nullspace()]
     assert la.PRIMES_30BIT[1] in primes
+
+
+def test_lifting_stops_at_the_hadamard_bound(monkeypatch):
+    """Were reconstruction never to succeed, lifting would still stop:
+    with H = 1 + 2**80 for A = [1], B = [2**40], the third step passes
+    2 H and raises ArithmeticError after its reconstruction."""
+    p = la.PRIMES_30BIT[0]
+    moduli = []
+
+    def never(x, m):
+        moduli.append(m)
+        return np.zeros(x.shape, dtype=np.int64), \
+            np.zeros(len(x), dtype=object)
+
+    monkeypatch.setattr(la, "_reconstruct", never)
+    with pytest.raises(ArithmeticError, match="Hadamard"):
+        la.solve([[1]], [2 ** 40])
+    assert moduli == [p, p ** 2, p ** 3]
 
 
 def test_solvers_never_eliminate_over_objects(monkeypatch, desk_instances,
@@ -631,6 +748,36 @@ def test_only_det_eliminates_exactly():
             elif re.search(r"\b(_tall|_echelon)\b", line):
                 users.append((path.name, top))
     assert users == [("exactla.py", "det")]
+
+
+def test_solve_lifts_instead_of_drawing_primes():
+    """solve eliminates [A | B] modulo the first prime only and lifts
+    what that prime cannot rebuild: solve and its helpers reference
+    neither ``_crt`` nor a prime past the first by index (a later prime
+    serves only as the lifting prime of an A_S singular modulo the
+    first).  No sampled check (a function taking ``n_samples``) calls
+    solve, or the inverses built on it, inside a loop or comprehension
+    over its samples."""
+    helpers = (la.solve, la._solve_stack, la._lift, la._dixon)
+    source = "".join(inspect.getsource(f) for f in helpers)
+    assert not re.search(r"\b_crt\b|PRIMES_30BIT\[(?!0\])", source)
+    src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+    loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or \
+                    "n_samples" not in [a.arg for a in fn.args.args]:
+                continue
+            offenders += [
+                f"{path.name}:{fn.name}:{call.lineno}"
+                for loop in ast.walk(fn) if isinstance(loop, loops)
+                for call in ast.walk(loop)
+                if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Attribute)
+                and call.func.attr in ("solve", "_invert_int")]
+    assert offenders == []
 
 
 class TestGaussianInteger:

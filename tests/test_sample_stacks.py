@@ -4,7 +4,7 @@ The kernel forms ``_t_int``, ``_prod_int`` and ``_p_int`` take a stack of
 elements and must agree with one element at a time; the batched
 ``check_inverse_identities`` must draw, skip and report exactly as a
 loop over one element at a time; no sampled check may pay per sample in
-kernel calls, apart from the one ``solve`` of each inverse.
+kernel calls, and the inverses of a chunk of draws are one ``solve``.
 """
 
 import random
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from jordanaff import exactla as la
 from jordanaff.hypersurface import build_model
-from jordanaff.jordan import NotInvertibleError, direct_sum
+from jordanaff.jordan import direct_sum
 
 F = Fraction
 
@@ -116,10 +116,10 @@ def _inverse_loop(j, n_samples, seed):
             break
         x = j._int_elements(rng, 1, 3)
         pv, dpv = j._p_int(x, 1)
-        try:
-            y, dw = j._invert_int(x[0], 1, pv[0], dpv)
-        except NotInvertibleError:
+        (sol,) = j._invert_int(x, 1, pv, dpv)
+        if sol is None:
             continue
+        y, dw = sol
         done += 1
         y = y[None]
         py, dpy = j._p_int(y, dw)
@@ -138,12 +138,13 @@ def _inverse_loop(j, n_samples, seed):
 
 
 def _recording_inverses(j, monkeypatch):
-    """Record the element of every inversion j attempts, in order."""
+    """Record the element of every inversion j attempts, in order: the
+    rows of each stack passed to ``_invert_int``."""
     tried = []
     invert = j._invert_int
 
     def record(x, dx, p, dp):
-        tried.append(x.tolist())
+        tried.extend(x.tolist())
         return invert(x, dx, p, dp)
     monkeypatch.setattr(j, "_invert_int", record)
     return tried
@@ -237,8 +238,8 @@ def test_kernel_calls_do_not_grow_with_samples(check, get_algebra,
         runs.append(counts)
     assert runs[0]["einsum"] == runs[1]["einsum"]
     if check == "check_inverse_identities":
-        # no draw was singular, so the only per-sample call is solve
-        assert [r["solve"] for r in runs] == [5, 20]
+        # no draw was singular: one chunk, whose inverses are one solve
+        assert [r["solve"] for r in runs] == [1, 1]
     else:
         assert runs[0]["solve"] == runs[1]["solve"] == 0
 
