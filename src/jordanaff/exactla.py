@@ -21,23 +21,23 @@ A float64 operand makes the whole call run in float64, which is how
 float-mode algebras share the exact code paths.
 
 Ranks and solutions are certified, not probabilistic, and none of them
-eliminates over Python integers.  A Gauss-Jordan elimination modulo one
-30-bit prime finds the pivots: rows independent modulo a prime are
-independent over Q.  What it solves is rebuilt by rational
-reconstruction and accepted only when one exact identity, checked with
-:func:`einsum`, holds on every row: Y @ M[pivot rows] == d * M for a
-rank (after Kaltofen, Nehring and Saunders, "Quadratic-time certificates
-in linear algebra", ISSAC 2011), A Y == d B for :func:`solve` and
-A K^T == 0 for :func:`null_space`.  For a rank and a kernel more primes
-are drawn, their residues joined by CRT, only when that fails.
-:func:`solve` takes a stack of systems and eliminates it modulo the
-first prime in one batched pass; a system whose solution that prime
-cannot rebuild is lifted p-adically on its pivot rows (Dixon, Numer.
-Math. 40, 1982), each extra digit one matrix product, until
-reconstruction succeeds or a Hadamard bound says it must have.
-:func:`det` keeps one fraction-free elimination on Python integers, and
-:func:`inertia` is its symmetric counterpart, which pivots on the
-diagonal.
+eliminates over Python integers.  One batched Gauss-Jordan elimination
+modulo a 30-bit prime, :func:`_eliminate`, finds every pivot: rows
+independent modulo a prime are independent over Q.  :func:`solve`
+eliminates a stack of systems [A | B] modulo the first prime at once; a
+solution that prime cannot rebuild by rational reconstruction is lifted
+p-adically on its pivot rows (Dixon, Numer. Math. 40, 1982) until it
+can be or a Hadamard bound says it must have been.  A rank solves for
+the coordinates of every row on the pivot rows, a kernel for the free
+columns on the pivot columns.  Each result is accepted only when an
+exact identity holds on every row: A Y == d B for :func:`solve`,
+Y @ M[pivot rows] == d * M for a rank (after Kaltofen, Nehring and
+Saunders, "Quadratic-time certificates in linear algebra", ISSAC 2011),
+and for :func:`null_space` a solution zero at every pivot column right
+of each free column.  Only when a rank or a kernel fails its check is
+another prime drawn, for its pivots alone.  :func:`det` keeps one
+fraction-free elimination on Python integers, and :func:`inertia` is
+its symmetric counterpart, which pivots on the diagonal.
 """
 
 from __future__ import annotations
@@ -280,55 +280,6 @@ PRIMES_30BIT = tuple(itertools.islice(
     filter(_is_prime, range(2 ** 30 - 1, 0, -2)), 150))
 
 
-def _reduce_mod(M, p):
-    return (M % p).astype(np.int64)
-
-
-def _mod_rank(A, p):
-    """Gauss-Jordan elimination of the int64 matrix A modulo the prime p.
-
-    A is reduced in place: its first r rows become the reduced row
-    echelon form.  Returns r, the indices of the pivot rows in A as given
-    and the pivot columns; the r x r minor of A on those rows and columns
-    is nonzero modulo p.
-    """
-    n_rows, n_cols = A.shape
-    perm = np.arange(n_rows)
-    cols = []
-    for c in range(n_cols):
-        r = len(cols)
-        if r == n_rows:
-            break
-        rows = A[:, c].nonzero()[0]
-        k = int(rows.searchsorted(r))
-        if k == rows.size:
-            continue
-        # rows r and below are zero left of c, so swapping from c is a
-        # full row swap; row r was zero at c, so row i's place in rows
-        # passes to r
-        i = int(rows[k])
-        if i != r:
-            A[[r, i], c:] = A[[i, r], c:]
-            perm[[r, i]] = perm[[i, r]]
-            rows[k] = r
-        pivot = A[r, c:] * pow(int(A[r, c]), -1, p) % p
-        # clearing column c in every row zeroes row r too; it then gets
-        # its normalized self back
-        A[rows, c:] = (A[rows, c:] - A[rows, c, None] * pivot) % p
-        A[r, c:] = pivot
-        cols.append(c)
-    r = len(cols)
-    return r, [int(x) for x in perm[:r]], cols
-
-
-def _rref(M, p):
-    """The reduced row echelon form of the integer matrix M modulo p:
-    ``(R, cols)``, one row of R per pivot column in ``cols``."""
-    R = _reduce_mod(M, p)
-    r, _, cols = _mod_rank(R, p)
-    return R[:r], cols
-
-
 def _eliminate(M, n, p):
     """Gauss-Jordan elimination modulo the prime p of the first n
     columns of every matrix of the stack M (s, m, w), all at once.
@@ -340,34 +291,42 @@ def _eliminate(M, n, p):
     no inverse is taken per column: a row with entry a at c becomes
     v * row - a * (pivot row), v the pivot, each product below 2**60.
     Pivot rows therefore come out scaled by a unit; :func:`_pivot_rows`
-    divides them out.  Unless the matrices are square, a column updates
-    only the rows nonzero at c in some matrix of the stack, which keeps
-    tall sparse systems cheap.
+    divides them out.  Unless half the rows are nonzero at c, a column
+    updates only those rows, which keeps sparse systems cheap; a column
+    zero in every row is never visited, one without a candidate row
+    costs one test, and the loop stops once no matrix has a free row.
     """
-    R = _reduce_mod(M, p)
+    R = (M % p).astype(np.int64)
     s, m, _ = R.shape
     free = np.ones((s, m), dtype=bool)
     piv = np.full((s, n), -1)
     every = np.arange(s)
-    for c in range(n):
-        nz = R[:, :, c] != 0
-        cand = nz & free
+    left = s * m  # free rows in the stack
+    # a column zero in every row stays zero
+    for c in np.flatnonzero(R[:, :, :n].any(axis=(0, 1))).tolist():
+        if not left:
+            break
+        cand = np.logical_and(R[:, :, c], free)
+        if not np.count_nonzero(cand):
+            continue
         has = cand.any(axis=1)
-        if has.all():
+        pr = cand.argmax(axis=1)
+        if np.count_nonzero(has) == s:
             ps = every
         else:
             ps = has.nonzero()[0]
-            if not ps.size:
-                continue
-            cand, nz = cand[ps], nz[ps]
-        pr = cand.argmax(axis=1)
+            pr = pr[ps]
         prow = R[ps, pr]
-        # R itself when every matrix pivots and is square or has every
-        # row touched
-        dense = ps is every and (m == n or nz.all())
-        if not dense:
-            at = ps[:, None], nz.any(axis=0).nonzero()[0]
-        block = R if dense else R[at]
+        # R itself when every matrix pivots and at least half the rows
+        # are nonzero at c; else the rows nonzero at c in some matrix,
+        # taken along axis 1 when every matrix pivots
+        dense = ps is every and 2 * np.count_nonzero(R[:, :, c]) >= s * m
+        if dense:
+            block = R
+        else:
+            rows = R[:, :, c].any(axis=0).nonzero()[0]
+            at = (slice(None) if ps is every else ps[:, None]), rows
+            block = R.take(rows, axis=1) if ps is every else R[at]
         col = block[:, :, c, None] * prow[:, None]
         block *= prow[:, None, c, None]
         block -= col
@@ -377,6 +336,7 @@ def _eliminate(M, n, p):
         R[ps, pr] = prow
         free[ps, pr] = False
         piv[ps, c] = pr
+        left -= len(ps)
     return R, piv
 
 
@@ -389,22 +349,6 @@ def _pivot_rows(R, piv, n, p):
     inv = np.array([pow(v, -1, p) for v in diag.ravel().tolist()],
                    dtype=np.int64).reshape(diag.shape)
     return rows[:, :, n:] * inv[:, :, None] % p
-
-
-def _solve_mod(M, rows, cols, p):
-    """X with X @ M[rows][:, cols] == M[:, cols] modulo p, one row per
-    row of M, or None when that minor is singular modulo p: the
-    transposed system [M[rows, cols]^T | M[:, cols]^T] reduces to
-    [I | X^T] exactly when the minor is nonsingular."""
-    sub = M[:, cols]
-    R, pivots = _rref(np.concatenate([sub[rows].T, sub.T], axis=1), p)
-    return R[:, len(rows):].T if pivots == list(range(len(rows))) else None
-
-
-def _crt(x, m, y, q):
-    """The residues modulo m * q that are x modulo m and y modulo q."""
-    t = (y - _reduce_mod(x, q)) % q * pow(m, -1, q) % q
-    return lincomb((1, x), (m, t))
 
 
 def _denominator(u, m, bound):
@@ -446,49 +390,45 @@ def _reconstruct(X, m):
         Y = lincomb((d, flat)) % m
 
 
+def _pivots(M, p):
+    """The pivot rows (sorted) and pivot columns of the integer matrix M
+    modulo the prime p, from one :func:`_eliminate`; the minor of M on
+    them is nonzero modulo p."""
+    _, piv = _eliminate(M[None], M.shape[1], p)
+    cols = (piv[0] >= 0).nonzero()[0]
+    return sorted(piv[0, cols].tolist()), cols.tolist()
+
+
 def _certify(M, rows, cols):
     """Certify that ``rows`` of the integer matrix M span its row space.
 
-    ``rows`` (sorted) and ``cols`` come from :func:`_mod_rank` at the
-    first prime, so the minor M[rows, cols] is nonzero modulo that prime
-    and the rows are independent over Q.  The coordinates X of every row
-    on the minor's columns are solved modulo the prime, rebuilt as Y / d
-    by rational reconstruction and accepted only if Y @ M[rows] == d * M
-    holds exactly.  Another prime is drawn only when reconstruction or
-    that check fails: its residues join X by CRT, a prime at which the
-    minor is singular is skipped, and a prime at which M has a larger
-    rank restarts from that prime's pivots.
+    ``rows`` and ``cols`` are the :func:`_pivots` of M at the first
+    prime, so the minor M[rows, cols] is nonzero modulo that prime and
+    the rows are independent over Q.  When they are all the rows of M,
+    the identity is the witness.  Otherwise the coordinates Y / d of
+    every row on the minor's columns are solved exactly, by :func:`solve`
+    on the transposed minor, and accepted only if Y @ M[rows] == d * M
+    holds exactly.  When it does not, M has a larger rank over Q, and
+    the pivots of the next prime that sees a larger rank are tried.
 
     Returns ``(rows, (Y, d))``.
     """
-    primes = iter(PRIMES_30BIT)
-    p = next(primes)
-    X = None
+    primes = iter(PRIMES_30BIT[1:])
     while True:
-        Xp = _solve_mod(M, rows, cols, p)
-        if Xp is not None:
-            X, m = (Xp, p) if X is None else (_crt(X, m, Xp, p), m * p)
-            (Y,), (d,) = _reconstruct(X[None], m)
-            if d and np.array_equal(einsum("ab,bc->ac", Y, M[rows]),
-                                    lincomb((d, M))):
-                return rows, (Y, d)
+        if len(rows) == len(M):
+            return rows, (np.eye(len(M), dtype=np.int64), 1)
+        sub = M[:, cols]
+        X, d = solve(sub[rows].T, sub.T)
+        Y = X.T
+        if np.array_equal(einsum("ab,bc->ac", Y, M[rows]), lincomb((d, M))):
+            return rows, (Y, d)
         for p in primes:
-            r, rows_p, cols_p = _mod_rank(_reduce_mod(M, p), p)
-            if r >= len(rows):
+            rows_p, cols_p = _pivots(M, p)
+            if len(rows_p) > len(rows):
+                rows, cols = rows_p, cols_p
                 break
         else:
             raise ArithmeticError("certified rank: prime supply exhausted")
-        if r > len(rows):
-            rows, cols, X = sorted(rows_p), cols_p, None
-
-
-def _first_prime(M):
-    """M as a kernel array, with its pivot rows (sorted) and pivot
-    columns modulo the first prime."""
-    M = asint(M)
-    p = PRIMES_30BIT[0]
-    _, rows, cols = _mod_rank(_reduce_mod(M, p), p)
-    return M, sorted(rows), cols
 
 
 def int_rank(M) -> int:
@@ -498,7 +438,8 @@ def int_rank(M) -> int:
     larger rank exists; any smaller one is certified by the span
     identity of :func:`independent_rows`.
     """
-    M, rows, cols = _first_prime(M)
+    M = asint(M)
+    rows, cols = _pivots(M, PRIMES_30BIT[0])
     if len(rows) < min(M.shape):
         rows, _ = _certify(M, rows, cols)
     return len(rows)
@@ -514,13 +455,14 @@ def independent_rows(M):
     ``rows``) with Y @ M[rows] == d * M, checked exactly before return.
     The rank is ``len(rows)``.
     """
-    return _certify(*_first_prime(M))
+    M = asint(M)
+    return _certify(M, *_pivots(M, PRIMES_30BIT[0]))
 
 
 def lowest_terms(arr, den):
     """The kernel pair (arr, den) divided by the gcd of den and every
     entry of arr."""
-    g = math.gcd(den, *arr.flat)
+    g = math.gcd(den, int(np.gcd.reduce(arr, axis=None)))
     if g == 1:
         return arr, den
     return asint(arr.astype(object) // g), den // g
@@ -531,30 +473,37 @@ def null_space(A):
     are an integer basis, and K / d is the reduced one (1 at its own free
     column, 0 at the other free columns).
 
-    The basis is read from the reduced form modulo a prime, rebuilt by
-    rational reconstruction and accepted only if A K^T == 0 holds
-    exactly.  Then the rank and the pivot columns modulo p are those over
-    Q, since each free column is a combination of earlier pivot columns.
-    A prime with a larger rank or lexicographically smaller pivot columns
-    restarts the residues; one with a smaller rank or larger pivot
-    columns is skipped.
+    The pivot columns P of A modulo a prime are independent over Q, so
+    the solve of A[:, P] X = -d A[:, F], F the free columns, has a
+    unique X or none; modulo the first prime it reuses the elimination
+    that found P.  The basis is accepted only if X is zero at every
+    pivot column right of each free column: then each free column is a
+    combination of earlier pivot columns, so P are the pivot columns
+    over Q and K / d is the reduced basis.  Otherwise the pivots of the
+    next prime with a larger rank or lexicographically smaller pivot
+    columns are tried.
     """
     A = asint(A)
     n = A.shape[1]
-    best = X = None
+    best = (1,)  # above every (-rank, pivot columns)
     for p in PRIMES_30BIT:
-        R, cols = _rref(A, p)
-        key = (-len(cols), cols)
-        if best is not None and key > best:
+        R, piv = _eliminate(A[None], n, p)
+        cols = (piv[0] >= 0).nonzero()[0].tolist()
+        if (-len(cols), cols) >= best:
             continue
+        best = (-len(cols), cols)
         free = [c for c in range(n) if c not in cols]
-        Kp = np.eye(n, dtype=np.int64)[free]
-        Kp[:, cols] = -R[:, free].T % p
-        X, m = (_crt(X, m, Kp, p), m * p) if key == best else (Kp, p)
-        best = key
-        (K,), (d,) = _reconstruct(X[None], m)
-        if d and not einsum("ab,cb->ac", A, K).any():
-            return lowest_terms(K, d)
+        # modulo the first prime, [A_P | -A_F] reduces to these columns
+        # of R in that order, the free ones negated
+        reduced = p == PRIMES_30BIT[0] and (np.concatenate(
+            [R[:, :, cols], -R[:, :, free] % p], axis=2), piv[:, cols])
+        (sol,) = _solve_stack(A[None, :, cols], -A[None, :, free], reduced)
+        if sol is None or sol[0][np.greater.outer(cols, free)].any():
+            continue
+        X, d = sol
+        K = np.eye(n, dtype=object)[free] * d
+        K[:, cols] = X.T
+        return asint(K), d
     raise ArithmeticError("null space: prime supply exhausted")
 
 
@@ -591,18 +540,19 @@ def solve(A, B):
     if one:
         A, B = A[None], B[None]
     s, m, n = A.shape
-    rhs = B.reshape(s, m, -1)
+    rhs = B.reshape(s, m, math.prod(B.shape[2:]))
     out = _solve_stack(A, rhs) if s and m >= n else [None] * s
     shape = (n,) + B.shape[2:]
     out = [sol and (sol[0].reshape(shape), sol[1]) for sol in out]
     return out[0] if one else out
 
 
-def _solve_stack(A, rhs):
-    """:func:`solve` on a nonempty stack with m >= n."""
+def _solve_stack(A, rhs, reduced=None):
+    """:func:`solve` on a nonempty stack with m >= n; ``reduced`` is the
+    :func:`_eliminate` of [A | B] modulo the first prime, if known."""
     s, m, n = A.shape
     p = PRIMES_30BIT[0]
-    R, piv = _eliminate(np.concatenate([A, rhs], axis=2), n, p)
+    R, piv = reduced or _eliminate(np.concatenate([A, rhs], axis=2), n, p)
     ok = (piv >= 0).all(axis=1)
     lift = {}  # system: n of its rows, independent over Q
     for i in (~ok).nonzero()[0].tolist():

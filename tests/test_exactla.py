@@ -132,18 +132,29 @@ def test_rank_below_the_first_prime_draws_another(monkeypatch):
     p = la.PRIMES_30BIT[0]
     m = [[1, 0, 1], [0, p, p], [1, p, p + 1]]
     primes = []
-    mod_rank = la._mod_rank
+    eliminate = la._eliminate
 
-    def counted(a, q):
+    def counted(a, n, q):
         primes.append(q)
-        return mod_rank(a, q)
+        return eliminate(a, n, q)
 
-    monkeypatch.setattr(la, "_mod_rank", counted)
+    monkeypatch.setattr(la, "_eliminate", counted)
     assert la.int_rank(m) == 2
     assert la.PRIMES_30BIT[1] in primes
     idx, witness = la.independent_rows(m)
     assert len(idx) == 2
     _assert_spans(m, idx, witness)
+
+
+def test_span_coordinates_beyond_one_prime():
+    """Span coordinates near the first prime p are beyond what rational
+    reconstruction rebuilds from p alone; the witness solve lifts them."""
+    p = la.PRIMES_30BIT[0]
+    for m in ([[-1], [-(p - 2)]], [[0], [1], [2 * p - 3], [0]],
+              [[1, 2], [p - 2, 2 * p - 4], [3, 6]]):
+        idx, witness = la.independent_rows(m)
+        assert len(idx) == _sympy_rank(m) == la.int_rank(m)
+        _assert_spans(m, idx, witness)
 
 
 @st.composite
@@ -163,12 +174,16 @@ def _low_rank_products(draw):
 @settings(max_examples=40, deadline=None)
 def test_rank_witness_matches_sympy(m):
     """Rank-deficient products B C with entries up to 2**40: the rank
-    agrees with sympy and the returned identity holds exactly."""
+    agrees with sympy, the returned identity holds exactly, and the
+    kernel is sympy's reduced basis."""
     want = _sympy_rank(m)
     assert la.int_rank(m) == want
     idx, witness = la.independent_rows(m)
     assert len(idx) == want
     _assert_spans(m, idx, witness)
+    ns, d = la.null_space(m)
+    assert [list(_rationals(v, d)) for v in ns] == \
+        [list(v) for v in sympy.Matrix(m).nullspace()]
 
 
 def test_inertia_matches_eigenvalues():
@@ -646,42 +661,39 @@ def test_solve_draws_more_primes(monkeypatch):
     certified, and A is lifted modulo the next prime.  A pivot that
     moves to another column modulo p fails null_space's exact check and
     draws more primes.  Each gives the exact answer."""
-    p = la.PRIMES_30BIT[0]
-    primes, eliminated, moduli = [], [], []
-    mod_rank, eliminate, reconstruct = \
-        la._mod_rank, la._eliminate, la._reconstruct
+    p, q = la.PRIMES_30BIT[:2]
+    eliminated, moduli = [], []
+    eliminate, reconstruct = la._eliminate, la._reconstruct
 
-    def counted(a, q):
-        primes.append(q)
-        return mod_rank(a, q)
-
-    def counted_eliminate(m, n, q):
-        eliminated.append((q, m.shape))
-        return eliminate(m, n, q)
+    def counted_eliminate(m, n, prime):
+        eliminated.append((prime, m.shape))
+        return eliminate(m, n, prime)
 
     def counted_reconstruct(x, m):
         moduli.append(m)
         return reconstruct(x, m)
 
-    monkeypatch.setattr(la, "_mod_rank", counted)
     monkeypatch.setattr(la, "_eliminate", counted_eliminate)
     monkeypatch.setattr(la, "_reconstruct", counted_reconstruct)
     x, d = la.solve([[1]], [2 ** 40])
     assert x.tolist() == [2 ** 40] and d == 1
     # [A | B] modulo p, then [A_S | I] to invert A_S for the lifting
-    assert eliminated == [(p, (1, 1, 2)), (p, (1, 1, 2))] and primes == []
+    assert eliminated == [(p, (1, 1, 2)), (p, (1, 1, 2))]
     assert moduli == [p, p ** 2, p ** 3]
-    # p divides det A: rank A = 2 is certified, and the next prime lifts
+    # p divides det A: [A | B] modulo p, the span witness of the pivot
+    # row modulo p (it fails), the pivots modulo q (rank 2, certified),
+    # then [A_S | I] modulo p (singular) and modulo q for the lifting
     eliminated.clear()
     x, d = la.solve([[p, 0], [0, 1]], [1, 1])
     assert x.tolist() == [1, p] and d == p
-    assert [q for q, _ in eliminated] == [p, p, la.PRIMES_30BIT[1]]
-    primes.clear()
+    assert eliminated == [(p, (1, 2, 3)), (p, (1, 1, 3)), (q, (1, 2, 2)),
+                          (p, (1, 2, 4)), (q, (1, 2, 4))]
+    eliminated.clear()
     # modulo p the pivot is column 1, over Q it is column 0
     ns, d = la.null_space([[p, 1]])
     assert [list(_rationals(v, d)) for v in ns] == \
         [list(v) for v in sympy.Matrix([[p, 1]]).nullspace()]
-    assert la.PRIMES_30BIT[1] in primes
+    assert q in [prime for prime, _ in eliminated]
 
 
 def test_lifting_stops_at_the_hadamard_bound(monkeypatch):
@@ -753,14 +765,17 @@ def test_only_det_eliminates_exactly():
 def test_solve_lifts_instead_of_drawing_primes():
     """solve eliminates [A | B] modulo the first prime only and lifts
     what that prime cannot rebuild: solve and its helpers reference
-    neither ``_crt`` nor a prime past the first by index (a later prime
-    serves only as the lifting prime of an A_S singular modulo the
-    first).  No sampled check (a function taking ``n_samples``) calls
-    solve, or the inverses built on it, inside a loop or comprehension
-    over its samples."""
+    no prime past the first by index (a later prime serves only as the
+    lifting prime of an A_S singular modulo the first).  exactla has one
+    modular elimination and one way to recover what a prime cannot
+    rebuild: no CRT join, no second elimination loop.  No sampled check
+    (a function taking ``n_samples``) calls solve, or the inverses built
+    on it, inside a loop or comprehension over its samples."""
     helpers = (la.solve, la._solve_stack, la._lift, la._dixon)
     source = "".join(inspect.getsource(f) for f in helpers)
-    assert not re.search(r"\b_crt\b|PRIMES_30BIT\[(?!0\])", source)
+    assert not re.search(r"PRIMES_30BIT\[(?!0\])", source)
+    assert not re.search(r"\b(_crt|_mod_rank|_rref|_solve_mod)\b",
+                         inspect.getsource(la))
     src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
     loops = (ast.For, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp)

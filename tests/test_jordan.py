@@ -321,13 +321,17 @@ def test_decompose_rejects_float_mode(get_algebra):
 
 def test_decompose_splits_real_quadratic_center():
     # b0 is the unit and b1 o b1 = 2 b0: R[x]/(x^2 - 2), which is R (+) R
-    # over R although x^2 - 2 is irreducible over Q
+    # over R although x^2 - 2 is irreducible over Q, so the split falls
+    # back to float ideals
     c = [[[F(1), F(0)], [F(0), F(1)]],
          [[F(0), F(1)], [F(2), F(0)]]]
     parts = JordanAlgebra(c, name="sqrt2").decompose(seed=0)
     assert sorted(p.dim for p, _ in parts) == [1, 1]
     for part, _ in parts:
+        assert part.mode == FLOAT and part.meta["exact"] is False
         assert part.check_jordan(n_samples=3, seed=1).passed
+    bases = np.array([v for _, basis in parts for v in basis])
+    assert abs(np.linalg.det(bases)) > 0.1
 
 
 FLOAT_BATTERY = (("check_jordan", {"n_samples": 5, "seed": 1}),

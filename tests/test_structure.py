@@ -116,18 +116,13 @@ def test_pair_rank_count(monkeypatch):
     kk_in_k solve.  pp_spans_k runs none on a passing pair."""
     j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
     calls = []
-    mod_rank, eliminate = exactla._mod_rank, exactla._eliminate
+    eliminate = exactla._eliminate
 
-    def counted(a, p):
-        calls.append(a.shape)
-        return mod_rank(a, p)
-
-    def counted_eliminate(m, n, p):
+    def counted(m, n, p):
         calls.append(m.shape)
         return eliminate(m, n, p)
 
-    monkeypatch.setattr(exactla, "_mod_rank", counted)
-    monkeypatch.setattr(exactla, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(exactla, "_eliminate", counted)
     assert check_pair(restricted_pair(j)).passed
     assert len(calls) <= 6, calls
 
