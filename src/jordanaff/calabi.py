@@ -146,22 +146,19 @@ def check_composition(comp, n_samples=6, seed=0):
         max_residual=Fraction(worst_c, s_den ** 2),
         samples=len(comp.p0) * big.dim))
 
-    # det P factorizes over the blocks, on random rational elements
-    worst_f = Fraction(0)
-    for _ in range(max(2, n_samples // 2)):
-        parts = [m.algebra.random_element(rng, bound=4)
-                 for m in comp.factors]
-        xs = []
-        for p in parts:
-            xs.extend(p)
-        lhs = big.element_det(tuple(xs))
-        rhs = Fraction(1)
-        for m, p in zip(comp.factors, parts):
-            rhs *= m.algebra.element_det(p)
-        worst_f = max(worst_f, abs(lhs - rhs))
+    # det P factorizes over the blocks, on random integer elements: a
+    # row of the direct sum is the factors' draws side by side, so each
+    # factor's stack is a column block of the same rows
+    count = max(2, n_samples // 2)
+    xs = big._int_elements(rng, count, 4)
+    rhs = [1] * count
+    for m, off in zip(comp.factors, comp.offsets):
+        dets = m.algebra._dets(xs[:, off:off + m.algebra.dim])
+        rhs = [a * b for a, b in zip(rhs, dets)]
+    worst_f = max(abs(a - b) for a, b in zip(big._dets(xs), rhs))
     report.add(CheckResult(
         name="block_determinant_factorization", passed=worst_f == 0,
-        max_residual=worst_f, samples=max(2, n_samples // 2), seed=seed))
+        max_residual=worst_f, samples=count, seed=seed))
 
     # scale matching: c_a^2 C_a^2 = C^2 exactly
     worst_s = Fraction(0)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import inspect
 from itertools import permutations
+import math
 import numbers
 import random
 from typing import Callable
@@ -31,6 +32,7 @@ from . import exactla as la
 from .composition_algebras import (COMPLEXES, OCTONIONS, QUATERNIONS, REALS,
                                    SPLIT_OCTONIONS, cd_conj, cd_mul, cd_norm,
                                    cd_real, cd_unit, mul_table_tensor)
+from .config import RATIONAL
 from .exactla import QI
 from .jordan import JordanAlgebra
 from .reports import CheckResult
@@ -51,13 +53,8 @@ class BadParameterError(ValueError):
 # sig.dim), generic over Fraction and QI scalars.  The builders see it as
 # an integer ndarray of shape (m, m, sig.dim).
 
-def _entry_zero(like):
-    z = like - like
-    return z
-
-
 def _mat_zero(m, d, like):
-    z = _entry_zero(like)
+    z = like - like
     return [[[z] * d for _ in range(m)] for _ in range(m)]
 
 
@@ -105,11 +102,7 @@ def _slot_label(slot, sig):
 
 
 def _to_matrix(kind, m, sig, slots, coords):
-    like = None
-    for x in coords:
-        like = x
-        break
-    mat = _mat_zero(m, sig.dim, like)
+    mat = _mat_zero(m, sig.dim, next(iter(coords), None))
     for (t, i, j, u), x in zip(slots, coords):
         if t == "f":
             mat[i][j][u] = mat[i][j][u] + x
@@ -171,13 +164,13 @@ def _diagonal(sig, entries):
 
 
 # --------------------------------------------------------------------------
-# norm primitives (generic over Fraction / QI scalars)
+# norm primitives (generic over int / QI scalars)
 
 def _pfaffian(rows):
     n = len(rows)
     if n == 0:
-        return Fraction(1)
-    zero = _entry_zero(rows[0][0])
+        return 1
+    zero = rows[0][0] - rows[0][0]
     if n % 2:
         return zero
     if n == 2:
@@ -249,16 +242,24 @@ def _freudenthal_det(sig, mat):
             - b * cd_norm(sig, y) - c * cd_norm(sig, x))
 
 
-def _hermitian_field_det(sig, mat):
-    """det of a hermitian matrix with entries in R or C, as a field det."""
-    if sig.dim == 1:
-        rows = [[e[0] for e in row] for row in mat]
-        return la.field_det(rows)
-    rows = [[QI(e[0], e[1]) for e in row] for row in mat]
+def _field_rows(mat):
+    """A matrix with real or complex entries as :func:`exactla.field_det`
+    rows: the scalar of a real entry, the QI of a complex one."""
+    return [[QI(*e) if len(e) == 2 else e[0] for e in row] for row in mat]
+
+
+def _real_det(rows):
+    """field_det of a complex matrix whose determinant is real."""
     val = la.field_det(rows)
     if val.im:
-        raise ArithmeticError("hermitian determinant came out non-real")
+        raise ArithmeticError("complex determinant came out non-real")
     return val.re
+
+
+def _hermitian_field_det(sig, mat):
+    """det of a hermitian matrix with entries in R or C, as a field det."""
+    rows = _field_rows(mat)
+    return la.field_det(rows) if sig.dim == 1 else _real_det(rows)
 
 
 def _chi(mat):
@@ -273,21 +274,6 @@ def _chi(mat):
             out[2 * i + 1][2 * j] = QI(-a2, a3)
             out[2 * i + 1][2 * j + 1] = QI(a0, -a1)
     return out
-
-
-def _chi_det(mat):
-    val = la.field_det(_chi(mat))
-    if val.im:
-        raise ArithmeticError(
-            "determinant of the complex image came out non-real")
-    return val.re
-
-
-def _diag_det(gammas):
-    p = 1
-    for g in gammas:
-        p *= g
-    return p
 
 
 def _signs(gammas, m=None):
@@ -374,16 +360,26 @@ def degree(j):
 
 
 def generic_norm(j, u):
-    """Closed-form generic norm of an element, an exact Fraction."""
+    """Closed-form generic norm of an element: an exact Fraction (its
+    float for a float algebra).  It is homogeneous of degree d, so
+    N(x / dx) = N(x) / dx^d runs on the integer coordinates x."""
+    if j.mode != RATIONAL:
+        return float(_closed_form(j, [Fraction(v) for v in j.coerce(u)]))
+    x, dx = j._elem(u)
+    return Fraction(_closed_form(j, x.tolist()), dx ** degree(j))
+
+
+def _closed_form(j, x):
+    """The family's closed-form norm at the coordinates x, a list of
+    ints or Fractions; a complexified family pairs them into QI."""
     fam = CATALOG[j.meta["family"]]
     params = j.meta.get("params", {})
-    u = j.coerce(u)
     if fam.base is not None:
-        base = CATALOG[fam.base]
         n = j.dim // 2
-        zc = tuple(QI(u[k], u[n + k]) for k in range(n))
-        return base.norm_eval(fam.base_params_of(**params), zc).norm()
-    val = fam.norm_eval(params, u)
+        zc = [QI(a, b) for a, b in zip(x[:n], x[n:])]
+        return CATALOG[fam.base].norm_eval(fam.base_params_of(**params),
+                                           zc).norm()
+    val = fam.norm_eval(params, x)
     if isinstance(val, QI):
         raise ArithmeticError("real family norm came out complex")
     return val
@@ -530,13 +526,10 @@ def _full_norm_factory(sig):
         m = params["m"]
         slots = _slots("full", m, sig)
         mat = _to_matrix("full", m, sig, slots, u)
-        if sig.dim == 1:
-            return la.field_det([[e[0] for e in row] for row in mat])
-        if sig is COMPLEXES:
-            val = la.field_det([[QI(e[0], e[1]) for e in row]
-                                for row in mat])
-            return val.norm()
-        return _chi_det(mat)
+        if sig.dim > 2:
+            return _real_det(_chi(mat))
+        val = la.field_det(_field_rows(mat))
+        return val.norm() if sig is COMPLEXES else val
     return _norm
 
 
@@ -597,7 +590,7 @@ def _herm_norm_factory(sig, det_fn):
         gammas = params["gammas"]
         slots = _slots("herm", m, sig)
         mat = _to_matrix("herm", m, sig, slots, u)
-        return _diag_det(gammas) * det_fn(sig, mat)
+        return math.prod(gammas) * det_fn(sig, mat)
     return _norm
 
 
@@ -647,8 +640,8 @@ def _skew_hamiltonian_norm(params, u):
     slots = _slots("skew", 2 * m, REALS)
     mat = _to_matrix("skew", 2 * m, REALS, slots, u)
     rows = [[e[0] for e in row] for row in mat]
-    jrows = (-_symplectic(m)).tolist()
-    return _pfaffian(rows) / _pfaffian(jrows)
+    # Pf(-J) is +1 or -1, so dividing by it is multiplying by it
+    return _pfaffian(rows) * _pfaffian((-_symplectic(m)).tolist())
 
 
 _register(Family(
@@ -674,7 +667,7 @@ def _skew_hermitian_quaternion_norm(params, u):
     m = params["m"]
     slots = _slots("skewherm", m, QUATERNIONS)
     mat = _to_matrix("skewherm", m, QUATERNIONS, slots, u)
-    return _chi_det(mat)
+    return _real_det(_chi(mat))
 
 
 _register(Family(
@@ -703,7 +696,7 @@ def _oct_norm_factory(sig):
         gammas = params.get("gammas", (1, 1, 1))
         slots = _slots("herm", 3, sig)
         mat = _to_matrix("herm", 3, sig, slots, u)
-        return _diag_det(gammas) * _freudenthal_det(sig, mat)
+        return math.prod(gammas) * _freudenthal_det(sig, mat)
     return _norm
 
 
@@ -766,20 +759,14 @@ def verify_det_formula(j, n_samples=5, seed=0):
         raise AssertionError(
             f"{j.name}: 2*dim = {2 * j.dim} not divisible by degree {d}")
     expo = 2 * j.dim // d
-    rng = random.Random(seed)
-    worst = Fraction(0)
-    e = j.unity()
-    ne = generic_norm(j, e)
-    worst = max(worst, abs(ne - 1))
-    count = 1
-    for _ in range(n_samples):
-        u = j.random_element(rng, bound=5)
-        lhs = j.element_det(u)
-        rhs = generic_norm(j, u) ** expo
-        worst = max(worst, abs(lhs - rhs))
-        count += 1
+    ne = generic_norm(j, j.unity())
+    # the samples as one stack: their P_u and det P_u in one call each
+    x = j._int_elements(random.Random(seed), n_samples, 5)
+    worst = max([abs(ne - 1)] + [
+        abs(lhs - _closed_form(j, u) ** expo)
+        for lhs, u in zip(j._dets(x), x.tolist())])
     return CheckResult(
         name="det_closed_form", passed=worst == 0, max_residual=worst,
-        samples=count, seed=seed,
+        samples=1 + n_samples, seed=seed,
         details={"degree": d, "exponent": expo,
                  "unit_norm_residual": ne - 1})

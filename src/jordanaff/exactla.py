@@ -2,11 +2,10 @@
 
 Exact data is an integer ndarray over one shared denominator, the
 kernel form in which a ``JordanAlgebra`` stores its structure tensor.
-Fractions appear only at the API edge and in the independent
-determinant routines of complex matrix realizations (:class:`QI`,
-:func:`field_det`).  At the edge :func:`as_fraction` coerces scalars,
-and only :mod:`jordanaff.jordan` turns element and tensor entries into
-kernel form, with :func:`fvec` and :func:`clear_denominators_vec`.
+Fractions appear only at the API edge.  There :func:`as_fraction`
+coerces scalars, and only :mod:`jordanaff.jordan` turns element and
+tensor entries into kernel form, with :func:`fvec` and
+:func:`clear_denominators_vec`.
 Every integer contraction, commutator and linear combination goes
 through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
 it bounds the result in Python ints from the operands' max-abs values,
@@ -35,9 +34,11 @@ Y @ M[pivot rows] == d * M for a rank (after Kaltofen, Nehring and
 Saunders, "Quadratic-time certificates in linear algebra", ISSAC 2011),
 and for :func:`null_space` a solution zero at every pivot column right
 of each free column.  Only when a rank or a kernel fails its check is
-another prime drawn, for its pivots alone.  :func:`det` keeps one
-fraction-free elimination on Python integers, and :func:`inertia` is
-its symmetric counterpart, which pivots on the diagonal.
+another prime drawn, for its pivots alone.  :func:`det` takes a stack
+of determinants, over Z or over the Gaussian integers Z[i], in one
+fraction-free (Bareiss) elimination, and :func:`field_det` reduces Q
+and Q(i) to it by one common denominator; :func:`inertia` is the
+symmetric counterpart, which pivots on the diagonal.
 """
 
 from __future__ import annotations
@@ -674,33 +675,71 @@ def _dixon(A, rhs, sub, bsub, C, q):
             a[keep] for a in (live, A, rhs, sub, bsub, C, res, acc))
 
 
-def _echelon(M):
-    """``(d, sign)`` with det M = sign * d for a square integer M, by
-    fraction-free (Bareiss) elimination on Python ints: d is 0 when M is
-    singular, and each division is exact, as every entry is a minor of M.
-    :func:`det` keeps it: no identity checks a determinant's residues,
-    and a Hadamard-bound CRT would be longer for det's small matrices.
+def _times(x, y):
+    """Entrywise product of integer arrays whose last axis holds an
+    integer (length 1) or a Gaussian integer (re, im) (length 2)."""
+    if x.shape[-1] == 1:
+        return x * y
+    xr, xi, yr, yi = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    return np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=-1)
+
+
+def _echelon(a):
+    """Determinants of a stack a (s, n, n, k) of integer (k = 1) or
+    Gaussian-integer (k = 2) matrices, as an (s, k) object array, by one
+    fraction-free (Bareiss) elimination of the whole stack.
+
+    Each step moves the first row nonzero at the leading column of each
+    matrix to the top and replaces the trailing block by
+    (p * rest - col * row) / d, p the pivot and d the one before: every
+    entry is a minor, so the division is exact (over Z[i], a product with
+    conj(d) and a division by |d|^2).  The last pivot, signed by the row
+    swaps, is the determinant; a matrix without a pivot leaves the stack
+    with 0.  An integer block runs in int64 while 2 max-abs^2 fits.
     """
-    a = np.array(M, dtype=object)
-    sign, d = 1, 1
-    for c in range(len(a)):
-        nz = np.flatnonzero(a[c:, c])
-        if not nz.size:
-            return 0, 1
-        i = c + int(nz[0])
-        if i != c:
-            a[[c, i]] = a[[i, c]]
-            sign = -sign
-        p, rest = a[c, c], a[c + 1:, c + 1:]
-        rest[:] = (p * rest - np.outer(a[c + 1:, c], a[c, c + 1:])) // d
-        d = p
-    return d, sign
+    s, n, _, k = a.shape
+    out = np.zeros((s, k), dtype=object)
+    out[:, 0] = 1  # the empty matrix
+    live = np.arange(s)
+    sign = np.ones((s, 1), dtype=np.int64)
+    d = None  # the previous pivots, (s, 1, 1, k)
+    a = a.astype(object if k == 2 else a.dtype)  # a copy: rows move
+    while n and len(live):
+        nz = a[:, :, 0].any(axis=2)
+        has = nz.any(axis=1)
+        if not has.all():
+            out[live[~has]] = 0
+            live, a, nz, sign = (v[has] for v in (live, a, nz, sign))
+            d = d if d is None else d[has]
+        i = nz.argmax(axis=1)
+        swap = i.nonzero()[0]
+        a[swap, 0], a[swap, i[swap]] = a[swap, i[swap]], a[swap, 0]
+        sign[swap] *= -1
+        p = a[:, :1, :1]
+        if a.shape[1] == 1:
+            out[live] = p[:, 0, 0] * sign
+            break
+        if a.dtype != object and 2 * max_abs(a) ** 2 >= _INT64_SAFE:
+            a = a.astype(object)
+        rest = _times(p, a[:, 1:, 1:]) - _times(a[:, 1:, :1], a[:, :1, 1:])
+        if d is not None and k == 2:
+            rest = _times(rest, d * [1, -1]) // (d * d).sum(3, keepdims=True)
+        elif d is not None:
+            rest //= d
+        a, d = rest, p
+    return out
 
 
-def det(M):
-    """Exact determinant of a square integer matrix, as a Python int."""
-    d, sign = _echelon(asint(M))
-    return sign * d
+def det(M, im=None):
+    """Exact determinants of square integer matrices: a Python int for
+    one matrix (n, n), a list of them for a stack (s, n, n), all from
+    one batched elimination.  With ``im``, an integer array of M's shape,
+    they are those of the Gaussian-integer M + i im, as (re, im) pairs."""
+    M = asint(M)
+    a = M[..., None] if im is None else np.stack([M, asint(im)], axis=-1)
+    dets = [v[0] if im is None else tuple(v)
+            for v in _echelon(a if M.ndim == 3 else a[None]).tolist()]
+    return dets if M.ndim == 3 else dets[0]
 
 
 # ---------------------------------------------------------------------------
@@ -754,79 +793,48 @@ def inertia(G):
 
 
 class QI:
-    """Gaussian rational a + b*i with Fraction components."""
+    """Gaussian rational a + b*i with int or Fraction components, under
+    the ring operations; :func:`field_det` takes determinants of them."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = as_fraction(re)
-        self.im = as_fraction(im)
+        self.re, self.im = re, im
 
     @staticmethod
     def _lift(o):
         if isinstance(o, QI):
             return o
-        if isinstance(o, (int, Fraction)):
-            return QI(o)
-        return NotImplemented
+        return QI(o) if isinstance(o, (int, Fraction)) else NotImplemented
 
     def __add__(self, o):
         o = QI._lift(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return QI(self.re + o.re, self.im + o.im)
+        return o if o is NotImplemented else QI(self.re + o.re,
+                                                  self.im + o.im)
 
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = QI._lift(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return QI(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, o):
-        o = QI._lift(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return QI(o.re - self.re, o.im - self.im)
+        return self + -o
 
     def __neg__(self):
         return QI(-self.re, -self.im)
 
     def __mul__(self, o):
         o = QI._lift(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return QI(self.re * o.re - self.im * o.im,
-                  self.re * o.im + self.im * o.re)
+        return o if o is NotImplemented else QI(
+            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, o):
-        o = QI._lift(o)
-        if o is NotImplemented:
-            return NotImplemented
-        n = o.re * o.re + o.im * o.im
-        return QI((self.re * o.re + self.im * o.im) / n,
-                  (self.im * o.re - self.re * o.im) / n)
-
-    def __rtruediv__(self, o):
-        o = QI._lift(o)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
 
     def conj(self):
         return QI(self.re, -self.im)
 
-    def norm(self) -> Fraction:
+    def norm(self):
         return self.re * self.re + self.im * self.im
 
     def __eq__(self, o):
         return isinstance(o, QI) and self.re == o.re and self.im == o.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -836,27 +844,17 @@ class QI:
 
 
 def field_det(rows):
-    """Determinant over any exact field with +,-,*,/ and truthiness."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    det_val = None
-    sign = 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            zero = m[0][0] - m[0][0]
-            return zero
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        pv = m[c][c]
-        det_val = pv if det_val is None else det_val * pv
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] / pv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    if sign < 0:
-        det_val = -det_val
-    return det_val
+    """Determinant of a square matrix over Q or Q(i): the entries are
+    ints, Fractions or :class:`QI`, and so is the result (a QI when an
+    entry is one).  det M = det(D M) / D^n for the common denominator D
+    of every component, and D M goes through :func:`det`."""
+    n = len(rows)
+    flat = [x for row in rows for x in row]
+    k = 1 + any(isinstance(x, QI) for x in flat)
+    ints, den = clear_denominators_vec([
+        v for x in flat
+        for v in ((x.re, x.im) if isinstance(x, QI) else (x, 0))[:k]])
+    a = asint(ints).reshape(n, n, k)
+    if k == 1:
+        return Fraction(det(a[..., 0]), den ** n)
+    return QI(*(Fraction(v, den ** n) for v in det(a[..., 0], a[..., 1])))

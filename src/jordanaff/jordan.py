@@ -302,10 +302,16 @@ class JordanAlgebra:
     def element_det(self, u):
         """det P_u, the squared analogue of a norm-form value."""
         x, dx = self._elem(u)
-        (m,), d = self._p_int(x[None], dx)
+        return self._dets(x[None], dx)[0]
+
+    def _dets(self, x, dx=1):
+        """det P_u for the rows u of x / dx (dx one int), as a list of
+        Fractions, or of floats for a float algebra: one P stack and one
+        stacked :func:`exactla.det`."""
+        p, d = self._p_int(x, dx)
         if self.mode == FLOAT:
-            return float(np.linalg.det(m))
-        return Fraction(la.det(m), d ** self.dim)
+            return np.linalg.det(p).tolist()
+        return [Fraction(v, d ** self.dim) for v in la.det(p)]
 
     def trace_form(self, u, v):
         """<u, v> = tr T_{u o v}."""
@@ -337,17 +343,21 @@ class JordanAlgebra:
             neg = int(np.sum(w < -TOL.rel * scale))
             zero = self.dim - pos - neg
             return zero == 0, (pos, neg, zero)
-        pos, neg, zero = la.inertia(g)
+        if "inertia" not in self._cache:
+            self._cache["inertia"] = la.inertia(g)
+        pos, neg, zero = self._cache["inertia"]
         return zero == 0, (pos, neg, zero)
 
     def is_nondegenerate(self):
-        """Whether v -> T_v is injective (no absolute zero divisors)."""
+        """Whether v -> T_v is injective (no absolute zero divisors).
+        Exactly, a unit is the certificate: :meth:`find_unity` solves the
+        same system uniquely only at full column rank."""
         st, _ = self._t_stack()
         m = st.reshape(self.dim, -1).T
         if self.mode == FLOAT:
             s = np.linalg.svd(m, compute_uv=False)
             return bool(s[-1] > TOL.rel * s[0])
-        return la.int_rank(m) == self.dim
+        return self.find_unity() is not None or la.int_rank(m) == self.dim
 
     # -- unity and inversion ---------------------------------------------
 
@@ -751,7 +761,7 @@ class JordanAlgebra:
         e, de = self._unit_int()
         m = len(self.center(seed=seed))
         zk, dc = self._cache["center_int"]
-        ambient = [self.basis_element(i) for i in range(self.dim)]
+        ambient = list(self._out(np.eye(self.dim, dtype=np.int64), 1))
         if m == 1:
             return [(self, ambient)]  # the only central idempotent is e
         rng = random.Random(seed + 1)
@@ -806,8 +816,8 @@ class JordanAlgebra:
         if len(factors) == 1:
             # one quadratic factor with negative discriminant: the center
             # is C, a field over R, so the algebra is already simple
-            return [(self, [self.basis_element(i)
-                            for i in range(self.dim)])]
+            return [(self, list(self._out(np.eye(self.dim, dtype=np.int64),
+                                          1)))]
         c, _, den = self._operands()
         zk, dc = self._cache["center_int"]
         # T_z restricted to the center, in center coordinates: a / da

@@ -8,6 +8,7 @@ import pytest
 
 from jordanaff import catalog, exactla as la, serialization
 from jordanaff.composition_algebras import REALS
+from jordanaff.jordan import JordanAlgebra
 
 # (family, params) -> (dim, degree), checked against the classification
 EXPECTED = {
@@ -143,6 +144,77 @@ def test_det_formula(get_algebra):
         assert res.passed and res.max_residual == 0, name
         d = catalog.degree(j)
         assert res.details["exponent"] == Fraction(2 * j.dim, d)
+
+
+# (seed, n_samples) at which verify_det_formula is pinned
+DET_FORMULA_SEEDS = ((0, 5), (7, 3), (11, 8))
+
+
+def test_det_formula_reports_pinned(desk_instances, get_algebra):
+    """verify_det_formula on every desk instance, dim 27 and 54 included,
+    reports what it reported before its samples ran as one stack: a zero
+    residual, the unit plus every sample, and degree, exponent and a zero
+    unit-norm residual in its details."""
+    for name, params in desk_instances:
+        j = get_algebra(name, **params)
+        dim, deg = EXPECTED[(name, tuple(sorted(params.items())))]
+        for seed, count in DET_FORMULA_SEEDS:
+            res = catalog.verify_det_formula(j, n_samples=count, seed=seed)
+            assert (res.passed, res.max_residual, res.samples, res.seed) == \
+                (True, 0, count + 1, seed), (j.name, seed)
+            assert res.details == {"degree": deg, "exponent": 2 * dim // deg,
+                                   "unit_norm_residual": 0}, j.name
+
+
+# det-formula residuals of unit-keeping mutants at seed 5 with 3 samples,
+# recorded from the per-sample Fraction/QI implementation
+MUTANT_DET_RESIDUALS = {
+    ("full_real", (("m", 3),)): "461960984375/10201",
+    ("full_complex", (("m", 2),)): "22561823376660/10201",
+    ("full_quaternion", (("m", 2),)):
+        "8372238074971511616800870691124990398855614926741632"
+        "/1126825030131969720661201",
+    ("symmetric_real", (("gammas", (1, 1, -1)), ("m", 3))):
+        "23131465512597/1030301",
+    ("hermitian_complex", (("gammas", (1, 1, 1)), ("m", 3))):
+        "11544391787911683788565/10510100501",
+    ("hermitian_quaternion", (("gammas", (1, 1)), ("m", 2))):
+        "47682589478788526725/10510100501",
+    ("skew_hamiltonian", (("m", 2),)): "230666380425/10201",
+    ("skew_hermitian_quaternion", (("m", 2),)):
+        "248252455083075254328/10201",
+    ("octonion_hermitian", (("gammas", (1, 1, 1)),)):
+        "57635640426033811081980505422449575316106824908800/10201",
+    ("complex_quadratic", (("m", 3),)): "2250880050240/10201",
+    ("symmetric_complex", (("m", 3),)):
+        "4753161103979140514106964764576/1061520150601",
+    ("skew_complex", (("m", 2),)): "910106231460464767401488250/104060401",
+}
+
+
+def _unit_keeping_mutant(j):
+    """j with c[a][b][0] and c[b][a][0] moved by 1/101, a and b the first
+    two coordinates at which the unit vanishes, so the unit survives; the
+    family meta is kept, so the closed-form norm is j's."""
+    a, b = [i for i, x in enumerate(j.unity()) if x == 0][:2]
+    ci, den = j._int_tensor()
+    c = ci.astype(object) * 101
+    c[a, b, 0] += den
+    c[b, a, 0] += den
+    return JordanAlgebra(kernel=(c, 101 * den), name=f"{j.name}*",
+                         meta=j.meta)
+
+
+def test_det_formula_fails_on_corrupted_algebras(get_algebra):
+    """A commutative mutant that keeps its unit and its family fails the
+    det formula, with the residual the per-sample code computed."""
+    for (name, params), want in MUTANT_DET_RESIDUALS.items():
+        mutant = _unit_keeping_mutant(get_algebra(name, **dict(params)))
+        assert mutant.unity() is not None
+        res = catalog.verify_det_formula(mutant, n_samples=3, seed=5)
+        assert not res.passed, name
+        assert res.max_residual == Fraction(want), name
+        assert res.details["unit_norm_residual"] == 0, name
 
 
 def test_semisimple_nondegenerate_simple(get_algebra):

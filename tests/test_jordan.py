@@ -383,7 +383,7 @@ def test_identities_have_one_implementation():
         "coerce", "_elem", "_out",              # API-edge conversion
         "_residual",                            # the zero test
         "is_semisimple", "is_nondegenerate",    # dtype switches
-        "find_unity", "_invert_int", "element_det",
+        "find_unity", "_invert_int", "_dets",
         "center",                               # exact only
     }
     src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
