@@ -17,7 +17,12 @@ int64 when the bound fits and on Python big integers (``dtype=object``)
 when it does not.  It never wraps, never rounds and never refuses an
 input for its size, and integer operands always give integer results.
 A float64 operand makes the whole call run in float64, which is how
-float-mode algebras share the exact code paths.
+float-mode algebras share the exact code paths.  An identity is checked
+by :func:`residual`, the max-abs of a sum of two-operand contractions,
+which picks its own rung: int64 operands with large loops and small
+densities run as ``scipy.sparse`` int64 products (imported on first
+use), bounded by the largest row nnz in place of the summed size, when
+that bound is below 2**63; everything else runs dense, in blocks.
 
 Ranks and solutions are certified, not probabilistic, and none of them
 eliminates over Python integers.  One batched Gauss-Jordan elimination
@@ -250,6 +255,193 @@ def lincomb(*terms):
 
 
 # ---------------------------------------------------------------------------
+# identities: the max-abs of a sum of contractions, on a dense or sparse rung
+
+# Entries per chunk of a dense residual: few enough to bound its memory,
+# enough that each chunk's loop stays on the float64 rung.
+_BLOCK = 2 ** 18
+# A residual runs on the sparse rung when its contraction loops add up to
+# at least _SPARSE_LOOP and, in every term, the densities (nonzero share)
+# of the two operands multiply to at most _SPARSE_DENSITY.
+_SPARSE_LOOP = 2 ** 22
+_SPARSE_DENSITY = 2 ** -9
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(spec, xshape, yshape):
+    """How the contraction ``spec`` of x and y lowers to one 2-D product:
+    ``(xperm, yperm, s, rows, cols, kept, back)``.  x.transpose(xperm)
+    and y.transpose(yperm) reshape to X (len(rows), s) and
+    Y (s, len(cols)), s the summed size; ``rows`` and ``cols`` hold the
+    offset in the flattened output of each row of X and each column of
+    Y; X @ Y reshaped to ``kept`` and transposed by ``back`` is the
+    output.  An index repeated in one operand, kept by both or summed in
+    one only raises ValueError."""
+    subs, out = spec.split("->")
+    xs, ys = subs.split(",")
+    if (len(set(xs)) < len(xs) or len(set(ys)) < len(ys)
+            or set(xs) & set(ys) & set(out)
+            or (set(xs) ^ set(ys)) - set(out)):
+        raise ValueError(f"{spec} is not one 2-D product")
+    size = dict(zip(xs, xshape)) | dict(zip(ys, yshape))
+    shape = tuple(size[i] for i in out)
+    stride = {i: math.prod(shape[k + 1:]) for k, i in enumerate(out)}
+
+    def offsets(kept):
+        off = np.zeros(1, dtype=np.int64)
+        for i in kept:
+            off = (off[:, None] + np.arange(size[i]) * stride[i]).ravel()
+        return off
+
+    summed = [i for i in xs if i in ys]
+    kx, ky = [i for i in xs if i in out], [i for i in ys if i in out]
+    return (tuple(map(xs.index, kx + summed)),
+            tuple(map(ys.index, summed + ky)),
+            math.prod(size[i] for i in summed), offsets(kx), offsets(ky),
+            tuple(size[i] for i in kx + ky),
+            tuple(map((kx + ky).index, out)))
+
+
+def _sparse_plans(terms):
+    """The :func:`_plan` of every contraction of a :func:`residual` (None
+    for an array term) when the call runs on the sparse rung, else None:
+    every operand is int64, the loops add up to at least
+    ``_SPARSE_LOOP`` and each product of the two operands' densities is
+    at most ``_SPARSE_DENSITY``."""
+    if any(a.dtype != np.int64 for _, _, ops in terms for a, _ in ops):
+        return None
+    plans = [spec and _plan(spec, ops[0][0].shape, ops[1][0].shape)
+             for _, spec, ops in terms]
+    if sum(len(p[3]) * p[2] * len(p[4]) for p in plans if p) < _SPARSE_LOOP:
+        return None
+    for _, spec, ops in terms:
+        if spec:
+            (x, _), (y, _) = ops
+            if (np.count_nonzero(x) * np.count_nonzero(y)
+                    > _SPARSE_DENSITY * x.size * y.size):
+                return None
+    return plans
+
+
+def _sparse_residual(terms, plans):
+    """:func:`residual` on the sparse rung, or None when its bound
+    reaches 2**63.  Each contraction is one int64 CSR product X @ Y, whose
+    entries sum at most (largest row nnz of X) products: that count
+    bounds a term in place of the summed size, and the terms' bounds add
+    up.  The entries of every term meet in one array of (flat output
+    index, value) pairs, summed per index."""
+    import scipy.sparse as sp
+
+    bound, flat, vals = 0, [], []
+    for (c, spec, ops), plan in zip(terms, plans):
+        if spec is None:
+            ((arr, m),) = ops
+            at = np.flatnonzero(arr)
+            v = arr.ravel()[at]
+            bound += abs(c) * int(m)
+        else:
+            (x, mx), (y, my) = ops
+            xperm, yperm, s, rows, cols, _, _ = plan
+            X = sp.csr_array(x.transpose(xperm).reshape(len(rows), s))
+            nnz = int(np.diff(X.indptr).max(initial=0))
+            bound += abs(c) * int(mx) * int(my) * nnz
+            P = (X @ sp.csr_array(y.transpose(yperm).reshape(s, len(cols)))
+                 ).tocoo()
+            at, v = rows[P.row] + cols[P.col], P.data
+        flat.append(at)
+        vals.append((c, v))
+    if bound >= _INT64_SAFE:
+        return None
+    flat = np.concatenate(flat)
+    if not flat.size:
+        return 0
+    order = np.argsort(flat)
+    flat = flat[order]
+    vals = np.concatenate([c * v for c, v in vals])[order]
+    starts = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
+    return int(np.abs(np.add.reduceat(vals, starts)).max())
+
+
+def _dense_residual(terms):
+    """:func:`residual` on the dense rung: each contraction is one 2-D
+    product by the :func:`_plan` the sparse rung uses, in one dtype for
+    the whole sum, picked as :func:`einsum` picks it from the sum of the
+    terms' bounds (|c| times the kernel's bound of the term) and of their
+    loops.  It runs over chunks of the output's leading axis of about
+    ``_BLOCK`` entries: a chunk slices every operand that carries the
+    leading index."""
+    floats = any(a.dtype.kind == "f" for _, _, ops in terms for a, _ in ops)
+    bound = loop = 0
+    for c, spec, ops in terms:
+        b = abs(c) * math.prod(max(m, 1) for _, m in ops)
+        if spec:
+            plan = _plan(spec, ops[0][0].shape, ops[1][0].shape)
+            b *= plan[2]
+            loop += len(plan[3]) * plan[2] * len(plan[4])
+        bound += b
+    dtype = np.float64 if floats else _dtype(bound, loop)
+    _, spec, ops = terms[0]
+    if spec:
+        *_, kept, back = _plan(spec, ops[0][0].shape, ops[1][0].shape)
+        shape = [kept[k] for k in back]
+    else:
+        shape = ops[0][0].shape
+    step = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    worst = 0
+    for at in range(0, shape[0], step):
+        part = slice(at, at + step)
+        out = None
+        for c, spec, ops in terms:
+            if spec is None:
+                term = ops[0][0][part].astype(dtype, copy=False)
+            else:
+                subs, lead = spec.split("->")
+                x, y = ((a[(slice(None),) * sub.index(lead[0]) + (part,)]
+                         if lead[0] in sub else a).astype(dtype, copy=False)
+                        for (a, _), sub in zip(ops, subs.split(",")))
+                xperm, yperm, s, rows, cols, kept, back = _plan(
+                    spec, x.shape, y.shape)
+                term = np.matmul(
+                    x.transpose(xperm).reshape(len(rows), s),
+                    y.transpose(yperm).reshape(s, len(cols)),
+                ).reshape(kept).transpose(back)
+            term = c * term
+            if out is None:
+                out = term
+            else:
+                out += term
+        worst = max(worst, max_abs(out))
+    return worst if floats else int(worst)
+
+
+def residual(*terms):
+    """Largest absolute entry of an exact sum of terms: 0 exactly when
+    the sum vanishes, which is how an exact identity is checked.
+
+    A term is ``(c, spec, x, y)``, c times the contraction
+    ``einsum(spec, x, y)`` of two operands that lowers to one 2-D product
+    (every index kept by one operand or summed over both), or
+    ``(c, arr)``, c times an array of the output's shape (at least one
+    axis); c is an int, and each array may be an ``(array, m)`` pair as
+    in :func:`einsum`.  The kernel picks the rung.  When every operand is
+    int64, the loops are large and the operands sparse
+    (:func:`_sparse_plans`), each contraction runs as one
+    ``scipy.sparse`` int64 product, bounded by the largest row nnz in
+    place of the summed size, if that bound is below 2**63.  Otherwise
+    it runs dense (:func:`_dense_residual`).  Both rungs give the same
+    value.
+    """
+    norm = []
+    for c, *rest in terms:
+        spec, ops = (rest[0], rest[1:]) if len(rest) == 3 else (None, rest)
+        norm.append((int(c), spec,
+                     tuple((_array(op), _max(op)) for op in ops)))
+    plans = _sparse_plans(norm)
+    worst = None if plans is None else _sparse_residual(norm, plans)
+    return _dense_residual(norm) if worst is None else worst
+
+
+# ---------------------------------------------------------------------------
 # certified ranks and exact solutions over the integers
 
 
@@ -412,17 +604,18 @@ def _certify(M, rows, cols):
     holds exactly.  When it does not, M has a larger rank over Q, and
     the pivots of the next prime that sees a larger rank are tried.
 
-    Returns ``(rows, (Y, d))``.
+    Returns ``(rows, cols, (Y, d))``, ``cols`` the columns of a minor on
+    ``rows`` that is nonzero modulo a prime.
     """
     primes = iter(PRIMES_30BIT[1:])
     while True:
         if len(rows) == len(M):
-            return rows, (np.eye(len(M), dtype=np.int64), 1)
+            return rows, cols, (np.eye(len(M), dtype=np.int64), 1)
         sub = M[:, cols]
         X, d = solve(sub[rows].T, sub.T)
         Y = X.T
-        if np.array_equal(einsum("ab,bc->ac", Y, M[rows]), lincomb((d, M))):
-            return rows, (Y, d)
+        if not residual((1, "ab,bc->ac", Y, M[rows]), (-d, M)):
+            return rows, cols, (Y, d)
         for p in primes:
             rows_p, cols_p = _pivots(M, p)
             if len(rows_p) > len(rows):
@@ -442,7 +635,7 @@ def int_rank(M) -> int:
     M = asint(M)
     rows, cols = _pivots(M, PRIMES_30BIT[0])
     if len(rows) < min(M.shape):
-        rows, _ = _certify(M, rows, cols)
+        rows, _, _ = _certify(M, rows, cols)
     return len(rows)
 
 
@@ -450,22 +643,58 @@ def independent_rows(M):
     """A certified maximal independent row subset of the integer matrix
     M, with the witness that it spans every row.
 
-    Returns ``(rows, (Y, d))``: the sorted row indices, independent over
-    Q because they are independent modulo a prime, and the integer
-    coordinates Y (one row per row of M, one column per index in
-    ``rows``) with Y @ M[rows] == d * M, checked exactly before return.
-    The rank is ``len(rows)``.
+    Returns ``(rows, cols, (Y, d))``: the sorted row indices, independent
+    over Q because the minor M[rows, cols] is nonzero modulo a prime, the
+    columns of that minor, and the integer coordinates Y (one row per row
+    of M, one column per index in ``rows``) with Y @ M[rows] == d * M,
+    checked exactly before return.  The rank is ``len(rows)``.
     """
     M = asint(M)
     return _certify(M, *_pivots(M, PRIMES_30BIT[0]))
 
 
+def row_coordinates(M, cols, B):
+    """Coordinates of the rows of the integer matrix B in the rows of
+    M, whose minor on ``cols`` is nonzero modulo the first prime p (as
+    :func:`independent_rows` returns it): ``(Y, d)`` with Y @ M == d * B,
+    checked exactly, or None when a row of B is not in their span.
+
+    The minor's system is solved modulo p and rebuilt by rational
+    reconstruction.  When that fails or does not hold on every column, a
+    rational solution would still reduce modulo p to the same residues,
+    since p does not divide the minor's determinant; so residues that
+    miss a column modulo p certify None without a lift, and otherwise
+    the system is lifted as :func:`solve` lifts it.  A minor singular
+    modulo p gives None.
+    """
+    M, B = asint(M), asint(B)
+    n, p = len(cols), PRIMES_30BIT[0]
+    A, rhs = M[:, cols].T[None], B[:, cols].T[None]
+    R, piv = _eliminate(np.concatenate([A, rhs], axis=2), n, p)
+    if not (piv >= 0).all():
+        return None
+    X = _pivot_rows(R, piv, n, p)
+    Y, d = _reconstruct(X, p)
+    if d[0] and not residual((1, "ks,kc->sc", Y[0], M), (-int(d[0]), B)):
+        return Y[0].T, int(d[0])
+    if (lincomb((1, einsum("ks,kc->sc", (X[0], p - 1), M)), (-1, B))
+            % p).any():
+        return None
+    (sol,) = _solve_stack(A, rhs, (R, piv))
+    if sol is None or residual((1, "ks,kc->sc", sol[0], M), (-sol[1], B)):
+        return None
+    return sol[0].T, sol[1]
+
+
 def lowest_terms(arr, den):
     """The kernel pair (arr, den) divided by the gcd of den and every
-    entry of arr."""
+    entry of arr, in arr's own dtype when it is int64 and g fits (g is
+    den itself when arr is zero, so it need not)."""
     g = math.gcd(den, int(np.gcd.reduce(arr, axis=None)))
     if g == 1:
         return arr, den
+    if arr.dtype == np.int64 and g < _INT64_SAFE:
+        return arr // g, den // g
     return asint(arr.astype(object) // g), den // g
 
 
@@ -559,8 +788,8 @@ def _solve_stack(A, rhs, reduced=None):
     for i in (~ok).nonzero()[0].tolist():
         # rank A < n over Q, or p divides every nonzero n x n minor
         cols = (piv[i] >= 0).nonzero()[0]
-        rows, _ = _certify(A[i], sorted(piv[i, cols].tolist()),
-                           cols.tolist())
+        rows, _, _ = _certify(A[i], sorted(piv[i, cols].tolist()),
+                              cols.tolist())
         if len(rows) == n:
             lift[i] = rows
     if m > n:

@@ -86,10 +86,12 @@ class HypersurfaceModel:
 
     def metric_signature(self):
         # g = -<X, Y> / ((n+1) L1) has the trace form's inertia on V0,
-        # with positive and negative swapped when L1 > 0
-        if self.n == 0:
-            return (0, 0, 0)
-        pos, neg, zero = la.inertia(self._stacks()["gv"])
+        # with positive and negative swapped when L1 > 0.  V = R e (+) V0
+        # is orthogonal for the trace form (<e, X> = tr T_X = 0 on V0)
+        # and <e, e> = dim > 0, so that is the algebra's cached inertia
+        # less one positive direction.
+        _, (pos, neg, zero) = self.algebra.is_semisimple()
+        pos -= 1
         return (neg, pos, zero) if self.l1 > 0 else (pos, neg, zero)
 
     def affine_normal(self):

@@ -350,8 +350,8 @@ class JordanAlgebra:
 
     def is_nondegenerate(self):
         """Whether v -> T_v is injective (no absolute zero divisors).
-        Exactly, a unit is the certificate: :meth:`find_unity` solves the
-        same system uniquely only at full column rank."""
+        Exactly, a unit e is the certificate: T_v e = v, so T_v = 0 only
+        for v = 0."""
         st, _ = self._t_stack()
         m = st.reshape(self.dim, -1).T
         if self.mode == FLOAT:
@@ -361,14 +361,28 @@ class JordanAlgebra:
 
     # -- unity and inversion ---------------------------------------------
 
-    def find_unity(self):
-        """The unit element, or None when the algebra has no unit."""
+    def find_unity(self, candidate=None):
+        """The unit element, or None when the algebra has no unit.
+
+        A rational ``candidate`` is tried first: it is the unit exactly
+        when T_candidate == I, one contraction, since a unit is unique.
+        Otherwise the unit is solved for from the tall system
+        T_u e = u over the basis.
+        """
         if "unity" in self._cache:
             return self._cache["unity"]
         dim = self.dim
         st, den = self._t_stack()
+        eye = np.eye(dim, dtype=np.int64)
+        if candidate is not None and self.mode == RATIONAL:
+            x, dx = self._elem(candidate)
+            if np.array_equal(la.einsum("i,ikj->kj", x, self._operands()[1]),
+                              la.lincomb((den * dx, eye))):
+                self._cache["unity_int"] = (x, dx)
+                self._cache["unity"] = self._out(x, dx)
+                return self._cache["unity"]
         a = st.reshape(dim, -1).T
-        rhs = np.eye(dim, dtype=np.int64).reshape(-1)
+        rhs = eye.reshape(-1)
         if self.mode == FLOAT:
             e, *_ = np.linalg.lstsq(a, rhs, rcond=None)
             resid = np.max(np.abs(a @ e - rhs))
@@ -867,7 +881,7 @@ class JordanAlgebra:
         central idempotent eps / de, or None."""
         c, _, den = self._operands()
         (p,), dp = self._p_int(eps[None], de)
-        idx, _ = la.independent_rows(p.T)
+        idx, _, _ = la.independent_rows(p.T)
         basis, k = p.T[idx], len(idx)
         prods = la.einsum("ui,vj,ijk->uvk", basis, basis, c)
         sol = la.solve(basis.T, prods.reshape(k * k, self.dim).T)

@@ -109,6 +109,9 @@ def from_jsonable(data):
         i, k = asym[0]
         raise SerializationError(
             f"structure constants not symmetric at ({i}, {k})")
+    # the stored unit is checked, not solved for; a wrong one leaves the
+    # solve to tell a unit elsewhere (SerializationError below) from none
+    j.find_unity(stored)
     e = j.unity()
     # a float comparison that fails on NaN
     if (stored != e if mode == RATIONAL

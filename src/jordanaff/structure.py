@@ -22,7 +22,9 @@ and products compare exactly as integer matrices.  They run through the
 kernel of :mod:`jordanaff.exactla`, which picks float64 (exact below
 2**53, for large contractions through BLAS), int64 or Python big
 integers from a bound on each result and never wraps or refuses an input
-for its size.  The derivation identity runs over blocks of k, so its
+for its size.  The derivation identity and the span [p, p] = k are each
+one :func:`exactla.residual`, which runs them as sparse int64 products
+when the operators are sparse and over blocks otherwise, so the
 dim_k x n^3 stack is never held at once.
 """
 
@@ -42,12 +44,6 @@ from .jordan import JordanAlgebra, JordanError, NotUnitalError
 from .reports import CheckResult, VerificationReport
 
 
-# Entries per block of the derivation-identity stack in check_pair: few
-# enough to bound its memory, enough that each block's loop stays on the
-# kernel's float64 rung.
-_BLOCK = 2 ** 18
-
-
 class PairError(JordanError):
     pass
 
@@ -62,7 +58,10 @@ class SymmetricPair:
     basis of k.  The stacks are int64 when their entries fit and
     ``dtype=object`` otherwise, as the exactla kernel produces them; every
     check contracts them through that kernel.  ``k_pairs`` names the
-    generator pair (indices into v0) behind every k basis element.
+    generator pair (indices into v0) behind every k basis element, and
+    ``k_cols`` the dim_k entries (indices into the flattened n x n
+    matrices) on which the minor of the k basis is nonzero modulo a
+    prime, which certified its independence.
 
     ``pp_coords`` is the kernel pair (Y, d) of the commutators in the k
     basis: row g of Y holds the coordinates of the g-th commutator
@@ -77,6 +76,7 @@ class SymmetricPair:
     k_ops: np.ndarray    # stack (dim_k, n, n)
     k_den: int
     k_pairs: tuple       # (i, j) per k basis element
+    k_cols: tuple        # entries of a nonzero dim_k x dim_k minor of k
     pp_coords: tuple     # (Y, d): Y @ k_ops == d * [p, p] commutators
 
     @property
@@ -142,11 +142,11 @@ def restricted_pair(j):
     n = j.dim
     gens = _commutators(p_ops)
     pairs = [(a, b) for a in range(len(v0)) for b in range(a + 1, len(v0))]
-    idx, coords = la.independent_rows(gens.reshape(len(gens), n * n))
+    idx, cols, coords = la.independent_rows(gens.reshape(len(gens), n * n))
     k_ops = la.asint(gens[idx])
     k_pairs = tuple(pairs[i] for i in idx)
     return SymmetricPair(j, v0, p_ops, p_den, k_ops, p_den * p_den,
-                         k_pairs, coords)
+                         k_pairs, tuple(cols), coords)
 
 
 def check_pair(pair, n_samples=3, seed=0):
@@ -158,7 +158,8 @@ def check_pair(pair, n_samples=3, seed=0):
     their rank, which ``max_residual`` reports in excess of dim k), the
     derivation identity [Phi, T_u] = T_{Phi(u)} with
     Phi(u) trace-zero, Phi(e) = 0, skewness of k for the trace form,
-    a seeded sample of k-k brackets re-expanded in the k basis, and
+    a seeded sample of k-k brackets re-expanded in the k basis (solved
+    on the minor at ``k_cols``, so a singular minor fails it), and
     injectivity of u -> T_u.
     """
     t_start = time.monotonic()
@@ -189,9 +190,9 @@ def check_pair(pair, n_samples=3, seed=0):
     if npairs:
         gens = _commutators(p).reshape(npairs, n * n)
         y, d = pair.pp_coords
-        spans = d > 0 and np.array_equal(
-            la.einsum("gk,kc->gc", y, (k.reshape(dim_k, n * n), kb[1])),
-            la.lincomb((d, gens)))
+        spans = d > 0 and la.residual(
+            (1, "gk,kc->gc", y, (k.reshape(dim_k, n * n), kb[1])),
+            (-d, gens)) == 0
         excess = 0 if spans else la.int_rank(np.concatenate(
             [k.reshape(dim_k, n * n), gens], axis=0)) - dim_k
         report.add(CheckResult(
@@ -205,17 +206,9 @@ def check_pair(pair, n_samples=3, seed=0):
     #   Phi T_{b_i} - T_{b_i} Phi = T_{Phi(b_i)}.
     _, st, s_den = j._operands()
     if dim_k:
-        st_arr, ms = st
-        # [Phi_k, T_{b_i}] for every pair (k, i), over blocks of k rows
-        # whose stacks hold about _BLOCK entries each
-        rows = max(1, _BLOCK // n ** 3)
-        worst = 0
-        for b in range(0, dim_k, rows):
-            kr = k[b:b + rows]
-            comm = la.bracket((kr[:, None], kb[1]), (st_arr[None], ms))
-            worst = max(worst, la.max_abs(la.lincomb(
-                (1, comm),
-                (-1, la.einsum("kji,jac->kiac", (kr, kb[1]), st)))))
+        worst = la.residual((1, "kab,ibc->kiac", kb, st),
+                            (-1, "iab,kbc->kiac", st, kb),
+                            (-1, "kji,jac->kiac", kb, st))
         # common denominator: k carries k_den, st carries s_den on both
         # sides, so the integer difference is exact
         report.add(CheckResult(
@@ -257,7 +250,8 @@ def check_pair(pair, n_samples=3, seed=0):
     else:
         report.add(CheckResult(name="kp_in_p", passed=True))
 
-    # seeded sample of k-k brackets, re-expanded in the k basis
+    # seeded sample of k-k brackets, re-expanded in the k basis through
+    # its nonzero minor
     rng = random.Random(seed)
     ok_kk = True
     tried = 0
@@ -265,8 +259,9 @@ def check_pair(pair, n_samples=3, seed=0):
         ia, ib = np.array([rng.sample(range(dim_k), 2)
                            for _ in range(n_samples)]).T
         brackets = la.bracket((k[ia], kb[1]), (k[ib], kb[1]))
-        ok_kk = la.solve(k.reshape(dim_k, -1).T,
-                         brackets.reshape(n_samples, -1).T) is not None
+        ok_kk = la.row_coordinates(
+            k.reshape(dim_k, n * n), list(pair.k_cols),
+            brackets.reshape(n_samples, n * n)) is not None
         tried = n_samples
     report.add(CheckResult(name="kk_in_k", passed=ok_kk, samples=tried,
                            seed=seed))

@@ -9,10 +9,12 @@ matrices and against the Fraction elimination it replaced.
 
 import ast
 import inspect
+import math
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -228,7 +230,7 @@ def _assert_spans(m, rows, witness):
 
 def test_independent_rows_certified():
     m = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 0], [5, -3, 0]]
-    idx, witness = la.independent_rows(m)
+    idx, _, witness = la.independent_rows(m)
     assert idx == [0, 1]
     _assert_spans(m, idx, witness)
     assert witness[0].tolist() == [[1, 0], [0, 1], [1, 1], [0, 0], [5, -3]]
@@ -251,7 +253,7 @@ def test_rank_below_the_first_prime_draws_another(monkeypatch):
     monkeypatch.setattr(la, "_eliminate", counted)
     assert la.int_rank(m) == 2
     assert la.PRIMES_30BIT[1] in primes
-    idx, witness = la.independent_rows(m)
+    idx, _, witness = la.independent_rows(m)
     assert len(idx) == 2
     _assert_spans(m, idx, witness)
 
@@ -262,7 +264,7 @@ def test_span_coordinates_beyond_one_prime():
     p = la.PRIMES_30BIT[0]
     for m in ([[-1], [-(p - 2)]], [[0], [1], [2 * p - 3], [0]],
               [[1, 2], [p - 2, 2 * p - 4], [3, 6]]):
-        idx, witness = la.independent_rows(m)
+        idx, _, witness = la.independent_rows(m)
         assert len(idx) == _sympy_rank(m) == la.int_rank(m)
         _assert_spans(m, idx, witness)
 
@@ -288,7 +290,7 @@ def test_rank_witness_matches_sympy(m):
     kernel is sympy's reduced basis."""
     want = _sympy_rank(m)
     assert la.int_rank(m) == want
-    idx, witness = la.independent_rows(m)
+    idx, _, witness = la.independent_rows(m)
     assert len(idx) == want
     _assert_spans(m, idx, witness)
     ns, d = la.null_space(m)
@@ -587,6 +589,120 @@ def test_kernel_dtype_at_the_int64_edge(monkeypatch):
         out = la.einsum("ab,bc->ac", x, la.asint(np.ones((b, n), int)))
         assert ran.pop() == rung
         assert out.dtype == np.int64 and (out == top).all()
+
+
+def _residual_rungs(*terms):
+    """exactla.residual of ``terms`` three ways: with every loop and
+    density let onto the sparse rung, the value the sparse rung itself
+    gave (None when its bound sent the call to the dense rung, or when it
+    was never asked), and with the dense rung forced."""
+    asked = []
+    sparse = la._sparse_residual
+
+    def spy(ts, plans):
+        asked.append(sparse(ts, plans))
+        return asked[-1]
+
+    with mock.patch.multiple(la, _SPARSE_LOOP=0, _SPARSE_DENSITY=1.0,
+                             _sparse_residual=spy):
+        value = la.residual(*terms)
+    with mock.patch.object(la, "_SPARSE_LOOP", math.inf):
+        dense = la.residual(*terms)
+    return value, asked[0] if asked else None, dense
+
+
+def _draw_sparse(data, shape):
+    """int64 array with entries up to 2**e, e one of 0, 5, 20, 31 and 40,
+    about a quarter of them zero; its first row may be an all-zero
+    block."""
+    e = data.draw(st.sampled_from([0, 5, 20, 31, 40]))
+    n = int(np.prod(shape))
+    vals = data.draw(st.lists(st.integers(1, 2 ** e), min_size=n,
+                              max_size=n))
+    signs = data.draw(st.lists(st.sampled_from([1, -1, 1, 0]), min_size=n,
+                               max_size=n))
+    arr = np.array([v * k for v, k in zip(vals, signs)],
+                   dtype=np.int64).reshape(shape)
+    if shape[0] and data.draw(st.booleans()):
+        arr[0] = 0
+    return arr
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_residual_rungs_match_object_reference(data):
+    """The sparse and dense rungs of exactla.residual give the max-abs of
+    the object-dtype sum, value for value: on the derivation identity's
+    three contractions (k may be empty), on a span product less an
+    array, and with a term that cancels the sum exactly.  Entries up to
+    2**40 and coefficients up to 2**20 put bounds on both sides of
+    2**63, where the sparse rung must hand over to the dense one."""
+    coef = st.sampled_from([1, -1, 3, -2 ** 20, 2 ** 20])
+    if data.draw(st.booleans()):
+        dk, n = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 4))
+        k, s = _draw_sparse(data, (dk, n, n)), _draw_sparse(data, (n, n, n))
+        terms = [(data.draw(coef), "kab,ibc->kiac", k, s),
+                 (data.draw(coef), "iab,kbc->kiac", s, k),
+                 (data.draw(coef), "kji,jac->kiac", k, s)]
+    else:
+        g, dk, c = (data.draw(st.integers(n, 5)) for n in (1, 0, 1))
+        terms = [(data.draw(coef), "gk,kc->gc", _draw_sparse(data, (g, dk)),
+                  _draw_sparse(data, (dk, c))),
+                 (data.draw(coef), _draw_sparse(data, (g, c)))]
+    total = sum(c * (np.einsum(t[0], *(a.astype(object) for a in t[1:]))
+                     if len(t) == 3 else t[0].astype(object))
+                for c, *t in terms)
+    if not data.draw(st.integers(0, 3)):
+        terms.append((-1, la.asint(total)))
+        total = total * 0
+    want = _ref_max(total)
+    value, sparse, dense = _residual_rungs(*terms)
+    assert value == dense == want
+    assert sparse in (None, want)
+
+
+def test_residual_sparse_bound_at_the_int64_edge():
+    """The sparse rung bounds an entry of X @ Y by the largest row nnz of
+    X times the max-abs values, not by the summed size: a row of two
+    nonzeros among four, times 2**31, stays below 2**63 at 2**31 - 1
+    and runs sparse; at 2**31 it reaches 2**63 and runs dense, exactly.
+    At their default thresholds small or dense calls stay dense."""
+    y = la.asint([[2 ** 31], [5], [2 ** 31], [7]])
+    for top, on_sparse in ((2 ** 31 - 1, True), (2 ** 31, False)):
+        x = la.asint([[top, 0, top, 0]])
+        value, sparse, dense = _residual_rungs((1, "ab,bc->ac", x, y))
+        assert value == dense == 2 * top * 2 ** 31
+        assert (sparse is not None) == on_sparse
+    assert la._sparse_plans([(1, "ab,bc->ac", ((x, top), (y, top)))]) \
+        is None
+
+
+def test_row_coordinates():
+    """Coordinates in independent rows through their minor: exact when
+    B is in the span; None when it is not, whether the first prime sees
+    that (a column missed modulo p) or only the exact identity does."""
+    p = la.PRIMES_30BIT[0]
+    m = [[2, 0, 4, 0], [0, 3, 3, 0]]
+    _, cols, _ = la.independent_rows(m)
+    b = np.array([[1, 0, 2, 0], [2, 3, 7, 0], [0, 1, 1, 0]], dtype=object)
+    y, d = la.row_coordinates(m, cols, b)
+    assert d == 6
+    assert (y.astype(object) @ np.array(m, dtype=object) == d * b).all()
+    assert la.row_coordinates(m, cols, [[0, 0, 0, 1]]) is None
+    assert la.row_coordinates(m, cols, [[2, 0, 4, p]]) is None
+
+
+def test_lowest_terms_keeps_its_dtype():
+    """lowest_terms divides int64 arrays in int64; a zero array over a
+    den past int64 divides by that den."""
+    arr, den = la.lowest_terms(la.asint([4, -6, 0]), 10)
+    assert arr.dtype == np.int64 and arr.tolist() == [2, -3, 0]
+    assert den == 5
+    arr, den = la.lowest_terms(la.asint([0, 0]), 3 * 2 ** 70)
+    assert arr.dtype == np.int64 and arr.tolist() == [0, 0] and den == 1
+    arr, den = la.lowest_terms(la.asint([2 ** 70, 2 ** 66]), 2 ** 68)
+    assert arr.dtype == np.int64 and arr.tolist() == [16, 1]
+    assert den == 4
 
 
 def test_int64_limits_only_in_kernel():

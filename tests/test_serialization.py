@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from jordanaff import exactla as la
 from jordanaff import serialization as ser
-from jordanaff.jordan import direct_sum
+from jordanaff.jordan import NotUnitalError, direct_sum
 from jordanaff.serialization import SerializationError
 
 
@@ -125,11 +126,33 @@ def test_bad_payloads_rejected(get_algebra):
             ser.from_jsonable(bad)
 
 
-def test_unity_is_validated(get_algebra):
+def test_unity_is_validated(get_algebra, big_isotopes, monkeypatch):
+    """A stored unit is checked, T_e == I, and not solved for; a wrong
+    one still raises SerializationError, and a table without a unit
+    still raises NotUnitalError."""
     doc = json.loads(ser.dumps(get_algebra("complex_field")))
     doc["unity"] = ["0", "1"]  # not the unit of this table
     with pytest.raises(SerializationError):
         ser.from_jsonable(doc)
+    # the unit of the octonion table, moved in one coordinate
+    doc = json.loads(ser.dumps(get_algebra("octonion_hermitian",
+                                           gammas=(1, 1, 1))))
+    doc["unity"][0] = "1/2" if doc["unity"][0] != "1/2" else "1"
+    with pytest.raises(SerializationError, match="identity"):
+        ser.from_jsonable(doc)
+    doc = json.loads(ser.dumps(get_algebra("reals")))
+    doc["c"] = [[["0"]]]  # the zero product has no unit
+    with pytest.raises(NotUnitalError):
+        ser.from_jsonable(doc)
+    cases = [get_algebra("octonion_hermitian", gammas=(1, 1, 1)),
+             big_isotopes["full_real(m=3)^(q=31)"]]
+    texts = [ser.dumps(j) for j in cases]
+    solves = []
+    monkeypatch.setattr(la, "solve", lambda *a: solves.append(a))
+    for j, text in zip(cases, texts):
+        (x, dx), (y, dy) = ser.loads(text)._unit_int(), j._unit_int()
+        assert x.dtype == y.dtype and x.tolist() == y.tolist() and dx == dy
+    assert solves == []
 
 
 def test_nonjson_rational_strings_rejected():

@@ -1,6 +1,9 @@
 """Restricted structure algebra and its symmetric decomposition."""
 
 import dataclasses
+import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,49 +130,101 @@ def test_pair_rank_count(monkeypatch):
     assert len(calls) <= 6, calls
 
 
-def test_pair_runs_on_the_float64_rung(monkeypatch):
-    """On octonion_hermitian the span products of restricted_pair and
-    check_pair and the derivation-identity bracket have small bounds and
-    large loops, so they run in float64; every array the kernel returns
-    to them is still integer: int64, or Python ints where a bound (the
-    kk_in_k solve's) passes 2**63."""
-    j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
+def _rungs(monkeypatch):
+    """Record, per exactla.residual call, its specs and the rung that
+    answered it; and whether every array the kernel returned outside
+    exactla was integer (int64, or Python ints where a bound passes
+    2**63).  Inside, a dense residual sums float64 terms exactly."""
     ran, returned = [], []
-    np_einsum, np_matmul = np.einsum, np.matmul
+    sparse, dense = exactla._sparse_residual, exactla._dense_residual
 
-    def einsum(spec, *ops, **kwargs):
-        ran.append((spec, tuple((op.dtype, op.shape) for op in ops)))
-        return np_einsum(spec, *ops, **kwargs)
+    def on_sparse(terms, plans):
+        out = sparse(terms, plans)
+        if out is not None:
+            ran.append((tuple(spec for _, spec, _ in terms), "sparse"))
+        return out
 
-    def matmul(x, y):
-        ran.append(("matmul", ((x.dtype, x.shape), (y.dtype, y.shape))))
-        return np_matmul(x, y)
+    def on_dense(terms):
+        ran.append((tuple(spec for _, spec, _ in terms), "dense"))
+        return dense(terms)
 
     def returning(f):
         def wrapped(*args):
             out = f(*args)
-            returned.append(out.dtype == np.int64 or out.dtype == object
-                            and all(isinstance(v, int) for v in out.flat))
+            if sys._getframe(1).f_globals["__name__"] != exactla.__name__:
+                returned.append(out.dtype == np.int64 or out.dtype == object
+                                and all(isinstance(v, int) for v in out.flat))
             return out
         return wrapped
 
-    monkeypatch.setattr(np, "einsum", einsum)
-    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(exactla, "_sparse_residual", on_sparse)
+    monkeypatch.setattr(exactla, "_dense_residual", on_dense)
     for name in ("einsum", "bracket", "lincomb"):
         monkeypatch.setattr(exactla, name, returning(getattr(exactla, name)))
-    assert check_pair(restricted_pair(j)).passed
-    n, dim_k, npairs = 27, 52, 26 * 25 // 2
-    f8 = np.dtype(np.float64)
-    # the span witness, checked in independent_rows and in pp_spans_k
-    span = ((f8, (npairs, dim_k)), (f8, (dim_k, n * n)))
-    assert ("ab,bc->ac", span) in ran
-    assert ("gk,kc->gc", span) in ran
-    # the derivation identity [Phi_k, T_{b_i}] - T_{Phi_k(b_i)}, over
-    # blocks of k rows that cover k
-    brackets = [ops[0] for name, ops in ran
-                if name == "matmul" and ops[1] == (f8, (1, n, n, n))]
-    contractions = [ops[0] for name, ops in ran if name == "kji,jac->kiac"]
-    for blocks in (brackets, contractions):
-        assert all(dt == f8 for dt, _ in blocks)
-        assert sum(shape[0] for _, shape in blocks) == dim_k
-    assert returned and all(returned)
+    return ran, returned
+
+
+DERIVATION = ("kab,ibc->kiac", "iab,kbc->kiac", "kji,jac->kiac")
+
+
+def test_pair_picks_its_rung_by_density(monkeypatch):
+    """On octonion_hermitian (2.6% of its structure constants nonzero)
+    the span witness of restricted_pair, pp_spans_k and the derivation
+    identity run on the kernel's sparse rung.  On a dense isotope of it
+    (28% nonzero) the same identities have the same loops but run on the
+    dense rung.  Every array the kernel returns is integer."""
+    j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
+    e = j.unity()
+    iso = j.isotope(tuple(x + Fraction(d, 3)
+                          for x, d in zip(e, [1, 0, -1] * 9)))
+    for alg, rung in ((j, "sparse"), (iso, "dense")):
+        ran, returned = _rungs(monkeypatch)
+        assert check_pair(restricted_pair(alg)).passed
+        assert returned and all(returned)
+        runs = dict(ran)
+        for specs in [("ab,bc->ac", None), ("gk,kc->gc", None), DERIVATION]:
+            assert runs[specs] == rung, (alg.name, specs)
+        monkeypatch.undo()
+
+
+def test_mutants_fail_alike_on_both_rungs(monkeypatch):
+    """The unit-keeping mutants fail derivation_identity, and with one
+    span coordinate moved by 1 they fail pp_spans_k, with the same
+    residuals whether the kernel answers on the sparse rung or the
+    dense one."""
+    from test_catalog import MUTANT_DET_RESIDUALS, _unit_keeping_mutant
+    for name, params in MUTANT_DET_RESIDUALS:
+        pair = restricted_pair(_unit_keeping_mutant(
+            catalog.build(name, **dict(params))))
+        y, d = pair.pp_coords
+        y = y.copy()
+        y[-1, 0] += 1
+        bad = dataclasses.replace(pair, pp_coords=(y, d))
+        seen = {}
+        for loop, density in ((0, 1.0), (math.inf, 0.0)):
+            monkeypatch.setattr(exactla, "_SPARSE_LOOP", loop)
+            monkeypatch.setattr(exactla, "_SPARSE_DENSITY", density)
+            ran, _ = _rungs(monkeypatch)
+            checks = {c.name: c for c in check_pair(pair).checks}
+            spans = {c.name: c for c in check_pair(bad).checks}
+            rung = dict(ran)[DERIVATION]
+            seen[rung] = (checks["derivation_identity"].max_residual,
+                          spans["pp_spans_k"].max_residual)
+            assert not checks["derivation_identity"].passed, name
+            assert checks["pp_spans_k"].passed, name
+            assert not spans["pp_spans_k"].passed, name
+            monkeypatch.undo()
+        assert seen["sparse"] == seen["dense"], name
+
+
+def test_corrupted_k_fails_kk_in_k():
+    """One k basis entry moved by 1 takes the k-k brackets out of span k:
+    kk_in_k fails, with coordinates solved on k's stored minor."""
+    pair = restricted_pair(catalog.build("quadratic", signs=(1, -1, 1)))
+    k = pair.k_ops.copy()
+    k[0, 1, 2] += 1
+    bad = dataclasses.replace(pair, k_ops=k)
+    checks = {c.name: c for c in check_pair(bad, n_samples=3).checks}
+    assert checks["kk_in_k"].samples == 3
+    assert not checks["kk_in_k"].passed
+    assert {c.name: c.passed for c in check_pair(pair).checks}["kk_in_k"]
