@@ -20,9 +20,10 @@ A float64 operand makes the whole call run in float64, which is how
 float-mode algebras share the exact code paths.  An identity is checked
 by :func:`residual`, the max-abs of a sum of two-operand contractions,
 which picks its own rung: int64 operands with large loops and small
-densities run as ``scipy.sparse`` int64 products (imported on first
-use), bounded by the largest row nnz in place of the summed size, when
-that bound is below 2**63; everything else runs dense, in blocks.
+densities run as sparse int64 products, which multiply only nonzero
+entries and are bounded by the largest row nnz in place of the summed
+size, when that bound is below 2**63; everything else runs dense, in
+blocks.
 
 Ranks and solutions are certified, not probabilistic, and none of them
 eliminates over Python integers.  One batched Gauss-Jordan elimination
@@ -323,41 +324,56 @@ def _sparse_plans(terms):
     return plans
 
 
+def _products(X, Y):
+    """Every nonzero product of the 2-D int64 product X @ Y, unsummed:
+    for each nonzero X[i, k] and each nonzero Y[k, j], the row i, the
+    column j and X[i, k] * Y[k, j]."""
+    i, k = np.nonzero(X)
+    yk, j = np.nonzero(Y)
+    # Y's nonzeros in row r sit at start[r]:start[r + 1], row by row
+    start = np.searchsorted(yk, np.arange(len(Y) + 1))
+    count = start[k + 1] - start[k]
+    t = np.repeat(np.arange(len(k)), count)
+    at = np.arange(len(t)) + np.repeat(start[k] - np.cumsum(count) + count,
+                                       count)
+    return i[t], j[at], X[i, k][t] * Y[yk, j][at]
+
+
 def _sparse_residual(terms, plans):
     """:func:`residual` on the sparse rung, or None when its bound
-    reaches 2**63.  Each contraction is one int64 CSR product X @ Y, whose
-    entries sum at most (largest row nnz of X) products: that count
+    reaches 2**63.  Each contraction is one 2-D int64 product X @ Y,
+    whose entries sum at most (largest row nnz of X) products: that count
     bounds a term in place of the summed size, and the terms' bounds add
-    up.  The entries of every term meet in one array of (flat output
-    index, value) pairs, summed per index."""
-    import scipy.sparse as sp
-
+    up.  The nonzero products of every term (:func:`_products`) meet in
+    one array of (flat output index, value) pairs, summed per index."""
     bound, flat, vals = 0, [], []
     for (c, spec, ops), plan in zip(terms, plans):
         if spec is None:
             ((arr, m),) = ops
-            at = np.flatnonzero(arr)
-            v = arr.ravel()[at]
             bound += abs(c) * int(m)
         else:
             (x, mx), (y, my) = ops
             xperm, yperm, s, rows, cols, _, _ = plan
-            X = sp.csr_array(x.transpose(xperm).reshape(len(rows), s))
-            nnz = int(np.diff(X.indptr).max(initial=0))
+            X = x.transpose(xperm).reshape(len(rows), s)
+            nnz = int(np.count_nonzero(X, axis=1).max(initial=0))
             bound += abs(c) * int(mx) * int(my) * nnz
-            P = (X @ sp.csr_array(y.transpose(yperm).reshape(s, len(cols)))
-                 ).tocoo()
-            at, v = rows[P.row] + cols[P.col], P.data
+        # the bound only grows: stop before a product can wrap
+        if bound >= _INT64_SAFE:
+            return None
+        if spec is None:
+            at = np.flatnonzero(arr)
+            v = arr.ravel()[at]
+        else:
+            i, j, v = _products(X, y.transpose(yperm).reshape(s, len(cols)))
+            at = rows[i] + cols[j]
         flat.append(at)
-        vals.append((c, v))
-    if bound >= _INT64_SAFE:
-        return None
+        vals.append(c * v)
     flat = np.concatenate(flat)
     if not flat.size:
         return 0
     order = np.argsort(flat)
     flat = flat[order]
-    vals = np.concatenate([c * v for c, v in vals])[order]
+    vals = np.concatenate(vals)[order]
     starts = np.flatnonzero(np.concatenate([[True], flat[1:] != flat[:-1]]))
     return int(np.abs(np.add.reduceat(vals, starts)).max())
 
@@ -425,9 +441,9 @@ def residual(*terms):
     axis); c is an int, and each array may be an ``(array, m)`` pair as
     in :func:`einsum`.  The kernel picks the rung.  When every operand is
     int64, the loops are large and the operands sparse
-    (:func:`_sparse_plans`), each contraction runs as one
-    ``scipy.sparse`` int64 product, bounded by the largest row nnz in
-    place of the summed size, if that bound is below 2**63.  Otherwise
+    (:func:`_sparse_plans`), each contraction runs as one sparse int64
+    product (:func:`_sparse_residual`), bounded by the largest row nnz
+    in place of the summed size, if that bound is below 2**63.  Otherwise
     it runs dense (:func:`_dense_residual`).  Both rungs give the same
     value.
     """
@@ -651,39 +667,6 @@ def independent_rows(M):
     """
     M = asint(M)
     return _certify(M, *_pivots(M, PRIMES_30BIT[0]))
-
-
-def row_coordinates(M, cols, B):
-    """Coordinates of the rows of the integer matrix B in the rows of
-    M, whose minor on ``cols`` is nonzero modulo the first prime p (as
-    :func:`independent_rows` returns it): ``(Y, d)`` with Y @ M == d * B,
-    checked exactly, or None when a row of B is not in their span.
-
-    The minor's system is solved modulo p and rebuilt by rational
-    reconstruction.  When that fails or does not hold on every column, a
-    rational solution would still reduce modulo p to the same residues,
-    since p does not divide the minor's determinant; so residues that
-    miss a column modulo p certify None without a lift, and otherwise
-    the system is lifted as :func:`solve` lifts it.  A minor singular
-    modulo p gives None.
-    """
-    M, B = asint(M), asint(B)
-    n, p = len(cols), PRIMES_30BIT[0]
-    A, rhs = M[:, cols].T[None], B[:, cols].T[None]
-    R, piv = _eliminate(np.concatenate([A, rhs], axis=2), n, p)
-    if not (piv >= 0).all():
-        return None
-    X = _pivot_rows(R, piv, n, p)
-    Y, d = _reconstruct(X, p)
-    if d[0] and not residual((1, "ks,kc->sc", Y[0], M), (-int(d[0]), B)):
-        return Y[0].T, int(d[0])
-    if (lincomb((1, einsum("ks,kc->sc", (X[0], p - 1), M)), (-1, B))
-            % p).any():
-        return None
-    (sol,) = _solve_stack(A, rhs, (R, piv))
-    if sol is None or residual((1, "ks,kc->sc", sol[0], M), (-sol[1], B)):
-        return None
-    return sol[0].T, sol[1]
 
 
 def lowest_terms(arr, den):

@@ -159,7 +159,7 @@ def check_pair(pair, n_samples=3, seed=0):
     derivation identity [Phi, T_u] = T_{Phi(u)} with
     Phi(u) trace-zero, Phi(e) = 0, skewness of k for the trace form,
     a seeded sample of k-k brackets re-expanded in the k basis (solved
-    on the minor at ``k_cols``, so a singular minor fails it), and
+    on the minor at ``k_cols``, checked on every entry), and
     injectivity of u -> T_u.
     """
     t_start = time.monotonic()
@@ -250,8 +250,9 @@ def check_pair(pair, n_samples=3, seed=0):
     else:
         report.add(CheckResult(name="kp_in_p", passed=True))
 
-    # seeded sample of k-k brackets, re-expanded in the k basis through
-    # its nonzero minor
+    # seeded sample of k-k brackets, re-expanded in the k basis: the
+    # minor at k_cols is nonzero, so its system has one solution, which
+    # holds on every entry exactly when the brackets lie in span k
     rng = random.Random(seed)
     ok_kk = True
     tried = 0
@@ -259,9 +260,12 @@ def check_pair(pair, n_samples=3, seed=0):
         ia, ib = np.array([rng.sample(range(dim_k), 2)
                            for _ in range(n_samples)]).T
         brackets = la.bracket((k[ia], kb[1]), (k[ib], kb[1]))
-        ok_kk = la.row_coordinates(
-            k.reshape(dim_k, n * n), list(pair.k_cols),
-            brackets.reshape(n_samples, n * n)) is not None
+        flat = k.reshape(dim_k, n * n)
+        rhs = brackets.reshape(n_samples, n * n)
+        cols = list(pair.k_cols)
+        sol = la.solve(flat[:, cols].T, rhs[:, cols].T)
+        ok_kk = sol is not None and not la.residual(
+            (1, "ks,kc->sc", sol[0], flat), (-sol[1], rhs))
         tried = n_samples
     report.add(CheckResult(name="kk_in_k", passed=ok_kk, samples=tried,
                            seed=seed))

@@ -677,21 +677,6 @@ def test_residual_sparse_bound_at_the_int64_edge():
         is None
 
 
-def test_row_coordinates():
-    """Coordinates in independent rows through their minor: exact when
-    B is in the span; None when it is not, whether the first prime sees
-    that (a column missed modulo p) or only the exact identity does."""
-    p = la.PRIMES_30BIT[0]
-    m = [[2, 0, 4, 0], [0, 3, 3, 0]]
-    _, cols, _ = la.independent_rows(m)
-    b = np.array([[1, 0, 2, 0], [2, 3, 7, 0], [0, 1, 1, 0]], dtype=object)
-    y, d = la.row_coordinates(m, cols, b)
-    assert d == 6
-    assert (y.astype(object) @ np.array(m, dtype=object) == d * b).all()
-    assert la.row_coordinates(m, cols, [[0, 0, 0, 1]]) is None
-    assert la.row_coordinates(m, cols, [[2, 0, 4, p]]) is None
-
-
 def test_lowest_terms_keeps_its_dtype():
     """lowest_terms divides int64 arrays in int64; a zero array over a
     den past int64 divides by that den."""

@@ -2,7 +2,6 @@
 
 import dataclasses
 import math
-import sys
 from fractions import Fraction
 
 import numpy as np
@@ -132,9 +131,9 @@ def test_pair_rank_count(monkeypatch):
 
 def _rungs(monkeypatch):
     """Record, per exactla.residual call, its specs and the rung that
-    answered it; and whether every array the kernel returned outside
-    exactla was integer (int64, or Python ints where a bound passes
-    2**63).  Inside, a dense residual sums float64 terms exactly."""
+    answered it; and whether every array einsum, bracket and lincomb
+    returned was integer (int64, or Python ints where a bound passes
+    2**63)."""
     ran, returned = [], []
     sparse, dense = exactla._sparse_residual, exactla._dense_residual
 
@@ -151,9 +150,8 @@ def _rungs(monkeypatch):
     def returning(f):
         def wrapped(*args):
             out = f(*args)
-            if sys._getframe(1).f_globals["__name__"] != exactla.__name__:
-                returned.append(out.dtype == np.int64 or out.dtype == object
-                                and all(isinstance(v, int) for v in out.flat))
+            returned.append(out.dtype == np.int64 or out.dtype == object
+                            and all(isinstance(v, int) for v in out.flat))
             return out
         return wrapped
 
@@ -215,6 +213,30 @@ def test_mutants_fail_alike_on_both_rungs(monkeypatch):
             assert not spans["pp_spans_k"].passed, name
             monkeypatch.undo()
         assert seen["sparse"] == seen["dense"], name
+
+
+def _kk_in_k(pair):
+    checks = {c.name: c for c in check_pair(pair, n_samples=3).checks}
+    assert checks["kk_in_k"].samples == 3
+    return checks["kk_in_k"].passed
+
+
+def test_kk_in_k_on_a_minor_singular_modulo_the_first_prime():
+    """k with its first element scaled by the first prime spans the same
+    space, but its stored minor vanishes modulo that prime: the minor's
+    system is still solved exactly and kk_in_k passes.  A k element
+    moved off the minor's entries takes the brackets out of span k, and
+    only the check on every entry sees it."""
+    pair = restricted_pair(catalog.build("octonion_hermitian",
+                                         gammas=(1, 1, 1)))
+    k = pair.k_ops.astype(object)
+    k[0] *= exactla.PRIMES_30BIT[0]
+    assert _kk_in_k(dataclasses.replace(pair, k_ops=exactla.asint(k)))
+    n = pair.algebra.dim
+    off = sorted(set(range(n * n)) - set(pair.k_cols))
+    k = pair.k_ops.copy().reshape(len(k), n * n)
+    k[:, off[0]] += 1
+    assert not _kk_in_k(dataclasses.replace(pair, k_ops=k.reshape(-1, n, n)))
 
 
 def test_corrupted_k_fails_kk_in_k():
