@@ -7,7 +7,7 @@ algebra's positive cone section as a centro-affine hypersurface whose
 metric, cubic form, and curvature come straight from the product.
 """
 
-from .config import FLOAT, RATIONAL, TOL, Tolerances
+from .config import RATIONAL, TOL, Tolerances
 from .jordan import (
     DimensionMismatchError,
     JordanAlgebra,
@@ -52,7 +52,6 @@ __all__ = [
     "CalabiComposition",
     "CheckResult",
     "DimensionMismatchError",
-    "FLOAT",
     "HypersurfaceModel",
     "JordanAlgebra",
     "JordanError",

@@ -8,8 +8,8 @@ quaternionic matrices, the 3x3 octonionic hermitian algebras (division
 and split entries), and the complexifications of the split families
 viewed as real algebras.
 
-Every builder returns a rational-mode :class:`~jordanaff.jordan.JordanAlgebra`
-whose meta records the family name and parameters.  Each family carries
+Every builder returns a :class:`~jordanaff.jordan.JordanAlgebra` whose
+meta records the family name and parameters.  Each family carries
 a closed-form generic norm of degree d; the norm is tied to the engine
 by the exact identity det P_u = N(u)^(2 dim / d), which
 :func:`verify_det_formula` tests on random rational elements.
@@ -32,7 +32,6 @@ from . import exactla as la
 from .composition_algebras import (COMPLEXES, OCTONIONS, QUATERNIONS, REALS,
                                    SPLIT_OCTONIONS, cd_conj, cd_mul, cd_norm,
                                    cd_real, cd_unit, mul_table_tensor)
-from .config import RATIONAL
 from .exactla import QI
 from .jordan import JordanAlgebra
 from .reports import CheckResult
@@ -360,11 +359,9 @@ def degree(j):
 
 
 def generic_norm(j, u):
-    """Closed-form generic norm of an element: an exact Fraction (its
-    float for a float algebra).  It is homogeneous of degree d, so
-    N(x / dx) = N(x) / dx^d runs on the integer coordinates x."""
-    if j.mode != RATIONAL:
-        return float(_closed_form(j, [Fraction(v) for v in j.coerce(u)]))
+    """Closed-form generic norm of an element, an exact Fraction.  It
+    is homogeneous of degree d, so N(x / dx) = N(x) / dx^d runs on the
+    integer coordinates x."""
     x, dx = j._elem(u)
     return Fraction(_closed_form(j, x.tolist()), dx ** degree(j))
 

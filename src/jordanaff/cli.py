@@ -73,7 +73,7 @@ def _print_report(report, as_json):
     if as_json:
         print(json.dumps(report.to_jsonable(), indent=2, sort_keys=True))
         return
-    print(f"target: {report.target}  mode: {report.mode}")
+    print(f"target: {report.target}")
     for c in report.checks:
         mark = "PASS" if c.passed else "FAIL"
         extra = f"  samples={c.samples}" if c.samples else ""
@@ -82,14 +82,6 @@ def _print_report(report, as_json):
     verdict = "PASS" if report.passed else "FAIL"
     print(f"RESULT: {verdict} ({len(report.checks)} checks, "
           f"{report.elapsed_ms:.0f} ms)")
-
-
-def _wrap(target, mode, checks, t0):
-    report = VerificationReport(target=target, mode=mode, checks=[])
-    for c in checks:
-        report.add(c)
-    report.elapsed_ms = (time.monotonic() - t0) * 1000.0
-    return report
 
 
 def _cmd_catalog(args):
@@ -156,26 +148,20 @@ def _cmd_verify(args):
 
 
 def _verify_one(j, args, t0):
+    kw = {"n_samples": args.samples, "seed": args.seed}
+    target = j.name
     if args.target == "jordan":
-        checks = [j.check_jordan(n_samples=args.samples, seed=args.seed)]
-        report = _wrap(j.name, j.mode, checks, t0)
+        checks = [j.check_jordan(**kw)]
     elif args.target == "fundamental":
-        checks = [j.check_fundamental(n_samples=args.samples,
-                                      seed=args.seed)]
-        report = _wrap(j.name, j.mode, checks, t0)
+        checks = [j.check_fundamental(**kw)]
     elif args.target == "triple":
-        checks = [j.check_triple(n_samples=args.samples, seed=args.seed),
-                  j.check_self_adjoint(n_samples=args.samples,
-                                       seed=args.seed),
-                  j.check_inverse_identities(n_samples=args.samples,
-                                             seed=args.seed)]
-        report = _wrap(j.name, j.mode, checks, t0)
+        checks = [j.check_triple(**kw), j.check_self_adjoint(**kw),
+                  j.check_inverse_identities(**kw)]
     elif args.target == "gauss":
         model = build_model(j, args.l1)
         checks = [model.check_gauss(), model.check_cubic_form(),
                   model.check_difference_tensor()]
-        report = _wrap(f"model({j.name}, l1={args.l1})", j.mode,
-                       checks, t0)
+        target = f"model({j.name}, l1={args.l1})"
     elif args.target == "semisimple":
         ok, inertia = j.is_semisimple()
         nd = j.is_nondegenerate()
@@ -186,28 +172,23 @@ def _verify_one(j, args, t0):
             CheckResult(name="no_trivial_multiplications", passed=nd,
                         max_residual=Fraction(0 if nd else 1)),
         ]
-        report = _wrap(j.name, j.mode, checks, t0)
     elif args.target == "detformula":
-        checks = [catalog.verify_det_formula(j, n_samples=args.samples,
-                                             seed=args.seed)]
-        report = _wrap(j.name, j.mode, checks, t0)
+        checks = [catalog.verify_det_formula(j, **kw)]
     elif args.target == "decompose":
-        parts = j.decompose(seed=args.seed)
-        dims = [p.dim for p, _ in parts]
+        dims = [p.dim for p, _ in j.decompose(seed=args.seed)]
         checks = [CheckResult(
             name="ideal_decomposition", passed=sum(dims) == j.dim,
             max_residual=Fraction(abs(j.dim - sum(dims))),
             details={"ideal_dims": dims})]
-        report = _wrap(j.name, j.mode, checks, t0)
     elif args.target == "pair":
-        pair = restricted_pair(j)
-        report = check_pair(pair, n_samples=args.samples, seed=args.seed)
+        return check_pair(restricted_pair(j), **kw)
     elif args.target == "model":
-        _, report = verify_model(j, args.l1,
-                                 n_float_samples=args.samples,
-                                 seed=args.seed)
+        return verify_model(j, args.l1, n_float_samples=args.samples,
+                            seed=args.seed)[1]
     else:
         raise SystemExit(f"unknown verification target {args.target!r}")
+    report = VerificationReport(target=target, checks=checks)
+    report.elapsed_ms = (time.monotonic() - t0) * 1000.0
     return report
 
 

@@ -171,21 +171,6 @@ def cd_unit(sig: CDSignature, k, one=Fraction(1)):
     return tuple(one if i == k else zero for i in range(sig.dim))
 
 
-def norm_signature(sig: CDSignature):
-    """Inertia (positive, negative) of the norm form on the unit basis."""
-    pos = neg = 0
-    tab = unit_table(sig)
-    for i in range(sig.dim):
-        k, s = tab[i][i]
-        assert k == 0
-        n = s if i == 0 else -s  # N(e_i) = e_i * conj(e_i) = -e_i^2 for i >= 1
-        if n > 0:
-            pos += 1
-        else:
-            neg += 1
-    return pos, neg
-
-
 # ---------------------------------------------------------------------------
 # split quaternions as real 2x2 matrices
 

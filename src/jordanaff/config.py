@@ -1,37 +1,36 @@
-"""Arithmetic modes and the shared tolerance settings.
+"""The one arithmetic and the shared tolerance settings.
 
-The mode of an algebra decides the dtype its identity checks run in
-(integers over a common denominator, or float64) and their zero test.
-Every floating-point comparison in the library routes through one
-``Tolerances`` record so that thresholds are set in exactly one place.
-Rational-mode checks never use tolerances; they compare exactly.
+Every algebra holds integers over a common denominator, and every
+identity check compares exactly; no verdict on an algebra uses a
+tolerance.  Floats enter in two places only, and each reads its
+threshold from the one ``Tolerances`` record: float input, which
+:mod:`jordanaff.serialization` snaps to rationals, and the geometry of
+sampled points on a hypersurface model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+# the arithmetic of every algebra, as the "mode" of files and reports
 RATIONAL = "rational"
-FLOAT = "float"
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Float-mode thresholds used across the verification suites.
+    """Float thresholds at the edges of the exact library.
 
-    rel: relative tolerance for residuals of algebraic identities, and
-        the relative cutoff of float inertia, rank and unit solves.  A
-        float identity residual is taken relative to the largest term it
-        cancels, and passes when at most ``rel + abs_floor``.
-    abs_floor: added to ``rel`` in that zero test.
+    rel: relative distance within which a float entry of an algebra file
+        snaps to a rational (:func:`jordanaff.serialization.from_jsonable`).
+    abs_floor: slack of the balance constraint on the exponents of a
+        composed point, relative to the largest exponent or 1
+        (:func:`jordanaff.calabi.compose_point`).
     level: relative tolerance for hypersurface level-set membership.
-    det_floor: relative floor below which a quadratic-operator
-        determinant is treated as singular when inverting.
     """
 
     rel: float = 1e-9
     abs_floor: float = 1e-12
     level: float = 1e-8
-    det_floor: float = 1e-12
 
 
 TOL = Tolerances()

@@ -16,8 +16,8 @@ is then an integer float64 holds exactly.  Otherwise the call runs in
 int64 when the bound fits and on Python big integers (``dtype=object``)
 when it does not.  It never wraps, never rounds and never refuses an
 input for its size, and integer operands always give integer results.
-A float64 operand makes the whole call run in float64, which is how
-float-mode algebras share the exact code paths.  An identity is checked
+A float64 operand raises TypeError: a float is not exact data, and none
+reaches an integer rung to be truncated there.  An identity is checked
 by :func:`residual`, the max-abs of a sum of two-operand contractions,
 which picks its own rung: int64 operands with large loops and small
 densities run as sparse int64 products, which multiply only nonzero
@@ -60,7 +60,7 @@ import numpy as np
 # -2**63, the one int64 value whose abs wraps, out of int64 arrays.
 _INT64_SAFE = 2 ** 63
 # Every integer of absolute value below this is exact in float64.
-_FLOAT_EXACT = 2 ** 53
+_F64_EXACT = 2 ** 53
 
 # ---------------------------------------------------------------------------
 # scalars and small vector helpers
@@ -81,6 +81,14 @@ def fvec(seq) -> tuple:
     return tuple(as_fraction(x) for x in seq)
 
 
+def snap(x: float, max_den: int):
+    """(q, dist): the Fraction q of denominator at most ``max_den``
+    nearest the finite float x, and its exact distance |q - x|."""
+    f = Fraction(x)
+    q = f.limit_denominator(max_den)
+    return q, abs(q - f)
+
+
 # ---------------------------------------------------------------------------
 # the API edge: Fractions to one integer vector over one denominator
 
@@ -98,7 +106,9 @@ def clear_denominators_vec(vec):
 
 def asint(ints):
     """ndarray of nested Python ints: int64 when every entry fits, else
-    ``dtype=object`` (Python ints)."""
+    ``dtype=object`` (Python ints).  A float array raises TypeError."""
+    if isinstance(ints, np.ndarray):
+        _exact(ints)
     try:
         arr = np.asarray(ints, dtype=np.int64)
     except OverflowError:
@@ -108,13 +118,18 @@ def asint(ints):
     return arr
 
 
+def _exact(arr):
+    """arr itself, unless it is a float or complex array, which raises
+    TypeError: cast to an integer dtype it would be truncated silently."""
+    if arr.dtype.kind in "fc":
+        raise TypeError(f"kernel arrays hold integers, not {arr.dtype}")
+    return arr
+
+
 def max_abs(arr):
-    """Largest absolute entry of a kernel array: a Python int for an
-    integer array, a float for a float64 one."""
-    if not arr.size:
-        return 0
-    m = np.abs(arr).max()
-    return float(m) if arr.dtype.kind == "f" else int(m)
+    """Largest absolute entry of an integer kernel array, a Python int."""
+    _exact(arr)
+    return int(np.abs(arr).max()) if arr.size else 0
 
 
 # Loops with fewer iterations than this (the product of all index sizes)
@@ -129,14 +144,15 @@ def _dtype(bound, loop=0):
     least ``_PATH_MIN``, so that BLAS pays for the casts; else int64 when
     the bound fits; else Python big integers.  :func:`lincomb` passes no
     loop, since elementwise work gains nothing from BLAS."""
-    if bound < _FLOAT_EXACT and loop >= _PATH_MIN:
+    if bound < _F64_EXACT and loop >= _PATH_MIN:
         return np.float64
     return np.int64 if bound < _INT64_SAFE else object
 
 
 def _array(op):
-    """The array of an operand: an array or an ``(array, m)`` pair."""
-    return op[0] if isinstance(op, tuple) else op
+    """The integer array of an operand: an array or an ``(array, m)``
+    pair."""
+    return _exact(op[0] if isinstance(op, tuple) else op)
 
 
 def _max(op):
@@ -170,8 +186,7 @@ def einsum(spec, *ops):
     its result is cast back to int64 once.  Otherwise the call runs in
     int64 when the bound fits and on Python big integers when it does
     not.  An operand may be passed as ``(array, m)`` with m >= its
-    max-abs, so a cached tensor is scanned once.  With a float64 operand
-    the call runs in float64 and no operand is scanned.
+    max-abs, so a cached tensor is scanned once.
     """
     summed, kept = _index_axes(spec)
     arrs = [_array(op) for op in ops]
@@ -181,20 +196,16 @@ def einsum(spec, *ops):
     loop = bound
     for k, axis in kept:
         loop *= arrs[k].shape[axis]
-    floats = any(a.dtype.kind == "f" for a in arrs)
-    if floats:
-        dtype = np.float64
-    else:
-        for op in ops:
-            bound *= max(_max(op), 1)
-        dtype = _dtype(bound, loop)
+    for op in ops:
+        bound *= max(_max(op), 1)
+    dtype = _dtype(bound, loop)
     arrs = [a.astype(dtype, copy=False) for a in arrs]
     # a path search pays off for a large loop, and reaches BLAS in float64
     if loop >= _PATH_MIN and (dtype is np.float64 or len(arrs) > 2):
         out = np.einsum(spec, *arrs, optimize=True)
     else:
         out = np.einsum(spec, *arrs)
-    if dtype is np.float64 and not floats:
+    if dtype is np.float64:
         out = out.astype(np.int64)
     return out
 
@@ -205,22 +216,17 @@ def bracket(x, y):
 
     The bound is 2 * n * max-abs(x) * max-abs(y) and the loop is n times
     the size of the result; the dtype follows from them as in
-    :func:`einsum`, float64 through BLAS included.  A float64 operand
-    makes the call run in float64 without a scan.
+    :func:`einsum`, float64 through BLAS included.
     """
     xa, ya = _array(x), _array(y)
-    floats = xa.dtype.kind == "f" or ya.dtype.kind == "f"
-    if floats:
-        dtype = np.float64
-    else:
-        n, d = xa.shape[-1], xa.ndim - ya.ndim
-        dtype = _dtype(2 * n * _max(x) * _max(y),
-                       n * math.prod(map(max, (1,) * -d + xa.shape,
-                                         (1,) * d + ya.shape)))
+    n, d = xa.shape[-1], xa.ndim - ya.ndim
+    dtype = _dtype(2 * n * _max(x) * _max(y),
+                   n * math.prod(map(max, (1,) * -d + xa.shape,
+                                     (1,) * d + ya.shape)))
     xa, ya = xa.astype(dtype, copy=False), ya.astype(dtype, copy=False)
     out = np.matmul(xa, ya)
     out -= np.matmul(ya, xa)
-    if dtype is np.float64 and not floats:
+    if dtype is np.float64:
         out = out.astype(np.int64)
     return out
 
@@ -230,14 +236,12 @@ def lincomb(*terms):
 
     A coefficient is an int, or a 1-D array of ints with one coefficient
     per row (axis 0) of ``arr``; int64 is used exactly when
-    sum max-abs(c) * max-abs(arr) fits, float64 when an ``arr`` is
-    float64, in which case no ``arr`` is scanned.  ``arr`` may be an
+    sum max-abs(c) * max-abs(arr) fits.  ``arr`` may be an
     ``(array, m)`` pair as in :func:`einsum`.
     """
-    floats = any(_array(op).dtype.kind == "f" for _, op in terms)
     terms = [(c if isinstance(c, np.ndarray) else int(c), _array(op),
-              1 if floats else _max(op)) for c, op in terms]
-    dtype = np.float64 if floats else _dtype(sum(
+              _max(op)) for c, op in terms]
+    dtype = _dtype(sum(
         (max_abs(c) if isinstance(c, np.ndarray) else abs(c)) * m
         for c, _, m in terms))
     out = None
@@ -386,7 +390,6 @@ def _dense_residual(terms):
     loops.  It runs over chunks of the output's leading axis of about
     ``_BLOCK`` entries: a chunk slices every operand that carries the
     leading index."""
-    floats = any(a.dtype.kind == "f" for _, _, ops in terms for a, _ in ops)
     bound = loop = 0
     for c, spec, ops in terms:
         b = abs(c) * math.prod(max(m, 1) for _, m in ops)
@@ -395,7 +398,7 @@ def _dense_residual(terms):
             b *= plan[2]
             loop += len(plan[3]) * plan[2] * len(plan[4])
         bound += b
-    dtype = np.float64 if floats else _dtype(bound, loop)
+    dtype = _dtype(bound, loop)
     _, spec, ops = terms[0]
     if spec:
         *_, kept, back = _plan(spec, ops[0][0].shape, ops[1][0].shape)
@@ -426,8 +429,9 @@ def _dense_residual(terms):
                 out = term
             else:
                 out += term
-        worst = max(worst, max_abs(out))
-    return worst if floats else int(worst)
+        # on the float64 rung every entry is an integer float64 holds
+        worst = max(worst, int(np.abs(out).max(initial=0)))
+    return worst
 
 
 def residual(*terms):

@@ -28,7 +28,9 @@ which :func:`verify_model` certifies exactly, along with apolarity,
 total symmetry of the cubic form, nondegeneracy of g, the quadratic
 expansion P_{e + h X} = I + 2 h T_X + h^2 (2 T_X^2 - T_{X^2}) behind
 the tangency of V0, and an exact product reconstruction from (g, A,
-L1).  Floating-point orbit sampling confirms the level-set value.
+L1).  Floating-point orbit sampling confirms the level-set value; its
+T_x and P_x come from :func:`_float_operators`, on a float64 copy of the
+tensor.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla as la
-from .config import RATIONAL, TOL
+from .config import TOL
 from .jordan import JordanAlgebra, JordanError
 from .reports import CheckResult, VerificationReport
 from .structure import _trace_zero_basis, _operator_stack
@@ -54,6 +56,16 @@ _PAIR_BLOCK = 2 ** 13
 
 class ModelError(JordanError):
     pass
+
+
+def _float_operators(j, x):
+    """(T_x, P_x) of float64 points, the rows of x, as two (s, n, n)
+    stacks, with P_x = 2 T_x^2 - T_{x^2}: numpy on the float64 tensor of
+    ``j``.  Geometry of sampled points only; every identity is exact."""
+    c = j._float_tensor()
+    t = np.einsum("si,ijk->skj", x, c)
+    x2 = np.einsum("skj,sj->sk", t, x)
+    return t, 2 * (t @ t) - np.einsum("si,ijk->skj", x2, c)
 
 
 def scale_constant(n, l1):
@@ -288,7 +300,6 @@ class HypersurfaceModel:
         from scipy.linalg import expm
 
         j = self.algebra
-        jf = j.to_float()
         ef = np.array([float(x) for x in j.unity()])
         rng = random.Random(seed)
         if self.n == 0:
@@ -302,7 +313,7 @@ class HypersurfaceModel:
                                   for _ in range(self.n)])
                 y = coeff @ v0f
                 y /= max(1.0, np.linalg.norm(y))
-                x = expm(np.asarray(jf.t_operator(y))) @ x
+                x = expm(_float_operators(j, y[None])[0][0]) @ x
             out[s] = self.c_float * x
         return out
 
@@ -318,10 +329,9 @@ class HypersurfaceModel:
         error of the value) because the level value underflows float64
         already in middling dimensions.
         """
-        jf = self.algebra.to_float()
         pts = self.sample_points(count=count, seed=seed, steps=steps)
         log_target = self.log_level_value()
-        p, _ = jf._p_int(pts, 1)
+        _, p = _float_operators(self.algebra, pts)
         sign, logabs = np.linalg.slogdet(p)
         sign_ok = bool(np.all(sign > 0))
         worst = float(np.max(np.abs(logabs - log_target), initial=0.0))
@@ -397,8 +407,6 @@ def adapted_constants(model):
 
 def build_model(j, l1):
     """Attach the hypersphere model with mean curvature ``l1`` to ``j``."""
-    if j.mode != RATIONAL:
-        raise ModelError("models are built from rational-mode algebras")
     l1 = la.as_fraction(l1)
     e = j.unity()
     n = j.dim - 1
@@ -424,7 +432,7 @@ def verify_model(j, l1, n_float_samples=6, seed=0):
     t0 = time.monotonic()
     model = build_model(j, l1)
     report = VerificationReport(
-        target=f"model({j.name}, l1={l1})", mode=j.mode, checks=[])
+        target=f"model({j.name}, l1={l1})", checks=[])
     report.add(model.check_metric())
     report.add(model.check_difference_tensor())
     report.add(model.check_cubic_form())

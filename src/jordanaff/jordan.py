@@ -1,13 +1,12 @@
 """Commutative structure-constant algebras and the Jordan-algebra toolkit.
 
 An algebra is a tensor c with (b_i o b_j) = sum_k c[i][j][k] b_k over a
-fixed basis, in one of two modes.  A rational algebra stores integers
-over one denominator and certifies each identity exactly; a float
-algebra (``mode=FLOAT``, e.g. from :meth:`JordanAlgebra.to_float`) holds
-float64 coefficients.  Each identity has one implementation for both:
-it runs on kernel arrays from :meth:`JordanAlgebra._operands`, integers
-over a common denominator or float64 over 1, and the mode decides only
-that dtype and the zero test of :meth:`JordanAlgebra._residual`.
+fixed basis, stored as integers over one denominator.  Every identity
+is certified exactly, and has one implementation: it runs on the kernel
+arrays of :meth:`JordanAlgebra._operands`, and its verdict is that the
+exact residual of :meth:`JordanAlgebra._residual` is 0.  Float input is
+snapped to rationals at the edge (:mod:`jordanaff.serialization`), and
+float64 is left to the geometry of sampled points.
 
 The multiplication operator of u is T_u = u o (.), the quadratic operator
 is P_u = 2 T_u^2 - T_{u^2}, the element determinant and trace are those of
@@ -22,7 +21,7 @@ Exact computations clear denominators and run through the one integer
 kernel of :mod:`jordanaff.exactla`, which picks float64 (exact below
 2**53, for large contractions through BLAS), int64 or Python big
 integers from a bound on each result and never wraps or refuses an input
-for its size; float64 operands pass through it in float64, unscanned.
+for its size.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla as la
-from .config import FLOAT, RATIONAL, TOL
 from .reports import CheckResult
 
 
@@ -63,19 +61,15 @@ class JordanAlgebra:
     """A finite-dimensional commutative algebra over R in a fixed basis.
 
     ``c`` is the nested tensor c[i][j][k]: Fractions, ints or rational
-    strings (never floats), or finite floats for ``mode=FLOAT``; this is
-    the one parser of such input, and it parses each distinct entry once
-    (ValueError or TypeError on a bad one).  Internal producers pass
-    ``kernel=(array, den)`` with c == array / den instead.  Either way
-    the algebra stores only that kernel pair, in lowest terms (float64
-    over 1 for a float algebra); :attr:`c` is derived from it.
+    strings, never floats; this is the one parser of such input, and it
+    parses each distinct entry once (ValueError or TypeError on a bad
+    one).  Internal producers pass ``kernel=(array, den)`` with
+    c == array / den instead.  Either way the algebra stores only that
+    kernel pair, in lowest terms; :attr:`c` is derived from it.
     """
 
-    def __init__(self, c=None, mode=RATIONAL, name="algebra", labels=None,
-                 meta=None, *, kernel=None):
-        if mode not in (RATIONAL, FLOAT):
-            raise ValueError(f"unknown mode {mode!r}")
-        self.mode = mode
+    def __init__(self, c=None, name="algebra", labels=None, meta=None, *,
+                 kernel=None):
         self.name = name
         self.meta = dict(meta or {})
         dim = len(c) if kernel is None else len(kernel[0])
@@ -86,11 +80,6 @@ class JordanAlgebra:
         elif any(len(ci) != dim or any(len(cij) != dim for cij in ci)
                  for ci in c):
             raise DimensionMismatchError("structure tensor must be cubic")
-        elif mode == FLOAT:
-            ci, den = np.asarray(c, dtype=np.float64), 1
-            bad = ci[~np.isfinite(ci)]
-            if bad.size:
-                raise ValueError(f"structure constant {bad[0]} is not finite")
         else:
             # parse each distinct entry once; keyed by type too, so a
             # float 1.0 is refused even where an int 1 came first
@@ -103,14 +92,8 @@ class JordanAlgebra:
         if ci.shape != (dim, dim, dim):
             raise DimensionMismatchError(
                 f"structure tensor must be cubic, got {ci.shape}")
-        if mode == RATIONAL:
-            ci, den = la.lowest_terms(la.asint(ci), den)
-        self._kernel = (ci, den)
-        self._cmax = la.max_abs(ci)
-        # the zero test: a residual passes when it is at most this; a
-        # check over no samples reports the zero residual
-        self._tol = TOL.rel + TOL.abs_floor if mode == FLOAT else 0
-        self._zero = 0.0 if mode == FLOAT else Fraction(0)
+        self._kernel = la.lowest_terms(la.asint(ci), den)
+        self._cmax = la.max_abs(self._kernel[0])
         self.dim = dim
         self.labels = tuple(labels) if labels else tuple(
             f"b{i}" for i in range(dim))
@@ -121,8 +104,7 @@ class JordanAlgebra:
     @property
     def c(self):
         """The structure tensor at the API edge, made from the kernel
-        pair on first read: nested tuples of Fractions, or the float64
-        array of a float algebra."""
+        pair on first read: nested tuples of Fractions."""
         if "c" not in self._cache:
             self._cache["c"] = self._out(*self._kernel)
         return self._cache["c"]
@@ -130,9 +112,8 @@ class JordanAlgebra:
     # -- kernel arrays and the API edge -----------------------------------
 
     def _int_tensor(self):
-        """(ci, den) with c == ci / den in lowest terms: ci is int64 or
-        object-dtype for a rational algebra, the float64 tensor over den
-        1 for a float one."""
+        """(ci, den) with c == ci / den in lowest terms: ci is int64, or
+        object-dtype when an entry does not fit."""
         return self._kernel
 
     def _t_stack(self):
@@ -149,30 +130,32 @@ class JordanAlgebra:
         m = self._cmax
         return (ci, m), (st, m), den
 
+    def _float_tensor(self):
+        """c as a float64 array, made once: geometry of sampled points
+        (:mod:`jordanaff.hypersurface`) reads it, and no check does."""
+        if "float" not in self._cache:
+            ci, den = self._kernel
+            # Python int division rounds each entry of ci / den correctly
+            self._cache["float"] = np.asarray(ci.astype(object) / den,
+                                              dtype=np.float64)
+        return self._cache["float"]
+
     def coerce(self, u):
-        """Normalize an element to the mode's canonical representation."""
+        """An element as a tuple of Fractions."""
         if len(u) != self.dim:
             raise DimensionMismatchError(
                 f"element of length {len(u)} in algebra of dimension "
                 f"{self.dim}")
-        if self.mode == RATIONAL:
-            return la.fvec(u)
-        return np.asarray(u, dtype=np.float64)
+        return la.fvec(u)
 
     def _elem(self, u):
         """Kernel form (x, dx) of an element, with u == x / dx."""
-        u = self.coerce(u)
-        if self.mode == FLOAT:
-            return u, 1
-        ints, den = la.clear_denominators_vec(u)
+        ints, den = la.clear_denominators_vec(self.coerce(u))
         return la.asint(ints), den
 
     def _out(self, arr, den):
         """API form of the kernel array arr / den: nested tuples of
-        Fractions for a rational algebra, the float64 array itself for a
-        float one (whose den is 1)."""
-        if self.mode == FLOAT:
-            return arr
+        Fractions."""
         # one Fraction per distinct value; .tolist() gives Python ints,
         # so Fraction(v, den) never wraps
         frac = {v: Fraction(v, den) for v in set(arr.ravel().tolist())}
@@ -191,42 +174,24 @@ class JordanAlgebra:
         so that nothing the kernel already bounded is scanned again; c
         and den are ints or object arrays of one int per row.  One
         :func:`exactla.lincomb` over each row's least common denominator
-        d gives r.  A rational algebra reports max-abs(r) / d of each
-        row, exactly; a float one reports max-abs(r) relative to the
-        largest of that row's aligned terms (at least 1), which the zero
-        test holds to ``TOL``.
+        d gives r, and each row reports max-abs(r) / d, exactly.
         """
         d = functools.reduce(_lcm, (den for _, _, den in terms))
-        scaled = [(c * (d // den), op) for c, op, den in terms]
-        r = _row_max(la.lincomb(*scaled))
-        if self.mode == FLOAT:
-            scale = functools.reduce(np.maximum, (abs(c) * _row_max(op)
-                                                  for c, op in scaled))
-            return (r / np.maximum(1.0, scale)).tolist()
+        r = _row_max(la.lincomb(*((c * (d // den), op)
+                                  for c, op, den in terms)))
         dens = d.tolist() if isinstance(d, np.ndarray) else [d] * len(r)
         return [Fraction(a, b) for a, b in zip(r.tolist(), dens)]
 
     def _worst(self, *terms):
         """The largest of the :meth:`_residual` rows; the zero residual
         for an empty stack."""
-        return max(self._residual(*terms), default=self._zero)
+        return max(self._residual(*terms), default=Fraction(0))
 
     def zero(self):
         return self.coerce([0] * self.dim)
 
     def basis_element(self, i):
         return self.coerce([1 if j == i else 0 for j in range(self.dim)])
-
-    def to_float(self):
-        """Float-mode copy of this algebra, built once and cached."""
-        if "float" not in self._cache:
-            ci, den = self._kernel
-            # Python int division rounds each entry of ci / den correctly
-            self._cache["float"] = JordanAlgebra(
-                kernel=(np.asarray(ci.astype(object) / den,
-                                   dtype=np.float64), 1), mode=FLOAT,
-                name=self.name, labels=self.labels, meta=dict(self.meta))
-        return self._cache["float"]
 
     # -- products and operators -----------------------------------------
 
@@ -306,11 +271,8 @@ class JordanAlgebra:
 
     def _dets(self, x, dx=1):
         """det P_u for the rows u of x / dx (dx one int), as a list of
-        Fractions, or of floats for a float algebra: one P stack and one
-        stacked :func:`exactla.det`."""
+        Fractions: one P stack and one stacked :func:`exactla.det`."""
         p, d = self._p_int(x, dx)
-        if self.mode == FLOAT:
-            return np.linalg.det(p).tolist()
         return [Fraction(v, d ** self.dim) for v in la.det(p)]
 
     def trace_form(self, u, v):
@@ -335,36 +297,25 @@ class JordanAlgebra:
 
     def is_semisimple(self):
         """(nondegenerate trace form?, inertia (pos, neg, zero))."""
-        g, _ = self._gram_int()
-        if self.mode == FLOAT:
-            w = np.linalg.eigvalsh(g)
-            scale = max(1.0, float(np.max(np.abs(w))))
-            pos = int(np.sum(w > TOL.rel * scale))
-            neg = int(np.sum(w < -TOL.rel * scale))
-            zero = self.dim - pos - neg
-            return zero == 0, (pos, neg, zero)
         if "inertia" not in self._cache:
-            self._cache["inertia"] = la.inertia(g)
+            self._cache["inertia"] = la.inertia(self._gram_int()[0])
         pos, neg, zero = self._cache["inertia"]
         return zero == 0, (pos, neg, zero)
 
     def is_nondegenerate(self):
         """Whether v -> T_v is injective (no absolute zero divisors).
-        Exactly, a unit e is the certificate: T_v e = v, so T_v = 0 only
-        for v = 0."""
+        A unit e is the certificate: T_v e = v, so T_v = 0 only for
+        v = 0."""
         st, _ = self._t_stack()
-        m = st.reshape(self.dim, -1).T
-        if self.mode == FLOAT:
-            s = np.linalg.svd(m, compute_uv=False)
-            return bool(s[-1] > TOL.rel * s[0])
-        return self.find_unity() is not None or la.int_rank(m) == self.dim
+        return (self.find_unity() is not None
+                or la.int_rank(st.reshape(self.dim, -1).T) == self.dim)
 
     # -- unity and inversion ---------------------------------------------
 
     def find_unity(self, candidate=None):
         """The unit element, or None when the algebra has no unit.
 
-        A rational ``candidate`` is tried first: it is the unit exactly
+        A ``candidate`` is tried first: it is the unit exactly
         when T_candidate == I, one contraction, since a unit is unique.
         Otherwise the unit is solved for from the tall system
         T_u e = u over the basis.
@@ -374,22 +325,15 @@ class JordanAlgebra:
         dim = self.dim
         st, den = self._t_stack()
         eye = np.eye(dim, dtype=np.int64)
-        if candidate is not None and self.mode == RATIONAL:
+        if candidate is not None:
             x, dx = self._elem(candidate)
             if np.array_equal(la.einsum("i,ikj->kj", x, self._operands()[1]),
                               la.lincomb((den * dx, eye))):
                 self._cache["unity_int"] = (x, dx)
                 self._cache["unity"] = self._out(x, dx)
                 return self._cache["unity"]
-        a = st.reshape(dim, -1).T
-        rhs = eye.reshape(-1)
-        if self.mode == FLOAT:
-            e, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-            resid = np.max(np.abs(a @ e - rhs))
-            sol = (e, 1) if resid <= TOL.rel * max(1.0, la.max_abs(st)) \
-                else None
-        else:
-            sol = la.solve(a, la.lincomb((den, rhs)))
+        sol = la.solve(st.reshape(dim, -1).T,
+                       la.lincomb((den, eye.reshape(-1))))
         self._cache["unity_int"] = sol
         self._cache["unity"] = None if sol is None else self._out(*sol)
         return self._cache["unity"]
@@ -410,19 +354,10 @@ class JordanAlgebra:
         of x / dx, given the stack P_v = p / dp: one ``(w, dw)`` per row,
         or None where P_v is singular.  All rows are solved in one call."""
         self.unity()
-        rhs = la.lincomb((dp // dx, x))
-        if self.mode == FLOAT:
-            d = np.linalg.det(p)
-            scale = np.maximum(1.0, np.linalg.norm(p, axis=(1, 2))) ** self.dim
-            ok = np.abs(d) > TOL.det_floor * scale
-            w = np.zeros(rhs.shape)
-            w[ok] = np.linalg.solve(p[ok], rhs[ok][..., None])[..., 0]
-            return [(wi, 1) if k else None for wi, k in zip(w, ok)]
-        return la.solve(p, rhs)
+        return la.solve(p, la.lincomb((dp // dx, x)))
 
     def invert(self, v):
-        """Jordan inverse P_v^{-1} v; raises when P_v is singular (in
-        float mode, numerically singular)."""
+        """Jordan inverse P_v^{-1} v; raises when P_v is singular."""
         x, dx = self._elem(v)
         p, dp = self._p_int(x[None], dx)
         (sol,) = self._invert_int(x[None], dx, p, dp)
@@ -436,9 +371,8 @@ class JordanAlgebra:
     #
     # Each check below is the one implementation of its identity.  Every
     # residual goes through _residual and every verdict is
-    # ``residual <= self._tol``: exact zero for a rational algebra, TOL
-    # for a float one.  Both modes draw the same seeded integer samples,
-    # and each check runs them as one stack, with one residual per sample.
+    # ``residual == 0``.  Each check draws seeded integer samples and runs
+    # them as one stack, with one residual per sample.
 
     def _int_elements(self, rng, count, bound):
         """``count`` seeded integer elements, the rows of an int64 array."""
@@ -472,18 +406,12 @@ class JordanAlgebra:
                                   self._int_elements(rng, n_samples, 9)])
         t, dt = self._t_int(samples, 1)
         t2, d2 = self._t_int(*self._prod_int(samples, 1, samples, 1))
-        # both products of the commutator, so that a float algebra holds
-        # the residual to the larger of them
-        t, t2 = (t, la.max_abs(t)), (t2, la.max_abs(t2))
-        m = self.dim * t[1] * t2[1]
-        res = self._residual(
-            (1, (la.einsum("sab,sbc->sac", t, t2), m), dt * d2),
-            (-1, (la.einsum("sab,sbc->sac", t2, t), m), dt * d2))
+        res = self._residual((1, la.bracket(t, t2), dt * d2))
         ja2 = max(res)
         ja2_witness = res.index(ja2) if ja2 else None
         residual = max(ja1, ja2)
         return CheckResult(
-            name="jordan_axioms", passed=residual <= self._tol,
+            name="jordan_axioms", passed=residual == 0,
             max_residual=residual, samples=len(samples), seed=seed,
             details={"commutativity_residual": ja1,
                      "jordan_identity_residual": ja2,
@@ -520,7 +448,7 @@ class JordanAlgebra:
                self.dim ** 2 * pu[1] * pv[1] * pu[1])
         worst = self._worst((1, pa, dpa), (-1, rhs, dpu * dpu * dpv))
         return CheckResult(name="quadratic_fundamental",
-                           passed=worst <= self._tol, max_residual=worst,
+                           passed=worst == 0, max_residual=worst,
                            samples=n_samples, seed=seed)
 
     def check_triple(self, n_samples=100, seed=0) -> CheckResult:
@@ -613,7 +541,7 @@ class JordanAlgebra:
 
         worst = max(worsts.values())
         return CheckResult(
-            name="triple_identities", passed=worst <= self._tol,
+            name="triple_identities", passed=worst == 0,
             max_residual=worst, samples=n_samples, seed=seed,
             details=worsts)
 
@@ -642,7 +570,7 @@ class JordanAlgebra:
             asymmetry(la.einsum("ab,sbc->sac", (g, mg), (p, mp)),
                       n * mg * mp, dg * dp))
         return CheckResult(name="operators_self_adjoint",
-                           passed=worst <= self._tol, max_residual=worst,
+                           passed=worst == 0, max_residual=worst,
                            samples=self.dim + n_samples, seed=seed)
 
     def check_inverse_identities(self, n_samples=20, seed=0) -> CheckResult:
@@ -673,7 +601,7 @@ class JordanAlgebra:
             ps.append(p[kept])
         if not ws:
             return CheckResult(name="inverse_identities", passed=True,
-                               max_residual=self._zero, samples=0, seed=seed)
+                               max_residual=Fraction(0), samples=0, seed=seed)
         x, pv = np.concatenate(xs), np.concatenate(ps)
         y = np.array([w for w, _ in ws])
         dw = np.array([d for _, d in ws], dtype=object)
@@ -697,7 +625,7 @@ class JordanAlgebra:
               for lhs in (la.einsum("sab,sbc->sac", ty, pv),
                           la.einsum("sab,sbc->sac", pv, ty))))
         return CheckResult(name="inverse_identities",
-                           passed=worst <= self._tol, max_residual=worst,
+                           passed=worst == 0, max_residual=worst,
                            samples=len(ws), seed=seed)
 
     # -- isotopes -----------------------------------------------------------
@@ -713,7 +641,7 @@ class JordanAlgebra:
         new_c = la.lincomb((1, term1), (1, term1.transpose(1, 0, 2)),
                            (-1, term3))
         return JordanAlgebra(kernel=(new_c, den * den * dg),
-                             mode=self.mode, name=f"{self.name}^gamma",
+                             name=f"{self.name}^gamma",
                              labels=self.labels,
                              meta={**self.meta, "isotope_of": self.name})
 
@@ -727,8 +655,6 @@ class JordanAlgebra:
         """
         if "center" in self._cache:
             return self._cache["center"]
-        if self.mode == FLOAT:
-            raise JordanError("center extraction runs in rational mode")
         _, (st, ms), _ = self._operands()
         (tz,), _ = self._t_int(
             self._int_elements(random.Random(seed), 1, 7), 1)
@@ -764,8 +690,10 @@ class JordanAlgebra:
 
         Returns a list of (ideal, basis) pairs where ``basis`` holds the
         ideal's basis vectors in the ambient coordinates.  Uses a generic
-        central element's minimal polynomial; rational factorizations give
-        exact ideals, irrational real spectra fall back to float mode.
+        central element's minimal polynomial, whose factors over Q give
+        the ideals exactly.  A factor irreducible over Q that splits over
+        R (x^2 - 2, or any of degree above 2) has ideals not defined over
+        Q, and raises JordanError naming it.
         """
         ok, sig = self.is_semisimple()
         if not ok:
@@ -803,7 +731,8 @@ class JordanAlgebra:
             ideals = self._split_by_min_poly((z, dc), rel, (y[:, 0], dy))
             if ideals is not None:
                 return ideals
-        return self._decompose_float(seed)
+        raise JordanError(f"{self.name}: no exact split into simple ideals "
+                          f"from {max_attempts} central elements")
 
     def _split_by_min_poly(self, z, rel, e_coords):
         """Ideals from the minimal polynomial of the central z = (x, dx),
@@ -818,15 +747,22 @@ class JordanAlgebra:
         factors = sympy.factor_list(sympy.Poly(poly, x))[1]
         if any(mult > 1 for _, mult in factors):
             return None
-        # exact path requires each factor to be R-irreducible
+        # each factor must stay irreducible over R: of degree 1, or of
+        # degree 2 without a real root
         for f, _ in factors:
-            deg = f.degree()
-            if deg > 2:
-                return None
-            if deg == 2:
-                c2, c1, c0 = [Fraction(str(v)) for v in f.all_coeffs()]
-                if c1 * c1 - 4 * c2 * c0 > 0:
-                    return None
+            c = [Fraction(str(v)) for v in f.all_coeffs()]
+            disc = c[1] * c[1] - 4 * c[0] * c[2] if len(c) == 3 else 0
+            if len(c) > 3 or disc > 0:
+                factor = str(f.as_expr()).replace("**", "^")
+                if disc:
+                    # an affine change of x makes f x^2 - d, d squarefree
+                    d = sympy.sqrt(sympy.Rational(str(disc))).as_coeff_Mul()
+                    factor = f"x^2 - {d[1] ** 2} (here {factor})"
+                raise JordanError(
+                    f"{self.name}: the minimal polynomial of a central "
+                    f"element has the factor {factor}, irreducible over Q "
+                    "but split over R, so the simple ideals are not "
+                    "defined over Q")
         if len(factors) == 1:
             # one quadratic factor with negative discriminant: the center
             # is C, a field over R, so the algebra is already simple
@@ -889,62 +825,9 @@ class JordanAlgebra:
             return None
         y, dy = sol
         sub = JordanAlgebra(kernel=(y.T.reshape(k, k, k), dy * den * dp),
-                            mode=RATIONAL, name=f"{self.name}[ideal]",
+                            name=f"{self.name}[ideal]",
                             meta={"parent": self.name})
         return sub, list(self._out(basis, dp)), basis
-
-    def _decompose_float(self, seed):
-        rng = random.Random(seed + 101)
-        m = len(self.center(seed=seed))
-        zk, dc = self._cache["center_int"]
-        # Python int division rounds each entry of zk / dc correctly
-        zmat = np.asarray(zk.T.astype(object) / dc, dtype=np.float64)
-        coeffs = [rng.randint(-9, 9) for _ in range(m)]
-        z = zmat @ np.array(coeffs, dtype=float)
-        jf = self.to_float()
-        tz = jf.t_operator(z)
-        # T_z restricted to the center in center coordinates
-        a, *_ = np.linalg.lstsq(zmat, tz @ zmat, rcond=None)
-        evals = np.linalg.eigvals(a)
-        clusters = []
-        for lam in evals:
-            if lam.imag < -TOL.rel:
-                continue
-            if lam.imag > TOL.rel:
-                clusters.append((lam, np.conj(lam)))
-            else:
-                clusters.append((lam.real,))
-        e = np.asarray(jf.unity())
-        out = []
-        for cl in clusters:
-            proj = np.eye(self.dim, dtype=complex)
-            for other in clusters:
-                if other is cl:
-                    continue
-                for mu in other:
-                    proj = proj @ (tz - mu * np.eye(self.dim)) / (cl[0] - mu)
-            if len(cl) == 2:
-                proj = proj @ (tz - cl[1] * np.eye(self.dim)) \
-                    / (cl[0] - cl[1])
-                proj = 2 * proj.real
-            else:
-                proj = proj.real
-            eps = proj @ e
-            p = jf.p_operator(eps)
-            u, s, vt = np.linalg.svd(p)
-            k = int(np.sum(s > TOL.rel * s[0]))
-            basis = [u[:, i] for i in range(k)]
-            bmat = np.stack(basis, axis=1)
-            sub_c = np.empty((k, k, k))
-            for i in range(k):
-                for j in range(k):
-                    w = jf.product(basis[i], basis[j])
-                    sub_c[i, j], *_ = np.linalg.lstsq(bmat, w, rcond=None)
-            out.append((JordanAlgebra(kernel=(sub_c, 1), mode=FLOAT,
-                                      name=f"{self.name}[ideal]",
-                                      meta={"parent": self.name,
-                                            "exact": False}), basis))
-        return out
 
 
 def _lcm(a, b):
@@ -965,9 +848,6 @@ def direct_sum(algebras, name=None):
     """Block direct sum; factors multiply independently and cross terms vanish."""
     if not algebras:
         raise ValueError("direct sum needs at least one factor")
-    mode = algebras[0].mode
-    if any(j.mode != mode for j in algebras):
-        raise ValueError("direct sum factors must share one arithmetic mode")
     dims = [j.dim for j in algebras]
     dim = sum(dims)
     kernels = [j._int_tensor() for j in algebras]
@@ -983,7 +863,7 @@ def direct_sum(algebras, name=None):
     for t, j in enumerate(algebras):
         labels += [f"f{t}.{lab}" for lab in j.labels]
     return JordanAlgebra(
-        kernel=(c, den), mode=mode,
+        kernel=(c, den),
         name=name or "(+) ".join(j.name for j in algebras),
         labels=labels,
         meta={"factors": [j.name for j in algebras],

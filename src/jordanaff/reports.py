@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .config import RATIONAL
+
 
 @dataclass
 class CheckResult:
@@ -12,7 +14,9 @@ class CheckResult:
 
     name: str
     passed: bool
-    max_residual: object = 0  # Fraction in rational mode, float otherwise
+    # an exact Fraction; a float only in the level checks of sampled
+    # points on a model
+    max_residual: object = 0
     samples: int = 0
     seed: object = None
     details: dict = field(default_factory=dict)
@@ -27,7 +31,6 @@ class VerificationReport:
     """A bundle of checks over one target (algebra, model, or family)."""
 
     target: str
-    mode: str
     checks: list = field(default_factory=list)
     elapsed_ms: float = 0.0
 
@@ -53,7 +56,7 @@ class VerificationReport:
             out_checks[c.name] = entry
         return {
             "target": self.target,
-            "mode": self.mode,
+            "mode": RATIONAL,
             "overall_pass": self.passed,
             "elapsed_ms": self.elapsed_ms,
             "checks": out_checks,

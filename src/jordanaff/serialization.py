@@ -2,28 +2,39 @@
 
 An algebra serializes to a plain dict holding its structure tensor "c"
 and its unit "unity", with any catalog metadata riding along so a loaded
-file can be cross-checked against a fresh build.  In a rational file an
-entry is a "p/q" string (JSON integers are read too, JSON floats never);
-in a float file it is a finite number.  Loading hands the raw tensor to
+file can be cross-checked against a fresh build.  Files are written in
+"mode" "rational": an entry is a "p/q" string (JSON integers are read
+too, JSON floats never).  A file of "mode" "float" holds finite numbers,
+and loading snaps each distinct one, the unit's included, to the nearest
+rational of denominator at most ``SNAP_DENOMINATOR``; an entry farther
+from it than ``TOL.rel * max(1, |x|)`` raises SerializationError naming
+the entry, and the meta of the algebra records the largest snap distance.
+From there both modes load alike.  Loading hands the raw tensor to
 :class:`JordanAlgebra`, the one parser of entries, which checks its
 cubic shape and each distinct entry; the stored unit goes through
 :meth:`JordanAlgebra.coerce`, which checks its length.  The loader then
-checks the symmetry of the structure constants and that the stored unit
-is the algebra's unit before handing the algebra back.
+checks, exactly, the symmetry of the structure constants and that the
+stored unit is the algebra's unit before handing the algebra back.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
 
-from .config import FLOAT, RATIONAL, TOL
+from . import exactla as la
+from .config import RATIONAL, TOL
 from .jordan import DimensionMismatchError, JordanAlgebra, JordanError
 
 FORMAT = "jordanaff-algebra"
 VERSION = 1
+# the mode of a file whose entries are floats, snapped on load
+SNAPPED = "float"
+# a float entry snaps to the nearest rational of at most this denominator
+SNAP_DENOMINATOR = 2 ** 20
 
 
 class SerializationError(JordanError):
@@ -52,7 +63,7 @@ def to_jsonable(j):
         "version": VERSION,
         "name": j.name,
         "dim": j.dim,
-        "mode": j.mode,
+        "mode": RATIONAL,
         "labels": list(j.labels) if j.labels else None,
         "meta": _encode_value(j.meta) if j.meta else None,
         "unity": _encode_value(j.unity()),
@@ -70,6 +81,29 @@ def save(j, path, indent=2):
         fh.write("\n")
 
 
+def _snap(value, path, snaps):
+    """The nested list ``value`` with each entry replaced by its snap
+    (:func:`exactla.snap`); ``snaps`` maps each distinct float to
+    (snap, distance)."""
+    if isinstance(value, list):
+        return [_snap(v, f"{path}[{i}]", snaps) for i, v in enumerate(value)]
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SerializationError(f"bad entry {path}: {err}") from None
+    if x not in snaps:
+        if not math.isfinite(x):
+            raise SerializationError(f"bad entry {path}: {x} is not finite")
+        q, dist = la.snap(x, SNAP_DENOMINATOR)
+        if dist > TOL.rel * max(1, abs(x)):
+            raise SerializationError(
+                f"entry {path} = {value!r} does not snap: no rational of "
+                f"denominator at most {SNAP_DENOMINATOR} lies within "
+                f"{TOL.rel:g} * max(1, |x|) of it")
+        snaps[x] = (q, dist)
+    return snaps[x][0]
+
+
 def from_jsonable(data):
     if not isinstance(data, dict):
         raise SerializationError(
@@ -84,17 +118,19 @@ def from_jsonable(data):
     missing = [k for k in ("mode", "dim", "c", "unity") if k not in data]
     if missing:
         raise SerializationError(f"missing field {missing[0]!r}")
-    mode = data["mode"]
-    if mode not in (RATIONAL, FLOAT):
+    mode, c, unity = data["mode"], data["c"], data["unity"]
+    snaps = {}
+    if mode == SNAPPED:
+        c, unity = _snap(c, "c", snaps), _snap(unity, "unity", snaps)
+    elif mode != RATIONAL:
         raise SerializationError(f"unknown mode {mode!r}")
     meta = data.get("meta")
     try:
-        j = JordanAlgebra(data["c"], mode=mode,
-                          name=data.get("name", "loaded"),
+        j = JordanAlgebra(c, name=data.get("name", "loaded"),
                           labels=tuple(data["labels"])
                           if data.get("labels") else None,
                           meta=meta if meta else None)
-        stored = j.coerce(data["unity"])
+        stored = j.coerce(unity)
     except DimensionMismatchError as err:
         raise SerializationError(str(err)) from None
     except (ValueError, TypeError, ArithmeticError) as err:
@@ -112,12 +148,11 @@ def from_jsonable(data):
     # the stored unit is checked, not solved for; a wrong one leaves the
     # solve to tell a unit elsewhere (SerializationError below) from none
     j.find_unity(stored)
-    e = j.unity()
-    # a float comparison that fails on NaN
-    if (stored != e if mode == RATIONAL
-            else not np.abs(stored - e).max() <= TOL.rel):
+    if stored != j.unity():
         raise SerializationError("stored unit element does not act "
                                  "as the identity")
+    if snaps:
+        j.meta["snap_distance"] = float(max(d for _, d in snaps.values()))
     return j
 
 
@@ -149,7 +184,7 @@ def rebuild_from_catalog(j):
         raise SerializationError(
             f"catalog rebuild has dim {fresh.dim}, stored dim {j.dim}")
     (ci, den), (fi, fden) = j._int_tensor(), fresh._int_tensor()
-    if j.mode == RATIONAL and (den != fden or not np.array_equal(ci, fi)):
+    if den != fden or not np.array_equal(ci, fi):
         raise SerializationError("catalog rebuild disagrees with stored "
                                  "structure constants")
     return fresh

@@ -39,7 +39,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import exactla as la
-from .config import RATIONAL
 from .jordan import JordanAlgebra, JordanError, NotUnitalError
 from .reports import CheckResult, VerificationReport
 
@@ -130,12 +129,10 @@ def _commutators(x):
 def restricted_pair(j):
     """Build the symmetric pair of the trace-zero multiplication operators.
 
-    Requires rational mode and a unit element.  k is found by certified
+    Requires a unit element.  k is found by certified
     integer rank selection among the commutators of the p basis, whose
     span witness becomes ``pp_coords``.
     """
-    if j.mode != RATIONAL:
-        raise PairError("symmetric pairs are extracted in rational mode")
     j.unity()
     v0 = _trace_zero_basis(j)
     p_ops, p_den = _operator_stack(j, v0)
@@ -165,8 +162,7 @@ def check_pair(pair, n_samples=3, seed=0):
     t_start = time.monotonic()
     j = pair.algebra
     n = j.dim
-    report = VerificationReport(target=f"pair({j.name})", mode=j.mode,
-                                checks=[])
+    report = VerificationReport(target=f"pair({j.name})", checks=[])
     k, p = pair.k_ops, pair.p_ops
     dim_k, dim_p = pair.dim_k, pair.dim_p
     kb = (k, la.max_abs(k))

@@ -1,8 +1,10 @@
+import json
+
 import pytest
 
 from fractions import Fraction
 
-from jordanaff import catalog
+from jordanaff import catalog, serialization
 from jordanaff.hypersurface import build_model
 from jordanaff.structure import restricted_pair
 
@@ -76,3 +78,22 @@ def desk_instances():
 def big_isotopes(get_algebra):
     return {label: get_algebra(name, **params).isotope(gamma)
             for label, (name, params, gamma) in BIG_ISOTOPES.items()}
+
+
+def _floats(value):
+    if isinstance(value, list):
+        return [_floats(v) for v in value]
+    return float(Fraction(value))
+
+
+@pytest.fixture(scope="session")
+def float_doc():
+    """The float file of an algebra, as a JSON document: its rational
+    file with "mode" "float" and every entry of c and the unit float()."""
+    def _doc(j):
+        doc = json.loads(serialization.dumps(j))
+        doc["mode"] = "float"
+        doc["c"], doc["unity"] = _floats(doc["c"]), _floats(doc["unity"])
+        return doc
+
+    return _doc

@@ -16,6 +16,7 @@ import pytest
 from jordanaff import calabi, catalog, exactla as la, structure
 from jordanaff.hypersurface import (
     ModelError,
+    _float_operators,
     adapted_constants,
     build_model,
     reconstruct_algebra,
@@ -153,18 +154,20 @@ def _fd_second_fundamental_form(model, h=1e-4):
     dirs = [np.array([float(x) for x in v]) for v in model.v0]
     sign = 1.0 if model.c_float > 0 else -1.0
 
-    jf = j.to_float()
+    def norm(probe):
+        # the exact norm of the float probe, each float a dyadic rational
+        return float(catalog.generic_norm(j, [F(x) for x in probe]))
 
     def height(coeffs):
         y = sum(c * d for c, d in zip(coeffs, dirs))
         probe = [float(x) for x in y]
         # solve N(w e_axis + y) = level for w, N quadratic in w
         probe[axis] = 0.0
-        n0 = catalog.generic_norm(jf, list(probe))
+        n0 = norm(probe)
         probe[axis] = 1.0
-        n1 = catalog.generic_norm(jf, list(probe))
+        n1 = norm(probe)
         probe[axis] = 2.0
-        n2 = catalog.generic_norm(jf, list(probe))
+        n2 = norm(probe)
         a = (n2 - 2 * n1 + n0) / 2.0
         b = n1 - n0 - a
         disc = b * b - 4 * a * (n0 - level)
@@ -413,9 +416,7 @@ def test_criterion_10_composition(get_model):
     p = calabi.compose_point(
         comp, [f.sample_points(count=1, seed=4)[0] for f in factors],
         t=t)
-    jf = comp.model.algebra.to_float()
-    tx = np.asarray(jf.t_operator(p))
-    px = 2.0 * tx @ tx - np.asarray(jf.t_operator(jf.square(p)))
+    _, (px,) = _float_operators(comp.model.algebra, p[None])
     _, logdet = np.linalg.slogdet(px)
     assert abs(logdet - comp.model.log_level_value()) < LEVEL_TOL
 

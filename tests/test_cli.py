@@ -88,21 +88,26 @@ def test_sample_csv(capsys, tmp_path):
     assert abs(x0 * x0 + x1 * x1 - 0.25) < 1e-8
 
 
-def test_build_then_verify_file(capsys, tmp_path):
+def test_build_then_verify_file(capsys, tmp_path, float_doc):
     path = tmp_path / "alg.json"
     code, _, _ = run(capsys, ["build", "--family", "skew_hamiltonian",
                               "--params", '{"m": 2}', "-o", str(path)])
     assert code == 0
     code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
     assert code == 0
-    # a float-mode file certifies through the same checks
+    # a float file snaps to rationals and certifies through the same
+    # exact checks
     float_path = tmp_path / "alg_float.json"
-    ser.save(ser.load(path).to_float(), float_path)
+    float_path.write_text(json.dumps(float_doc(ser.load(path))))
     for target in ("semisimple", "triple"):
         code, out, _ = run(capsys, ["verify", target, "--file",
-                                    str(float_path), "--samples", "4"])
+                                    str(float_path), "--samples", "4",
+                                    "--json"])
         assert code == 0, (target, out)
-        assert "mode: float" in out
+        report = json.loads(out)
+        assert report["mode"] == "rational", target
+        assert all(c["max_residual"] == 0
+                   for c in report["checks"].values()), target
 
 
 def test_reconstruct_roundtrip(capsys):
@@ -132,6 +137,19 @@ def test_failing_check_exits_1(capsys, tmp_path):
     assert "fail" in out.lower()
 
 
+def test_decompose_without_rational_ideals_exits_2(capsys, tmp_path):
+    """R[x]/(x^2 - 2) splits over R but not over Q: decompose names the
+    factor and exits 2 instead of handing back uncertified ideals."""
+    from fractions import Fraction as F
+    sqrt2 = JordanAlgebra([[[F(1), F(0)], [F(0), F(1)]],
+                           [[F(0), F(1)], [F(2), F(0)]]], name="sqrt2")
+    path = tmp_path / "sqrt2.json"
+    ser.save(sqrt2, path)
+    code, _, err = run(capsys, ["verify", "decompose", "--file", str(path)])
+    assert code == 2
+    assert "x^2 - 2" in err
+
+
 def test_desk_sweep_and_spelling_aliases(capsys, tmp_path):
     code, out, _ = run(capsys, ["verify", "semisimple", "--desk"])
     assert code == 0
@@ -156,19 +174,21 @@ def test_malformed_file_exits_2_with_path(capsys, tmp_path):
     assert "broken.json" in err
 
 
-@pytest.mark.parametrize("edit", [
-    lambda doc: doc["c"][0][0].__setitem__(0, "Infinity"),
-    lambda doc: doc.__setitem__("unity", []),
-], ids=["infinite_entry", "empty_unity"])
-def test_bad_float_file_exits_2_with_path(capsys, tmp_path, edit):
-    doc = json.loads(ser.dumps(
-        catalog.build("quadratic", signs=(1, 1)).to_float()))
+@pytest.mark.parametrize("edit, names", [
+    (lambda doc: doc["c"][0][0].__setitem__(0, "Infinity"), "c[0][0][0]"),
+    (lambda doc: doc.__setitem__("unity", []), "length 0"),
+    (lambda doc: doc["c"][0][1].__setitem__(1, 0.1234567891234),
+     "c[0][1][1] = 0.1234567891234"),
+], ids=["infinite_entry", "empty_unity", "unsnappable_entry"])
+def test_bad_float_file_exits_2_with_path(capsys, tmp_path, float_doc, edit,
+                                          names):
+    doc = float_doc(catalog.build("quadratic", signs=(1, 1)))
     edit(doc)
     path = tmp_path / "bad_float.json"
     path.write_text(json.dumps(doc))
     code, _, err = run(capsys, ["verify", "jordan", "--file", str(path)])
     assert code == 2
-    assert "bad_float.json" in err
+    assert "bad_float.json" in err and names in err
 
 
 def _without(key):

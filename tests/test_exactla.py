@@ -690,6 +690,26 @@ def test_lowest_terms_keeps_its_dtype():
     assert den == 4
 
 
+def test_kernel_refuses_float_operands():
+    """A float64 operand raises TypeError in every kernel entry point,
+    passed bare or as an ``(array, m)`` pair, so it is never truncated
+    to int64 on an integer rung."""
+    x = np.eye(3)
+    for op in (x, (x, 1)):
+        with pytest.raises(TypeError):
+            la.einsum("ab,bc->ac", op, np.eye(3, dtype=np.int64))
+        with pytest.raises(TypeError):
+            la.lincomb((1, np.eye(3, dtype=np.int64)), (2, op))
+        with pytest.raises(TypeError):
+            la.bracket(op, np.eye(3, dtype=np.int64))
+        with pytest.raises(TypeError):
+            la.residual((1, "ab,bc->ac", op, op))
+    for call in (la.max_abs, la.asint, lambda a: JordanAlgebra(
+            kernel=(a.reshape(1, 1, 1), 1))):
+        with pytest.raises(TypeError):
+            call(np.array([0.5]))
+
+
 def test_int64_limits_only_in_kernel():
     """Only the kernel module may mention the int64 limits."""
     src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"

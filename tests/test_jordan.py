@@ -11,7 +11,6 @@ import pytest
 
 from jordanaff import catalog
 from jordanaff import exactla as la
-from jordanaff.config import FLOAT, RATIONAL
 from jordanaff.jordan import (
     DimensionMismatchError,
     JordanAlgebra,
@@ -205,26 +204,19 @@ def test_stored_kernel_is_in_lowest_terms(desk_instances, get_algebra,
     cases.append(direct_sum([get_algebra("reals"),
                              get_algebra("quadratic", signs=(1, -1, 1)),
                              big_isotopes["full_real(m=3)^(q=31)"]]))
-    cases.append(cases[-1].to_float())
     for j in cases:
         ci, den = j._int_tensor()
-        if j.mode == RATIONAL:
-            assert math.gcd(den, *ci.ravel().tolist()) == 1, j.name
-            scaled = (la.lincomb((7, ci)), 7 * den)
-        else:
-            assert den == 1 and ci.dtype == np.float64, j.name
-            scaled = (ci, 1)
-        for again in (JordanAlgebra(j.c, mode=j.mode),
-                      JordanAlgebra(kernel=scaled, mode=j.mode)):
+        assert math.gcd(den, *ci.ravel().tolist()) == 1, j.name
+        scaled = (la.lincomb((7, ci)), 7 * den)
+        for again in (JordanAlgebra(j.c), JordanAlgebra(kernel=scaled)):
             ai, ad = again._int_tensor()
             assert ad == den and np.array_equal(ai, ci), j.name
 
 
 def test_constructor_parses_each_distinct_entry_once(monkeypatch,
                                                      get_algebra):
-    """Nested input is parsed once per distinct entry; a float is refused
-    in a rational tensor wherever it sits, and a float tensor must be
-    finite."""
+    """Nested input is parsed once per distinct entry, and a float is
+    refused wherever it sits, finite or not."""
     j = get_algebra("full_real", m=3)
     nested = [[[str(x) for x in row] for row in sl] for sl in j.c]
     seen = []
@@ -241,9 +233,9 @@ def test_constructor_parses_each_distinct_entry_once(monkeypatch,
     for row in ([1, 1.0], [1.0, 1]):
         with pytest.raises(TypeError):
             JordanAlgebra([[row, row], [row, row]])
-    for bad in (None, float("inf"), float("nan")):
-        with pytest.raises(ValueError, match="not finite"):
-            JordanAlgebra([[[bad]]], mode=FLOAT)
+    for bad in (None, 0.5, float("inf"), float("nan")):
+        with pytest.raises(TypeError):
+            JordanAlgebra([[[bad]]])
 
 
 def test_checks_make_no_fractions(monkeypatch):
@@ -302,106 +294,30 @@ def test_center_dimension(get_algebra, big_isotopes):
         assert len(j.decompose(seed=0)) == 1, label
 
 
-def test_float_mode_roundtrip(get_algebra):
-    j = get_algebra("quadratic", signs=(1, 1)).to_float()
-    res = j.check_jordan(n_samples=6, seed=9)
-    assert res.passed
-    rng = np.random.default_rng(1)
-    u = rng.uniform(-2, 2, j.dim)
-    w = j.invert(u + np.array([3.0, 0, 0]))  # shifted to stay invertible
-    e = j.unity()
-    assert np.allclose(j.product(u + np.array([3.0, 0, 0]), w), e)
-
-
-def test_decompose_rejects_float_mode(get_algebra):
-    j = direct_sum([get_algebra("reals"), get_algebra("reals")]).to_float()
-    with pytest.raises(JordanError):
-        j.decompose()
-
-
-def test_decompose_splits_real_quadratic_center():
-    # b0 is the unit and b1 o b1 = 2 b0: R[x]/(x^2 - 2), which is R (+) R
-    # over R although x^2 - 2 is irreducible over Q, so the split falls
-    # back to float ideals
+def test_decompose_rejects_real_quadratic_center():
+    """b0 is the unit and b1 o b1 = 2 b0: R[x]/(x^2 - 2), which is
+    R (+) R over R although x^2 - 2 is irreducible over Q, so its ideals
+    are not defined over Q; decompose names the factor and returns no
+    uncertified ideals."""
     c = [[[F(1), F(0)], [F(0), F(1)]],
          [[F(0), F(1)], [F(2), F(0)]]]
-    parts = JordanAlgebra(c, name="sqrt2").decompose(seed=0)
-    assert sorted(p.dim for p, _ in parts) == [1, 1]
-    for part, _ in parts:
-        assert part.mode == FLOAT and part.meta["exact"] is False
-        assert part.check_jordan(n_samples=3, seed=1).passed
-    bases = np.array([v for _, basis in parts for v in basis])
-    assert abs(np.linalg.det(bases)) > 0.1
-
-
-FLOAT_BATTERY = (("check_jordan", {"n_samples": 5, "seed": 1}),
-                 ("check_fundamental", {"n_samples": 4, "seed": 2}),
-                 ("check_triple", {"n_samples": 10, "seed": 3}),
-                 ("check_self_adjoint", {"n_samples": 10, "seed": 4}),
-                 ("check_inverse_identities", {"n_samples": 8, "seed": 5}),
-                 ("is_semisimple", {}),
-                 ("is_nondegenerate", {}))
-
-
-def _verdict(j, check, kwargs):
-    try:
-        res = getattr(j, check)(**kwargs)
-    except Exception as err:  # the exception class is the verdict
-        return type(err)
-    return getattr(res, "passed", res)
-
-
-def test_float_verdicts_match_exact(desk_instances, get_algebra):
-    """Each check gives the same verdict on an algebra and on its float
-    copy, for desk instances and for mutants whose perturbation 2**-10
-    is exact in binary, so both copies hold the same tensor."""
-    cases = []
-    for name, params in desk_instances:
-        j = get_algebra(name, **params)
-        if 2 <= j.dim <= 9:
-            n = j.dim
-            c = [[list(cij) for cij in ci] for ci in j.c]
-            c[n - 1][n - 1][0] += F(1, 2 ** 10)
-            cases += [j, JordanAlgebra(c, name=f"{j.name}*")]
-    failing = 0
-    for j in cases:
-        jf = j.to_float()
-        assert (jf.c == np.array(j.c, dtype=float)).all()
-        for check, kwargs in FLOAT_BATTERY:
-            want = _verdict(j, check, kwargs)
-            assert _verdict(jf, check, kwargs) == want, (j.name, check)
-            failing += want is False
-    assert failing >= 20  # the mutants make the battery able to fail
+    with pytest.raises(JordanError, match=r"factor x\^2 - 2"):
+        JordanAlgebra(c, name="sqrt2").decompose(seed=0)
 
 
 def test_identities_have_one_implementation():
-    """jordan.py keeps no float twin of a check and decides on the mode
-    only in the places listed here; passing the mode on unchanged
-    (``mode=self.mode``) decides nothing."""
-    allowed = {
-        "_int_tensor",                          # storage
-        "coerce", "_elem", "_out",              # API-edge conversion
-        "_residual",                            # the zero test
-        "is_semisimple", "is_nondegenerate",    # dtype switches
-        "find_unity", "_invert_int", "_dets",
-        "center",                               # exact only
-    }
+    """One arithmetic: the algebra, the kernel and the pair name no float
+    mode, no float copy of an algebra and no ``.mode``, and the kernel
+    has no float64 branch; no check has a ``_float`` twin."""
     src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
-    tree = ast.parse((src / "jordan.py").read_text())
     offenders = []
-    for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        if fn.name.startswith("_check_") and fn.name.endswith("_float"):
-            offenders.append(fn.name)
-        passed_on = {id(k.value) for k in ast.walk(fn)
-                     if isinstance(k, ast.keyword) and k.arg == "mode"}
-        for node in ast.walk(fn):
-            if (isinstance(node, ast.Attribute) and node.attr == "mode"
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                    and isinstance(node.ctx, ast.Load)
-                    and id(node) not in passed_on
-                    and fn.name not in allowed):
-                offenders.append(f"{fn.name}:{node.lineno}")
+    for name in ("jordan.py", "exactla.py", "structure.py"):
+        text = (src / name).read_text()
+        offenders += [f"{name}: {word}" for word in
+                      ("FLOAT", "to_float", ".mode", 'dtype.kind == "f"')
+                      if word in text]
+        offenders += [f"{name}: {fn.name}"
+                      for fn in ast.walk(ast.parse(text))
+                      if isinstance(fn, ast.FunctionDef)
+                      and fn.name.endswith("_float")]
     assert offenders == []

@@ -73,7 +73,7 @@ def _report_digest(j):
               j.check_self_adjoint(n_samples=10, seed=4),
               j.check_inverse_identities(n_samples=8, seed=5),
               build_model(j, F(-1)).check_quadratic_expansion()]
-    doc = VerificationReport(target=j.name, mode=j.mode,
+    doc = VerificationReport(target=j.name,
                              checks=checks).to_jsonable(include_details=True)
     del doc["elapsed_ms"]
     text = json.dumps(doc, sort_keys=True)

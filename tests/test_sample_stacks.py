@@ -181,14 +181,13 @@ def test_inverse_identities_match_the_loop(get_algebra, monkeypatch):
 
 def test_zero_samples_pass(get_algebra):
     j = get_algebra("hermitian_complex", gammas=(1, -1), m=2)
-    for alg in (j, j.to_float()):
-        for check, samples in (("check_jordan", j.dim),
-                               ("check_fundamental", 0),
-                               ("check_triple", 0),
-                               ("check_self_adjoint", j.dim),
-                               ("check_inverse_identities", 0)):
-            res = getattr(alg, check)(n_samples=0, seed=0)
-            assert res.passed and res.samples == samples, (alg.mode, check)
+    for check, samples in (("check_jordan", j.dim),
+                           ("check_fundamental", 0),
+                           ("check_triple", 0),
+                           ("check_self_adjoint", j.dim),
+                           ("check_inverse_identities", 0)):
+        res = getattr(j, check)(n_samples=0, seed=0)
+        assert res.passed and res.samples == samples, check
     model = build_model(j, F(-1))
     res = model.check_quadratic_expansion(hs=())
     assert res.passed and res.samples == 0

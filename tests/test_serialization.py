@@ -20,30 +20,49 @@ def test_roundtrip_exact(desk_instances, get_algebra, big_isotopes):
     assert back.name == j.name
     assert back.labels == j.labels
     assert ser.dumps(back) == text
-    # every desk instance of dim <= 27, the big isotopes, a three-factor
-    # direct sum and its float copy load back to the same kernel pair
+    # every desk instance of dim <= 27, the big isotopes and a
+    # three-factor direct sum load back to the same kernel pair
     cases = [get_algebra(n, **p) for n, p in desk_instances]
     cases = [j for j in cases if j.dim <= 27] + list(big_isotopes.values())
     cases.append(direct_sum([get_algebra("reals"),
                              get_algebra("quadratic", signs=(1, -1, 1)),
                              big_isotopes["full_real(m=3)^(q=31)"]]))
-    cases.append(cases[-1].to_float())
     for j in cases:
         text = ser.dumps(j)
+        assert json.loads(text)["mode"] == "rational", j.name
         back = ser.loads(text)
         (ci, den), (bi, bden) = j._int_tensor(), back._int_tensor()
-        assert back.mode == j.mode and bden == den, j.name
+        assert bden == den, j.name
         assert bi.dtype == ci.dtype and np.array_equal(bi, ci), j.name
         assert ser.dumps(back) == text, j.name
 
 
-def test_roundtrip_float(get_algebra):
-    import numpy as np
-    j = get_algebra("quadratic", signs=(1, 1)).to_float()
-    back = ser.loads(ser.dumps(j))
-    assert back.mode == j.mode
-    assert np.array_equal(np.asarray(back.c, dtype=float),
-                          np.asarray(j.c, dtype=float))
+def test_roundtrip_float(desk_instances, get_algebra, float_doc):
+    """The float file of every desk instance of dim <= 27, each entry
+    float(), snaps back to the same kernel pair and certifies exactly;
+    its meta records the snap distance, and it is written back as a
+    rational file."""
+    for name, params in desk_instances:
+        j = get_algebra(name, **params)
+        if j.dim > 27:
+            continue
+        back = ser.from_jsonable(float_doc(j))
+        (ci, den), (bi, bden) = j._int_tensor(), back._int_tensor()
+        assert bden == den and np.array_equal(bi, ci), j.name
+        assert 0 <= back.meta["snap_distance"] < 1e-15, j.name
+        res = back.check_jordan()
+        assert res.passed and res.max_residual == 0, j.name
+        assert json.loads(ser.dumps(back))["mode"] == "rational", j.name
+
+
+def test_float_entry_must_snap(get_algebra, float_doc):
+    """A float entry farther than TOL.rel from every rational of
+    denominator at most 2**20 is refused, and the message names it."""
+    doc = float_doc(get_algebra("quadratic", signs=(1, 1)))
+    doc["c"][0][1][1] = 0.1234567891234  # 1.00006e-9 from 10/81
+    with pytest.raises(SerializationError,
+                       match=r"entry c\[0\]\[1\]\[1\] = 0.1234567891234"):
+        ser.from_jsonable(doc)
 
 
 def test_file_io(tmp_path, get_algebra):
@@ -61,7 +80,7 @@ def test_meta_survives(get_algebra):
     assert rebuilt.c == j.c
 
 
-def test_bad_payloads_rejected(get_algebra):
+def test_bad_payloads_rejected(get_algebra, float_doc):
     j = get_algebra("reals")
     doc = json.loads(ser.dumps(j))
 
@@ -92,8 +111,7 @@ def test_bad_payloads_rejected(get_algebra):
             ser.from_jsonable(bad)
 
     exact = json.loads(ser.dumps(get_algebra("quadratic", signs=(1, 1))))
-    floats = json.loads(ser.dumps(
-        get_algebra("quadratic", signs=(1, 1)).to_float()))
+    floats = float_doc(get_algebra("quadratic", signs=(1, 1)))
 
     def spoil(doc, *edits):
         bad = copy.deepcopy(doc)
@@ -113,7 +131,7 @@ def test_bad_payloads_rejected(get_algebra):
         # float files: a short, empty or NaN unit
         (spoil(floats, (("unity",), floats["unity"][:2])), "length 2"),
         (spoil(floats, (("unity",), [])), "length 0"),
-        (spoil(floats, (("unity",), ["NaN"] * 3)), "identity"),
+        (spoil(floats, (("unity",), ["NaN"] * 3)), "not finite"),
         # exact files: JSON floats wherever they sit, and a zero denominator
         (spoil(exact, (c000, 1.0)), "bad entry"),
         (spoil(exact, (c012, 0.0)), "bad entry"),

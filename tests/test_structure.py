@@ -5,11 +5,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from jordanaff import catalog, exactla, structure
 from jordanaff.jordan import direct_sum
-from jordanaff.structure import PairError, restricted_pair, check_pair
+from jordanaff.structure import restricted_pair, check_pair
 
 # (family, params) -> (dim k, dim p); p excludes the unit direction, so
 # dim p = dim V - 1 and k is the derivation-type part
@@ -77,12 +76,6 @@ def test_k_ops_kill_unity_and_are_skew(get_pair, get_algebra):
         assert np.allclose(m @ e, 0.0)
         gm = g @ m
         assert np.allclose(gm, -gm.T)
-
-
-def test_float_mode_rejected(get_algebra):
-    j = get_algebra("reals").to_float()
-    with pytest.raises(PairError):
-        restricted_pair(j)
 
 
 def test_quadratic_pair_dims_scale():
