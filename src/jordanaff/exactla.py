@@ -32,19 +32,27 @@ independent modulo a prime are independent over Q.  :func:`solve`
 eliminates a stack of systems [A | B] modulo the first prime at once; a
 solution that prime cannot rebuild by rational reconstruction is lifted
 p-adically on its pivot rows (Dixon, Numer. Math. 40, 1982) until it
-can be or a Hadamard bound says it must have been.  A rank solves for
-the coordinates of every row on the pivot rows, a kernel for the free
-columns on the pivot columns.  Each result is accepted only when an
-exact identity holds on every row: A Y == d B for :func:`solve`,
-Y @ M[pivot rows] == d * M for a rank (after Kaltofen, Nehring and
-Saunders, "Quadratic-time certificates in linear algebra", ISSAC 2011),
-and for :func:`null_space` a solution zero at every pivot column right
-of each free column.  Only when a rank or a kernel fails its check is
-another prime drawn, for its pivots alone.  :func:`det` takes a stack
-of determinants, over Z or over the Gaussian integers Z[i], in one
-fraction-free (Bareiss) elimination, and :func:`field_det` reduces Q
-and Q(i) to it by one common denominator; :func:`inertia` is the
-symmetric counterpart, which pivots on the diagonal.
+can be or a Hadamard bound says it must have been.  A rank
+(:func:`int_rank`, :func:`independent_rows`) eliminates M^T once: its
+pivot columns are the lexicographically first rows of M independent
+modulo the prime, its pivot rows the columns of a nonzero minor on
+them, and its other columns the coordinates of every row of M on those
+rows, rebuilt by rational reconstruction; a full rank needs none of
+them, and rows in echelon form no elimination.  A kernel solves for
+the free columns on the pivot columns, reusing its elimination the same
+way.  Each result is accepted only when an exact identity holds on
+every row: A Y == d B for :func:`solve`, Y @ M[pivot rows] == d * M for
+a rank (after Kaltofen, Nehring and Saunders, "Quadratic-time
+certificates in linear algebra", ISSAC 2011), and for
+:func:`null_space` a solution zero at every pivot column right of each
+free column.  A rank that fails its check has its coordinates solved
+for on the minor and lifted (:func:`_certify`); only when that fails
+too, or a kernel fails, is another prime drawn, for its pivots alone.
+:func:`det` takes a stack of determinants, over Z or over the Gaussian
+integers Z[i], in one fraction-free (Bareiss) elimination, and
+:func:`field_det` reduces Q and Q(i) to it by one common denominator;
+:func:`inertia` is the symmetric counterpart, which pivots on the
+diagonal.
 """
 
 from __future__ import annotations
@@ -503,13 +511,17 @@ def _eliminate(M, n, p):
     pivot row and is nonzero at c.  The elimination is fraction-free, so
     no inverse is taken per column: a row with entry a at c becomes
     v * row - a * (pivot row), v the pivot, each product below 2**60.
-    Pivot rows therefore come out scaled by a unit; :func:`_pivot_rows`
+    Pivot rows therefore come out scaled by a unit; :func:`_divide`
     divides them out.  Unless half the rows are nonzero at c, a column
     updates only those rows, which keeps sparse systems cheap; a column
     zero in every row is never visited, one without a candidate row
     costs one test, and the loop stops once no matrix has a free row.
+    M is reduced into one C-ordered array, so a transposed view costs
+    no more memory than the matrix itself.
     """
-    R = (M % p).astype(np.int64)
+    R = np.remainder(M, p, order="C")
+    if R.dtype != np.int64:
+        R = R.astype(np.int64)
     s, m, _ = R.shape
     free = np.ones((s, m), dtype=bool)
     piv = np.full((s, n), -1)
@@ -553,15 +565,20 @@ def _eliminate(M, n, p):
     return R, piv
 
 
+def _divide(rows, diag, p):
+    """The residues ``rows`` (..., w) modulo p, each row divided by its
+    entry of ``diag`` (...), a unit modulo p."""
+    inv = np.array([pow(v, -1, p) for v in diag.ravel().tolist()],
+                   dtype=np.int64).reshape(diag.shape)
+    return rows * inv[..., None] % p
+
+
 def _pivot_rows(R, piv, n, p):
     """Columns n: of the pivot rows of an :func:`_eliminate` stack in
     which each of the first n columns pivots, divided by the pivots: one
     row per column, as (s, n, w - n) residues modulo p."""
     rows = R[np.arange(len(R))[:, None], piv]
-    diag = rows[:, np.arange(n), np.arange(n)]
-    inv = np.array([pow(v, -1, p) for v in diag.ravel().tolist()],
-                   dtype=np.int64).reshape(diag.shape)
-    return rows[:, :, n:] * inv[:, :, None] % p
+    return _divide(rows[:, :, n:], rows[:, np.arange(n), np.arange(n)], p)
 
 
 def _denominator(u, m, bound):
@@ -612,17 +629,36 @@ def _pivots(M, p):
     return sorted(piv[0, cols].tolist()), cols.tolist()
 
 
+def _first_rows(M):
+    """One :func:`_eliminate` of M^T modulo the first prime p.
+
+    Its pivot columns are ``rows``, the lexicographically first rows of
+    M independent modulo p; its pivot rows are ``cols``, sorted, the
+    columns of a minor of M on ``rows`` nonzero modulo p.  Every other
+    column of the reduced M^T holds the coordinates of that row of M on
+    ``rows``, times the pivots, and every pivot column a pivot alone.
+    Returns ``(rows, cols, X)``, X the coordinates modulo p of every row
+    of M on ``rows``, one column per row of M.
+    """
+    R, piv = _eliminate(M.T[None], len(M), PRIMES_30BIT[0])
+    rows = (piv[0] >= 0).nonzero()[0]
+    prow = R[0, piv[0, rows]]
+    X = _divide(prow, prow[np.arange(len(rows)), rows], PRIMES_30BIT[0])
+    return rows.tolist(), sorted(piv[0, rows].tolist()), X
+
+
 def _certify(M, rows, cols):
     """Certify that ``rows`` of the integer matrix M span its row space.
 
-    ``rows`` and ``cols`` are the :func:`_pivots` of M at the first
-    prime, so the minor M[rows, cols] is nonzero modulo that prime and
-    the rows are independent over Q.  When they are all the rows of M,
-    the identity is the witness.  Otherwise the coordinates Y / d of
-    every row on the minor's columns are solved exactly, by :func:`solve`
-    on the transposed minor, and accepted only if Y @ M[rows] == d * M
-    holds exactly.  When it does not, M has a larger rank over Q, and
-    the pivots of the next prime that sees a larger rank are tried.
+    ``rows`` and ``cols`` are pivots of M at the first prime, so the
+    minor M[rows, cols] is nonzero modulo that prime and the rows are
+    independent over Q.  When they are all the rows of M, the identity is
+    the witness.  Otherwise the coordinates Y / d of every row on the
+    minor's columns are solved exactly, by :func:`solve` on the
+    transposed minor, and accepted only if Y @ M[rows] == d * M holds
+    exactly.  When it does not, M has a larger rank over Q, and the
+    pivots (:func:`_pivots`) of the next prime that sees a larger rank
+    are tried.
 
     Returns ``(rows, cols, (Y, d))``, ``cols`` the columns of a minor on
     ``rows`` that is nonzero modulo a prime.
@@ -645,17 +681,38 @@ def _certify(M, rows, cols):
             raise ArithmeticError("certified rank: prime supply exhausted")
 
 
+def _span(M, rows, cols, X):
+    """The certified ``(rows, cols, (Y, d))`` of :func:`independent_rows`
+    from the :func:`_first_rows` of M.  The coordinates X modulo the
+    first prime are rebuilt by rational reconstruction into Y / d, with
+    one denominator, and accepted only if Y @ M[rows] == d * M holds
+    exactly; otherwise :func:`_certify` lifts them or draws more
+    primes."""
+    if len(rows) < len(M):
+        (Y,), (d,) = _reconstruct(X.T[None], PRIMES_30BIT[0])
+        if d and not residual((1, "ab,bc->ac", Y, M[rows]), (-int(d), M)):
+            return rows, cols, lowest_terms(Y, int(d))
+    return _certify(M, rows, cols)
+
+
 def int_rank(M) -> int:
     """Certified rank of an integer matrix (nested ints or an ndarray).
 
-    A rank of min(shape) at the first prime needs no witness, since no
+    Nonzero rows whose last nonzero entries sit in distinct columns are
+    independent, since their minor on those columns is triangular with a
+    nonzero diagonal: such a matrix needs no elimination.  Otherwise a
+    rank of min(shape) at the first prime needs no witness, since no
     larger rank exists; any smaller one is certified by the span
-    identity of :func:`independent_rows`.
+    identity of :func:`independent_rows`, from the same elimination.
     """
     M = asint(M)
-    rows, cols = _pivots(M, PRIMES_30BIT[0])
+    nz = M != 0
+    if not len(M) or nz.any(axis=1).all() and len(
+            np.unique(np.argmax(nz[:, ::-1], axis=1))) == len(M):
+        return len(M)
+    rows, cols, X = _first_rows(M)
     if len(rows) < min(M.shape):
-        rows, _, _ = _certify(M, rows, cols)
+        rows, _, _ = _span(M, rows, cols, X)
     return len(rows)
 
 
@@ -667,10 +724,13 @@ def independent_rows(M):
     over Q because the minor M[rows, cols] is nonzero modulo a prime, the
     columns of that minor, and the integer coordinates Y (one row per row
     of M, one column per index in ``rows``) with Y @ M[rows] == d * M,
-    checked exactly before return.  The rank is ``len(rows)``.
+    checked exactly before return.  The rank is ``len(rows)``.  Unless
+    the first prime misses the rank, ``rows`` are the lexicographically
+    first rows independent modulo that prime, and Y comes from the one
+    elimination of M^T that found them (:func:`_first_rows`).
     """
     M = asint(M)
-    return _certify(M, *_pivots(M, PRIMES_30BIT[0]))
+    return _span(M, *_first_rows(M))
 
 
 def lowest_terms(arr, den):

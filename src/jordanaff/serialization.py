@@ -9,7 +9,10 @@ and loading snaps each distinct one, the unit's included, to the nearest
 rational of denominator at most ``SNAP_DENOMINATOR``; an entry farther
 from it than ``TOL.rel * max(1, |x|)`` raises SerializationError naming
 the entry, and the meta of the algebra records the largest snap distance.
-From there both modes load alike.  Loading hands the raw tensor to
+Each entry snaps alone, so a table whose exact entries need larger
+denominators can snap to one without a unit; that raises
+SerializationError naming the denominator bound and the largest snap
+distance.  From there both modes load alike.  Loading hands the raw tensor to
 :class:`JordanAlgebra`, the one parser of entries, which checks its
 cubic shape and each distinct entry; the stored unit goes through
 :meth:`JordanAlgebra.coerce`, which checks its length.  The loader then
@@ -147,7 +150,14 @@ def from_jsonable(data):
             f"structure constants not symmetric at ({i}, {k})")
     # the stored unit is checked, not solved for; a wrong one leaves the
     # solve to tell a unit elsewhere (SerializationError below) from none
-    j.find_unity(stored)
+    if j.find_unity(stored) is None and snaps:
+        # each entry snapped alone, within TOL.rel: a table whose exact
+        # entries need larger denominators can snap to one without a unit
+        raise SerializationError(
+            f"the float table snapped to rationals of denominator at most "
+            f"{SNAP_DENOMINATOR} (largest snap distance "
+            f"{float(max(d for _, d in snaps.values())):.3g}) has no "
+            "unit element; its exact entries may need larger denominators")
     if stored != j.unity():
         raise SerializationError("stored unit element does not act "
                                  "as the identity")

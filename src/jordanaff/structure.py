@@ -9,12 +9,16 @@ operators on J and (g, k) is a symmetric pair:
 
 with k acting by derivations that kill the unit element and are skew
 for the trace form.  :func:`restricted_pair` builds the pair with exact
-integer arithmetic: it picks the k basis among the commutators of p by
-certified rank and keeps the witness of that rank, the coordinates of
-every commutator in the k basis.  :func:`check_pair` re-verifies every
-relation and returns a report; [p, p] = k is checked from that witness
-by one exact identity, so the rank of the commutators is not computed
-again.
+integer arithmetic: its k basis is the first independent commutators
+[T_a, T_b] in a < b order, found by one elimination of the transposed
+commutator matrix modulo a prime, which also yields the witness of that
+rank, the coordinates of every commutator in the k basis, checked
+exactly.  :func:`check_pair` re-verifies every relation and returns a
+report; [p, p] = k is checked from that witness by one exact identity,
+so the rank of the commutators is not computed again, and k (+) p is
+certified direct from k e = 0, the rank of the T_X e and the solve on
+k's minor, so the rank of the whole k (+) p stack is computed only when
+one of those fails.
 
 The bracket computations stay in scaled-integer form throughout: the
 algebra's multiplication operators share one denominator, so commutators
@@ -56,15 +60,18 @@ class SymmetricPair:
     trace-zero basis ``v0`` and ``k_ops / k_den`` the chosen commutator
     basis of k.  The stacks are int64 when their entries fit and
     ``dtype=object`` otherwise, as the exactla kernel produces them; every
-    check contracts them through that kernel.  ``k_pairs`` names the
-    generator pair (indices into v0) behind every k basis element, and
-    ``k_cols`` the dim_k entries (indices into the flattened n x n
-    matrices) on which the minor of the k basis is nonzero modulo a
-    prime, which certified its independence.
+    check contracts them through that kernel.  The k basis is the first
+    independent commutators [p_a, p_b] in a < b order (independent
+    modulo the first prime; a later prime picks them only when that one
+    misses the rank).  ``k_pairs`` names the generator pair (indices
+    into v0) behind every k basis element, and ``k_cols`` the sorted
+    dim_k entries (indices into the flattened n x n matrices) on which
+    the minor of the k basis is nonzero modulo a prime, which certified
+    its independence; :func:`check_pair` solves on that minor.
 
-    ``pp_coords`` is the kernel pair (Y, d) of the commutators in the k
-    basis: row g of Y holds the coordinates of the g-th commutator
-    [p_a, p_b] (a < b, in order) times d, so that
+    ``pp_coords`` is the kernel pair (Y, d), in lowest terms, of the
+    commutators in the k basis: row g of Y holds the coordinates of the
+    g-th commutator [p_a, p_b] (a < b, in order) times d, so that
     Y @ k_ops == d * commutators as integer stacks.
     """
 
@@ -129,9 +136,9 @@ def _commutators(x):
 def restricted_pair(j):
     """Build the symmetric pair of the trace-zero multiplication operators.
 
-    Requires a unit element.  k is found by certified
-    integer rank selection among the commutators of the p basis, whose
-    span witness becomes ``pp_coords``.
+    Requires a unit element.  k is the first independent commutators of
+    the p basis, by :func:`exactla.independent_rows`, whose span witness
+    becomes ``pp_coords``.
     """
     j.unity()
     v0 = _trace_zero_basis(j)
@@ -158,6 +165,16 @@ def check_pair(pair, n_samples=3, seed=0):
     a seeded sample of k-k brackets re-expanded in the k basis (solved
     on the minor at ``k_cols``, checked on every entry), and
     injectivity of u -> T_u.
+
+    ``k_p_direct_sum`` is certified from three exact premises: k e = 0
+    (the ``k_kills_unity`` residual), the T_X e of the p basis have rank
+    dim p, and the kk_in_k solve on the minor at ``k_cols`` has a
+    solution, so that minor is nonsingular (zero right-hand sides when no
+    bracket is sampled).  A relation sum a_i k_i + sum b_X T_X = 0
+    applied to e leaves sum b_X T_X e = 0, so b = 0, and then a = 0 on
+    the minor.  When a premise fails, the rank of the whole
+    (dim k + dim p) x n^2 stack decides, and ``max_residual`` is
+    dim k + dim p minus that rank.
     """
     t_start = time.monotonic()
     j = pair.algebra
@@ -167,12 +184,38 @@ def check_pair(pair, n_samples=3, seed=0):
     dim_k, dim_p = pair.dim_k, pair.dim_p
     kb = (k, la.max_abs(k))
 
-    # independence and direct sum
-    if dim_k + dim_p == 0:
-        rank_kp = 0
+    # k kills the unit
+    e_int, _ = j._unit_int()
+    worst_e = la.max_abs(la.einsum("kab,b->ka", kb, e_int))
+
+    # seeded sample of k-k brackets, re-expanded in the k basis: solved
+    # on the minor at k_cols (with a zero right-hand side when none is
+    # sampled), which has a solution exactly when that minor is
+    # nonsingular; it holds on every entry exactly when the brackets lie
+    # in span k
+    rng = random.Random(seed)
+    tried = n_samples if dim_k >= 2 else 0
+    flat = k.reshape(dim_k, n * n)
+    if tried:
+        ia, ib = np.array([rng.sample(range(dim_k), 2)
+                           for _ in range(tried)]).T
+        rhs = la.bracket((k[ia], kb[1]), (k[ib], kb[1])).reshape(tried,
+                                                                 n * n)
+    else:
+        rhs = np.zeros((1, n * n), dtype=np.int64)
+    cols = list(pair.k_cols)
+    sol = la.solve(flat[:, cols].T, rhs[:, cols].T) if dim_k else None
+    ok_kk = not tried or sol is not None and not la.residual(
+        (1, "ks,kc->sc", sol[0], flat), (-sol[1], rhs))
+
+    # independence and direct sum: the rank of the whole stack only when
+    # k e = 0, independent T_X e or the minor's solve above fails
+    if (worst_e == 0 and (sol is not None or not dim_k)
+            and la.int_rank(la.einsum("pab,b->pa", p, e_int)) == dim_p):
+        rank_kp = dim_k + dim_p
     else:
         kp = np.concatenate(
-            [la.lincomb((pair.p_den, k.reshape(dim_k, n * n))),
+            [la.lincomb((pair.p_den, flat)),
              la.lincomb((pair.k_den, p.reshape(dim_p, n * n)))], axis=0)
         rank_kp = la.int_rank(kp)
     report.add(CheckResult(
@@ -214,9 +257,6 @@ def check_pair(pair, n_samples=3, seed=0):
     else:
         report.add(CheckResult(name="derivation_identity", passed=True))
 
-    # k kills the unit
-    e_int, _ = j._unit_int()
-    worst_e = la.max_abs(la.einsum("kab,b->ka", kb, e_int))
     report.add(CheckResult(
         name="k_kills_unity", passed=worst_e == 0,
         max_residual=Fraction(worst_e, pair.k_den)))
@@ -246,23 +286,6 @@ def check_pair(pair, n_samples=3, seed=0):
     else:
         report.add(CheckResult(name="kp_in_p", passed=True))
 
-    # seeded sample of k-k brackets, re-expanded in the k basis: the
-    # minor at k_cols is nonzero, so its system has one solution, which
-    # holds on every entry exactly when the brackets lie in span k
-    rng = random.Random(seed)
-    ok_kk = True
-    tried = 0
-    if dim_k >= 2 and n_samples:
-        ia, ib = np.array([rng.sample(range(dim_k), 2)
-                           for _ in range(n_samples)]).T
-        brackets = la.bracket((k[ia], kb[1]), (k[ib], kb[1]))
-        flat = k.reshape(dim_k, n * n)
-        rhs = brackets.reshape(n_samples, n * n)
-        cols = list(pair.k_cols)
-        sol = la.solve(flat[:, cols].T, rhs[:, cols].T)
-        ok_kk = sol is not None and not la.residual(
-            (1, "ks,kc->sc", sol[0], flat), (-sol[1], rhs))
-        tried = n_samples
     report.add(CheckResult(name="kk_in_k", passed=ok_kk, samples=tried,
                            seed=seed))
 

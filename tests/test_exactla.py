@@ -220,6 +220,28 @@ def test_int_rank_matches_sympy():
         assert la.int_rank(m) == _sympy_rank(m)
 
 
+def test_int_rank_of_rows_in_echelon_form(monkeypatch):
+    """Nonzero rows whose last nonzero entries sit in distinct columns
+    are independent without an elimination; rows that share one, or a
+    zero row, still go through the certified one."""
+    calls = []
+    eliminate = la._eliminate
+
+    def counted(a, n, p):
+        calls.append(a.shape)
+        return eliminate(a, n, p)
+
+    monkeypatch.setattr(la, "_eliminate", counted)
+    for m, eliminated in [([[1, 0, 0], [5, 3, 0], [0, 0, 7]], False),
+                          ([[0, 2 ** 70, 1, 0], [9, 0, 0, -4]], False),
+                          ([[1, 2, 0], [2, 4, 0]], True),
+                          ([[2 ** 70, 1], [2 ** 71, 2]], True),
+                          ([[1, 0, 0], [0, 0, 0]], True)]:
+        calls.clear()
+        assert la.int_rank(m) == _sympy_rank(m), m
+        assert bool(calls) == eliminated, m
+
+
 def _assert_spans(m, rows, witness):
     """The witness identity Y @ M[rows] == d * M, in Python ints."""
     y, d = witness
@@ -286,12 +308,14 @@ def _low_rank_products(draw):
 @settings(max_examples=40, deadline=None)
 def test_rank_witness_matches_sympy(m):
     """Rank-deficient products B C with entries up to 2**40: the rank
-    agrees with sympy, the returned identity holds exactly, and the
-    kernel is sympy's reduced basis."""
+    agrees with sympy, the independent rows are the pivots of sympy's
+    reduced M^T (the lexicographically first independent rows), the
+    returned identity holds exactly, and the kernel is sympy's reduced
+    basis."""
     want = _sympy_rank(m)
     assert la.int_rank(m) == want
     idx, _, witness = la.independent_rows(m)
-    assert len(idx) == want
+    assert idx == list(sympy.Matrix(m).T.rref()[1])
     _assert_spans(m, idx, witness)
     ns, d = la.null_space(m)
     assert [list(_rationals(v, d)) for v in ns] == \

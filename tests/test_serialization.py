@@ -2,6 +2,7 @@
 
 import copy
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -63,6 +64,21 @@ def test_float_entry_must_snap(get_algebra, float_doc):
     with pytest.raises(SerializationError,
                        match=r"entry c\[0\]\[1\]\[1\] = 0.1234567891234"):
         ser.from_jsonable(doc)
+
+
+def test_snapped_table_without_unit(get_algebra, float_doc):
+    """Each float entry snaps alone, so the float file of the valid
+    isotope full_real(m=2)^gamma, gamma with denominator 9999991 > 2**20,
+    snaps within TOL.rel to a table without a unit: loading it raises
+    SerializationError naming the denominator bound and the largest snap
+    distance, not NotUnitalError."""
+    j = get_algebra("full_real", m=2).isotope(
+        (Fraction(3254257, 9999991), 0, 0, Fraction(2058756, 9999991)))
+    assert j.find_unity() is not None
+    with pytest.raises(SerializationError,
+                       match=r"denominator at most 1048576 \(largest snap "
+                             r"distance 1.5e-12\) has no unit"):
+        ser.from_jsonable(float_doc(j))
 
 
 def test_file_io(tmp_path, get_algebra):

@@ -105,10 +105,12 @@ def test_corrupted_span_witness_fails(get_pair):
 
 
 def test_pair_rank_count(monkeypatch):
-    """restricted_pair + check_pair on octonion_hermitian make at most six
-    modular eliminations: the unit's solve, the rank of the commutators
-    and its span witness, the ranks of k (+) p and of u -> T_u, and the
-    kk_in_k solve.  pp_spans_k runs none on a passing pair."""
+    """restricted_pair + check_pair on octonion_hermitian make at most
+    three modular eliminations: the unit's solve, the one elimination of
+    the commutators that picks k and gives their span witness, and the
+    kk_in_k solve on k's minor.  The T_X e are in echelon form, so their
+    rank takes none, and pp_spans_k and k_p_direct_sum run no other on a
+    passing pair."""
     j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
     calls = []
     eliminate = exactla._eliminate
@@ -119,7 +121,7 @@ def test_pair_rank_count(monkeypatch):
 
     monkeypatch.setattr(exactla, "_eliminate", counted)
     assert check_pair(restricted_pair(j)).passed
-    assert len(calls) <= 6, calls
+    assert len(calls) <= 3, calls
 
 
 def _rungs(monkeypatch):
@@ -243,3 +245,37 @@ def test_corrupted_k_fails_kk_in_k():
     assert checks["kk_in_k"].samples == 3
     assert not checks["kk_in_k"].passed
     assert {c.name: c.passed for c in check_pair(pair).checks}["kk_in_k"]
+
+
+def test_direct_sum_falls_back_to_the_full_rank(monkeypatch):
+    """k_p_direct_sum is certified from k e = 0, the rank of the T_X e
+    and k's minor; when a premise fails it ranks the whole k (+) p stack.
+    With p_ops[0] replaced by k_ops[0] the T_X e lose rank and the stack
+    has rank dim k + dim p - 1: FAIL with max_residual 1.  With k_cols
+    naming a singular minor kk_in_k fails, and the full rank still
+    certifies the sum."""
+    pair = restricted_pair(catalog.build("quadratic", signs=(1, -1, 1)))
+    p = pair.p_ops.copy()
+    p[0] = pair.k_ops[0]
+    ranks = []
+    int_rank = exactla.int_rank
+
+    def counted(m):
+        ranks.append(np.shape(m))
+        return int_rank(m)
+
+    monkeypatch.setattr(exactla, "int_rank", counted)
+    checks = {c.name: c for c in
+              check_pair(dataclasses.replace(pair, p_ops=p)).checks}
+    assert not checks["k_p_direct_sum"].passed
+    assert checks["k_p_direct_sum"].max_residual == 1
+    n = pair.algebra.dim
+    assert (pair.dim_k + pair.dim_p, n * n) in ranks
+    ranks.clear()
+    singular = dataclasses.replace(pair,
+                                   k_cols=(pair.k_cols[0],) * pair.dim_k)
+    checks = {c.name: c for c in check_pair(singular, n_samples=3).checks}
+    assert not checks["kk_in_k"].passed
+    assert checks["k_p_direct_sum"].passed
+    assert checks["k_p_direct_sum"].max_residual == 0
+    assert (pair.dim_k + pair.dim_p, n * n) in ranks
