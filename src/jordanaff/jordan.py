@@ -691,9 +691,14 @@ class JordanAlgebra:
         Returns a list of (ideal, basis) pairs where ``basis`` holds the
         ideal's basis vectors in the ambient coordinates.  Uses a generic
         central element's minimal polynomial, whose factors over Q give
-        the ideals exactly.  A factor irreducible over Q that splits over
-        R (x^2 - 2, or any of degree above 2) has ideals not defined over
-        Q, and raises JordanError naming it.
+        the ideals exactly.  The factors are rounded from the float roots
+        of the polynomial and accepted only when they divide it exactly
+        down to 1 and each quadratic one has a negative discriminant
+        (:func:`_factors_from_roots`); anything else goes to sympy's
+        ``factor_list``, imported only then, in the same order.  A factor
+        irreducible over Q that splits over R (x^2 - 2, or any of degree
+        above 2) has ideals not defined over Q, and raises JordanError
+        naming it; only sympy's factoring can show that.
         """
         ok, sig = self.is_semisimple()
         if not ok:
@@ -737,32 +742,10 @@ class JordanAlgebra:
     def _split_by_min_poly(self, z, rel, e_coords):
         """Ideals from the minimal polynomial of the central z = (x, dx),
         given the center coordinates e_coords = (y, dy) of the unit."""
-        import sympy
-
         m = len(rel)
-        x = sympy.Symbol("x")
-        poly = x ** m - sum(sympy.Rational(rel[k].numerator,
-                                           rel[k].denominator) * x ** k
-                            for k in range(m))
-        factors = sympy.factor_list(sympy.Poly(poly, x))[1]
-        if any(mult > 1 for _, mult in factors):
+        factors = _min_poly_factors(rel, self.name)
+        if factors is None:
             return None
-        # each factor must stay irreducible over R: of degree 1, or of
-        # degree 2 without a real root
-        for f, _ in factors:
-            c = [Fraction(str(v)) for v in f.all_coeffs()]
-            disc = c[1] * c[1] - 4 * c[0] * c[2] if len(c) == 3 else 0
-            if len(c) > 3 or disc > 0:
-                factor = str(f.as_expr()).replace("**", "^")
-                if disc:
-                    # an affine change of x makes f x^2 - d, d squarefree
-                    d = sympy.sqrt(sympy.Rational(str(disc))).as_coeff_Mul()
-                    factor = f"x^2 - {d[1] ** 2} (here {factor})"
-                raise JordanError(
-                    f"{self.name}: the minimal polynomial of a central "
-                    f"element has the factor {factor}, irreducible over Q "
-                    "but split over R, so the simple ideals are not "
-                    "defined over Q")
         if len(factors) == 1:
             # one quadratic factor with negative discriminant: the center
             # is C, a field over R, so the algebra is already simple
@@ -775,14 +758,12 @@ class JordanAlgebra:
                                     den * z[1] * dc)
         eye = np.eye(m, dtype=np.int64)
         blocks = []
-        for f, _ in factors:
-            cs = [Fraction(str(v)) for v in f.all_coeffs()]
-            lead = math.lcm(*(q.denominator for q in cs))
+        for cs in factors:
             # Horner: da^t f_t(a) with f_t the leading t + 1 coefficients
-            fa = la.lincomb((cs[0] * lead, eye))
+            fa = la.lincomb((cs[0], eye))
             for t, q in enumerate(cs[1:], 1):
                 fa = la.lincomb((1, la.einsum("ab,bc->ac", fa, a)),
-                                (q * lead * da ** t, eye))
+                                (q * da ** t, eye))
             blocks.append(la.null_space(fa)[0])
         if sum(len(b) for b in blocks) != m:
             return None
@@ -828,6 +809,105 @@ class JordanAlgebra:
                             name=f"{self.name}[ideal]",
                             meta={"parent": self.name})
         return sub, list(self._out(basis, dp)), basis
+
+
+def _min_poly_factors(rel, name):
+    """The factors over Q of F = x^m - sum_k rel_k x^k, each as its
+    primitive integer coefficients, leading first, in the order of
+    sympy's ``factor_list``; None when F has a repeated factor.  Raises
+    JordanError when a factor is irreducible over Q but split over R.
+
+    :func:`_factors_from_roots` tries first; what it cannot certify goes
+    to sympy, which also proves the negative verdicts."""
+    f = [Fraction(1)] + [-r for r in reversed(rel)]
+    factors = _factors_from_roots(f)
+    return factors if factors is not None else _sympy_factors(rel, name)
+
+
+def _factors_from_roots(f):
+    """The factors of the monic f (Fractions, leading first) rounded from
+    its float roots, or None when they are not certified.
+
+    With D the lcm of f's denominators, D f is an integer polynomial of
+    leading coefficient D, so by Gauss's lemma every monic factor of f
+    over Q has its coefficients in Z / D.  A real root r gives the
+    candidate x - round(rD)/D and a conjugate pair alpha, alpha-bar gives
+    x^2 + bx + c with b = round(-2 Re(alpha) D)/D and
+    c = round(|alpha|^2 D)/D.  The list stands only if each candidate
+    divides f exactly, the last quotient is 1, the candidates are
+    distinct and each quadratic has a negative discriminant: then it is
+    f's factorization over Q into irreducibles.  The factors come back
+    primitive, sorted by (degree, coefficients)."""
+    den = math.lcm(*(c.denominator for c in f))
+    try:
+        cands = []
+        for r in np.roots([float(c) for c in f]):
+            if r.imag == 0:
+                cands.append([1, -Fraction(round(r.real * den), den)])
+            elif r.imag > 0:
+                cands.append([1, Fraction(round(-2 * r.real * den), den),
+                              Fraction(round(abs(r) ** 2 * den), den)])
+    except (OverflowError, ValueError, np.linalg.LinAlgError):
+        return None
+    quot = f
+    for cand in cands:
+        quot = _divide_monic(quot, cand)
+        if quot is None:
+            return None
+    if (quot != [1] or len(set(map(tuple, cands))) < len(cands)
+            or any(len(c) == 3 and c[1] ** 2 >= 4 * c[2] for c in cands)):
+        return None
+    return sorted((_primitive(c) for c in cands), key=lambda c: (len(c), c))
+
+
+def _divide_monic(f, d):
+    """The quotient of f by the monic d (coefficients leading first), or
+    None when the remainder is not zero."""
+    k = len(d) - 1
+    q = list(f)
+    for i in range(len(f) - k):
+        for t in range(1, k + 1):
+            q[i + t] -= q[i] * d[t]
+    return None if any(q[len(q) - k:]) else q[:len(q) - k]
+
+
+def _primitive(coeffs):
+    """The rational coefficients scaled to coprime integers."""
+    lead = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * lead) for c in coeffs]
+    g = math.gcd(*ints)
+    return [v // g for v in ints]
+
+
+def _sympy_factors(rel, name):
+    """:func:`_min_poly_factors` by sympy's ``factor_list``."""
+    import sympy
+
+    m = len(rel)
+    x = sympy.Symbol("x")
+    poly = x ** m - sum(sympy.Rational(rel[k].numerator,
+                                       rel[k].denominator) * x ** k
+                        for k in range(m))
+    factors = sympy.factor_list(sympy.Poly(poly, x))[1]
+    if any(mult > 1 for _, mult in factors):
+        return None
+    coeffs = [[Fraction(str(v)) for v in f.all_coeffs()] for f, _ in factors]
+    # each factor must stay irreducible over R: of degree 1, or of
+    # degree 2 without a real root
+    for (f, _), c in zip(factors, coeffs):
+        disc = c[1] * c[1] - 4 * c[0] * c[2] if len(c) == 3 else 0
+        if len(c) > 3 or disc > 0:
+            factor = str(f.as_expr()).replace("**", "^")
+            if disc:
+                # an affine change of x makes f x^2 - d, d squarefree
+                d = sympy.sqrt(sympy.Rational(str(disc))).as_coeff_Mul()
+                factor = f"x^2 - {d[1] ** 2} (here {factor})"
+            raise JordanError(
+                f"{name}: the minimal polynomial of a central "
+                f"element has the factor {factor}, irreducible over Q "
+                "but split over R, so the simple ideals are not "
+                "defined over Q")
+    return [_primitive(c) for c in coeffs]
 
 
 def _lcm(a, b):

@@ -10,7 +10,9 @@ rational of denominator at most ``SNAP_DENOMINATOR``; an entry farther
 from it than ``TOL.rel * max(1, |x|)`` raises SerializationError naming
 the entry, and the meta of the algebra records the largest snap distance.
 Each entry snaps alone, so a table whose exact entries need larger
-denominators can snap to one without a unit; that raises
+denominators can snap to one without a unit, or to another valid table;
+so the snapped entries must also share a common denominator (the lcm of
+theirs) of at most ``SNAP_DENOMINATOR``, and either fault raises
 SerializationError naming the denominator bound and the largest snap
 distance.  From there both modes load alike.  Loading hands the raw tensor to
 :class:`JordanAlgebra`, the one parser of entries, which checks its
@@ -150,14 +152,20 @@ def from_jsonable(data):
             f"structure constants not symmetric at ({i}, {k})")
     # the stored unit is checked, not solved for; a wrong one leaves the
     # solve to tell a unit elsewhere (SerializationError below) from none
-    if j.find_unity(stored) is None and snaps:
+    unital = j.find_unity(stored) is not None
+    if snaps:
         # each entry snapped alone, within TOL.rel: a table whose exact
-        # entries need larger denominators can snap to one without a unit
-        raise SerializationError(
-            f"the float table snapped to rationals of denominator at most "
-            f"{SNAP_DENOMINATOR} (largest snap distance "
-            f"{float(max(d for _, d in snaps.values())):.3g}) has no "
-            "unit element; its exact entries may need larger denominators")
+        # entries need larger denominators can snap to one without a
+        # unit, or to another valid table of a larger common denominator
+        den = math.lcm(*(q.denominator for q, _ in snaps.values()))
+        if not unital or den > SNAP_DENOMINATOR:
+            fault = ("has no unit element" if not unital else
+                     f"has the common denominator {den}, above the bound")
+            raise SerializationError(
+                f"the float table snapped to rationals of denominator at "
+                f"most {SNAP_DENOMINATOR} (largest snap distance "
+                f"{float(max(d for _, d in snaps.values())):.3g}) {fault}; "
+                "its exact entries may need larger denominators")
     if stored != j.unity():
         raise SerializationError("stored unit element does not act "
                                  "as the identity")

@@ -1,9 +1,14 @@
 """Command line interface, driven through main() in-process."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jordanaff
 from jordanaff import catalog, cli, serialization as ser
 from jordanaff.jordan import JordanAlgebra
 
@@ -245,3 +250,20 @@ def test_zero_samples_pass(capsys, target):
     assert cli.main(["verify", target, "--family", "full_real", "--params",
                      '{"m": 2}', "--samples", "0"]) == 0
     assert "RESULT: PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("target", ["model", "decompose"])
+def test_one_shot_verify_imports_neither_scipy_nor_sympy(target):
+    """A fresh process running one `verify model` or `verify decompose`
+    on complex_quadratic(m=3), whose center is C, loads neither scipy
+    nor sympy."""
+    src = str(Path(jordanaff.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from jordanaff.cli import main\n"
+            f"code = main(['verify', {target!r}, '--family', "
+            "'complex_quadratic', '--params', '{\"m\": 3}'])\n"
+            "print(code, sorted({'scipy', 'sympy'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []", out

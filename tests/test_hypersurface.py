@@ -33,6 +33,42 @@ def test_scale_constant_frozen():
         scale_constant(2, F(0))
 
 
+def test_expm_matches_eigh():
+    """_expm of random symmetric stacks, 1-norms from 0 to about 40 (up
+    to seven squarings), equals V diag(exp(w)) V^T from eigh."""
+    rng = np.random.default_rng(7)
+    for n, scale in ((1, 0.1), (3, 1.0), (6, 4.0), (9, 0.01), (12, 3.0)):
+        a = rng.normal(scale=scale, size=(5, n, n))
+        a = (a + a.transpose(0, 2, 1)) / 2
+        w, v = np.linalg.eigh(a)
+        ref = np.einsum("sij,sj,skj->sik", v, np.exp(w), v)
+        got = hs._expm(a)
+        assert got.shape == a.shape
+        err = np.abs(got - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.abs(ref).max(axis=(1, 2))), n
+    assert hs._expm(np.zeros((0, 4, 4))).shape == (0, 4, 4)
+    assert np.array_equal(hs._expm(np.zeros((2, 3, 3))),
+                          np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+def test_expm_inverse():
+    """exp(A) exp(-A) = I on random stacks of general matrices."""
+    rng = np.random.default_rng(11)
+    for n in (2, 5, 8):
+        a = rng.normal(size=(6, n, n))
+        prod = hs._expm(a) @ hs._expm(-a)
+        assert np.allclose(prod, np.eye(n), rtol=0, atol=1e-12), n
+
+
+def test_sample_points_without_steps(get_algebra):
+    """steps=0 leaves every sample at the base point C e, count=0 gives
+    an empty stack."""
+    m = build_model(get_algebra("full_real", m=2), F(-1))
+    assert np.array_equal(m.sample_points(count=3, steps=0),
+                          np.tile(m.base_point(), (3, 1)))
+    assert m.sample_points(count=0).shape == (0, 4)
+
+
 def test_hyperbola_model(get_algebra):
     rr = direct_sum([get_algebra("reals"), get_algebra("reals")])
     m = build_model(rr, l1=F(-1))

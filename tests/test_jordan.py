@@ -8,9 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jordanaff import catalog
 from jordanaff import exactla as la
+from jordanaff import jordan
 from jordanaff.jordan import (
     DimensionMismatchError,
     JordanAlgebra,
@@ -303,6 +307,87 @@ def test_decompose_rejects_real_quadratic_center():
          [[F(0), F(1)], [F(2), F(0)]]]
     with pytest.raises(JordanError, match=r"factor x\^2 - 2"):
         JordanAlgebra(c, name="sqrt2").decompose(seed=0)
+
+
+def _sympy_factor_list(f):
+    """sympy's factor_list of the monic f (Fractions, leading first), as
+    primitive integer coefficients in sympy's order."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in f], x)
+    return [[int(v) for v in g.all_coeffs()]
+            for g, _ in sympy.factor_list(poly)[1]]
+
+
+def _rel(f):
+    """rel with f = x^m - sum_k rel_k x^k."""
+    return [-c for c in reversed(f[1:])]
+
+
+def _product(roots, pairs):
+    """prod (x - r) * prod ((x - b)^2 + q), coefficients leading first."""
+    f = [F(1)]
+    for r in roots:
+        f = list(np.polymul(f, [F(1), -r]))
+    for b, q in pairs:
+        f = list(np.polymul(f, [F(1), -2 * b, b * b + q]))
+    return f
+
+
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_rationals, max_size=4, unique=True),
+       st.lists(st.tuples(_rationals, st.fractions(
+           min_value=F(1, 9), max_value=50, max_denominator=9)),
+           max_size=3, unique_by=lambda bq: bq[0]))
+def test_min_poly_factors_match_sympy(roots, pairs):
+    """Products of distinct rational linear factors and quadratics
+    (x - b)^2 + q, q > 0 (distinct centers b, so distinct factors)
+    factor into sympy's factors in sympy's order.  The float roots
+    either give exactly those or nothing (clustered roots of a high
+    degree can round wrong), and then sympy gives them."""
+    f = _product(roots, pairs)
+    if len(f) < 3:
+        return
+    expected = _sympy_factor_list(f)
+    assert jordan._factors_from_roots(f) in (None, expected)
+    assert jordan._min_poly_factors(_rel(f), "t") == expected
+
+
+def test_min_poly_factors_from_roots_alone():
+    """On 100 seeded products of up to three linear factors and two
+    quadratics, roots in [-9, 9] of denominator at most 6, the float
+    roots give sympy's factors every time, with no fallback."""
+    rng = random.Random(5)
+
+    def rational():
+        d = rng.randint(1, 6)
+        return F(rng.randint(-9 * d, 9 * d), d)
+
+    for _ in range(100):
+        roots = {rational() for _ in range(rng.randint(0, 3))}
+        pairs = {rational(): F(rng.randint(1, 90), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 2))}
+        f = _product(sorted(roots), pairs.items())
+        assert jordan._factors_from_roots(f) == _sympy_factor_list(f), f
+
+
+def test_min_poly_factors_fall_back_to_sympy():
+    """What the float roots cannot certify goes to sympy: two rational
+    roots 1e-20 apart, which one float cannot tell apart; a repeated
+    root; and x^2 - 2, irreducible over Q but split over R."""
+    f = _product([F(1, 3), F(1, 3) + F(1, 10 ** 20)], [(F(0), F(1))])
+    assert jordan._factors_from_roots(f) is None
+    assert jordan._min_poly_factors(_rel(f), "t") == _sympy_factor_list(f)
+    twice = _product([F(1), F(1), F(-2)], [])
+    assert jordan._factors_from_roots(twice) is None
+    assert jordan._min_poly_factors(_rel(twice), "t") is None
+    sqrt2 = _product([F(-5)], [(F(0), F(-2))])
+    assert jordan._factors_from_roots(sqrt2) is None
+    with pytest.raises(JordanError, match=r"t: .* the factor x\^2 - 2 "):
+        jordan._min_poly_factors(_rel(sqrt2), "t")
 
 
 def test_identities_have_one_implementation():

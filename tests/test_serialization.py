@@ -81,6 +81,21 @@ def test_snapped_table_without_unit(get_algebra, float_doc):
         ser.from_jsonable(float_doc(j))
 
 
+def test_snapped_table_over_a_large_common_denominator(get_algebra,
+                                                       float_doc):
+    """The float file of full_real(m=2)^gamma, gamma with denominator
+    9999991, snaps entry by entry (each within TOL.rel) to another unital
+    Jordan table; the common denominator of the snapped entries, above
+    2**20, refuses it, and the message names that denominator."""
+    j = get_algebra("full_real", m=2).isotope(
+        (Fraction(8922960, 9999991), 0, 0, Fraction(7368886, 9999991)))
+    with pytest.raises(SerializationError,
+                       match=r"denominator at most 1048576 \(largest snap "
+                             r"distance 5.93e-11\) has the common "
+                             r"denominator 11034557831484261704, above"):
+        ser.from_jsonable(float_doc(j))
+
+
 def test_file_io(tmp_path, get_algebra):
     j = get_algebra("full_real", m=2)
     path = tmp_path / "alg.json"
