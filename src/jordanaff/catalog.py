@@ -13,14 +13,26 @@ meta records the family name and parameters.  Each family carries
 a closed-form generic norm of degree d; the norm is tied to the engine
 by the exact identity det P_u = N(u)^(2 dim / d), which
 :func:`verify_det_formula` tests on random rational elements.
+
+The norms run on stacks of integer coordinate rows in the exact kernel.
+A matrix entry over the composition algebra ``sig`` is an integer array
+(sig.dim, k), with k = 1 for real and k = 2 for complex scalars, and
+:func:`~jordanaff.composition_algebras.cd_mul` is the one entry product.
+The families whose entries are real or complex, and the quaternionic
+ones through their complex image chi, take one stacked
+:func:`exactla.det`; the Moore determinant of a hermitian quaternionic
+matrix is the Pfaffian Pf(J chi(A)) (J = diag([[0, 1], [-1, 0]], ...)),
+and the octonionic ones run the Freudenthal cubic.  A complexified
+family evaluates its base family's norm at complex coordinates and
+returns |N|^2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import inspect
-from itertools import permutations
 import math
 import numbers
 import random
@@ -32,7 +44,6 @@ from . import exactla as la
 from .composition_algebras import (COMPLEXES, OCTONIONS, QUATERNIONS, REALS,
                                    SPLIT_OCTONIONS, cd_conj, cd_mul, cd_norm,
                                    cd_real, cd_unit, mul_table_tensor)
-from .exactla import QI
 from .jordan import JordanAlgebra
 from .reports import CheckResult
 
@@ -43,18 +54,6 @@ class UnknownFamilyError(KeyError):
 
 class BadParameterError(ValueError):
     pass
-
-
-# --------------------------------------------------------------------------
-# matrices over a composition algebra
-#
-# The norms see a matrix as a list of lists of coefficient tuples (length
-# sig.dim), generic over Fraction and QI scalars.  The builders see it as
-# an integer ndarray of shape (m, m, sig.dim).
-
-def _mat_zero(m, d, like):
-    z = like - like
-    return [[[z] * d for _ in range(m)] for _ in range(m)]
 
 
 # --------------------------------------------------------------------------
@@ -100,29 +99,24 @@ def _slot_label(slot, sig):
     return f"E{i}{j}{unit}"
 
 
-def _to_matrix(kind, m, sig, slots, coords):
-    mat = _mat_zero(m, sig.dim, next(iter(coords), None))
-    for (t, i, j, u), x in zip(slots, coords):
-        if t == "f":
-            mat[i][j][u] = mat[i][j][u] + x
-        elif t == "d":
-            mat[i][i][u] = mat[i][i][u] + x
-        elif t == "s":
-            mat[i][j][u] = mat[i][j][u] + x
-            mat[j][i][u] = mat[j][i][u] + (x if u == 0 else -x)
-        elif t == "k":
-            mat[i][j][u] = mat[i][j][u] + x
-            mat[j][i][u] = mat[j][i][u] + (-x if u == 0 else x)
-    return mat
+@functools.lru_cache(maxsize=None)
+def _basis_stack(kind, m, sig):
+    """Integer stack E of shape (n, m, m, sig.dim): E[p] is basis element
+    p.  Cached and read-only."""
+    slots = _slots(kind, m, sig)
+    e = np.zeros((len(slots), m, m, sig.dim), dtype=np.int64)
+    for p, (t, i, j, u) in enumerate(slots):
+        e[p, i, j, u] = 1
+        if t in "sk":  # the mirrored entry, conjugated or negated
+            e[p, j, i, u] = 1 if (t == "s") == (u == 0) else -1
+    e.flags.writeable = False
+    return e
 
 
-def _basis_stack(kind, m, sig, slots):
-    """Integer stack E of shape (n, m, m, d): E[p] is basis element p."""
-    # the coordinates are the rows of the identity, so each matrix entry
-    # comes out as the vector of its values over the whole basis
-    units = np.eye(len(slots), dtype=np.int64)
-    return np.moveaxis(np.array(_to_matrix(kind, m, sig, slots, units)),
-                       -1, 0)
+def _matrices(kind, m, sig, z):
+    """The matrix stack (s, m, m, sig.dim, k) of the coordinate rows z, an
+    integer array (s, n, k): one einsum with the basis stack."""
+    return la.einsum("spc,piju->sijuc", z, (_basis_stack(kind, m, sig), 1))
 
 
 def _structure_tensor(kind, m, sig, factor=None):
@@ -136,7 +130,7 @@ def _structure_tensor(kind, m, sig, factor=None):
     """
     slots = _slots(kind, m, sig)
     table = mul_table_tensor(sig)
-    e = _basis_stack(kind, m, sig, slots)
+    e = _basis_stack(kind, m, sig)
     eg = e if factor is None else la.einsum("piku,kjv,uvw->pijw",
                                             e, factor, table)
     x = la.einsum("piku,qkjv,uvw->pqijw", eg, e, table)
@@ -163,116 +157,103 @@ def _diagonal(sig, entries):
 
 
 # --------------------------------------------------------------------------
-# norm primitives (generic over int / QI scalars)
+# norm primitives on stacks: scalar values are integer arrays (..., k)
 
-def _pfaffian(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    zero = rows[0][0] - rows[0][0]
-    if n % 2:
-        return zero
-    if n == 2:
-        return rows[0][1]
-    acc = None
-    others = list(range(1, n))
-    for t, j in enumerate(others):
-        a = rows[0][j]
-        if not a:
-            continue
-        rest = [r for r in others if r != j]
-        sub = [[rows[p][q] for q in rest] for p in rest]
-        term = a * _pfaffian(sub)
-        if t % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return zero if acc is None else acc
+def _mul(x, y):
+    """Products of real (k = 1) or complex (k = 2) scalars (..., k)."""
+    return cd_mul(REALS, x[..., None, :], y[..., None, :])[..., 0, :]
 
 
-def _moore_det(sig, mat):
-    """Determinant of a hermitian matrix over an associative algebra.
+def _real(v):
+    """Complex values v (s, 2) that must be real, as (s, 1)."""
+    if v[:, 1].any():
+        raise ArithmeticError("complex determinant came out non-real")
+    return v[:, :1]
 
-    Permutation-cycle expansion: each cycle is written with its smallest
-    index first and the per-cycle entry products are multiplied in
-    increasing order of that leading index.  For hermitian input the
-    result is a real scalar.
+
+def _det_stack(mats):
+    """Determinants of a stack of real or complex matrices (s, m, m, ...)
+    whose trailing axes hold one coefficient (real) or two (re, im) per
+    entry, as an (s, 1) or (s, 2) integer array: one :func:`exactla.det`.
     """
-    m = len(mat)
+    f = mats.reshape(mats.shape[:3] + (-1,))
+    w = f.shape[-1]
+    return la.asint(la.det(*np.moveaxis(f, -1, 0))).reshape(len(f), w)
+
+
+# chi's 2x2 complex block of each quaternion unit, entries as (re, im):
+# chi(1) = I, chi(i) = diag(i, -i), chi(j) = [[0, 1], [-1, 0]] and
+# chi(k) = [[0, i], [i, 0]]
+_CHI = np.array([[[(1, 0), (0, 0)], [(0, 0), (1, 0)]],
+                 [[(0, 1), (0, 0)], [(0, 0), (0, -1)]],
+                 [[(0, 0), (1, 0)], [(-1, 0), (0, 0)]],
+                 [[(0, 0), (0, 1)], [(0, 1), (0, 0)]]], dtype=np.int64)
+# the block of J chi(a), J = diag([[0, 1], [-1, 0]], ...)
+_JCHI = np.einsum("ab,ubcw->uacw", [[0, 1], [-1, 0]], _CHI)
+
+
+def _chi(mats, table=_CHI):
+    """Complex images (s, 2m, 2m, 2) of a stack of quaternionic matrices
+    (s, m, m, 4, 1), block by block through ``table``."""
+    s, m = mats.shape[:2]
+    out = la.einsum("siju,urcw->sirjcw", mats[..., 0], (table, 1))
+    return out.reshape(s, 2 * m, 2 * m, 2)
+
+
+@functools.lru_cache(maxsize=8)
+def _matchings(n):
+    """The perfect matchings of range(n), n even, as index arrays
+    (M, n // 2) of their rows and columns and their signs (M,), so that
+    Pf A = sum sign * prod A[rows, cols] (expansion along the first row).
+    """
+    def expand(rest):
+        if not rest:
+            yield (), 1
+            return
+        first, others = rest[0], rest[1:]
+        for t, col in enumerate(others):
+            for pairs, sign in expand(others[:t] + others[t + 1:]):
+                yield ((first, col),) + pairs, sign if t % 2 == 0 else -sign
+    pairs, signs = zip(*expand(tuple(range(n))))
+    idx = np.array(pairs, dtype=np.int8).reshape(len(pairs), n // 2, 2)
+    out = idx[..., 0], idx[..., 1], np.array(signs, dtype=np.int64)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+# matchings per block of a stacked Pfaffian, which bounds its memory
+_MATCH_BLOCK = 2 ** 12
+
+
+def _pfaffian(a):
+    """Pfaffians of a stack a (s, n, n, k) of skew-symmetric real (k = 1)
+    or complex (k = 2) integer matrices, as an (s, k) array: one signed
+    sum over the cached perfect matchings, block by block."""
+    rows, cols, signs = _matchings(a.shape[1])
     total = None
-    for perm in permutations(range(m)):
-        seen = [False] * m
-        cycles = []
-        for s in range(m):
-            if seen[s]:
-                continue
-            cyc = [s]
-            seen[s] = True
-            t = perm[s]
-            while t != s:
-                cyc.append(t)
-                seen[t] = True
-                t = perm[t]
-            cycles.append(cyc)
-        sign = 1 if (m - len(cycles)) % 2 == 0 else -1
-        prod = None
-        for cyc in cycles:
-            part = None
-            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-                e = mat[a][b]
-                part = e if part is None else cd_mul(sig, part, e)
-            prod = part if prod is None else cd_mul(sig, prod, part)
-        term = cd_real(prod)
-        if sign < 0:
-            term = -term
-        total = term if total is None else total + term
+    for b in range(0, len(signs), _MATCH_BLOCK):
+        f = a[:, rows[b:b + _MATCH_BLOCK], cols[b:b + _MATCH_BLOCK]]
+        acc = f[:, :, 0]
+        for t in range(1, f.shape[2]):
+            acc = _mul(acc, f[:, :, t])
+        part = la.einsum("smk,m->sk", acc, signs[b:b + _MATCH_BLOCK])
+        total = part if total is None else la.lincomb((1, total), (1, part))
     return total
 
 
-def _freudenthal_det(sig, mat):
-    """Cubic norm of a 3x3 hermitian matrix over a composition algebra."""
-    a = mat[0][0][0]
-    b = mat[1][1][0]
-    c = mat[2][2][0]
-    x = mat[0][1]
-    y = mat[0][2]
-    z = mat[1][2]
+def _freudenthal(sig, mats):
+    """Cubic norms of a stack of 3x3 hermitian matrices over a
+    composition algebra (s, 3, 3, sig.dim, k)."""
+    diag = mats[:, [0, 1, 2], [0, 1, 2], 0]          # a, b, c
+    off = mats[:, [1, 0, 0], [2, 2, 1]]              # z, y, x
+    z, y, x = off[:, 0], off[:, 1], off[:, 2]
     cross = cd_real(cd_mul(sig, cd_mul(sig, x, z), cd_conj(sig, y)))
-    return (a * b * c + 2 * cross - a * cd_norm(sig, z)
-            - b * cd_norm(sig, y) - c * cd_norm(sig, x))
-
-
-def _field_rows(mat):
-    """A matrix with real or complex entries as :func:`exactla.field_det`
-    rows: the scalar of a real entry, the QI of a complex one."""
-    return [[QI(*e) if len(e) == 2 else e[0] for e in row] for row in mat]
-
-
-def _real_det(rows):
-    """field_det of a complex matrix whose determinant is real."""
-    val = la.field_det(rows)
-    if val.im:
-        raise ArithmeticError("complex determinant came out non-real")
-    return val.re
-
-
-def _hermitian_field_det(sig, mat):
-    """det of a hermitian matrix with entries in R or C, as a field det."""
-    rows = _field_rows(mat)
-    return la.field_det(rows) if sig.dim == 1 else _real_det(rows)
-
-
-def _chi(mat):
-    """Complex 2m x 2m image of a quaternionic matrix (a QI matrix)."""
-    m = len(mat)
-    out = [[None] * (2 * m) for _ in range(2 * m)]
-    for i in range(m):
-        for j in range(m):
-            a0, a1, a2, a3 = mat[i][j]
-            out[2 * i][2 * j] = QI(a0, a1)
-            out[2 * i][2 * j + 1] = QI(a2, a3)
-            out[2 * i + 1][2 * j] = QI(-a2, a3)
-            out[2 * i + 1][2 * j + 1] = QI(a0, -a1)
-    return out
+    # a N(z), b N(y), c N(x)
+    terms = _mul(diag, cd_norm(sig, off))
+    abc = _mul(_mul(diag[:, 0], diag[:, 1]), diag[:, 2])
+    return la.lincomb((1, abc), (2, cross),
+                      *((-1, terms[:, t]) for t in range(3)))
 
 
 def _signs(gammas, m=None):
@@ -300,7 +281,7 @@ class Family:
 
     name: str
     build: Callable
-    norm_eval: Callable     # (params, coords) -> scalar, generic in scalar
+    norm_eval: Callable     # (params, z (s, n, k)) -> norms (s, k)
     degree: Callable        # (params) -> int
     expected_dim: Callable  # (params) -> int
     desk: tuple             # parameter sets for the standard instance batch
@@ -363,23 +344,33 @@ def generic_norm(j, u):
     is homogeneous of degree d, so N(x / dx) = N(x) / dx^d runs on the
     integer coordinates x."""
     x, dx = j._elem(u)
-    return Fraction(_closed_form(j, x.tolist()), dx ** degree(j))
+    return Fraction(_closed_form(j, x[None])[0], dx ** degree(j))
+
+
+def _base_coordinates(j, x):
+    """(family, params, z): the family whose norm and matrices take the
+    coordinate rows x (s, dim) of j, and x as its scalar coordinates z
+    (s, n, k).  On a complexified family that is the base family at
+    complex coordinates, k = 2 (the first half of x the real parts, the
+    second the imaginary ones); otherwise j's family and k = 1."""
+    fam = CATALOG[j.meta["family"]]
+    params = j.meta.get("params", {})
+    k = 1 if fam.base is None else 2
+    z = x.reshape(len(x), k, -1).transpose(0, 2, 1)
+    if fam.base is None:
+        return fam, params, z
+    return CATALOG[fam.base], fam.base_params_of(**params), z
 
 
 def _closed_form(j, x):
-    """The family's closed-form norm at the coordinates x, a list of
-    ints or Fractions; a complexified family pairs them into QI."""
-    fam = CATALOG[j.meta["family"]]
-    params = j.meta.get("params", {})
-    if fam.base is not None:
-        n = j.dim // 2
-        zc = [QI(a, b) for a, b in zip(x[:n], x[n:])]
-        return CATALOG[fam.base].norm_eval(fam.base_params_of(**params),
-                                           zc).norm()
-    val = fam.norm_eval(params, x)
-    if isinstance(val, QI):
-        raise ArithmeticError("real family norm came out complex")
-    return val
+    """The family's closed-form norms at the rows of the integer array x
+    (s, dim), as a list of ints; a complexified family returns |N|^2 of
+    its base family's complex norm N."""
+    fam, params, z = _base_coordinates(j, x)
+    vals = fam.norm_eval(params, z)
+    if z.shape[-1] == 1:
+        return vals[:, 0].tolist()
+    return la.einsum("sk,sk->s", vals, vals).tolist()
 
 
 def _instance_name(name, params):
@@ -400,29 +391,21 @@ def _make_matrix_algebra(family, kind, m, sig, factor, params):
 def matrix_form(j, u):
     """Element coordinates -> matrix over the family's entry algebra.
 
-    Returns (sig, matrix) for matrix families; tensor families raise.
+    Returns (sig, matrix) for matrix families, the matrix as nested
+    tuples of Fractions: entry [r][c] holds its sig.dim coefficients,
+    and on a complexified family each coefficient is an (re, im) pair.
+    Tensor families raise.
     """
-    fam = CATALOG[j.meta["family"]]
-    params = j.meta.get("params", {})
-    u = j.coerce(u)
-    if fam.base is not None:
-        n = j.dim // 2
-        zc = tuple(QI(u[k], u[n + k]) for k in range(n))
-        return _matrix_form_eval(CATALOG[fam.base],
-                                 fam.base_params_of(**params), zc)
-    return _matrix_form_eval(fam, params, u)
-
-
-def _matrix_form_eval(fam, params, coords):
+    x, dx = j._elem(u)
+    fam, params, z = _base_coordinates(j, x[None])
     shape = _FAMILY_SHAPES.get(fam.name)
     if shape is None:
         raise BadParameterError(
             f"{fam.name} elements have no matrix representation")
     kind, m_of, sig_of = shape
-    m = m_of(params)
     sig = sig_of(params)
-    slots = _slots(kind, m, sig)
-    return sig, _to_matrix(kind, m, sig, slots, coords)
+    mats = _matrices(kind, m_of(params), sig, z)[0]
+    return sig, j._out(mats if z.shape[-1] == 2 else mats[..., 0], dx)
 
 
 # kind, matrix size, entry signature per matrix family
@@ -461,9 +444,6 @@ def _complexified(name, base_name, base_params_of, desk):
         degree=lambda p: 2 * base.degree(base_params_of(**p)),
         expected_dim=lambda p: 2 * base.expected_dim(base_params_of(**p)),
         desk=desk, base=base_name, base_params_of=base_params_of)
-    # complexified norms reuse the base shape with QI scalars
-    if base_name in _FAMILY_SHAPES:
-        _FAMILY_SHAPES[name] = _FAMILY_SHAPES[base_name]
     _register(fam)
     return fam
 
@@ -478,7 +458,7 @@ def _build_reals():
 
 _register(Family(
     name="reals", build=_build_reals,
-    norm_eval=lambda params, u: u[0],
+    norm_eval=lambda params, z: z[:, 0],
     degree=lambda p: 1, expected_dim=lambda p: 1, desk=({},)))
 
 
@@ -500,13 +480,9 @@ def _build_quadratic(signs):
                              "params": {"signs": signs}})
 
 
-def _quadratic_norm(params, u):
-    signs = params["signs"]
-    t = u[0]
-    acc = t * t
-    for s, x in zip(signs, u[1:]):
-        acc = acc - s * (x * x)
-    return acc
+def _quadratic_norm(params, z):
+    coeffs = la.asint([1] + [-s for s in params["signs"]])
+    return la.einsum("snk,n->sk", _mul(z, z), coeffs)
 
 
 _register(Family(
@@ -519,14 +495,14 @@ _register(Family(
 # -- full matrix families ------------------------------------------------
 
 def _full_norm_factory(sig):
-    def _norm(params, u):
-        m = params["m"]
-        slots = _slots("full", m, sig)
-        mat = _to_matrix("full", m, sig, slots, u)
-        if sig.dim > 2:
-            return _real_det(_chi(mat))
-        val = la.field_det(_field_rows(mat))
-        return val.norm() if sig is COMPLEXES else val
+    def _norm(params, z):
+        mats = _matrices("full", params["m"], sig, z)
+        if sig is QUATERNIONS:
+            return _real(_det_stack(_chi(mats)))
+        dets = _det_stack(mats)
+        if sig is COMPLEXES:  # |det_C|^2
+            return la.einsum("sk,sk->s", dets, dets)[:, None]
+        return dets
     return _norm
 
 
@@ -581,19 +557,22 @@ def _herm_builder(family, sig):
     return _build
 
 
-def _herm_norm_factory(sig, det_fn):
-    def _norm(params, u):
-        m = params["m"]
-        gammas = params["gammas"]
-        slots = _slots("herm", m, sig)
-        mat = _to_matrix("herm", m, sig, slots, u)
-        return math.prod(gammas) * det_fn(sig, mat)
+def _herm_norm_factory(sig):
+    def _norm(params, z):
+        mats = _matrices("herm", params["m"], sig, z)
+        if sig is QUATERNIONS:  # the Moore determinant
+            vals = _pfaffian(_chi(mats, _JCHI))
+        else:
+            vals = _det_stack(mats)
+        if sig.dim > 1:
+            vals = _real(vals)
+        return la.lincomb((math.prod(params["gammas"]), vals))
     return _norm
 
 
 _register(Family(
     name="symmetric_real", build=_herm_builder("symmetric_real", REALS),
-    norm_eval=_herm_norm_factory(REALS, _hermitian_field_det),
+    norm_eval=_herm_norm_factory(REALS),
     degree=lambda p: p["m"],
     expected_dim=lambda p: p["m"] * (p["m"] + 1) // 2,
     desk=({"m": 2, "gammas": (1, 1)}, {"m": 3, "gammas": (1, 1, -1)},
@@ -604,7 +583,7 @@ _FAMILY_SHAPES["symmetric_real"] = ("herm", lambda p: p["m"],
 _register(Family(
     name="hermitian_complex",
     build=_herm_builder("hermitian_complex", COMPLEXES),
-    norm_eval=_herm_norm_factory(COMPLEXES, _hermitian_field_det),
+    norm_eval=_herm_norm_factory(COMPLEXES),
     degree=lambda p: p["m"], expected_dim=lambda p: p["m"] ** 2,
     desk=({"m": 2, "gammas": (1, -1)}, {"m": 3, "gammas": (1, 1, 1)})))
 _FAMILY_SHAPES["hermitian_complex"] = ("herm", lambda p: p["m"],
@@ -613,8 +592,7 @@ _FAMILY_SHAPES["hermitian_complex"] = ("herm", lambda p: p["m"],
 _register(Family(
     name="hermitian_quaternion",
     build=_herm_builder("hermitian_quaternion", QUATERNIONS),
-    norm_eval=_herm_norm_factory(QUATERNIONS,
-                                 lambda sig, mat: _moore_det(sig, mat)),
+    norm_eval=_herm_norm_factory(QUATERNIONS),
     degree=lambda p: p["m"],
     expected_dim=lambda p: p["m"] * (2 * p["m"] - 1),
     desk=({"m": 2, "gammas": (1, 1)}, {"m": 3, "gammas": (1, 1, -1)})))
@@ -632,13 +610,12 @@ def _build_skew_hamiltonian(m):
         {"m": m})
 
 
-def _skew_hamiltonian_norm(params, u):
+def _skew_hamiltonian_norm(params, z):
     m = params["m"]
-    slots = _slots("skew", 2 * m, REALS)
-    mat = _to_matrix("skew", 2 * m, REALS, slots, u)
-    rows = [[e[0] for e in row] for row in mat]
     # Pf(-J) is +1 or -1, so dividing by it is multiplying by it
-    return _pfaffian(rows) * _pfaffian((-_symplectic(m)).tolist())
+    sign = _pfaffian(-_symplectic(m)[None, ..., None])[0, 0]
+    mats = _matrices("skew", 2 * m, REALS, z)
+    return la.lincomb((sign, _pfaffian(mats[..., 0, :])))
 
 
 _register(Family(
@@ -660,11 +637,9 @@ def _build_skew_hermitian_quaternion(m):
         "skew_hermitian_quaternion", "skewherm", m, sig, minus_i, {"m": m})
 
 
-def _skew_hermitian_quaternion_norm(params, u):
-    m = params["m"]
-    slots = _slots("skewherm", m, QUATERNIONS)
-    mat = _to_matrix("skewherm", m, QUATERNIONS, slots, u)
-    return _real_det(_chi(mat))
+def _skew_hermitian_quaternion_norm(params, z):
+    mats = _matrices("skewherm", params["m"], QUATERNIONS, z)
+    return _real(_det_stack(_chi(mats)))
 
 
 _register(Family(
@@ -689,11 +664,10 @@ def _build_octonion_hermitian(gammas=(1, 1, 1)):
 
 
 def _oct_norm_factory(sig):
-    def _norm(params, u):
+    def _norm(params, z):
         gammas = params.get("gammas", (1, 1, 1))
-        slots = _slots("herm", 3, sig)
-        mat = _to_matrix("herm", 3, sig, slots, u)
-        return math.prod(gammas) * _freudenthal_det(sig, mat)
+        return la.lincomb((math.prod(gammas),
+                           _freudenthal(sig, _matrices("herm", 3, sig, z))))
     return _norm
 
 
@@ -756,12 +730,14 @@ def verify_det_formula(j, n_samples=5, seed=0):
         raise AssertionError(
             f"{j.name}: 2*dim = {2 * j.dim} not divisible by degree {d}")
     expo = 2 * j.dim // d
-    ne = generic_norm(j, j.unity())
-    # the samples as one stack: their P_u and det P_u in one call each
+    # the samples as one stack: their P_u and det P_u in one call each,
+    # and their norms with the unit's numerator e in one more
+    e, de = j._elem(j.unity())
     x = j._int_elements(random.Random(seed), n_samples, 5)
+    norm_e, *norms = _closed_form(j, np.concatenate([e[None], x]))
+    ne = Fraction(norm_e, de ** d)
     worst = max([abs(ne - 1)] + [
-        abs(lhs - _closed_form(j, u) ** expo)
-        for lhs, u in zip(j._dets(x), x.tolist())])
+        abs(lhs - norm ** expo) for lhs, norm in zip(j._dets(x), norms)])
     return CheckResult(
         name="det_closed_form", passed=worst == 0, max_residual=worst,
         samples=1 + n_samples, seed=seed,

@@ -17,16 +17,20 @@ induced quaternion table in the division case is i*j = k, j*k = i,
 k*i = j for (i, j, k) = (e1, e2, e3), and the octonion table extends it
 with e1*e4 = e5, e2*e4 = e6, e3*e4 = e7.
 
-Coefficients may be Fractions or floats; arithmetic is generic.
+An element is an integer array (sig.dim, k) of its coefficients, real
+(k = 1) or complex (k = 2, as (re, im)).  The functions below take
+stacks of them, and :func:`cd_mul` multiplies two stacks in one exact
+contraction of the integer kernel, :func:`exactla.einsum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from . import exactla as la
 
 
 class SignatureMismatchError(ValueError):
@@ -125,40 +129,46 @@ def mul_table_tensor(sig: CDSignature) -> np.ndarray:
 
 
 def _check_len(sig, a):
-    if len(a) != sig.dim:
+    if a.shape[-2] != sig.dim:
         raise SignatureMismatchError(
-            f"coefficient vector of length {len(a)} does not match "
+            f"coefficient vector of length {a.shape[-2]} does not match "
             f"{sig.name} (dimension {sig.dim})")
 
 
+@lru_cache(maxsize=None)
+def _entry_table(sig: CDSignature, k):
+    """int8 table of the product of entries with real (k = 1) or complex
+    (k = 2) coefficients: sig's table tensored with that of R or C,
+    flattened to (sig.dim * k,) * 3."""
+    scalars = mul_table_tensor(COMPLEXES if k == 2 else REALS)
+    n = sig.dim * k
+    table = np.einsum("ijk,abc->iajbkc", mul_table_tensor(sig),
+                      scalars).reshape(n, n, n)
+    table.flags.writeable = False
+    return table
+
+
 def cd_mul(sig: CDSignature, a, b):
-    """Product of two coefficient vectors in the given signature."""
+    """Products of stacked entries: a and b are integer arrays of shape
+    (..., sig.dim, k), broadcast against each other, whose last axis holds
+    a real (k = 1) or complex (k = 2, (re, im)) coefficient.  One exact
+    :func:`exactla.einsum` against the cached entry table."""
+    a, b = np.broadcast_arrays(a, b)
     _check_len(sig, a)
-    _check_len(sig, b)
-    tab = unit_table(sig)
-    out = [None] * sig.dim
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        row = tab[i]
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            k, s = row[j]
-            term = ai * bj if s > 0 else -(ai * bj)
-            out[k] = term if out[k] is None else out[k] + term
-    zero = a[0] * 0
-    return tuple(zero if x is None else x for x in out)
+    n = sig.dim * a.shape[-1]
+    out = la.einsum("sx,sy,xyz->sz", a.reshape(-1, n), b.reshape(-1, n),
+                    (_entry_table(sig, a.shape[-1]), 1))
+    return out.reshape(a.shape)
 
 
 def cd_conj(sig: CDSignature, a):
     _check_len(sig, a)
-    return (a[0],) + tuple(-x for x in a[1:])
+    return np.concatenate([a[..., :1, :], -a[..., 1:, :]], axis=-2)
 
 
 def cd_real(a):
-    """Coefficient of the unit 1."""
-    return a[0]
+    """Coefficient of the unit 1, shape (..., k)."""
+    return a[..., 0, :]
 
 
 def cd_norm(sig: CDSignature, a):
@@ -166,81 +176,5 @@ def cd_norm(sig: CDSignature, a):
     return cd_real(cd_mul(sig, a, cd_conj(sig, a)))
 
 
-def cd_unit(sig: CDSignature, k, one=Fraction(1)):
-    zero = one * 0
-    return tuple(one if i == k else zero for i in range(sig.dim))
-
-
-# ---------------------------------------------------------------------------
-# split quaternions as real 2x2 matrices
-
-_SQ_SIG = SPLIT_QUATERNIONS
-
-
-def split_quaternion_to_matrix(a):
-    """Algebra isomorphism onto real 2x2 matrices.
-
-    Under this map the composition-algebra conjugate of x goes to
-    [[d, -b], [-c, a]] when x goes to [[a, b], [c, d]], and the norm
-    goes to the determinant.
-    """
-    _check_len(_SQ_SIG, a)
-    a0, a1, a2, a3 = a
-    return ((a0 - a3, a2 - a1), (a1 + a2, a0 + a3))
-
-
-def matrix_to_split_quaternion(m):
-    (a, b), (c, d) = m
-    two = 2 if isinstance(a, int) else a / a + a / a  # 2 in the scalar's type
-    return ((a + d) / two, (c - b) / two, (b + c) / two, (d - a) / two)
-
-
-# ---------------------------------------------------------------------------
-# sampled verification helpers
-
-
-def _random_vec(sig, rng, bound=9):
-    return tuple(Fraction(rng.randint(-bound, bound)) for _ in range(sig.dim))
-
-
-def check_composition(sig: CDSignature, n_samples=10_000, seed=0):
-    """Exact check of N(a*b) = N(a) N(b) on random integer coefficient pairs.
-
-    Returns (ok, failures) where failures lists up to 5 witnesses.
-    """
-    import random
-
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(n_samples):
-        a = _random_vec(sig, rng)
-        b = _random_vec(sig, rng)
-        lhs = cd_norm(sig, cd_mul(sig, a, b))
-        rhs = cd_norm(sig, a) * cd_norm(sig, b)
-        if lhs != rhs:
-            failures.append((a, b, lhs, rhs))
-            if len(failures) >= 5:
-                break
-    return not failures, failures
-
-
-def check_alternativity(sig: CDSignature, n_samples=2000, seed=0):
-    """Exact check of a*(a*b) = (a*a)*b and (b*a)*a = b*(a*a)."""
-    import random
-
-    rng = random.Random(seed)
-    failures = []
-    for _ in range(n_samples):
-        a = _random_vec(sig, rng)
-        b = _random_vec(sig, rng)
-        left = cd_mul(sig, a, cd_mul(sig, a, b))
-        right = cd_mul(sig, cd_mul(sig, a, a), b)
-        if left != right:
-            failures.append(("left", a, b))
-        left2 = cd_mul(sig, cd_mul(sig, b, a), a)
-        right2 = cd_mul(sig, b, cd_mul(sig, a, a))
-        if left2 != right2:
-            failures.append(("right", a, b))
-        if len(failures) >= 5:
-            break
-    return not failures, failures
+def cd_unit(sig: CDSignature, k, one=1):
+    return tuple(one if i == k else 0 for i in range(sig.dim))

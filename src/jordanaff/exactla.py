@@ -49,8 +49,7 @@ free column.  A rank that fails its check has its coordinates solved
 for on the minor and lifted (:func:`_certify`); only when that fails
 too, or a kernel fails, is another prime drawn, for its pivots alone.
 :func:`det` takes a stack of determinants, over Z or over the Gaussian
-integers Z[i], in one fraction-free (Bareiss) elimination, and
-:func:`field_det` reduces Q and Q(i) to it by one common denominator;
+integers Z[i], in one fraction-free (Bareiss) elimination;
 :func:`inertia` is the symmetric counterpart, which pivots on the
 diagonal.
 """
@@ -1062,75 +1061,3 @@ def inertia(G):
         a = (p * a[np.ix_(rest, rest)] - np.outer(col, col)) // d
         d = p
     return pos, neg, n - pos - neg
-
-
-# ---------------------------------------------------------------------------
-# exact complex rationals, for determinants of complex matrix realizations
-
-
-class QI:
-    """Gaussian rational a + b*i with int or Fraction components, under
-    the ring operations; :func:`field_det` takes determinants of them."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re, self.im = re, im
-
-    @staticmethod
-    def _lift(o):
-        if isinstance(o, QI):
-            return o
-        return QI(o) if isinstance(o, (int, Fraction)) else NotImplemented
-
-    def __add__(self, o):
-        o = QI._lift(o)
-        return o if o is NotImplemented else QI(self.re + o.re,
-                                                  self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __neg__(self):
-        return QI(-self.re, -self.im)
-
-    def __mul__(self, o):
-        o = QI._lift(o)
-        return o if o is NotImplemented else QI(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return QI(self.re, -self.im)
-
-    def norm(self):
-        return self.re * self.re + self.im * self.im
-
-    def __eq__(self, o):
-        return isinstance(o, QI) and self.re == o.re and self.im == o.im
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        return f"QI({self.re}, {self.im})"
-
-
-def field_det(rows):
-    """Determinant of a square matrix over Q or Q(i): the entries are
-    ints, Fractions or :class:`QI`, and so is the result (a QI when an
-    entry is one).  det M = det(D M) / D^n for the common denominator D
-    of every component, and D M goes through :func:`det`."""
-    n = len(rows)
-    flat = [x for row in rows for x in row]
-    k = 1 + any(isinstance(x, QI) for x in flat)
-    ints, den = clear_denominators_vec([
-        v for x in flat
-        for v in ((x.re, x.im) if isinstance(x, QI) else (x, 0))[:k]])
-    a = asint(ints).reshape(n, n, k)
-    if k == 1:
-        return Fraction(det(a[..., 0]), den ** n)
-    return QI(*(Fraction(v, den ** n) for v in det(a[..., 0], a[..., 1])))

@@ -243,6 +243,25 @@ def test_matrix_form_of_unity(get_algebra):
     assert flat == [[int(r == c) for c in range(3)] for r in range(3)]
 
 
+def test_matrix_form_of_complexified_elements(get_algebra):
+    """On a complexified family every coefficient of an entry is an
+    (re, im) pair of Fractions: the unit of symmetric_complex(m=3) is the
+    real identity, and its first imaginary coordinate is i E00."""
+    j = get_algebra("symmetric_complex", m=3)
+    sig, mat = catalog.matrix_form(j, j.unity())
+    assert sig == REALS
+    assert mat == tuple(tuple(((int(r == c), 0),) for c in range(3))
+                        for r in range(3))
+    assert all(type(v) is Fraction for row in mat for entry in row
+               for pair in entry for v in pair)
+    u = [Fraction(int(k == j.dim // 2), 2) for k in range(j.dim)]
+    _, mat = catalog.matrix_form(j, u)
+    assert mat[0][0] == ((0, Fraction(1, 2)),)
+    assert not any(any(pair) for r, row in enumerate(mat)
+                   for c, entry in enumerate(row) if (r, c) != (0, 0)
+                   for pair in entry)
+
+
 def test_quadratic_norm_is_quadratic(get_algebra):
     j = get_algebra("quadratic", signs=(-1, -1, -1, 1))
     rng = random.Random(5)
@@ -289,3 +308,56 @@ def test_builds_never_call_cd_mul(desk_instances, monkeypatch):
     assert not calls
     catalog.generic_norm(catalog.build("octonion_hermitian"), [1] * 27)
     assert calls  # the counter sees the closed-form norms
+
+
+# sha256 (first 16 hex digits) of the generic norms, joined by commas, at
+# seeded coordinates just below 2**e in magnitude for each e in
+# LARGE_NORM_EXPONENTS, recorded from the per-sample Fraction/QI norms
+LARGE_NORM_EXPONENTS = (19, 20, 21, 31, 40)
+LARGE_NORM_DIGESTS = {
+    "reals": "84588cf1a096e051",
+    "quadratic(signs=(1, 1))": "50e97624bea2d51c",
+    "quadratic(signs=(1, -1, 1))": "b8e28d21139b6d9f",
+    "quadratic(signs=(-1, -1, -1, 1))": "2408b3c86b0ff843",
+    "full_real(m=2)": "c2795b4b0b6038df",
+    "full_real(m=3)": "1452bc314d8446f4",
+    "full_complex(m=2)": "94d1460859697c0e",
+    "full_quaternion(m=2)": "4b2a0a3fc2a8266a",
+    "symmetric_real(gammas=(1, 1), m=2)": "4f11262f135d68c2",
+    "symmetric_real(gammas=(1, 1, -1), m=3)": "c680c0f1d32c4ce1",
+    "symmetric_real(gammas=(1, 1, 1), m=3)": "1688a64c3a064e1b",
+    "hermitian_complex(gammas=(1, -1), m=2)": "795f3076c2439dff",
+    "hermitian_complex(gammas=(1, 1, 1), m=3)": "65320430560442da",
+    "hermitian_quaternion(gammas=(1, 1), m=2)": "03f195273d54828a",
+    "hermitian_quaternion(gammas=(1, 1, -1), m=3)": "2123103c74bdaa62",
+    "skew_hamiltonian(m=2)": "d891a07d3b659bd8",
+    "skew_hamiltonian(m=3)": "f45704c7e9939dbd",
+    "skew_hermitian_quaternion(m=2)": "3e5de9673229ec4c",
+    "skew_hermitian_quaternion(m=3)": "130cdd7ef5134a3c",
+    "octonion_hermitian(gammas=(1, 1, 1))": "74d7701fc66ca90a",
+    "octonion_hermitian(gammas=(1, 1, -1))": "b77d52e764df4975",
+    "split_octonion_hermitian": "89c045b6bd42c1b7",
+    "complex_field": "7d382682724ea3bd",
+    "complex_quadratic(m=3)": "3fe355e78c4497b5",
+    "symmetric_complex(m=3)": "8fb69db6625064bb",
+    "skew_complex(m=2)": "2cb557c940e887f4",
+    "complex_octonion_hermitian": "d7b461a4cb0058f0",
+}
+
+
+def _large_coordinates(dim, e):
+    rng = random.Random(e)
+    return [rng.choice((-1, 1)) * (2 ** e - rng.randrange(2 ** (e - 8)))
+            for _ in range(dim)]
+
+
+def test_generic_norm_at_large_coordinates(desk_instances, get_algebra):
+    """The closed-form norms stay exact where their products and sums
+    leave int64: every desk instance at coordinates of magnitude 2**19
+    up to 2**40 gives the norms recorded before they were stacked."""
+    for name, params in desk_instances:
+        j = get_algebra(name, **params)
+        text = ",".join(str(catalog.generic_norm(j, _large_coordinates(
+            j.dim, e))) for e in LARGE_NORM_EXPONENTS)
+        digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+        assert digest == LARGE_NORM_DIGESTS[j.name], j.name

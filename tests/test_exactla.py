@@ -113,56 +113,6 @@ def test_det_leaves_its_input_unchanged():
     assert (a == before).all()
 
 
-def _reference_field_det(rows):
-    """The Fraction/QI Gaussian elimination that field_det replaced."""
-    def over(a, b):
-        if isinstance(b, la.QI):
-            return a * b.conj() * Fraction(1, b.norm())
-        return a / b
-
-    m = [list(r) for r in rows]
-    n = len(m)
-    det_val, sign = None, 1
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return m[0][0] - m[0][0]
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        pv = m[c][c]
-        det_val = pv if det_val is None else det_val * pv
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = over(m[i][c], pv)
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return -det_val if sign < 0 else det_val
-
-
-_RATIONALS = st.one_of(st.just(Fraction(0)),
-                       st.fractions(min_value=-9, max_value=9,
-                                    max_denominator=12))
-
-
-@given(st.integers(1, 5), st.booleans(), st.data())
-@settings(max_examples=80, deadline=None)
-def test_field_det_matches_fraction_reference(n, gaussian, data):
-    """field_det on Q and Q(i) matrices equals the Fraction (QI)
-    elimination it replaced; a Q(i) result is a QI, a Q one a Fraction."""
-    def entry():
-        if gaussian:
-            return la.QI(data.draw(_RATIONALS), data.draw(_RATIONALS))
-        return data.draw(_RATIONALS)
-
-    rows = [[entry() for _ in range(n)] for _ in range(n)]
-    if data.draw(st.booleans()):
-        rows[0][0] = rows[0][0] * 0  # a swap at the first pivot
-    got = la.field_det(rows)
-    want = _reference_field_det(rows)
-    assert type(got) is type(want) and got == want
-    assert la.field_det([]) == 1
-
-
 @given(st.lists(st.lists(st.integers(-50, 50), min_size=3, max_size=3),
                 min_size=3, max_size=3))
 @settings(max_examples=60, deadline=None)
@@ -1048,27 +998,3 @@ def test_solve_lifts_instead_of_drawing_primes():
                 and isinstance(call.func, ast.Attribute)
                 and call.func.attr in ("solve", "_invert_int")]
     assert offenders == []
-
-
-class TestGaussianInteger:
-    def test_field_ops(self):
-        a = la.QI(Fraction(1), Fraction(2))
-        b = la.QI(Fraction(3), Fraction(-1))
-        assert a + b == la.QI(Fraction(4), Fraction(1))
-        assert a * b == la.QI(Fraction(5), Fraction(5))
-        assert a * a.conj() == la.QI(a.norm())
-        assert a - a == la.QI(Fraction(0), Fraction(0))
-
-    def test_scalar_coercion(self):
-        a = la.QI(Fraction(2), Fraction(1))
-        assert 1 + a == la.QI(Fraction(3), Fraction(1))
-        assert Fraction(1, 2) * a == la.QI(Fraction(1), Fraction(1, 2))
-        assert a * 2 == a + a
-
-    @given(st.integers(-9, 9), st.integers(-9, 9),
-           st.integers(-9, 9), st.integers(-9, 9))
-    @settings(max_examples=80, deadline=None)
-    def test_norm_multiplicative(self, ar, ai, br, bi):
-        a = la.QI(Fraction(ar), Fraction(ai))
-        b = la.QI(Fraction(br), Fraction(bi))
-        assert (a * b).norm() == a.norm() * b.norm()
