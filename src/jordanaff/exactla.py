@@ -10,20 +10,30 @@ Every integer contraction, commutator and linear combination goes
 through one kernel, :func:`einsum`, :func:`bracket` and :func:`lincomb`:
 it bounds the result in Python ints from the operands' max-abs values,
 the contracted sizes and the coefficients, then picks one dtype.  A
-contraction whose bound is below 2**53 and whose loop is large runs in
-float64, through BLAS, and is cast back to int64 once: every partial sum
-is then an integer float64 holds exactly.  Otherwise the call runs in
+contraction whose bound is below 2**53 and whose loop reaches 2**12
+products runs in float64, through BLAS, and is cast back to int64 once:
+every partial sum is then an integer float64 holds exactly, as in
+FFLAS-FFPACK (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  There
+:func:`einsum` runs as a left-to-right chain of batched ``np.matmul``
+calls by the operands' permutations and reshapes (TTGT: Springer and
+Bientinesi, ACM TOMS 44(3), 2018): an index both operands keep is a
+batch axis, and an index one operand alone carries is summed first.
+:func:`_plan` finds those permutations once per spec string and reads
+the shapes on each call.  Otherwise the call runs on ``np.einsum``, in
 int64 when the bound fits and on Python big integers (``dtype=object``)
-when it does not.  It never wraps, never rounds and never refuses an
-input for its size, and integer operands always give integer results.
-A float64 operand raises TypeError: a float is not exact data, and none
-reaches an integer rung to be truncated there.  An identity is checked
+when it does not: lowering those calls as well made the isotope
+benchmark's median operation slower.  The kernel never wraps, never
+rounds and never refuses an input for its size, and integer operands
+always give integer results.  A float64 operand raises TypeError: a
+float is not exact data, and none reaches an integer rung to be
+truncated there.  An identity is checked
 by :func:`residual`, the max-abs of a sum of two-operand contractions,
 which picks its own rung: int64 operands with large loops and small
 densities run as sparse int64 products, which multiply only nonzero
 entries and are bounded by the largest row nnz in place of the summed
-size, when that bound is below 2**63; everything else runs dense, in
-blocks.
+size, when that bound is below 2**63; everything else runs dense, each
+term by the same lowering as :func:`einsum`, in chunks once its loops
+reach 2**12.
 
 Ranks and solutions are certified, not probabilistic, and none of them
 eliminates over Python integers.  One batched Gauss-Jordan elimination
@@ -56,6 +66,7 @@ diagonal.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -139,10 +150,14 @@ def max_abs(arr):
     return int(np.abs(arr).max()) if arr.size else 0
 
 
-# Loops with fewer iterations than this (the product of all index sizes)
-# run faster as one naive einsum than after a contraction-path search, and
-# faster in int64 than in float64 with its two casts.
-_PATH_MIN = 2 ** 16
+# A loop (the product of all index sizes) of at least this many products
+# runs in float64 when its bound allows: from here on a float64 matmul
+# through BLAS, both casts included, beats numpy's int64 einsum, by 2-5x
+# on the (5, n, n) stacks of n = 9 to 21 that the sampled checks multiply.
+_PATH_MIN = 2 ** 12
+# An int64 or object contraction of three or more operands searches a
+# contraction path from this loop on; below it one naive einsum is faster.
+_SEARCH_MIN = 2 ** 16
 
 
 def _dtype(bound, loop=0):
@@ -167,17 +182,88 @@ def _max(op):
     return op[1] if isinstance(op, tuple) else max_abs(op)
 
 
+_Plan = collections.namedtuple(
+    "_Plan", "summed kept pre steps back subs out flat")
+
+
 @functools.lru_cache(maxsize=256)
-def _index_axes(spec):
-    """(operand, axis) of the first occurrence of each index of ``spec``,
-    split into summed and kept indices."""
+def _plan(spec):
+    """How the contraction ``spec`` lowers to a left-to-right chain of
+    batched matrix products, for operands of any shape.
+
+    ``summed`` and ``kept`` hold the (operand, axis) of the first
+    occurrence of each summed and each kept index.  ``pre`` holds, per
+    operand, None or the one-operand einsum spec that first sums out the
+    indices which neither the output nor another operand carries (and
+    takes the diagonal of an index the operand repeats).  Step k of
+    ``steps`` multiplies the running product x by operand k + 1, y, and
+    is ``(xperm, yperm, nb, nx, ny)``: x.transpose(xperm) has the nb
+    batch axes (indices of both that a later operand or the output
+    needs) first, then the nx axes of x alone, then the summed ones;
+    y.transpose(yperm) has the batch axes, the summed ones, then the ny
+    axes of y alone.  The product's axes are batch, x's, y's; ``back``
+    transposes the last one to the output.  ``subs`` and ``out`` are the
+    spec's operand and output subscripts, and ``flat`` says whether the
+    spec is one 2-D product: two operands, no batch axis and nothing
+    summed first."""
     subs, out = spec.split("->")
+    subs = tuple(subs.split(","))
     first = {}
-    for k, sub in enumerate(subs.split(",")):
+    for k, sub in enumerate(subs):
         for axis, index in enumerate(sub):
             first.setdefault(index, (k, axis))
-    return (tuple(v for i, v in first.items() if i not in out),
-            tuple(v for i, v in first.items() if i in out))
+    pre, have = [], []
+    for k, sub in enumerate(subs):
+        need = set(out).union(*subs[:k], *subs[k + 1:])
+        keep = "".join(dict.fromkeys(i for i in sub if i in need))
+        pre.append(None if keep == sub else f"{sub}->{keep}")
+        have.append(keep)
+    steps, x = [], have[0]
+    for k, y in enumerate(have[1:], 2):
+        need = set(out).union(*have[k:])
+        batch = [i for i in x if i in y and i in need]
+        inner = [i for i in x if i in y and i not in need]
+        own_x = [i for i in x if i not in y]
+        own_y = [i for i in y if i not in x]
+        steps.append((tuple(map(x.index, batch + own_x + inner)),
+                      tuple(map(y.index, batch + inner + own_y)),
+                      len(batch), len(own_x), len(own_y)))
+        x = "".join(batch + own_x + own_y)
+    return _Plan(tuple(v for i, v in first.items() if i not in out),
+                 tuple(v for i, v in first.items() if i in out),
+                 tuple(pre), tuple(steps), tuple(map(x.index, out)), subs,
+                 out, len(subs) == 2 and not any(pre) and not steps[0][2])
+
+
+def _loop(plan, arrs):
+    """(summed size, loop) of a contraction by ``plan``: the products of
+    the sizes of its summed indices and of all its indices."""
+    summed = 1
+    for k, axis in plan.summed:
+        summed *= arrs[k].shape[axis]
+    loop = summed
+    for k, axis in plan.kept:
+        loop *= arrs[k].shape[axis]
+    return summed, loop
+
+
+def _contract(plan, arrs):
+    """The contraction of ``arrs`` by ``plan``, in their dtype, as a chain
+    of batched ``np.matmul`` calls: the one lowering behind both
+    :func:`einsum`'s float64 rung and :func:`residual`."""
+    if any(plan.pre):
+        arrs = [a if p is None else np.einsum(p, a)
+                for p, a in zip(plan.pre, arrs)]
+    x = arrs[0]
+    for (xperm, yperm, nb, nx, ny), y in zip(plan.steps, arrs[1:]):
+        x, y = x.transpose(xperm), y.transpose(yperm)
+        shape = x.shape[:nb + nx] + y.shape[y.ndim - ny:]
+        b, s = math.prod(shape[:nb]), math.prod(x.shape[nb + nx:])
+        x = x.reshape(b, math.prod(shape[nb:nb + nx]), s)
+        y = y.reshape(b, s, math.prod(shape[nb + nx:]))
+        # with nothing to sum, a broadcast product is faster than BLAS
+        x = (np.multiply if s == 1 else np.matmul)(x, y).reshape(shape)
+    return x.transpose(plan.back)
 
 
 def einsum(spec, *ops):
@@ -189,32 +275,27 @@ def einsum(spec, *ops):
     so nothing can wrap in int64 when that bound fits.  Below 2**53 every
     such intermediate is an integer that float64 holds exactly, in any
     summation order, BLAS blocking and fused multiply-adds included; so a
-    loop of at least ``_PATH_MIN`` then runs in float64, through BLAS, and
-    its result is cast back to int64 once.  Otherwise the call runs in
-    int64 when the bound fits and on Python big integers when it does
-    not.  An operand may be passed as ``(array, m)`` with m >= its
-    max-abs, so a cached tensor is scanned once.
+    loop of at least ``_PATH_MIN`` then runs in float64, as the chain of
+    batched matmuls of :func:`_plan` (through BLAS), and its result is
+    cast back to int64 once.  Otherwise the call runs on ``np.einsum``,
+    in int64 when the bound fits and on Python big integers when it does
+    not.  An operand
+    may be passed as ``(array, m)`` with m >= its max-abs, so a cached
+    tensor is scanned once.
     """
-    summed, kept = _index_axes(spec)
+    plan = _plan(spec)
     arrs = [_array(op) for op in ops]
-    bound = 1
-    for k, axis in summed:
-        bound *= arrs[k].shape[axis]
-    loop = bound
-    for k, axis in kept:
-        loop *= arrs[k].shape[axis]
+    bound, loop = _loop(plan, arrs)
     for op in ops:
         bound *= max(_max(op), 1)
     dtype = _dtype(bound, loop)
-    arrs = [a.astype(dtype, copy=False) for a in arrs]
-    # a path search pays off for a large loop, and reaches BLAS in float64
-    if loop >= _PATH_MIN and (dtype is np.float64 or len(arrs) > 2):
-        out = np.einsum(spec, *arrs, optimize=True)
-    else:
-        out = np.einsum(spec, *arrs)
     if dtype is np.float64:
-        out = out.astype(np.int64)
-    return out
+        return _contract(plan, [a.astype(dtype) for a in arrs]).astype(
+            np.int64)
+    arrs = [a.astype(dtype, copy=False) for a in arrs]
+    if len(arrs) > 2 and loop >= _SEARCH_MIN:
+        return np.einsum(spec, *arrs, optimize=True)
+    return np.einsum(spec, *arrs)
 
 
 def bracket(x, y):
@@ -269,49 +350,15 @@ def lincomb(*terms):
 # ---------------------------------------------------------------------------
 # identities: the max-abs of a sum of contractions, on a dense or sparse rung
 
-# Entries per chunk of a dense residual: few enough to bound its memory,
-# enough that each chunk's loop stays on the float64 rung.
-_BLOCK = 2 ** 18
+# Entries per chunk of a dense residual: few enough to bound its memory
+# and keep a chunk in cache (256 KiB in float64), enough that each
+# chunk's loop stays on the float64 rung.
+_BLOCK = 2 ** 15
 # A residual runs on the sparse rung when its contraction loops add up to
 # at least _SPARSE_LOOP and, in every term, the densities (nonzero share)
 # of the two operands multiply to at most _SPARSE_DENSITY.
 _SPARSE_LOOP = 2 ** 22
 _SPARSE_DENSITY = 2 ** -9
-
-
-@functools.lru_cache(maxsize=64)
-def _plan(spec, xshape, yshape):
-    """How the contraction ``spec`` of x and y lowers to one 2-D product:
-    ``(xperm, yperm, s, rows, cols, kept, back)``.  x.transpose(xperm)
-    and y.transpose(yperm) reshape to X (len(rows), s) and
-    Y (s, len(cols)), s the summed size; ``rows`` and ``cols`` hold the
-    offset in the flattened output of each row of X and each column of
-    Y; X @ Y reshaped to ``kept`` and transposed by ``back`` is the
-    output.  An index repeated in one operand, kept by both or summed in
-    one only raises ValueError."""
-    subs, out = spec.split("->")
-    xs, ys = subs.split(",")
-    if (len(set(xs)) < len(xs) or len(set(ys)) < len(ys)
-            or set(xs) & set(ys) & set(out)
-            or (set(xs) ^ set(ys)) - set(out)):
-        raise ValueError(f"{spec} is not one 2-D product")
-    size = dict(zip(xs, xshape)) | dict(zip(ys, yshape))
-    shape = tuple(size[i] for i in out)
-    stride = {i: math.prod(shape[k + 1:]) for k, i in enumerate(out)}
-
-    def offsets(kept):
-        off = np.zeros(1, dtype=np.int64)
-        for i in kept:
-            off = (off[:, None] + np.arange(size[i]) * stride[i]).ravel()
-        return off
-
-    summed = [i for i in xs if i in ys]
-    kx, ky = [i for i in xs if i in out], [i for i in ys if i in out]
-    return (tuple(map(xs.index, kx + summed)),
-            tuple(map(ys.index, summed + ky)),
-            math.prod(size[i] for i in summed), offsets(kx), offsets(ky),
-            tuple(size[i] for i in kx + ky),
-            tuple(map((kx + ky).index, out)))
 
 
 def _sparse_plans(terms):
@@ -322,9 +369,9 @@ def _sparse_plans(terms):
     at most ``_SPARSE_DENSITY``."""
     if any(a.dtype != np.int64 for _, _, ops in terms for a, _ in ops):
         return None
-    plans = [spec and _plan(spec, ops[0][0].shape, ops[1][0].shape)
-             for _, spec, ops in terms]
-    if sum(len(p[3]) * p[2] * len(p[4]) for p in plans if p) < _SPARSE_LOOP:
+    plans = [spec and _plan(spec) for _, spec, _ in terms]
+    if sum(_loop(plan, [a for a, _ in ops])[1]
+           for plan, (_, _, ops) in zip(plans, terms) if plan) < _SPARSE_LOOP:
         return None
     for _, spec, ops in terms:
         if spec:
@@ -333,6 +380,29 @@ def _sparse_plans(terms):
                     > _SPARSE_DENSITY * x.size * y.size):
                 return None
     return plans
+
+
+def _matrices(plan, x, y):
+    """``(X, Y, rows, cols)`` of a contraction of x and y that lowers to
+    one 2-D product X @ Y: ``rows`` and ``cols`` hold the offset in the
+    flattened output of each row of X and each column of Y."""
+    ((xperm, yperm, _, nx, ny),), back = plan.steps, plan.back
+    x, y = x.transpose(xperm), y.transpose(yperm)
+    own = x.shape[:nx] + y.shape[y.ndim - ny:]
+    # output axis k is axis back[k] of the product's own axes
+    stride, at = [0] * len(own), 1
+    for axis in reversed(back):
+        stride[axis], at = at, at * own[axis]
+
+    def offsets(axes):
+        off = np.zeros(1, dtype=np.int64)
+        for axis in axes:
+            off = (off[:, None] + np.arange(own[axis]) * stride[axis]).ravel()
+        return off
+
+    rows, cols = offsets(range(nx)), offsets(range(nx, len(own)))
+    s = math.prod(x.shape[nx:])
+    return x.reshape(len(rows), s), y.reshape(s, len(cols)), rows, cols
 
 
 def _products(X, Y):
@@ -352,11 +422,12 @@ def _products(X, Y):
 
 def _sparse_residual(terms, plans):
     """:func:`residual` on the sparse rung, or None when its bound
-    reaches 2**63.  Each contraction is one 2-D int64 product X @ Y,
-    whose entries sum at most (largest row nnz of X) products: that count
-    bounds a term in place of the summed size, and the terms' bounds add
-    up.  The nonzero products of every term (:func:`_products`) meet in
-    one array of (flat output index, value) pairs, summed per index."""
+    reaches 2**63.  Each contraction is one 2-D int64 product X @ Y
+    (:func:`_matrices`), whose entries sum at most (largest row nnz of X)
+    products: that count bounds a term in place of the summed size, and
+    the terms' bounds add up.  The nonzero products of every term
+    (:func:`_products`) meet in one array of (flat output index, value)
+    pairs, summed per index."""
     bound, flat, vals = 0, [], []
     for (c, spec, ops), plan in zip(terms, plans):
         if spec is None:
@@ -364,8 +435,7 @@ def _sparse_residual(terms, plans):
             bound += abs(c) * int(m)
         else:
             (x, mx), (y, my) = ops
-            xperm, yperm, s, rows, cols, _, _ = plan
-            X = x.transpose(xperm).reshape(len(rows), s)
+            X, Y, rows, cols = _matrices(plan, x, y)
             nnz = int(np.count_nonzero(X, axis=1).max(initial=0))
             bound += abs(c) * int(mx) * int(my) * nnz
         # the bound only grows: stop before a product can wrap
@@ -375,7 +445,7 @@ def _sparse_residual(terms, plans):
             at = np.flatnonzero(arr)
             v = arr.ravel()[at]
         else:
-            i, j, v = _products(X, y.transpose(yperm).reshape(s, len(cols)))
+            i, j, v = _products(X, Y)
             at = rows[i] + cols[j]
         flat.append(at)
         vals.append(c * v)
@@ -389,55 +459,113 @@ def _sparse_residual(terms, plans):
     return int(np.abs(np.add.reduceat(vals, starts)).max())
 
 
+def _wide(plan, arrs, ms):
+    """The contraction of x and y, ``arrs``, by ``plan`` when its bound
+    passes 2**63, on Python integers.  When both are int64, x is split
+    into base-2**w digits, w such that each digit's contraction with y
+    stays below 2**53 and runs in float64; the digit products are shifted
+    into place as Python integers, a few passes over the output in place
+    of Python-integer arithmetic inside the contraction."""
+    (x, y), (mx, my) = arrs, ms
+    w = 52 - (max(my, 1) * _loop(plan, arrs)[0]).bit_length()
+    if x.dtype != np.int64 or y.dtype != np.int64 or w < 8:
+        return _contract(plan, [a.astype(object) for a in arrs])
+    top, y, out = int(mx).bit_length(), y.astype(np.float64), 0
+    for shift in range(0, max(top, 1), w):
+        digit = x >> shift
+        if shift + w < top:
+            digit &= (1 << w) - 1
+        part = _contract(plan, [digit.astype(np.float64), y])
+        out = out + (part.astype(np.int64).astype(object) << shift)
+    return out
+
+
 def _dense_residual(terms):
-    """:func:`residual` on the dense rung: each contraction is one 2-D
-    product by the :func:`_plan` the sparse rung uses, in one dtype for
-    the whole sum, picked as :func:`einsum` picks it from the sum of the
-    terms' bounds (|c| times the kernel's bound of the term) and of their
-    loops.  It runs over chunks of the output's leading axis of about
-    ``_BLOCK`` entries: a chunk slices every operand that carries the
-    leading index."""
-    bound = loop = 0
+    """:func:`residual` on the dense rung: each contraction runs by
+    :func:`_contract`, in one dtype picked as :func:`einsum` picks it
+    from the sum of the terms' bounds (|c| times the kernel's bound of
+    the term) and of their loops.  When that is Python integers, each
+    product runs in the dtype its own bound and loop pick instead (by
+    :func:`_wide` when that is Python integers too), and the sum starts
+    in int64: it moves to Python integers only once |c| times the
+    max-abs of each product added so far reaches 2**63, so a large
+    coefficient whose terms cancel costs no object arithmetic.  A
+    call whose loops add up to ``_PATH_MIN`` or more runs over chunks of
+    the output's leading axis of about ``_BLOCK`` entries: a chunk slices
+    every operand that carries the leading index.  A smaller one runs
+    whole."""
+    plans, bound, loop = [], 0, 0
     for c, spec, ops in terms:
-        b = abs(c) * math.prod(max(m, 1) for _, m in ops)
-        if spec:
-            plan = _plan(spec, ops[0][0].shape, ops[1][0].shape)
-            b *= plan[2]
-            loop += len(plan[3]) * plan[2] * len(plan[4])
-        bound += b
+        plan = spec and _plan(spec)
+        b, n = _loop(plan, [a for a, _ in ops]) if plan else (1, 0)
+        for _, m in ops:
+            b *= max(m, 1)
+        plans.append((plan, b, n))
+        bound += abs(c) * b
+        loop += n
     dtype = _dtype(bound, loop)
-    _, spec, ops = terms[0]
-    if spec:
-        *_, kept, back = _plan(spec, ops[0][0].shape, ops[1][0].shape)
-        shape = [kept[k] for k in back]
-    else:
-        shape = ops[0][0].shape
-    step = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+    parts = [None]
+    if loop >= _PATH_MIN:
+        (_, _, ops), (plan, _, _) = terms[0], plans[0]
+        if plan:
+            size = {}
+            for sub, (a, _) in zip(plan.subs, ops):
+                size.update(zip(sub, a.shape))
+            shape = [size[i] for i in plan.out]
+        else:
+            shape = ops[0][0].shape
+        step = max(1, _BLOCK // max(1, math.prod(shape[1:])))
+        parts = [slice(at, at + step) for at in range(0, shape[0], step)]
     worst = 0
-    for at in range(0, shape[0], step):
-        part = slice(at, at + step)
-        out = None
-        for c, spec, ops in terms:
-            if spec is None:
-                term = ops[0][0][part].astype(dtype, copy=False)
-            else:
-                subs, lead = spec.split("->")
-                x, y = ((a[(slice(None),) * sub.index(lead[0]) + (part,)]
-                         if lead[0] in sub else a).astype(dtype, copy=False)
-                        for (a, _), sub in zip(ops, subs.split(",")))
-                xperm, yperm, s, rows, cols, kept, back = _plan(
-                    spec, x.shape, y.shape)
-                term = np.matmul(
-                    x.transpose(xperm).reshape(len(rows), s),
-                    y.transpose(yperm).reshape(s, len(cols)),
-                ).reshape(kept).transpose(back)
-            term = c * term
+    for part in parts:
+        out, seen = None, 0
+        acc = np.int64 if dtype is object else dtype
+        for (c, _, ops), (plan, b, n) in zip(terms, plans):
+            arrs = [a for a, _ in ops]
+            if part and plan:
+                lead = plan.out[0]
+                arrs = [a[(slice(None),) * sub.index(lead) + (part,)]
+                        if lead in sub else a
+                        for a, sub in zip(arrs, plan.subs)]
+            elif part:
+                arrs = [arrs[0][part]]
+            term = arrs[0]
+            own = plan and (_dtype(b, n) if dtype is object else dtype)
+            if own is object:
+                term = _wide(plan, arrs, [m for _, m in ops])
+            elif plan:
+                arrs = [a.astype(own, copy=False) for a in arrs]
+                if own is dtype and c != 1 and (out is None or c != -1):
+                    # scale the smaller operand rather than the product
+                    k = int(arrs[0].size > arrs[1].size)
+                    arrs[k] = c * arrs[k]
+                    c = 1
+                term = _contract(plan, arrs)
+                if own is np.float64 and acc is not np.float64:
+                    term = term.astype(np.int64)
+            if acc is not dtype:
+                # the bound only grows: leave int64 before a sum can wrap
+                m = max_abs(term)
+                if not m:
+                    continue
+                seen += abs(c) * m
+                if seen >= _INT64_SAFE:
+                    acc = dtype
+                    out = None if out is None else out.astype(dtype)
+            term = term.astype(acc, copy=False)
             if out is None:
-                out = term
-            else:
+                # a product is a new array (or a view of one); an array
+                # term is the caller's
+                out = term if plan and c == 1 else c * term
+            elif c == 1:
                 out += term
+            elif c == -1:
+                out -= term
+            else:
+                out += c * term
         # on the float64 rung every entry is an integer float64 holds
-        worst = max(worst, int(np.abs(out).max(initial=0)))
+        if out is not None and out.size:
+            worst = max(worst, int(np.abs(out).max()))
     return worst
 
 
@@ -458,12 +586,17 @@ def residual(*terms):
     it runs dense (:func:`_dense_residual`).  Both rungs give the same
     value.
     """
-    norm = []
-    for c, *rest in terms:
-        spec, ops = (rest[0], rest[1:]) if len(rest) == 3 else (None, rest)
-        norm.append((int(c), spec,
-                     tuple((_array(op), _max(op)) for op in ops)))
-    plans = _sparse_plans(norm)
+    norm, loop = [], 0
+    for term in terms:
+        spec, ops = (term[1], term[2:]) if len(term) == 4 else (None, term[1:])
+        ops = tuple([(_array(op), _max(op)) for op in ops])
+        if spec:
+            plan = _plan(spec)
+            if not plan.flat:
+                raise ValueError(f"{spec} is not one 2-D product")
+            loop += _loop(plan, (ops[0][0], ops[1][0]))[1]
+        norm.append((int(term[0]), spec, ops))
+    plans = _sparse_plans(norm) if loop >= _SPARSE_LOOP else None
     worst = None if plans is None else _sparse_residual(norm, plans)
     return _dense_residual(norm) if worst is None else worst
 

@@ -50,9 +50,6 @@ from .jordan import JordanAlgebra, JordanError
 from .reports import CheckResult, VerificationReport
 from .structure import _trace_zero_basis, _operator_stack
 
-# Entries per operator stack in one block of check_gauss's pairs (64 KiB
-# in int64): larger blocks raise peak memory and gain little speed.
-_PAIR_BLOCK = 2 ** 13
 # the coefficients 1 / k! of _expm's degree-18 Taylor polynomial, in
 # rows of four: row i holds those of a^(4i), ..., a^(4i+3)
 _TAYLOR = np.array([1 / math.factorial(k) for k in range(19)]
@@ -227,34 +224,36 @@ class HypersurfaceModel:
 
     def check_gauss(self):
         """R(X,Y) = L1 (g(Y,.)X - g(X,.)Y) - [A_X, A_Y] on V0, exactly,
-        over the pairs a < b of V0 basis vectors as stacked blocks."""
+        as one residual indexed (a, b, i, l): the i-th entry of both
+        sides for X, Y, Z the V0 basis vectors a, b and l."""
         if self.n < 2:
             return CheckResult(name="gauss_equation", passed=True)
         s = self._stacks()
-        t_ops, a_ops, g_arr, v0 = (s["t_ops"], s["a_ops"], s["g"],
-                                   s["v0"])
+        t_ops, a_ops, v0 = s["t_ops"], s["a_ops"], s["v0"]
         nn = self.algebra.dim
         den_t = s["t_den"] ** 2
         den_a = s["a_den"] ** 2
         den_g = s["g_den"] * nn
         d = math.lcm(den_t, den_a, den_g)
         ft, fa, fg = d // den_t, d // den_a, d // den_g
-        mt, ma = s["t_max"], s["a_max"]
-        w = la.einsum("ab,ib->ia", g_arr, v0)
-        first, second = np.triu_indices(self.n, 1)
-        rows = max(1, _PAIR_BLOCK // nn ** 2)
-        worst = 0
-        for at in range(0, len(first), rows):
-            a, b = first[at:at + rows], second[at:at + rows]
-            rank2 = la.lincomb((1, la.einsum("sb,sc->sbc", v0[a], w[b])),
-                               (-1, la.einsum("sb,sc->sbc", v0[b], w[a])))
-            comm_t = la.bracket((t_ops[a], mt), (t_ops[b], mt))
-            comm_a = la.bracket((a_ops[a], ma), (a_ops[b], ma))
-            res = la.lincomb((-ft, comm_t), (fg, rank2), (fa, comm_a))
-            worst = max(worst, la.max_abs(la.einsum("iab,jb->ija", res, v0)))
+        mt, ma, mv = s["t_max"], s["a_max"], la.max_abs(v0)
+        # T_b Z and A_b Z for every b and Z = l, and g(Z, Y) for Y = b up
+        # to its den; the output runs (a, i, b, l), the layout of the
+        # products of the first, third and fifth terms
+        tz = la.einsum("bkm,lm->bkl", (t_ops, mt), (v0, mv))
+        az = la.einsum("bkm,lm->bkl", (a_ops, ma), (v0, mv))
+        tz, az, gz = ((x, la.max_abs(x)) for x in (tz, az, s["gv"].T))
+        worst = la.residual(
+            (-ft, "aik,bkl->aibl", (t_ops, mt), tz),
+            (ft, "bik,akl->aibl", (t_ops, mt), tz),
+            (fa, "aik,bkl->aibl", (a_ops, ma), az),
+            (-fa, "bik,akl->aibl", (a_ops, ma), az),
+            (fg, "ai,bl->aibl", (v0, mv), gz),
+            (-fg, "bi,al->aibl", (v0, mv), gz))
         return CheckResult(
             name="gauss_equation", passed=worst == 0,
-            max_residual=Fraction(worst, d), samples=len(first) * self.n)
+            max_residual=Fraction(worst, d),
+            samples=self.n * (self.n - 1) // 2 * self.n)
 
     def check_quadratic_expansion(self, hs=(Fraction(1, 3), Fraction(2),
                                             Fraction(-1, 5))):

@@ -394,7 +394,9 @@ def test_int_mat_vec_overflow_path():
     assert out[0] == 2 ** 90 - 1
 
 
-# Contraction specs the library runs through the kernel.
+# Contraction specs the library runs through the kernel: every spec that
+# src passes to einsum or as a residual term
+# (test_kernel_specs_cover_the_library), and a few more.
 KERNEL_SPECS = (
     "i,ijk->jk", "j,jk->k", "i,ikj->kj", "ab,bc->ac", "ab,b->a",
     "ab,bc,cd->ad", "ijj->i", "ijk,k->ij", "si,sj,ijk->sk",
@@ -404,7 +406,52 @@ KERNEL_SPECS = (
     "kji,jac->kiac", "vi,ikj->vkj", "ab,cb->ac", "ai,ij,bj->ab",
     "ti,aij,bj->abt", "wi,ikj->wkj", "ab,bi->ai", "a,ai->i",
     "i,wj,ijk->wk", "v,vi->i", "i,ir->r", "ui,vj,ijk->uvk",
+    # batch axes: an index kept by both operands
+    "sab,sbc->sac", "smn,snk->smk", "sij,sjk->sik", "sab,sbc,scd->sad",
+    "skj,sj->sk", "sk,sk->s", "sx,sy,xyz->sz",
+    # one operand against a tensor, stacked
+    "si,ikj->skj", "si,ikl->skl", "sj,kjl->skl", "ab,sbc->sac",
+    "ab,kbc->kac", "smk,m->sk", "snk,n->sk", "kab,b->ka", "pab,b->pa",
+    "ab,ib->ia", "aij,bj->abi", "bkm,lm->bkl", "ikj,j->ik",
+    "iab,jb,a->ij", "ijk,j,bk->ib", "ika,ja->ijk", "ka,ija->ijk",
+    "ab,k->abk",
+    # the catalog's structure tensors and entry products
+    "piku,qkjv,uvw->pqijw", "piku,kjv,uvw->pijw", "pqs,sijw->pqijw",
+    "spc,piju->sijuc", "siju,urcw->sirjcw",
+    # residual terms: the span witnesses, the derivation identity and
+    # the Gauss equation
+    "ks,kc->sc", "gk,kc->gc", "kab,ibc->kiac", "iab,kbc->kiac",
+    "aik,bkl->aibl", "bik,akl->aibl", "ai,bl->aibl", "bi,al->aibl",
 )
+
+
+def test_kernel_specs_cover_the_library():
+    """Every spec string src passes to exactla.einsum, or as a residual
+    term, is in KERNEL_SPECS, so the properties below draw it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
+    seen = set()
+    for path in sorted(src.glob("*.py")):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            kernel = (isinstance(f, ast.Attribute)
+                      and getattr(f.value, "id", None) == "la"
+                      or isinstance(f, ast.Name)
+                      and path.name == "exactla.py")
+            if not kernel:
+                continue
+            if name == "einsum":
+                assert isinstance(call.args[0], ast.Constant), path
+                seen.add(call.args[0].value)
+            elif name == "residual":
+                seen.update(term.elts[1].value for term in call.args
+                            if isinstance(term, ast.Tuple)
+                            and len(term.elts) == 4)
+    assert len(seen) > 50
+    assert seen <= set(KERNEL_SPECS), sorted(seen - set(KERNEL_SPECS))
 
 
 def _draw_array(data, shape):
@@ -420,24 +467,92 @@ def _ref_max(arr):
     return max((abs(x) for x in arr.flat), default=0)
 
 
+def _draw_large(data, shape, e):
+    """Object array of the given shape whose max-abs is exactly 2**e,
+    from a generator seeded by hypothesis."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    arr = rng.integers(-2 ** e, 2 ** e, size=shape, endpoint=True)
+    arr.flat[data.draw(st.integers(0, arr.size - 1))] = \
+        data.draw(st.sampled_from([-1, 1])) * 2 ** e
+    return arr.astype(object)
+
+
+def _draw_exponents(data):
+    """Two exponents, each at most 62, whose sum is near 53 or 63, so that
+    kernel bounds straddle the float64 and the int64 rung."""
+    total = data.draw(st.integers(44, 66))
+    e = data.draw(st.integers(max(0, total - 62), min(total, 62)))
+    return e, total - e
+
+
+def _split_exponent(data, total, count):
+    """``count`` exponents from 0 to 62 that add up to ``total`` when it
+    is at most 62 * count; a negative total gives zeros."""
+    out = []
+    for k in range(count - 1, 0, -1):
+        e = data.draw(st.integers(max(0, total - 62 * k),
+                                  max(0, min(total, 62))))
+        out.append(e)
+        total -= e
+    return out + [max(0, min(total, 62))]
+
+
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_einsum_matches_object_reference(data):
+    """exactla.einsum equals object np.einsum on every kernel spec, at
+    sizes of 1-3, with one axis of size 0, and at sizes grown until the
+    loop reaches _PATH_MIN with max-abs values whose bound lies near
+    2**53 or 2**63.  The result is int64 exactly when the bound fits, and
+    the float64 rung, a chain of matmuls, runs exactly when the bound is
+    below 2**53 and the loop at least _PATH_MIN."""
     spec = data.draw(st.sampled_from(KERNEL_SPECS))
     subs, out = spec.split("->")
-    sizes = {c: data.draw(st.integers(1, 3))
-             for c in sorted(set(subs) - {","})}
-    ops = [_draw_array(data, tuple(sizes[c] for c in sub))
-           for sub in subs.split(",")]
-    got = la.einsum(spec, *(la.asint(op) for op in ops))
+    names = sorted(set(subs) - {","})
+    sizes = {c: data.draw(st.integers(1, 3)) for c in names}
+    kind = data.draw(st.sampled_from(["small", "empty", "large"]))
+    if kind == "empty":
+        sizes[data.draw(st.sampled_from(names))] = 0
+    if kind == "large":
+        # grow every index alike until the loop reaches _PATH_MIN
+        while math.prod(sizes.values()) < la._PATH_MIN:
+            sizes = {c: v + 1 for c, v in sizes.items()}
+    summed = math.prod(v for c, v in sizes.items() if c not in out)
+    shapes = [tuple(sizes[c] for c in sub) for sub in subs.split(",")]
+    if kind == "large":
+        target = data.draw(st.sampled_from([53, 63])) + data.draw(
+            st.integers(-2, 1))
+        es = _split_exponent(data, target - summed.bit_length() + 1,
+                             len(shapes))
+        ops = [_draw_large(data, shape, e) for shape, e in zip(shapes, es)]
+    else:
+        ops = [_draw_array(data, shape) for shape in shapes]
+    with mock.patch.object(la, "_contract", wraps=la._contract) as lowered:
+        got = la.einsum(spec, *(la.asint(op) for op in ops))
     assert (got == np.einsum(spec, *ops)).all()
-    bound = 1
+    bound = summed
     for op in ops:
         bound *= max(_ref_max(op), 1)
-    for c, size in sizes.items():
-        if c not in out:
-            bound *= size
     assert (got.dtype == np.int64) == (bound < 2 ** 63)
+    loop = math.prod(sizes.values())
+    assert lowered.called == (bound < 2 ** 53 and loop >= la._PATH_MIN)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_contract_matches_einsum(data):
+    """The lowering of every kernel spec to batched matmuls gives
+    np.einsum's result, in int64, at sizes from 0 to 3."""
+    spec = data.draw(st.sampled_from(KERNEL_SPECS))
+    subs, out = spec.split("->")
+    sizes = {c: data.draw(st.integers(0, 3))
+             for c in sorted(set(subs) - {","})}
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    ops = [rng.integers(-9, 9, size=tuple(sizes[c] for c in sub))
+           for sub in subs.split(",")]
+    got = la._contract(la._plan(spec), ops)
+    assert got.shape == tuple(sizes[c] for c in out)
+    assert (got == np.einsum(spec, *ops)).all()
 
 
 @given(st.data())
@@ -469,24 +584,6 @@ def test_bracket_matches_object_reference(data):
     assert (got == x @ y - y @ x).all()
     bound = 2 * n * _ref_max(x) * _ref_max(y)
     assert (got.dtype == np.int64) == (bound < 2 ** 63)
-
-
-def _draw_large(data, shape, e):
-    """Object array of the given shape whose max-abs is exactly 2**e,
-    from a generator seeded by hypothesis."""
-    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    arr = rng.integers(-2 ** e, 2 ** e, size=shape, endpoint=True)
-    arr.flat[data.draw(st.integers(0, arr.size - 1))] = \
-        data.draw(st.sampled_from([-1, 1])) * 2 ** e
-    return arr.astype(object)
-
-
-def _draw_exponents(data):
-    """Two exponents, each at most 62, whose sum is near 53 or 63, so that
-    kernel bounds straddle the float64 and the int64 rung."""
-    total = data.draw(st.integers(44, 66))
-    e = data.draw(st.integers(max(0, total - 62), min(total, 62)))
-    return e, total - e
 
 
 @given(st.data())
@@ -547,16 +644,19 @@ def test_kernel_dtype_at_the_int64_edge(monkeypatch):
     assert la.asint([-2 ** 63]).dtype == object
     assert la.max_abs(la.asint([[-2 ** 63, 1]])) == 2 ** 63
     # loops of at least 2**16 whose entry m * b equals the bound: at
-    # 2**53 - 1 they run in float64, exactly; at 2**53 + 1 in int64, where
-    # float64 would round the entry to 2**53
+    # 2**53 - 1 they run in float64, exactly, as a matmul; at 2**53 + 1 in
+    # int64, on einsum, where float64 would round the entry to 2**53
     ran = []
-    np_einsum = np.einsum
 
-    def spy(spec, *ops, **kwargs):
-        ran.append(ops[0].dtype)
-        return np_einsum(spec, *ops, **kwargs)
+    def spy(call):
+        def spied(*args, **kwargs):
+            ran.append(next(a for a in args
+                            if isinstance(a, np.ndarray)).dtype)
+            return call(*args, **kwargs)
+        return spied
 
-    monkeypatch.setattr(np, "einsum", spy)
+    for name in ("einsum", "matmul"):
+        monkeypatch.setattr(np, name, spy(getattr(np, name)))
     for top, b, n, rung in ((2 ** 53 - 1, 6361, 4, np.float64),
                             (2 ** 53 + 1, 3, 148, np.int64)):
         x = la.asint(np.full((n, b), top // b))
@@ -649,6 +749,29 @@ def test_residual_sparse_bound_at_the_int64_edge():
         assert (sparse is not None) == on_sparse
     assert la._sparse_plans([(1, "ab,bc->ac", ((x, top), (y, top)))]) \
         is None
+
+
+def test_dense_residual_leaves_int64_only_when_its_products_do():
+    """When its bound passes 2**63, the dense rung runs each product in
+    the dtype of its own bound and adds them in int64 until |c| times
+    their max-abs values reach 2**63, then in Python integers: products
+    far below their bounds stay in int64, and a large term after a small
+    one moves the running sum, exactly.  Each case equals the object
+    reference."""
+    x = la.asint(np.full((3, 2), 2 ** 30))
+    y = la.asint([[1, 5], [-1, 2]])
+    p = la.asint(x.astype(object) @ y.astype(object))   # column 0 is 0
+    for terms in ([(2 ** 40, "ab,bc->ac", x, y[:, :1])],
+                  [(1, "ab,bc->ac", x, y), (2 ** 40, "ab,bc->ac", x, y)],
+                  [(-3, "ab,bc->ac", x, y), (2 ** 40, p)],
+                  [(2 ** 70, "ab,bc->ac", x, y[:, :1]), (5, p[:, :1])],
+                  [(2 ** 40, "ab,bc->ac", x, y),
+                   (-2 ** 40, "ab,bc->ac", x, y)]):
+        total = sum(c * (np.einsum(t[0], *(a.astype(object) for a in t[1:]))
+                         if len(t) == 3 else t[0].astype(object))
+                    for c, *t in terms)
+        with mock.patch.object(la, "_SPARSE_LOOP", math.inf):
+            assert la.residual(*terms) == _ref_max(total)
 
 
 def test_lowest_terms_keeps_its_dtype():

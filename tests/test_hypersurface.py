@@ -126,6 +126,45 @@ def test_gauss_and_cubic_exact(get_model):
         assert m.check_metric().max_residual == 0, name
 
 
+def _gauss_reference(m):
+    """check_gauss's residual as the pair loop it replaced computed it:
+    for every pair a < b of V0 basis vectors, the object-dtype matrix
+    -ft [T_a, T_b] + fg (X g(Y, .) - Y g(X, .)) + fa [A_a, A_b] applied
+    to every V0 basis vector, over the common den d."""
+    s = m._stacks()
+    t, a, g, v0 = (s[k].astype(object) for k in ("t_ops", "a_ops", "g",
+                                                  "v0"))
+    den_t, den_a, den_g = (s["t_den"] ** 2, s["a_den"] ** 2,
+                           s["g_den"] * m.algebra.dim)
+    d = math.lcm(den_t, den_a, den_g)
+    w = v0 @ g.T
+    worst = 0
+    for i in range(m.n):
+        for j in range(i + 1, m.n):
+            res = (-(d // den_t) * (t[i] @ t[j] - t[j] @ t[i])
+                   + (d // den_g) * (np.outer(v0[i], w[j])
+                                     - np.outer(v0[j], w[i]))
+                   + (d // den_a) * (a[i] @ a[j] - a[j] @ a[i]))
+            worst = max(worst, max(abs(x) for x in (res @ v0.T).flat))
+    return F(worst, d)
+
+
+def test_gauss_fails_on_a_corrupted_difference_tensor():
+    """check_gauss equals the pair-loop reference, on a model and on a
+    copy whose A stack has one entry moved by 1, which must FAIL."""
+    for name, params in [("full_real", {"m": 2}),
+                         ("hermitian_complex", {"m": 3})]:
+        m = build_model(catalog.build(name, **params), F(-1))
+        assert m.check_gauss().max_residual == _gauss_reference(m) == 0
+        s = m._stacks()
+        a_ops = s["a_ops"].copy()
+        a_ops[1, 0, 2] += 1
+        s.update(a_ops=a_ops, a_max=max(s["a_max"], int(abs(a_ops).max())))
+        res = m.check_gauss()
+        assert not res.passed, name
+        assert res.max_residual == _gauss_reference(m) > 0, name
+
+
 def test_level_samples(get_model):
     m = get_model("full_real", m=2)
     res = m.check_level(count=10, seed=1)
