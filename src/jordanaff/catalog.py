@@ -334,9 +334,21 @@ def build(name, **params):
     return j
 
 
+def _family(j):
+    """The catalog family j's meta names; BadParameterError when there is
+    none, as for an algebra loaded from a file without catalog meta."""
+    name = j.meta.get("family")
+    if not isinstance(name, str) or name not in CATALOG:
+        what = ("names no catalog family" if name is None else
+                f"names the unknown family {name!r}")
+        raise BadParameterError(
+            f"{j.name}: its meta {what}, and the closed-form norm and "
+            "degree come from the family")
+    return CATALOG[name]
+
+
 def degree(j):
-    fam = CATALOG[j.meta["family"]]
-    return fam.degree(j.meta.get("params", {}))
+    return _family(j).degree(j.meta.get("params", {}))
 
 
 def generic_norm(j, u):
@@ -353,7 +365,7 @@ def _base_coordinates(j, x):
     (s, n, k).  On a complexified family that is the base family at
     complex coordinates, k = 2 (the first half of x the real parts, the
     second the imaginary ones); otherwise j's family and k = 1."""
-    fam = CATALOG[j.meta["family"]]
+    fam = _family(j)
     params = j.meta.get("params", {})
     k = 1 if fam.base is None else 2
     z = x.reshape(len(x), k, -1).transpose(0, 2, 1)
@@ -723,7 +735,7 @@ def desk_catalog():
 
 def verify_det_formula(j, n_samples=5, seed=0):
     """det P_u = N(u)^(2 dim / degree) on random rational elements."""
-    fam = CATALOG[j.meta["family"]]
+    fam = _family(j)
     params = j.meta.get("params", {})
     d = fam.degree(params)
     if (2 * j.dim) % d:

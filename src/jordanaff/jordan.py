@@ -27,6 +27,7 @@ for its size.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -35,6 +36,18 @@ import numpy as np
 
 from . import exactla as la
 from .reports import CheckResult
+
+
+# At the API edge each value is one Fraction object: _fraction hands
+# out the Fraction of a reduced (numerator, denominator) pair from this
+# table, so equal entries of two tensors are identical and tuple
+# equality skips Fraction.__eq__ on them.  A Fraction key would cost a
+# Fraction hash per lookup; the table is cleared when full.
+_FRACTIONS_MAX = 4096
+_fractions = {}
+
+# entry types the constructor keys by value: equal ones parse alike
+_BY_VALUE = frozenset((int, str, Fraction))
 
 
 class JordanError(Exception):
@@ -63,9 +76,12 @@ class JordanAlgebra:
     ``c`` is the nested tensor c[i][j][k]: Fractions, ints or rational
     strings, never floats; this is the one parser of such input, and it
     parses each distinct entry once (ValueError or TypeError on a bad
-    one).  Internal producers pass ``kernel=(array, den)`` with
-    c == array / den instead.  Either way the algebra stores only that
-    kernel pair, in lowest terms; :attr:`c` is derived from it.
+    one), keyed by value when every entry is an int, str or Fraction and
+    by (type, value) otherwise.  Internal producers pass
+    ``kernel=(array, den)`` with c == array / den instead.  Either way
+    the algebra stores only that kernel pair, in lowest terms; :attr:`c`
+    is derived from it, and its entries are the shared Fraction objects
+    of the API edge (:meth:`_out`).
     """
 
     def __init__(self, c=None, name="algebra", labels=None, meta=None, *,
@@ -81,13 +97,19 @@ class JordanAlgebra:
                  for ci in c):
             raise DimensionMismatchError("structure tensor must be cubic")
         else:
-            # parse each distinct entry once; keyed by type too, so a
-            # float 1.0 is refused even where an int 1 came first
-            index = {}
-            codes = [index.setdefault((type(x), x), len(index))
-                     for ci in c for cij in ci for x in cij]
+            # parse each distinct entry once.  Equal ints, strs and
+            # Fractions parse alike, so those key by value; any other
+            # entry keys by type too, so a float 1.0 is refused even
+            # where an int 1 came first
+            flat = list(itertools.chain.from_iterable(
+                itertools.chain.from_iterable(c)))
+            by_value = _BY_VALUE.issuperset(map(type, flat))
+            keys = flat if by_value else list(zip(map(type, flat), flat))
+            index = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+            codes = np.fromiter(map(index.__getitem__, keys), np.intp,
+                                len(keys))
             ints, den = la.clear_denominators_vec(
-                la.fvec(x for _, x in index))
+                la.fvec(index if by_value else (x for _, x in index)))
             ci = la.asint(ints)[codes].reshape(dim, dim, dim)
         if ci.shape != (dim, dim, dim):
             raise DimensionMismatchError(
@@ -155,16 +177,9 @@ class JordanAlgebra:
 
     def _out(self, arr, den):
         """API form of the kernel array arr / den: nested tuples of
-        Fractions."""
-        # one Fraction per distinct value; .tolist() gives Python ints,
-        # so Fraction(v, den) never wraps
-        frac = {v: Fraction(v, den) for v in set(arr.ravel().tolist())}
-
-        def nest(rows):
-            if rows and isinstance(rows[0], list):
-                return tuple(nest(r) for r in rows)
-            return tuple([frac[v] for v in rows])
-        return nest(arr.tolist())
+        Fractions, each the one object :func:`_fraction` holds for its
+        value, so two outputs compare by identity entry by entry."""
+        return _nested(arr, den, _fraction)
 
     def _residual(self, *terms):
         """The residuals of sum c * arr / den over ``(c, arr, den)``
@@ -908,6 +923,66 @@ def _sympy_factors(rel, name):
                 "but split over R, so the simple ideals are not "
                 "defined over Q")
     return [_primitive(c) for c in coeffs]
+
+
+def _reduced(p, q):
+    """The pair of p / q in lowest terms, q > 0."""
+    g = math.gcd(p, q)
+    g = -g if q < 0 else g
+    return p // g, q // g
+
+
+def _fraction(p, q):
+    """The Fraction p / q, the one object the table holds for it."""
+    key = _reduced(p, q)
+    f = _fractions.get(key)
+    if f is None:
+        if len(_fractions) >= _FRACTIONS_MAX:
+            _fractions.clear()
+        f = _fractions[key] = Fraction(*key)
+    return f
+
+
+def _fraction_text(p, q):
+    """str(Fraction(p, q)), "p/q" or "p", without making the Fraction."""
+    p, q = _reduced(p, q)
+    return f"{p}/{q}" if q != 1 else str(p)
+
+
+def _nest(items, shape, seq=tuple):
+    """The flat C-order list ``items`` nested to ``shape``, each level a
+    ``seq``; an axis of size 0 nests as in ``arr.tolist()``."""
+    for k in range(len(shape) - 1, 0, -1):
+        n = shape[k]
+        items = (list(map(seq, zip(*[iter(items)] * n))) if n else
+                 [seq() for _ in range(math.prod(shape[:k]))])
+    return seq(items)
+
+
+class _PerValue(dict):
+    """Maps each key v to ``value(v, den)``, made on its first lookup."""
+
+    __slots__ = ("value", "den")
+
+    def __missing__(self, v):
+        out = self[v] = self.value(v, self.den)
+        return out
+
+
+def _nested(arr, den, value, seq=tuple):
+    """The kernel array arr / den at the API edge: ``value(v, den)`` made
+    once per distinct entry v, nested to arr's shape.  ``.tolist()``
+    gives Python ints, so nothing wraps."""
+    table = _PerValue()
+    table.value, table.den = value, int(den)
+    return _nest(list(map(table.__getitem__, arr.ravel().tolist())),
+                 arr.shape, seq)
+
+
+def rational_text(arr, den):
+    """arr / den as nested lists of "p/q" strings, one string made per
+    distinct value (the str of each entry's Fraction)."""
+    return _nested(arr, den, _fraction_text, list)
 
 
 def _lcm(a, b):

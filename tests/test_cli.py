@@ -267,3 +267,20 @@ def test_one_shot_verify_imports_neither_scipy_nor_sympy(target):
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.splitlines()[-1] == "0 []", out
+
+
+def test_detformula_needs_a_catalog_family(capsys, tmp_path):
+    """The closed-form norm comes from the catalog family the meta names:
+    a file without one, or with an unknown one, makes verify detformula
+    exit 2 with a message, while verify jordan still certifies it."""
+    doc = json.loads(ser.dumps(catalog.build("full_real", m=2)))
+    path = tmp_path / "alg.json"
+    for meta, words in ((None, "names no catalog family"),
+                        ({"family": "nope"}, "the unknown family 'nope'")):
+        doc["meta"] = meta
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["verify", "detformula", "--file",
+                                    str(path)])
+        assert code == 2 and err.startswith("error: ") and words in err
+        code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
+        assert code == 0
