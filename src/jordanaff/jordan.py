@@ -179,7 +179,12 @@ class JordanAlgebra:
         """API form of the kernel array arr / den: nested tuples of
         Fractions, each the one object :func:`_fraction` holds for its
         value, so two outputs compare by identity entry by entry."""
-        return _nested(arr, den, _fraction)
+        # one table lookup per distinct entry; .tolist() gives Python
+        # ints, so nothing wraps
+        table = _PerValue()
+        table.den = int(den)
+        return _nest(list(map(table.__getitem__, arr.ravel().tolist())),
+                     arr.shape)
 
     def _residual(self, *terms):
         """The residuals of sum c * arr / den over ``(c, arr, den)``
@@ -925,16 +930,10 @@ def _sympy_factors(rel, name):
     return [_primitive(c) for c in coeffs]
 
 
-def _reduced(p, q):
-    """The pair of p / q in lowest terms, q > 0."""
-    g = math.gcd(p, q)
-    g = -g if q < 0 else g
-    return p // g, q // g
-
-
 def _fraction(p, q):
     """The Fraction p / q, the one object the table holds for it."""
-    key = _reduced(p, q)
+    g = math.gcd(p, q)
+    key = (p // g, q // g) if q > 0 else (-p // g, -q // g)
     f = _fractions.get(key)
     if f is None:
         if len(_fractions) >= _FRACTIONS_MAX:
@@ -943,46 +942,25 @@ def _fraction(p, q):
     return f
 
 
-def _fraction_text(p, q):
-    """str(Fraction(p, q)), "p/q" or "p", without making the Fraction."""
-    p, q = _reduced(p, q)
-    return f"{p}/{q}" if q != 1 else str(p)
-
-
-def _nest(items, shape, seq=tuple):
-    """The flat C-order list ``items`` nested to ``shape``, each level a
-    ``seq``; an axis of size 0 nests as in ``arr.tolist()``."""
-    for k in range(len(shape) - 1, 0, -1):
-        n = shape[k]
-        items = (list(map(seq, zip(*[iter(items)] * n))) if n else
-                 [seq() for _ in range(math.prod(shape[:k]))])
-    return seq(items)
-
-
 class _PerValue(dict):
-    """Maps each key v to ``value(v, den)``, made on its first lookup."""
+    """Maps each kernel entry v to ``_fraction(v, den)``, looked up on
+    its first use."""
 
-    __slots__ = ("value", "den")
+    __slots__ = ("den",)
 
     def __missing__(self, v):
-        out = self[v] = self.value(v, self.den)
-        return out
+        f = self[v] = _fraction(v, self.den)
+        return f
 
 
-def _nested(arr, den, value, seq=tuple):
-    """The kernel array arr / den at the API edge: ``value(v, den)`` made
-    once per distinct entry v, nested to arr's shape.  ``.tolist()``
-    gives Python ints, so nothing wraps."""
-    table = _PerValue()
-    table.value, table.den = value, int(den)
-    return _nest(list(map(table.__getitem__, arr.ravel().tolist())),
-                 arr.shape, seq)
-
-
-def rational_text(arr, den):
-    """arr / den as nested lists of "p/q" strings, one string made per
-    distinct value (the str of each entry's Fraction)."""
-    return _nested(arr, den, _fraction_text, list)
+def _nest(items, shape):
+    """The flat C-order list ``items`` nested to ``shape`` as tuples; an
+    axis of size 0 nests as in ``arr.tolist()``."""
+    for k in range(len(shape) - 1, 0, -1):
+        n = shape[k]
+        items = (list(map(tuple, zip(*[iter(items)] * n))) if n else
+                 [() for _ in range(math.prod(shape[:k]))])
+    return tuple(items)
 
 
 def _lcm(a, b):

@@ -4,14 +4,12 @@ An algebra serializes to a plain dict holding its structure tensor "c"
 and its unit "unity", with any catalog metadata riding along so a loaded
 file can be cross-checked against a fresh build.  Files are written in
 "mode" "rational": an entry is a "p/q" string (JSON integers are read
-too, JSON floats never), written from the algebra's kernel pair with one
-string made per distinct value (:func:`jordanaff.jordan.rational_text`).
-A file of "mode" "float" holds finite numbers, and loading snaps each
-distinct one, the unit's included, to the nearest rational of
-denominator at most ``SNAP_DENOMINATOR``; an entry farther from it than
-``TOL.rel * max(1, |x|)`` raises SerializationError naming the entry,
-and the meta of the algebra records the largest snap distance.  Each
-entry snaps alone, so a table whose exact entries need larger
+too, JSON floats never).  A file of "mode" "float" holds finite numbers,
+and loading snaps each distinct one, the unit's included, to the nearest
+rational of denominator at most ``SNAP_DENOMINATOR``; an entry farther
+from it than ``TOL.rel * max(1, |x|)`` raises SerializationError naming
+the entry, and the meta of the algebra records the largest snap distance.
+Each entry snaps alone, so a table whose exact entries need larger
 denominators can snap to one without a unit, or to another valid table;
 so the snapped entries must also share a common denominator (the lcm of
 theirs) of at most ``SNAP_DENOMINATOR``, and either fault raises
@@ -22,7 +20,8 @@ checks its cubic shape and parses each distinct entry once; the stored
 unit goes through :meth:`JordanAlgebra.coerce`, which checks its length.
 The loader then checks, exactly, the symmetry of the structure constants
 and that the stored unit is the algebra's unit before handing the
-algebra back.
+algebra back.  Saving writes "c" from :attr:`JordanAlgebra.c`, whose
+entries are the shared Fraction objects of the API edge.
 """
 
 from __future__ import annotations
@@ -35,8 +34,7 @@ import numpy as np
 
 from . import exactla as la
 from .config import RATIONAL, TOL
-from .jordan import (DimensionMismatchError, JordanAlgebra, JordanError,
-                     rational_text)
+from .jordan import DimensionMismatchError, JordanAlgebra, JordanError
 
 FORMAT = "jordanaff-algebra"
 VERSION = 1
@@ -76,7 +74,7 @@ def to_jsonable(j):
         "labels": list(j.labels) if j.labels else None,
         "meta": _encode_value(j.meta) if j.meta else None,
         "unity": _encode_value(j.unity()),
-        "c": rational_text(*j._int_tensor()),
+        "c": _encode_value(j.c),
     }
 
 
