@@ -336,14 +336,16 @@ def build(name, **params):
 
 def _family(j):
     """The catalog family j's meta names; BadParameterError when there is
-    none, as for an algebra loaded from a file without catalog meta."""
-    name = j.meta.get("family")
-    if not isinstance(name, str) or name not in CATALOG:
-        what = ("names no catalog family" if name is None else
+    none, as for an algebra loaded from a file without catalog meta, or
+    for an isotope, whose meta names its base's family, not its own."""
+    name, base = j.meta.get("family"), j.meta.get("isotope_of")
+    if base is not None or not isinstance(name, str) or name not in CATALOG:
+        what = (f"marks an isotope of {base}" if base is not None else
+                "names no catalog family" if name is None else
                 f"names the unknown family {name!r}")
         raise BadParameterError(
             f"{j.name}: its meta {what}, and the closed-form norm and "
-            "degree come from the family")
+            "degree come from a catalog family")
     return CATALOG[name]
 
 

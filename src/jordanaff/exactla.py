@@ -39,10 +39,11 @@ Ranks and solutions are certified, not probabilistic, and none of them
 eliminates over Python integers.  One batched Gauss-Jordan elimination
 modulo a 30-bit prime, :func:`_eliminate`, finds every pivot: rows
 independent modulo a prime are independent over Q.  :func:`solve`
-eliminates a stack of systems [A | B] modulo the first prime at once; a
-solution that prime cannot rebuild by rational reconstruction is lifted
-p-adically on its pivot rows (Dixon, Numer. Math. 40, 1982) until it
-can be or a Hadamard bound says it must have been.  A rank
+eliminates a stack of systems [A | B], a square one as [A | B | I],
+modulo the first prime at once; a solution that prime cannot rebuild by
+rational reconstruction is lifted p-adically on its pivot rows (Dixon,
+Numer. Math. 40, 1982), from the inverse in the I block if there is
+one, until it can be or a Hadamard bound says it must have been.  A rank
 (:func:`int_rank`, :func:`independent_rows`) eliminates M^T once: its
 pivot columns are the lexicographically first rows of M independent
 modulo the prime, its pivot rows the columns of a nonzero minor on
@@ -779,7 +780,7 @@ def _first_rows(M):
     return rows.tolist(), sorted(piv[0, rows].tolist()), X
 
 
-def _certify(M, rows, cols):
+def _certify(M, rows, cols, lift=False):
     """Certify that ``rows`` of the integer matrix M span its row space.
 
     ``rows`` and ``cols`` are pivots of M at the first prime, so the
@@ -787,10 +788,10 @@ def _certify(M, rows, cols):
     independent over Q.  When they are all the rows of M, the identity is
     the witness.  Otherwise the coordinates Y / d of every row on the
     minor's columns are solved exactly, by :func:`solve` on the
-    transposed minor, and accepted only if Y @ M[rows] == d * M holds
-    exactly.  When it does not, M has a larger rank over Q, and the
-    pivots (:func:`_pivots`) of the next prime that sees a larger rank
-    are tried.
+    transposed minor (with ``lift``, by :func:`_lift` alone), and
+    accepted only if Y @ M[rows] == d * M holds exactly.  When it does
+    not, M has a larger rank over Q, and the pivots (:func:`_pivots`) of
+    the next prime that sees a larger rank are tried.
 
     Returns ``(rows, cols, (Y, d))``, ``cols`` the columns of a minor on
     ``rows`` that is nonzero modulo a prime.
@@ -800,7 +801,9 @@ def _certify(M, rows, cols):
         if len(rows) == len(M):
             return rows, cols, (np.eye(len(M), dtype=np.int64), 1)
         sub = M[:, cols]
-        X, d = solve(sub[rows].T, sub.T)
+        a, b = sub[rows].T, sub.T
+        X, d = (_lift(a[None], b[None], np.arange(len(rows))[None])[0]
+                if lift else solve(a, b))
         Y = X.T
         if not residual((1, "ab,bc->ac", Y, M[rows]), (-d, M)):
             return rows, cols, (Y, d)
@@ -818,12 +821,13 @@ def _span(M, rows, cols, X):
     from the :func:`_first_rows` of M.  The coordinates X modulo the
     first prime are rebuilt by rational reconstruction into Y / d, with
     one denominator, and accepted only if Y @ M[rows] == d * M holds
-    exactly; otherwise :func:`_certify` lifts them or draws more
-    primes."""
+    exactly; otherwise :func:`_certify` lifts them (at once when the
+    reconstruction failed) or draws more primes."""
     if len(rows) < len(M):
         (Y,), (d,) = _reconstruct(X.T[None], PRIMES_30BIT[0])
         if d and not residual((1, "ab,bc->ac", Y, M[rows]), (-int(d), M)):
             return rows, cols, lowest_terms(Y, int(d))
+        return _certify(M, rows, cols, lift=not d)
     return _certify(M, rows, cols)
 
 
@@ -942,7 +946,7 @@ def solve(A, B):
     :func:`_certify` certifies it; otherwise the n rows it certifies are
     lifted.  The solutions that rational reconstruction rebuilds from
     the first prime are accepted only if A Y == d B holds exactly, one
-    check for the stack; the systems that fail go to :func:`_lift`.
+    check for the stack; the systems that fail are lifted.
     """
     A, B = asint(A), asint(B)
     one = A.ndim == 2
@@ -958,10 +962,14 @@ def solve(A, B):
 
 def _solve_stack(A, rhs, reduced=None):
     """:func:`solve` on a nonempty stack with m >= n; ``reduced`` is the
-    :func:`_eliminate` of [A | B] modulo the first prime, if known."""
+    :func:`_eliminate` of [A | B] modulo the first prime, if known; else
+    a square stack is reduced as [A | B | I], I giving A^{-1} modulo p."""
     s, m, n = A.shape
-    p = PRIMES_30BIT[0]
-    R, piv = reduced or _eliminate(np.concatenate([A, rhs], axis=2), n, p)
+    k, p = rhs.shape[2], PRIMES_30BIT[0]
+    square = m == n and not reduced
+    eye = [np.broadcast_to(np.eye(n, dtype=np.int64), (s, n, n))] * square
+    R, piv = reduced or _eliminate(np.concatenate([A, rhs] + eye, axis=2),
+                                   n, p)
     ok = (piv >= 0).all(axis=1)
     lift = {}  # system: n of its rows, independent over Q
     for i in (~ok).nonzero()[0].tolist():
@@ -979,14 +987,20 @@ def _solve_stack(A, rhs, reduced=None):
         ok &= ~tail.any(axis=1)
     idx = ok.nonzero()[0]
     at = slice(None) if len(idx) == s else idx  # a view when all are left
-    Y, d = _reconstruct(_pivot_rows(R[at], piv[at], n, p), p)
+    X = _pivot_rows(R[at], piv[at], n, p)
+    Y, d = _reconstruct(X[:, :, :k], p)
+    solved = _solves(A[at], rhs[at], Y, d)
     out = [None] * s
-    for i, done, y, dy in zip(idx.tolist(), _solves(A[at], rhs[at], Y, d),
-                              Y, d.tolist()):
+    for i, done, y, dy in zip(idx.tolist(), solved, Y, d.tolist()):
         if done:
             out[i] = lowest_terms(y, dy)
-        else:
+        elif not square:
             lift[i] = piv[i]
+    if square and not solved.all():
+        keys, C = idx[~solved], X[~solved, :, k:]
+        a, b = A[keys], rhs[keys]
+        for i, sol in zip(keys.tolist(), _dixon(a, b, a, b, C, p)):
+            out[i] = sol
     if lift:
         keys = sorted(lift)
         S = np.array([lift[i] for i in keys])

@@ -490,8 +490,12 @@ class JordanAlgebra:
         """
         rng = random.Random(seed)
         c, _, dc = self._operands()
-        U, V, W, Z = (self._int_elements(rng, n_samples, 3)
-                      for _ in range(4))
+        s, n = n_samples, self.dim
+        # U, V, W and Z, the s-row blocks 0-3 of one stack
+        X = np.concatenate([self._int_elements(rng, s, 3) for _ in range(4)])
+
+        def rows(x, *blocks):
+            return np.concatenate([x[b * s:(b + 1) * s] for b in blocks])
 
         def prod(a, b):
             return la.einsum("si,sj,ijk->sk", a, b, c)
@@ -499,19 +503,15 @@ class JordanAlgebra:
         def mm(x, y):
             return la.einsum("sab,sbc->sac", x, y)
 
-        def mv(x, y):
-            return la.einsum("sab,sb->sa", x, y)
-
-        def scanned(x):
-            return x, la.max_abs(x)
-
         # multiplication stacks, [s, k, l] = (a o e_k)_l and (e_k o a)_l;
         # left(a) is T_a transposed
         def left(a):
-            return scanned(la.einsum("si,ikl->skl", a, c))
+            x = la.einsum("si,ikl->skl", a, c)
+            return x, la.max_abs(x)
 
         def right(a):
-            return scanned(la.einsum("sj,kjl->skl", a, c))
+            x = la.einsum("sj,kjl->skl", a, c)
+            return x, la.max_abs(x)
 
         def lmat(lab, la_, ra, rb):
             # L(a, b) = T_{a o b} + R_b R_a - L_a R_b, transposed, from the
@@ -521,21 +521,23 @@ class JordanAlgebra:
             return la.lincomb((1, lab), (1, mm(rb, ra)),
                               (-1, mm(la_, rb))).transpose(0, 2, 1)
 
-        (lu, ru), (lv, rv), (lw, rw), (lz, rz) = (
-            (left(x), right(x)) for x in (U, V, W, Z))
-        l_uv = left(prod(U, V))
-        luv = lmat(l_uv, lu, ru, rv)
-        lvu = lmat(left(prod(V, U)), lv, rv, ru)
-        lwv = lmat(left(prod(W, V)), lw, rw, rv)
+        # L(u,v), L(v,u), L(w,v), L(w,z) and L(z,w) as one stack, and
+        # t(u,v,w), L(v,u) z, t(w,v,u), L(w,z) u and L(z,w) v
+        (lx, _), (rx, _) = left(X), right(X)
+        fst, snd = (0, 1, 2, 2, 3), (1, 0, 1, 3, 2)
+        l_ab = left(prod(rows(X, *fst), rows(X, *snd)))
+        ls = lmat(l_ab, rows(lx, *fst), rows(rx, *fst), rows(rx, *snd))
+        luv, lvu = ls.reshape(5, s, n, n)[:2]
+        img = la.einsum("sab,sb->sa", ls, rows(X, 2, 3, 0, 0, 1))
+        tuvw, _, twvu, a, b = img.reshape(5, s, n)
 
         d2 = dc * dc
         worsts = {}
-        tuvw = mv(luv, W)
-        worsts["outer_symmetry"] = self._worst(
-            (1, tuvw, d2), (-1, mv(lwv, U), d2))
+        worsts["outer_symmetry"] = self._worst((1, tuvw, d2), (-1, twvu, d2))
 
-        tu, tv, t_uv = (x[0].transpose(0, 2, 1) for x in (lu, lv, l_uv))
-        tutv, tvtu = mm(tu, tv), mm(tv, tu)
+        tx = lx.transpose(0, 2, 1)
+        tutv, tvtu = mm(rows(tx, 0, 1), rows(tx, 1, 0)).reshape(2, s, n, n)
+        t_uv = l_ab[0][:s].transpose(0, 2, 1)
         worsts["operator_form"] = self._worst(
             (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
         worsts["symmetric_part"] = self._worst(
@@ -544,20 +546,22 @@ class JordanAlgebra:
             (1, luv, d2), (-1, lvu, d2), (-2, tutv, d2), (2, tvtu, d2))
 
         g, dg = self._gram_int()
-        lhs = la.einsum("sm,mq,sq->s", tuvw, g, Z)
-        rhs = la.einsum("sm,mq,sq->s", mv(lvu, Z), g, W)
+        lhs, rhs = la.einsum("sm,mq,sq->s", rows(img, 0, 1), g,
+                             rows(X, 3, 2)).reshape(2, s)
         worsts["trace_form_transpose"] = self._worst(
             (1, lhs, d2 * dg), (-1, rhs, d2 * dg))
 
         # [L(w,z), L(u,v)] = L(t(w,z,u), v) - L(u, t(z,w,v)); every term
-        # carries dc^4
-        lwz = lmat(left(prod(W, Z)), lw, rw, rz)
-        a = mv(lwz, U)
-        b = mv(lmat(left(prod(Z, W)), lz, rz, rw), V)
+        # carries dc^4.  L(a, V) and L(U, b) run alone: a and b are far
+        # larger than U, and one bound for both would slow U's products
+        comm = mm(rows(ls, 3, 0), rows(ls, 0, 3)).reshape(2, s, n, n)
+        V = rows(X, 1)
         worsts["commutation_rule"] = self._worst(
-            (1, mm(lwz, luv), d2 * d2), (-1, mm(luv, lwz), d2 * d2),
-            (-1, lmat(left(prod(a, V)), left(a), right(a), rv), d2 * d2),
-            (1, lmat(left(prod(U, b)), lu, ru, right(b)), d2 * d2))
+            (1, comm[0], d2 * d2), (-1, comm[1], d2 * d2),
+            (-1, lmat(left(prod(a, V)), left(a), right(a), rows(rx, 1)),
+             d2 * d2),
+            (1, lmat(left(prod(X[:s], b)), rows(lx, 0), rows(rx, 0),
+                     right(b)), d2 * d2))
 
         worst = max(worsts.values())
         return CheckResult(

@@ -15,10 +15,9 @@ commutator matrix modulo a prime, which also yields the witness of that
 rank, the coordinates of every commutator in the k basis, checked
 exactly.  :func:`check_pair` re-verifies every relation and returns a
 report; [p, p] = k is checked from that witness by one exact identity,
-so the rank of the commutators is not computed again, and k (+) p is
-certified direct from k e = 0, the rank of the T_X e and the solve on
-k's minor, so the rank of the whole k (+) p stack is computed only when
-one of those fails.
+so the rank of the commutators is not computed again, k (+) p is
+certified direct from k e = 0, the rank of the T_X e and of k's minor,
+and [k, k] <= k is proved from the other relations by Jacobi.
 
 The bracket computations stay in scaled-integer form throughout: the
 algebra's multiplication operators share one denominator, so commutators
@@ -35,7 +34,6 @@ dim_k x n^3 stack is never held at once.
 from __future__ import annotations
 
 import math
-import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,7 +65,7 @@ class SymmetricPair:
     into v0) behind every k basis element, and ``k_cols`` the sorted
     dim_k entries (indices into the flattened n x n matrices) on which
     the minor of the k basis is nonzero modulo a prime, which certified
-    its independence; :func:`check_pair` solves on that minor.
+    its independence; :func:`check_pair` ranks that minor again.
 
     ``pp_coords`` is the kernel pair (Y, d), in lowest terms, of the
     commutators in the k basis: row g of Y holds the coordinates of the
@@ -162,19 +160,26 @@ def check_pair(pair, n_samples=3, seed=0):
     their rank, which ``max_residual`` reports in excess of dim k), the
     derivation identity [Phi, T_u] = T_{Phi(u)} with
     Phi(u) trace-zero, Phi(e) = 0, skewness of k for the trace form,
-    a seeded sample of k-k brackets re-expanded in the k basis (solved
-    on the minor at ``k_cols``, checked on every entry), and
-    injectivity of u -> T_u.
+    [k, k] <= k, and injectivity of u -> T_u.  Nothing is sampled:
+    ``n_samples`` and ``seed`` are kept for the callers' sake.
 
     ``k_p_direct_sum`` is certified from three exact premises: k e = 0
     (the ``k_kills_unity`` residual), the T_X e of the p basis have rank
-    dim p, and the kk_in_k solve on the minor at ``k_cols`` has a
-    solution, so that minor is nonsingular (zero right-hand sides when no
-    bracket is sampled).  A relation sum a_i k_i + sum b_X T_X = 0
-    applied to e leaves sum b_X T_X e = 0, so b = 0, and then a = 0 on
-    the minor.  When a premise fails, the rank of the whole
-    (dim k + dim p) x n^2 stack decides, and ``max_residual`` is
-    dim k + dim p minus that rank.
+    dim p, and k's minor at ``k_cols`` has rank dim k.  A relation
+    sum a_i k_i + sum b_X T_X = 0 applied to e leaves sum b_X T_X e = 0,
+    so b = 0, and then a = 0 on the minor.  When a premise fails, the
+    rank of the whole (dim k + dim p) x n^2 stack decides, and
+    ``max_residual`` is dim k + dim p minus that rank.
+
+    ``kk_in_k`` is proved by the Jacobi identity
+    [Phi, [T_X, T_Y]] = [[Phi, T_X], T_Y] + [T_X, [Phi, T_Y]] for Phi in
+    k and X, Y in v0: by the derivation identity and ``kp_in_p``,
+    [Phi, T_X] = T_{Phi(X)} with Phi(X) in V0, which lies in p once
+    span v0 = V0, so [Phi, [T_X, T_Y]] lies in span [p, p] = span k.
+    Its premises are those two checks and ``pp_spans_k``; a witness row
+    d e_i at the pair (a, b) of each k_i, so that k_i = [p_a, p_b];
+    ``p_ops`` equal to the T stack of ``v0``; and trace-zero ``v0``, n - 1
+    of them for a nonzero trace, independent since their T_X e are.
     """
     t_start = time.monotonic()
     j = pair.algebra
@@ -183,35 +188,18 @@ def check_pair(pair, n_samples=3, seed=0):
     k, p = pair.k_ops, pair.p_ops
     dim_k, dim_p = pair.dim_k, pair.dim_p
     kb = (k, la.max_abs(k))
+    flat = k.reshape(dim_k, n * n)
+    y, d = pair.pp_coords
 
-    # k kills the unit
+    # k kills the unit; the T_X e of the p basis are independent
     e_int, _ = j._unit_int()
     worst_e = la.max_abs(la.einsum("kab,b->ka", kb, e_int))
-
-    # seeded sample of k-k brackets, re-expanded in the k basis: solved
-    # on the minor at k_cols (with a zero right-hand side when none is
-    # sampled), which has a solution exactly when that minor is
-    # nonsingular; it holds on every entry exactly when the brackets lie
-    # in span k
-    rng = random.Random(seed)
-    tried = n_samples if dim_k >= 2 else 0
-    flat = k.reshape(dim_k, n * n)
-    if tried:
-        ia, ib = np.array([rng.sample(range(dim_k), 2)
-                           for _ in range(tried)]).T
-        rhs = la.bracket((k[ia], kb[1]), (k[ib], kb[1])).reshape(tried,
-                                                                 n * n)
-    else:
-        rhs = np.zeros((1, n * n), dtype=np.int64)
-    cols = list(pair.k_cols)
-    sol = la.solve(flat[:, cols].T, rhs[:, cols].T) if dim_k else None
-    ok_kk = not tried or sol is not None and not la.residual(
-        (1, "ks,kc->sc", sol[0], flat), (-sol[1], rhs))
+    pe_free = la.int_rank(la.einsum("pab,b->pa", p, e_int)) == dim_p
 
     # independence and direct sum: the rank of the whole stack only when
-    # k e = 0, independent T_X e or the minor's solve above fails
-    if (worst_e == 0 and (sol is not None or not dim_k)
-            and la.int_rank(la.einsum("pab,b->pa", p, e_int)) == dim_p):
+    # k e = 0, independent T_X e or k's minor fails
+    if (worst_e == 0 and pe_free
+            and la.int_rank(flat[:, list(pair.k_cols)]) == dim_k):
         rank_kp = dim_k + dim_p
     else:
         kp = np.concatenate(
@@ -228,34 +216,30 @@ def check_pair(pair, n_samples=3, seed=0):
     npairs = dim_p * (dim_p - 1) // 2
     if npairs:
         gens = _commutators(p).reshape(npairs, n * n)
-        y, d = pair.pp_coords
-        spans = d > 0 and la.residual(
-            (1, "gk,kc->gc", y, (k.reshape(dim_k, n * n), kb[1])),
-            (-d, gens)) == 0
-        excess = 0 if spans else la.int_rank(np.concatenate(
-            [k.reshape(dim_k, n * n), gens], axis=0)) - dim_k
+        spans = d > 0 and la.residual((1, "gk,kc->gc", y, (flat, kb[1])),
+                                      (-d, gens)) == 0
+        excess = 0 if spans else la.int_rank(
+            np.concatenate([flat, gens], axis=0)) - dim_k
         report.add(CheckResult(
             name="pp_spans_k", passed=spans, max_residual=excess,
             details={"generators": npairs, "dim_k": dim_k}))
     else:
-        report.add(CheckResult(name="pp_spans_k", passed=dim_k == 0))
+        spans = dim_k == 0
+        report.add(CheckResult(name="pp_spans_k", passed=spans))
 
     # derivation identity in operator form: for every k basis element
     # Phi and every algebra basis vector b_i,
     #   Phi T_{b_i} - T_{b_i} Phi = T_{Phi(b_i)}.
     _, st, s_den = j._operands()
-    if dim_k:
-        worst = la.residual((1, "kab,ibc->kiac", kb, st),
-                            (-1, "iab,kbc->kiac", st, kb),
-                            (-1, "kji,jac->kiac", kb, st))
-        # common denominator: k carries k_den, st carries s_den on both
-        # sides, so the integer difference is exact
-        report.add(CheckResult(
-            name="derivation_identity", passed=worst == 0,
-            max_residual=Fraction(worst, pair.k_den * s_den),
-            samples=dim_k * n))
-    else:
-        report.add(CheckResult(name="derivation_identity", passed=True))
+    worst = la.residual((1, "kab,ibc->kiac", kb, st),
+                        (-1, "iab,kbc->kiac", st, kb),
+                        (-1, "kji,jac->kiac", kb, st))
+    # common denominator: k carries k_den, st carries s_den on both
+    # sides, so the integer difference is exact
+    report.add(CheckResult(
+        name="derivation_identity", passed=worst == 0,
+        max_residual=Fraction(worst, pair.k_den * s_den),
+        samples=dim_k * n))
 
     report.add(CheckResult(
         name="k_kills_unity", passed=worst_e == 0,
@@ -263,31 +247,31 @@ def check_pair(pair, n_samples=3, seed=0):
 
     # skewness for the trace form: (G Phi)^T = -G Phi
     g_int, g_den = la.lowest_terms(*j._gram_int())
-    if dim_k:
-        gk = la.einsum("ab,kbc->kac", g_int, kb)
-        worst_skew = la.max_abs(la.lincomb(
-            (1, gk), (1, gk.transpose(0, 2, 1))))
-        report.add(CheckResult(
-            name="k_skew_for_trace_form", passed=worst_skew == 0,
-            max_residual=Fraction(worst_skew, g_den * pair.k_den)))
-    else:
-        report.add(CheckResult(name="k_skew_for_trace_form", passed=True))
+    gk = la.einsum("ab,kbc->kac", g_int, kb)
+    worst_skew = la.max_abs(la.lincomb((1, gk), (1, gk.transpose(0, 2, 1))))
+    report.add(CheckResult(
+        name="k_skew_for_trace_form", passed=worst_skew == 0,
+        max_residual=Fraction(worst_skew, g_den * pair.k_den)))
 
     # [k, p] lands in p: Phi(X) is trace-zero for X in v0, and the
     # derivation identity above already wrote [Phi, T_X] as T_{Phi(X)}
     tr, tr_den = j._basis_traces()
-    if dim_k:
-        worst_tr = la.max_abs(la.einsum("kab,ib,a->ki", kb,
-                                        la.asint(pair.v0), la.asint(tr)))
-        report.add(CheckResult(
-            name="kp_in_p", passed=worst_tr == 0,
-            max_residual=Fraction(worst_tr, pair.k_den * tr_den),
-            samples=dim_k * dim_p))
-    else:
-        report.add(CheckResult(name="kp_in_p", passed=True))
+    v0, tr_a = la.asint(pair.v0).reshape(dim_p, n), la.asint(tr)
+    worst_tr = la.max_abs(la.einsum("kab,ib,a->ki", kb, v0, tr_a))
+    report.add(CheckResult(
+        name="kp_in_p", passed=worst_tr == 0,
+        max_residual=Fraction(worst_tr, pair.k_den * tr_den),
+        samples=dim_k * dim_p))
 
-    report.add(CheckResult(name="kk_in_k", passed=ok_kk, samples=tried,
-                           seed=seed))
+    # [k, k] inside span k, by Jacobi from the relations above
+    named = [a * dim_p - a * (a + 1) // 2 + b - a - 1
+             for a, b in pair.k_pairs]
+    report.add(CheckResult(name="kk_in_k", passed=bool(
+        spans and worst == 0 and worst_tr == 0 and pe_free
+        and dim_p == n - 1 and any(tr)
+        and not la.einsum("ab,b->a", v0, tr_a).any()
+        and np.array_equal(p, _operator_stack(j, v0)[0])
+        and np.array_equal(y[named], d * np.eye(dim_k, dtype=object)))))
 
     # effectiveness: T is injective, k kills e, and V = R e (+) V0,
     # so an element of k vanishing on V0 vanishes everywhere

@@ -284,3 +284,23 @@ def test_detformula_needs_a_catalog_family(capsys, tmp_path):
         assert code == 2 and err.startswith("error: ") and words in err
         code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
         assert code == 0
+
+
+def test_detformula_refuses_an_isotope(capsys, tmp_path):
+    """An isotope's meta keeps its base's family, whose closed-form norm
+    is not the isotope's: verify_det_formula raises BadParameterError
+    instead of a FAIL of a valid Jordan algebra, and verify detformula
+    on its file exits 2 with a message, while verify jordan certifies
+    it."""
+    iso = catalog.build("full_real", m=2).isotope((2, 0, 0, 3))
+    assert iso.check_jordan().passed
+    with pytest.raises(catalog.BadParameterError, match="isotope of"):
+        catalog.verify_det_formula(iso)
+    path = tmp_path / "iso.json"
+    path.write_text(ser.dumps(iso))
+    code, _, err = run(capsys, ["verify", "detformula", "--file",
+                                str(path)])
+    assert code == 2 and err.startswith("error: ")
+    assert "isotope of full_real(m=2)" in err
+    code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
+    assert code == 0

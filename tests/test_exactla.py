@@ -982,8 +982,9 @@ def test_solve_sees_rows_hidden_from_the_prime():
 
 def test_solve_draws_more_primes(monkeypatch):
     """An entry above sqrt(p / 2) cannot be rebuilt from the first prime
-    p: [A | B] is eliminated once modulo p, and the solution is lifted
-    p-adically with no other prime.  Reconstruction is tried after 2
+    p: the square [A | B | I] is eliminated once modulo p, and the
+    solution is lifted p-adically from the inverse in its I block, with
+    no other prime and no other elimination.  Reconstruction is tried after 2
     steps and after the third, the first past the Hadamard bound.  A
     prime that divides det A shows too small a rank: rank A = 2 is
     certified, and A is lifted modulo the next prime.  A pivot that
@@ -1005,16 +1006,17 @@ def test_solve_draws_more_primes(monkeypatch):
     monkeypatch.setattr(la, "_reconstruct", counted_reconstruct)
     x, d = la.solve([[1]], [2 ** 40])
     assert x.tolist() == [2 ** 40] and d == 1
-    # [A | B] modulo p, then [A_S | I] to invert A_S for the lifting
-    assert eliminated == [(p, (1, 1, 2)), (p, (1, 1, 2))]
+    # [A | B | I] modulo p, which also inverts A for the lifting
+    assert eliminated == [(p, (1, 1, 3))]
     assert moduli == [p, p ** 2, p ** 3]
-    # p divides det A: [A | B] modulo p, the span witness of the pivot
-    # row modulo p (it fails), the pivots modulo q (rank 2, certified),
-    # then [A_S | I] modulo p (singular) and modulo q for the lifting
+    # p divides det A: [A | B | I] modulo p, the span witness of the
+    # pivot row modulo p (a square [A | B | I] of its own; it fails),
+    # the pivots modulo q (rank 2, certified), then [A_S | I] modulo p
+    # (singular) and modulo q for the lifting
     eliminated.clear()
     x, d = la.solve([[p, 0], [0, 1]], [1, 1])
     assert x.tolist() == [1, p] and d == p
-    assert eliminated == [(p, (1, 2, 3)), (p, (1, 1, 3)), (q, (1, 2, 2)),
+    assert eliminated == [(p, (1, 2, 5)), (p, (1, 1, 4)), (q, (1, 2, 2)),
                           (p, (1, 2, 4)), (q, (1, 2, 4))]
     eliminated.clear()
     # modulo p the pivot is column 1, over Q it is column 0
@@ -1022,6 +1024,54 @@ def test_solve_draws_more_primes(monkeypatch):
     assert [list(_rationals(v, d)) for v in ns] == \
         [list(v) for v in sympy.Matrix([[p, 1]]).nullspace()]
     assert q in [prime for prime, _ in eliminated]
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_square_stack_lifts_after_one_elimination(data):
+    """Square stacks, diagonally dominant (off the diagonal entries up to
+    9, on it 28 to 40 in size), so that 0 < |det A| < p and A is
+    nonsingular modulo the first prime p, with solutions that have an
+    entry past 2**40, which p cannot rebuild: each result is sympy's,
+    every system is lifted, and [A | B | I] is eliminated exactly once,
+    modulo p, the inverse for the lifting read off its I block."""
+    p = la.PRIMES_30BIT[0]
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, 2))
+    off, diag = st.integers(-9, 9), st.integers(28, 40)
+    big = st.integers(2 ** 40, 2 ** 60)
+    systems = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        a = sympy.Matrix(n, n, lambda i, j: data.draw(
+            off if i != j else diag) * (-1 if i == j and data.draw(
+                st.booleans()) else 1))
+        x0 = sympy.Matrix(n, k or 1, lambda i, j: data.draw(
+            big if i == j == 0 else st.integers(-2 ** 40, 2 ** 40)))
+        den = data.draw(st.integers(1, 10 ** 6))
+        b = a * x0 / den
+        # integer right-hand sides: A x = den_b * b has solution den_b x
+        den_b = math.lcm(*[int(sympy.fraction(v)[1]) for v in b])
+        systems.append((a.tolist(), (b * den_b).tolist()))
+    eliminated, lifted = [], []
+    eliminate, dixon = la._eliminate, la._dixon
+
+    def counted_eliminate(m, width, prime):
+        eliminated.append((prime, m.shape))
+        return eliminate(m, width, prime)
+
+    def counted_dixon(A, *args):
+        lifted.append(len(A))
+        return dixon(A, *args)
+
+    a = la.asint([ai for ai, _ in systems])
+    b = la.asint([[r if k else r[0] for r in bi] for _, bi in systems])
+    with mock.patch.object(la, "_eliminate", counted_eliminate), \
+            mock.patch.object(la, "_dixon", counted_dixon):
+        got = la.solve(a, b)
+    assert eliminated == [(p, (len(systems), n, n + (k or 1) + n))]
+    assert lifted == [len(systems)]
+    for (ai, bi), sol in zip(systems, got):
+        _assert_solves_like_sympy(ai, bi, sol)
 
 
 def test_lifting_stops_at_the_hadamard_bound(monkeypatch):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from jordanaff import exactla as la
 from jordanaff.hypersurface import build_model
-from jordanaff.jordan import direct_sum
+from jordanaff.jordan import JordanAlgebra, direct_sum
 
 F = Fraction
 
@@ -174,6 +174,105 @@ def test_inverse_identities_match_the_loop(get_algebra, monkeypatch):
             capped += len(tried) == 4 * n_samples > done
             monkeypatch.undo()
     assert skipped >= 6 and capped >= 2
+
+
+# -- check_triple against one operator at a time ------------------------------
+
+
+def _triple_pairwise(j, n_samples, seed):
+    """The residuals of check_triple, each operator L(a, b) built from its
+    own product, left and right stacks and products, one at a time."""
+    rng = random.Random(seed)
+    c, _, dc = j._operands()
+    U, V, W, Z = (j._int_elements(rng, n_samples, 3) for _ in range(4))
+
+    def prod(a, b):
+        return la.einsum("si,sj,ijk->sk", a, b, c)
+
+    def mm(x, y):
+        return la.einsum("sab,sbc->sac", x, y)
+
+    def mv(x, y):
+        return la.einsum("sab,sb->sa", x, y)
+
+    def left(a):
+        x = la.einsum("si,ikl->skl", a, c)
+        return x, la.max_abs(x)
+
+    def right(a):
+        x = la.einsum("sj,kjl->skl", a, c)
+        return x, la.max_abs(x)
+
+    def lmat(lab, la_, ra, rb):
+        return la.lincomb((1, lab), (1, mm(rb, ra)),
+                          (-1, mm(la_, rb))).transpose(0, 2, 1)
+
+    (lu, ru), (lv, rv), (lw, rw), (lz, rz) = (
+        (left(x), right(x)) for x in (U, V, W, Z))
+    l_uv = left(prod(U, V))
+    luv = lmat(l_uv, lu, ru, rv)
+    lvu = lmat(left(prod(V, U)), lv, rv, ru)
+    lwv = lmat(left(prod(W, V)), lw, rw, rv)
+    d2 = dc * dc
+    worsts = {}
+    tuvw = mv(luv, W)
+    worsts["outer_symmetry"] = j._worst((1, tuvw, d2), (-1, mv(lwv, U), d2))
+    tu, tv, t_uv = (x[0].transpose(0, 2, 1) for x in (lu, lv, l_uv))
+    tutv, tvtu = mm(tu, tv), mm(tv, tu)
+    worsts["operator_form"] = j._worst(
+        (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
+    worsts["symmetric_part"] = j._worst(
+        (1, luv, d2), (1, lvu, d2), (-2, t_uv, d2))
+    worsts["antisymmetric_part"] = j._worst(
+        (1, luv, d2), (-1, lvu, d2), (-2, tutv, d2), (2, tvtu, d2))
+    g, dg = j._gram_int()
+    lhs = la.einsum("sm,mq,sq->s", tuvw, g, Z)
+    rhs = la.einsum("sm,mq,sq->s", mv(lvu, Z), g, W)
+    worsts["trace_form_transpose"] = j._worst(
+        (1, lhs, d2 * dg), (-1, rhs, d2 * dg))
+    lwz = lmat(left(prod(W, Z)), lw, rw, rz)
+    a = mv(lwz, U)
+    b = mv(lmat(left(prod(Z, W)), lz, rz, rw), V)
+    worsts["commutation_rule"] = j._worst(
+        (1, mm(lwz, luv), d2 * d2), (-1, mm(luv, lwz), d2 * d2),
+        (-1, lmat(left(prod(a, V)), left(a), right(a), rv), d2 * d2),
+        (1, lmat(left(prod(U, b)), lu, ru, right(b)), d2 * d2))
+    return worsts
+
+
+def _single_constant_mutant(j, rng):
+    """j with c[a][b][k] = c[b][a][k] moved by +-1/101 at a seeded
+    (a, b, k)."""
+    n = j.dim
+    a, b, k = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+    ci, den = j._int_tensor()
+    c = ci.astype(object) * 101
+    c[a, b, k] += rng.choice((-1, 1)) * den
+    if a != b:
+        c[b, a, k] = c[a, b, k]
+    return JordanAlgebra(kernel=(c, 101 * den),
+                         name=f"{j.name}~c[{a}][{b}][{k}]")
+
+
+def test_triple_matches_the_pairwise_reference(desk_instances, get_algebra,
+                                               big_isotopes):
+    """check_triple runs its operators as stacks; every residual of its
+    details equals the one-operator-at-a-time evaluation, on the desk
+    instances of dim <= 21, the big isotopes and a single-constant
+    mutant of each of those desk instances (most of which fail)."""
+    rng = random.Random(11)
+    desk = [get_algebra(name, **params) for name, params in desk_instances]
+    desk = [j for j in desk if j.dim <= 21]
+    cases = desk + list(big_isotopes.values()) + [
+        _single_constant_mutant(j, rng) for j in desk]
+    failing = 0
+    for j in cases:
+        for n_samples, seed in ((5, 3), (20, 7)):
+            res = j.check_triple(n_samples=n_samples, seed=seed)
+            assert res.details == _triple_pairwise(j, n_samples, seed), \
+                (j.name, n_samples)
+            failing += not res.passed
+    assert failing >= len(desk)
 
 
 # -- every check at zero samples ---------------------------------------------

@@ -90,7 +90,8 @@ def test_quadratic_pair_dims_scale():
 def test_corrupted_span_witness_fails(get_pair):
     """pp_spans_k checks the stored coordinates, so changing one of them
     by 1 must fail it, while the rank of [k; [p, p]] stays dim k; the
-    vacuous witness (0, 0) must fail too."""
+    vacuous witness (0, 0) must fail too.  kk_in_k, proved from that
+    witness, fails with it; every other check passes."""
     pair = get_pair("quadratic", signs=(1, -1, 1))
     y, d = pair.pp_coords
     y = y.copy()
@@ -100,17 +101,18 @@ def test_corrupted_span_witness_fails(get_pair):
         checks = {c.name: c for c in check_pair(bad).checks}
         assert not checks["pp_spans_k"].passed
         assert checks["pp_spans_k"].max_residual == 0
+        assert not checks["kk_in_k"].passed
         assert all(c.passed for name, c in checks.items()
-                   if name != "pp_spans_k")
+                   if name not in ("pp_spans_k", "kk_in_k"))
 
 
 def test_pair_rank_count(monkeypatch):
     """restricted_pair + check_pair on octonion_hermitian make at most
     three modular eliminations: the unit's solve, the one elimination of
     the commutators that picks k and gives their span witness, and the
-    kk_in_k solve on k's minor.  The T_X e are in echelon form, so their
-    rank takes none, and pp_spans_k and k_p_direct_sum run no other on a
-    passing pair."""
+    rank of k's minor for k_p_direct_sum.  The T_X e are in echelon
+    form, so their rank takes none; pp_spans_k runs no other on a
+    passing pair, and kk_in_k, proved from the other relations, none."""
     j = catalog.build("octonion_hermitian", gammas=(1, 1, 1))
     calls = []
     eliminate = exactla._eliminate
@@ -212,48 +214,107 @@ def test_mutants_fail_alike_on_both_rungs(monkeypatch):
 
 def _kk_in_k(pair):
     checks = {c.name: c for c in check_pair(pair, n_samples=3).checks}
-    assert checks["kk_in_k"].samples == 3
+    assert (checks["kk_in_k"].samples, checks["kk_in_k"].seed) == (0, None)
     return checks["kk_in_k"].passed
 
 
-def test_kk_in_k_on_a_minor_singular_modulo_the_first_prime():
+def test_kk_in_k_on_a_minor_singular_modulo_the_first_prime(get_pair):
     """k with its first element scaled by the first prime spans the same
     space, but its stored minor vanishes modulo that prime: the minor's
-    system is still solved exactly and kk_in_k passes.  A k element
-    moved off the minor's entries takes the brackets out of span k, and
-    only the check on every entry sees it."""
-    pair = restricted_pair(catalog.build("octonion_hermitian",
-                                         gammas=(1, 1, 1)))
+    rank is still certified exactly, so k_p_direct_sum passes without
+    the full k (+) p rank.  The span witness no longer names k[0] as its
+    commutator, so pp_spans_k and kk_in_k fail.  A k element moved off
+    the minor's entries breaks the derivation identity, and kk_in_k
+    fails with it."""
+    pair = get_pair("octonion_hermitian", gammas=(1, 1, 1))
     k = pair.k_ops.astype(object)
     k[0] *= exactla.PRIMES_30BIT[0]
-    assert _kk_in_k(dataclasses.replace(pair, k_ops=exactla.asint(k)))
+    scaled = dataclasses.replace(pair, k_ops=exactla.asint(k))
+    checks = {c.name: c for c in check_pair(scaled).checks}
+    assert checks["k_p_direct_sum"].passed
+    assert checks["k_p_direct_sum"].details["rank"] == pair.dim_g
+    assert checks["derivation_identity"].passed
+    assert not checks["pp_spans_k"].passed
+    assert not _kk_in_k(scaled)
     n = pair.algebra.dim
     off = sorted(set(range(n * n)) - set(pair.k_cols))
     k = pair.k_ops.copy().reshape(len(k), n * n)
     k[:, off[0]] += 1
-    assert not _kk_in_k(dataclasses.replace(pair, k_ops=k.reshape(-1, n, n)))
+    moved = dataclasses.replace(pair, k_ops=k.reshape(-1, n, n))
+    assert not {c.name: c.passed for c in
+                check_pair(moved).checks}["derivation_identity"]
+    assert not _kk_in_k(moved)
 
 
-def test_corrupted_k_fails_kk_in_k():
-    """One k basis entry moved by 1 takes the k-k brackets out of span k:
-    kk_in_k fails, with coordinates solved on k's stored minor."""
-    pair = restricted_pair(catalog.build("quadratic", signs=(1, -1, 1)))
-    k = pair.k_ops.copy()
-    k[0, 1, 2] += 1
-    bad = dataclasses.replace(pair, k_ops=k)
-    checks = {c.name: c for c in check_pair(bad, n_samples=3).checks}
-    assert checks["kk_in_k"].samples == 3
-    assert not checks["kk_in_k"].passed
-    assert {c.name: c.passed for c in check_pair(pair).checks}["kk_in_k"]
+def _small_pairs(get_pair, big_isotopes):
+    return [get_pair("quadratic", signs=(1, -1, 1)),
+            get_pair("hermitian_complex", gammas=(1, 1, 1), m=3),
+            restricted_pair(big_isotopes["full_real(m=3)^(q=31)"])]
+
+
+def test_corrupted_k_fails_kk_in_k(get_pair, big_isotopes):
+    """One k basis entry moved by 1 breaks the derivation identity, a
+    premise of kk_in_k, so kk_in_k fails; the untouched pair passes."""
+    for pair in _small_pairs(get_pair, big_isotopes):
+        assert _kk_in_k(pair), pair.algebra.name
+        k = pair.k_ops.astype(object)
+        k[0, 1, 2] += 1
+        bad = dataclasses.replace(pair, k_ops=exactla.asint(k))
+        assert not _kk_in_k(bad), pair.algebra.name
+
+
+def _generator_row(pair, a, b):
+    """Row of the span witness holding the commutator [p_a, p_b]."""
+    return a * pair.dim_p - a * (a + 1) // 2 + b - a - 1
+
+
+def test_kk_in_k_fails_on_each_broken_premise(get_pair, big_isotopes):
+    """kk_in_k is proved from the exhaustive relations, so a pair that
+    breaks one premise of the proof fails it, while the untouched pair
+    passes:
+
+    * the witness row of a k basis element's generator pair moved (that
+      fails pp_spans_k too), or two k basis elements named by each
+      other's pairs (which fails kk_in_k alone);
+    * p_ops[0] replaced by k_ops[0];
+    * a v0 vector that is not trace-zero: X + e in place of X, with
+      p_ops[0] its own T stack.  T_e commutes with every operator, so
+      with an integer unit e every other check still passes.
+    """
+    for pair in _small_pairs(get_pair, big_isotopes):
+        name = pair.algebra.name
+        assert _kk_in_k(pair), name
+        y, d = pair.pp_coords
+        y = y.astype(object)
+        y[_generator_row(pair, *pair.k_pairs[0]), 0] += 1
+        assert not _kk_in_k(dataclasses.replace(pair, pp_coords=(y, d)))
+        swapped = (pair.k_pairs[1], pair.k_pairs[0]) + pair.k_pairs[2:]
+        named = {c.name: c.passed for c in check_pair(
+            dataclasses.replace(pair, k_pairs=swapped)).checks}
+        assert not named.pop("kk_in_k") and all(named.values()), name
+        p = pair.p_ops.astype(object)
+        p[0] = pair.k_ops[0]
+        assert not _kk_in_k(dataclasses.replace(pair,
+                                                p_ops=exactla.asint(p)))
+        e, e_den = pair.algebra._unit_int()
+        x = tuple(e_den * int(v) + int(u) for v, u in zip(pair.v0[0], e))
+        v0 = (x,) + pair.v0[1:]
+        p_ops, _ = structure._operator_stack(pair.algebra, v0)
+        lifted = {c.name: c.passed for c in check_pair(
+            dataclasses.replace(pair, v0=v0, p_ops=p_ops)).checks}
+        assert not lifted.pop("kk_in_k"), name
+        if e_den == 1:
+            assert all(lifted.values()), (name, lifted)
 
 
 def test_direct_sum_falls_back_to_the_full_rank(monkeypatch):
     """k_p_direct_sum is certified from k e = 0, the rank of the T_X e
-    and k's minor; when a premise fails it ranks the whole k (+) p stack.
-    With p_ops[0] replaced by k_ops[0] the T_X e lose rank and the stack
-    has rank dim k + dim p - 1: FAIL with max_residual 1.  With k_cols
-    naming a singular minor kk_in_k fails, and the full rank still
-    certifies the sum."""
+    and the rank of k's minor; when a premise fails it ranks the whole
+    k (+) p stack.  With p_ops[0] replaced by k_ops[0] the T_X e lose
+    rank and the stack has rank dim k + dim p - 1: FAIL with
+    max_residual 1.  With k_cols naming a singular minor the full rank
+    still certifies the sum, and kk_in_k, which no minor enters, still
+    passes."""
     pair = restricted_pair(catalog.build("quadratic", signs=(1, -1, 1)))
     p = pair.p_ops.copy()
     p[0] = pair.k_ops[0]
@@ -275,7 +336,7 @@ def test_direct_sum_falls_back_to_the_full_rank(monkeypatch):
     singular = dataclasses.replace(pair,
                                    k_cols=(pair.k_cols[0],) * pair.dim_k)
     checks = {c.name: c for c in check_pair(singular, n_samples=3).checks}
-    assert not checks["kk_in_k"].passed
+    assert checks["kk_in_k"].passed
     assert checks["k_p_direct_sum"].passed
     assert checks["k_p_direct_sum"].max_residual == 0
     assert (pair.dim_k + pair.dim_p, n * n) in ranks
