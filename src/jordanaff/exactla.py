@@ -780,7 +780,7 @@ def _first_rows(M):
     return rows.tolist(), sorted(piv[0, rows].tolist()), X
 
 
-def _certify(M, rows, cols, lift=False):
+def _certify(M, rows, cols):
     """Certify that ``rows`` of the integer matrix M span its row space.
 
     ``rows`` and ``cols`` are pivots of M at the first prime, so the
@@ -788,10 +788,10 @@ def _certify(M, rows, cols, lift=False):
     independent over Q.  When they are all the rows of M, the identity is
     the witness.  Otherwise the coordinates Y / d of every row on the
     minor's columns are solved exactly, by :func:`solve` on the
-    transposed minor (with ``lift``, by :func:`_lift` alone), and
-    accepted only if Y @ M[rows] == d * M holds exactly.  When it does
-    not, M has a larger rank over Q, and the pivots (:func:`_pivots`) of
-    the next prime that sees a larger rank are tried.
+    transposed minor, and accepted only if Y @ M[rows] == d * M holds
+    exactly.  When it does not, M has a larger rank over Q, and the
+    pivots (:func:`_pivots`) of the next prime that sees a larger rank
+    are tried.
 
     Returns ``(rows, cols, (Y, d))``, ``cols`` the columns of a minor on
     ``rows`` that is nonzero modulo a prime.
@@ -801,9 +801,7 @@ def _certify(M, rows, cols, lift=False):
         if len(rows) == len(M):
             return rows, cols, (np.eye(len(M), dtype=np.int64), 1)
         sub = M[:, cols]
-        a, b = sub[rows].T, sub.T
-        X, d = (_lift(a[None], b[None], np.arange(len(rows))[None])[0]
-                if lift else solve(a, b))
+        X, d = solve(sub[rows].T, sub.T)
         Y = X.T
         if not residual((1, "ab,bc->ac", Y, M[rows]), (-d, M)):
             return rows, cols, (Y, d)
@@ -821,13 +819,12 @@ def _span(M, rows, cols, X):
     from the :func:`_first_rows` of M.  The coordinates X modulo the
     first prime are rebuilt by rational reconstruction into Y / d, with
     one denominator, and accepted only if Y @ M[rows] == d * M holds
-    exactly; otherwise :func:`_certify` lifts them (at once when the
-    reconstruction failed) or draws more primes."""
+    exactly; otherwise :func:`_certify` lifts them or draws more
+    primes."""
     if len(rows) < len(M):
         (Y,), (d,) = _reconstruct(X.T[None], PRIMES_30BIT[0])
         if d and not residual((1, "ab,bc->ac", Y, M[rows]), (-int(d), M)):
             return rows, cols, lowest_terms(Y, int(d))
-        return _certify(M, rows, cols, lift=not d)
     return _certify(M, rows, cols)
 
 

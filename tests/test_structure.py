@@ -277,7 +277,8 @@ def test_kk_in_k_fails_on_each_broken_premise(get_pair, big_isotopes):
       fails pp_spans_k too), or two k basis elements named by each
       other's pairs (which fails kk_in_k alone);
     * p_ops[0] replaced by k_ops[0];
-    * a v0 vector that is not trace-zero: X + e in place of X, with
+    * a v0 vector that is not trace-zero, so v0 is no longer the basis
+      of V0 that restricted_pair takes: X + e in place of X, with
       p_ops[0] its own T stack.  T_e commutes with every operator, so
       with an integer unit e every other check still passes.
     """
