@@ -394,12 +394,24 @@ def _instance_name(name, params):
     return f"{name}({inner})"
 
 
-def _make_matrix_algebra(family, kind, m, sig, factor, params):
+def _make_matrix_algebra(family, kind, m, sig, factor, params,
+                         inverse=None):
+    """The algebra of X o Y = (X G Y + Y G X) / 2 on the matrix shape,
+    G = ``factor``.  Its unit is G^{-1} (X o G^{-1} = X), ``inverse``;
+    by default G itself, which is its own inverse for G = I and for the
+    diagonal +-1 twists.  Each slot (t, i, j, u) reads its coordinate
+    of the unit hint off entry (i, j, u) of G^{-1}, as
+    :func:`_structure_tensor` reads products."""
     kernel, labels = _structure_tensor(kind, m, sig, factor)
+    if inverse is None:
+        inverse = (factor if factor is not None
+                   else _diagonal(sig, [cd_unit(sig, 0)] * m))
+    _, rows, cols, units = zip(*_slots(kind, m, sig))
     return JordanAlgebra(
         kernel=kernel, name=_instance_name(family, params), labels=labels,
         meta={"family": family, "params": dict(params),
-              "entry_signature": sig.gammas, "matrix_size": m})
+              "entry_signature": sig.gammas, "matrix_size": m},
+        unit=(inverse[rows, cols, units], 1))
 
 
 def matrix_form(j, u):
@@ -445,11 +457,14 @@ def _complexified(name, base_name, base_params_of, desk):
         bj = base.build(**base_params_of(**params))
         ci, den = bj._int_tensor()
         labels = list(bj.labels) + [f"i*{lab}" for lab in bj.labels]
+        # the unit of J + iJ is the unit of J, with no imaginary part
+        e, de = bj._known_unit()
         return JordanAlgebra(
             kernel=(_complexify_tensor(ci), den),
             name=_instance_name(name, params), labels=labels,
             meta={"family": name, "params": dict(params),
-                  "base_family": base_name})
+                  "base_family": base_name},
+            unit=(np.concatenate([e, np.zeros_like(e)]), de))
     # the family's parameters are those of base_params_of
     _build.__signature__ = inspect.signature(base_params_of)
 
@@ -467,7 +482,8 @@ def _complexified(name, base_name, base_params_of, desk):
 def _build_reals():
     return JordanAlgebra(kernel=(np.ones((1, 1, 1), dtype=np.int64), 1),
                          name="reals", labels=("1",),
-                         meta={"family": "reals", "params": {}})
+                         meta={"family": "reals", "params": {}},
+                         unit=(np.ones(1, dtype=np.int64), 1))
 
 
 _register(Family(
@@ -491,7 +507,8 @@ def _build_quadratic(signs):
     return JordanAlgebra(
         kernel=(ci, 1), name=_instance_name("quadratic", {"signs": signs}),
         labels=labels, meta={"family": "quadratic",
-                             "params": {"signs": signs}})
+                             "params": {"signs": signs}},
+        unit=(np.eye(n, dtype=np.int64)[0], 1))
 
 
 def _quadratic_norm(params, z):
@@ -619,9 +636,9 @@ _FAMILY_SHAPES["hermitian_quaternion"] = ("herm", lambda p: p["m"],
 def _build_skew_hamiltonian(m):
     if m < 1:
         raise BadParameterError("matrix size must be positive")
-    return _make_matrix_algebra(
-        "skew_hamiltonian", "skew", 2 * m, REALS, _symplectic(m)[..., None],
-        {"m": m})
+    jm = _symplectic(m)[..., None]
+    return _make_matrix_algebra("skew_hamiltonian", "skew", 2 * m, REALS,
+                                jm, {"m": m}, -jm)
 
 
 def _skew_hamiltonian_norm(params, z):
@@ -648,7 +665,8 @@ def _build_skew_hermitian_quaternion(m):
     sig = QUATERNIONS
     minus_i = _diagonal(sig, [cd_unit(sig, 1, -1)] * m)
     return _make_matrix_algebra(
-        "skew_hermitian_quaternion", "skewherm", m, sig, minus_i, {"m": m})
+        "skew_hermitian_quaternion", "skewherm", m, sig, minus_i, {"m": m},
+        -minus_i)
 
 
 def _skew_hermitian_quaternion_norm(params, z):

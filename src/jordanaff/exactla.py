@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from fractions import Fraction
 
@@ -606,32 +605,35 @@ def residual(*terms):
 # certified ranks and exact solutions over the integers
 
 
-def _is_prime(n):
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-# the 150 largest primes below 2**30, largest first
-PRIMES_30BIT = tuple(itertools.islice(
-    filter(_is_prime, range(2 ** 30 - 1, 0, -2)), 150))
+# the 150 largest primes below 2**30, largest first (regenerated and
+# compared by a Miller-Rabin sieve in the tests)
+PRIMES_30BIT = (
+    1073741789, 1073741783, 1073741741, 1073741723, 1073741719, 1073741717,
+    1073741689, 1073741671, 1073741663, 1073741651, 1073741621, 1073741567,
+    1073741561, 1073741527, 1073741503, 1073741477, 1073741467, 1073741441,
+    1073741419, 1073741399, 1073741387, 1073741381, 1073741371, 1073741329,
+    1073741311, 1073741309, 1073741287, 1073741237, 1073741213, 1073741197,
+    1073741189, 1073741173, 1073741101, 1073741077, 1073741047, 1073740963,
+    1073740951, 1073740933, 1073740909, 1073740879, 1073740853, 1073740847,
+    1073740819, 1073740807, 1073740793, 1073740783, 1073740781, 1073740697,
+    1073740693, 1073740691, 1073740649, 1073740609, 1073740571, 1073740567,
+    1073740543, 1073740541, 1073740537, 1073740529, 1073740523, 1073740517,
+    1073740501, 1073740489, 1073740477, 1073740463, 1073740439, 1073740403,
+    1073740391, 1073740379, 1073740249, 1073740201, 1073740189, 1073740183,
+    1073740177, 1073740163, 1073740147, 1073740139, 1073740133, 1073740127,
+    1073740123, 1073740079, 1073740067, 1073740061, 1073740049, 1073740013,
+    1073739983, 1073739949, 1073739937, 1073739917, 1073739911, 1073739893,
+    1073739883, 1073739881, 1073739859, 1073739853, 1073739817, 1073739767,
+    1073739749, 1073739739, 1073739721, 1073739683, 1073739679, 1073739649,
+    1073739631, 1073739619, 1073739617, 1073739599, 1073739577, 1073739559,
+    1073739523, 1073739493, 1073739473, 1073739451, 1073739449, 1073739437,
+    1073739421, 1073739379, 1073739367, 1073739361, 1073739353, 1073739347,
+    1073739313, 1073739311, 1073739307, 1073739187, 1073739179, 1073739169,
+    1073739167, 1073739151, 1073739143, 1073739101, 1073739089, 1073739067,
+    1073739059, 1073739041, 1073738983, 1073738977, 1073738957, 1073738951,
+    1073738933, 1073738929, 1073738917, 1073738903, 1073738867, 1073738863,
+    1073738843, 1073738821, 1073738807, 1073738801, 1073738789, 1073738753,
+)
 
 
 def _eliminate(M, n, p):
@@ -793,20 +795,21 @@ def _certify(M, rows, cols):
     pivots (:func:`_pivots`) of the next prime that sees a larger rank
     are tried.
 
-    Returns ``(rows, cols, (Y, d))``, ``cols`` the columns of a minor on
-    ``rows`` that is nonzero modulo a prime.
+    Returns ``(rows, cols, (Y, d), q)``, ``cols`` the columns of a minor
+    on ``rows`` that is nonzero modulo the prime q.
     """
-    primes = iter(PRIMES_30BIT[1:])
+    primes = iter(PRIMES_30BIT)
+    q = next(primes)
     while True:
         if len(rows) == len(M):
-            return rows, cols, (np.eye(len(M), dtype=np.int64), 1)
+            return rows, cols, (np.eye(len(M), dtype=np.int64), 1), q
         sub = M[:, cols]
         X, d = solve(sub[rows].T, sub.T)
         Y = X.T
         if not residual((1, "ab,bc->ac", Y, M[rows]), (-d, M)):
-            return rows, cols, (Y, d)
-        for p in primes:
-            rows_p, cols_p = _pivots(M, p)
+            return rows, cols, (Y, d), q
+        for q in primes:
+            rows_p, cols_p = _pivots(M, q)
             if len(rows_p) > len(rows):
                 rows, cols = rows_p, cols_p
                 break
@@ -825,7 +828,7 @@ def _span(M, rows, cols, X):
         (Y,), (d,) = _reconstruct(X.T[None], PRIMES_30BIT[0])
         if d and not residual((1, "ab,bc->ac", Y, M[rows]), (-int(d), M)):
             return rows, cols, lowest_terms(Y, int(d))
-    return _certify(M, rows, cols)
+    return _certify(M, rows, cols)[:3]
 
 
 def int_rank(M) -> int:
@@ -968,14 +971,16 @@ def _solve_stack(A, rhs, reduced=None):
     R, piv = reduced or _eliminate(np.concatenate([A, rhs] + eye, axis=2),
                                    n, p)
     ok = (piv >= 0).all(axis=1)
-    lift = {}  # system: n of its rows, independent over Q
+    # system: n of its rows, independent over Q, and a prime at which
+    # their minor is nonsingular
+    lift = {}
     for i in (~ok).nonzero()[0].tolist():
         # rank A < n over Q, or p divides every nonzero n x n minor
         cols = (piv[i] >= 0).nonzero()[0]
-        rows, _, _ = _certify(A[i], sorted(piv[i, cols].tolist()),
-                              cols.tolist())
+        rows, _, _, q = _certify(A[i], sorted(piv[i, cols].tolist()),
+                                 cols.tolist())
         if len(rows) == n:
-            lift[i] = rows
+            lift[i] = rows, q
     if m > n:
         # after the n pivots, B must vanish outside the pivot rows (the
         # -1 of a system without full rank clears a row of its own)
@@ -992,7 +997,7 @@ def _solve_stack(A, rhs, reduced=None):
         if done:
             out[i] = lowest_terms(y, dy)
         elif not square:
-            lift[i] = piv[i]
+            lift[i] = piv[i], p
     if square and not solved.all():
         keys, C = idx[~solved], X[~solved, :, k:]
         a, b = A[keys], rhs[keys]
@@ -1000,28 +1005,33 @@ def _solve_stack(A, rhs, reduced=None):
             out[i] = sol
     if lift:
         keys = sorted(lift)
-        S = np.array([lift[i] for i in keys])
-        for i, sol in zip(keys, _lift(A[keys], rhs[keys], S)):
+        S, start = zip(*(lift[i] for i in keys))
+        for i, sol in zip(keys, _lift(A[keys], rhs[keys], np.array(S),
+                                      np.array(start))):
             out[i] = sol
     return out
 
 
-def _lift(A, rhs, S):
+def _lift(A, rhs, S, start):
     """Solutions of a stack of systems A X = B (``rhs`` (s, m, k)) whose
     rows S (s, n) are independent over Q, by Dixon's p-adic lifting on
     the square subsystems A_S X = B_S; one ``(Y, d)`` or None per system.
 
     C = A_S^{-1} modulo q comes from one :func:`_eliminate` of
-    [A_S | I], q the first prime at which A_S is nonsingular: the first
-    prime itself, unless S was certified at a prime that saw a larger
-    rank.  The systems are then lifted together by :func:`_dixon`.
+    [A_S | I], q the first prime from ``start`` (one prime per system,
+    at which the minor of S was found nonsingular) on at which A_S is
+    nonsingular.  The systems are then lifted together by :func:`_dixon`.
     """
     s, _, n = A.shape
     at = np.arange(s)[:, None]
     sub, bsub = A[at, S], rhs[at, S]
     out = [None] * s
-    todo = np.arange(s)
+    done = np.zeros(s, dtype=bool)
+    # the primes run largest first, so system i starts at start[i]
     for q in PRIMES_30BIT:
+        todo = (~done & (start >= q)).nonzero()[0]
+        if not todo.size:
+            continue
         eye = np.broadcast_to(np.eye(n, dtype=np.int64), (len(todo), n, n))
         R, piv = _eliminate(np.concatenate([sub[todo], eye], axis=2), n, q)
         ok = (piv >= 0).all(axis=1)
@@ -1031,8 +1041,8 @@ def _lift(A, rhs, S):
             for i, sol in zip(k.tolist(), _dixon(A[k], rhs[k], sub[k],
                                                  bsub[k], C, q)):
                 out[i] = sol
-        todo = todo[~ok]
-        if not todo.size:
+            done[k] = True
+        if done.all():
             return out
     raise ArithmeticError("exact solve: prime supply exhausted")
 

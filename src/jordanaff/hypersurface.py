@@ -378,17 +378,42 @@ class HypersurfaceModel:
 def _adapted_basis(model):
     """(b, db, binv, dinv): the rows of b / db are the adapted basis
     (e, V0), and binv / dinv is the inverse of the matrix with those
-    columns.  Solved once per model: :func:`reconstruct_algebra` and
-    :func:`adapted_constants` both read it."""
+    columns.  Made once per model: :func:`reconstruct_algebra` and
+    :func:`adapted_constants` both read it.
+
+    The inverse is in closed form, with no solve.  The integer traces
+    t_i = tr T_{b_i} (times one den) give tau(u) = sum t_i u_i, which
+    vanishes on V0, and tau(e), a nonzero multiple of tr I.  The V0
+    basis vector v_k (:func:`structure._trace_zero_basis`) is w_k at its
+    own index i_k and zero off i_k and the pivot p, so
+    u = alpha e + sum c_k v_k has alpha = tau(u) / tau(e) and
+    c_k = (u_{i_k} - alpha e_{i_k}) / w_k.  On the rows of b that is
+    b^T X = D I with D = de L tau(e), L = lcm w_k, X[0] = de L t and
+    X[k] = (L / w_k) (tau(e) delta_{i_k} - e_{i_k} t); (X, D) is put in
+    lowest terms with D > 0, the pair :func:`exactla.solve` returns.
+    """
     if "adapted" not in model._ints:
         j = model.algebra
+        nn = j.dim
         e, de = j._unit_int()
-        v0 = la.asint(model.v0).reshape(model.n, j.dim)
+        v0 = la.asint(model.v0).reshape(model.n, nn)
         b = np.concatenate([e[None], la.lincomb((de, v0))])
-        sol = la.solve(b.T, np.eye(j.dim, dtype=np.int64))
-        if sol is None:
-            raise ModelError("unit and trace-zero basis do not span")
-        binv, dinv = sol
+        t = j._basis_traces()[0]
+        p = next(i for i, a in enumerate(t) if a)
+        own = [i for i in range(nn) if i != p]
+        w = v0[range(model.n), own].tolist()
+        te, big = sum(a * x for a, x in zip(t, e.tolist())), math.lcm(*w)
+        sign = 1 if te > 0 else -1
+        # X times the sign of D: one coefficient per row on delta, one
+        # on t
+        s = np.array([0] + [sign * big // x for x in w], dtype=object)
+        ct = -s * np.array([0] + e[own].tolist(), dtype=object)
+        ct[0] = sign * de * big
+        delta = np.zeros((nn, nn), dtype=np.int64)
+        delta[range(1, nn), own] = 1
+        binv, dinv = la.lowest_terms(la.lincomb(
+            (s * te, delta), (ct, np.broadcast_to(la.asint(t), (nn, nn)))),
+            abs(de * big * te))
         model._ints["adapted"] = (b, de, la.lincomb((de, binv)), dinv)
     return model._ints["adapted"]
 
@@ -418,7 +443,8 @@ def reconstruct_algebra(model):
     c[1:, 1:, 0] += la.lincomb((d // dg, gv))
     return JordanAlgebra(
         kernel=(c, d), name=f"rebuilt({j.name})",
-        meta={"rebuilt_from": j.name, "l1": str(model.l1)})
+        meta={"rebuilt_from": j.name, "l1": str(model.l1)},
+        unit=(np.eye(nn, dtype=np.int64)[0], 1))
 
 
 def adapted_constants(model):

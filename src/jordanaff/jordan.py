@@ -82,10 +82,15 @@ class JordanAlgebra:
     the algebra stores only that kernel pair, in lowest terms; :attr:`c`
     is derived from it, and its entries are the shared Fraction objects
     of the API edge (:meth:`_out`).
+
+    ``unit`` is a hint of the unit, in the form of the tensor: an
+    element (as :meth:`coerce` takes it) beside ``c``, or a kernel pair
+    (x, dx) with u == x / dx beside ``kernel``.  It is checked by the
+    first :meth:`find_unity`, never here.
     """
 
     def __init__(self, c=None, name="algebra", labels=None, meta=None, *,
-                 kernel=None):
+                 kernel=None, unit=None):
         self.name = name
         self.meta = dict(meta or {})
         dim = len(c) if kernel is None else len(kernel[0])
@@ -122,6 +127,8 @@ class JordanAlgebra:
         if len(self.labels) != dim:
             raise DimensionMismatchError("one label per basis element")
         self._cache = {}
+        self._unit = (self._elem(unit) if kernel is None and unit is not None
+                      else unit)
 
     @property
     def c(self):
@@ -230,18 +237,21 @@ class JordanAlgebra:
         _, st, den = self._operands()
         return la.einsum("si,ikj->skj", x, st), den * dx
 
-    def _p_int(self, x, dx):
+    def _p_int(self, x, dx, t=None):
         """Kernel form of P_u = 2 T_u^2 - T_{u^2} for the rows u of
         x / dx; both terms carry the same den, (tensor den * dx)^2.
         u^2 is T_u u.  Only x and T_u are scanned: every later operand
         reaches the kernel as ``(array, m)`` with the bound m the kernel
-        put on it.
+        put on it.  A caller that has T_u already passes it as ``t``,
+        ``((stack, max-abs), den)``, and it is not formed again.
         """
         n = self.dim
         _, (st, ms), _ = self._operands()
         x = (x, la.max_abs(x))
-        t, dt = self._t_int(x, dx)
-        t = (t, la.max_abs(t))
+        if t is None:
+            t, dt = self._t_int(x, dx)
+            t = ((t, la.max_abs(t)), dt)
+        t, dt = t
         x2 = (la.einsum("skj,sj->sk", t, x), n * t[1] * x[1])
         tu2 = (la.einsum("si,ikj->skj", x2, (st, ms)), n * x2[1] * ms)
         tt = (la.einsum("sab,sbc->sac", t, t), n * t[1] * t[1])
@@ -332,31 +342,37 @@ class JordanAlgebra:
 
     # -- unity and inversion ---------------------------------------------
 
-    def find_unity(self, candidate=None):
+    def find_unity(self):
         """The unit element, or None when the algebra has no unit.
 
-        A ``candidate`` is tried first: it is the unit exactly
-        when T_candidate == I, one contraction, since a unit is unique.
-        Otherwise the unit is solved for from the tall system
-        T_u e = u over the basis.
+        The ``unit`` hint the algebra was built with is tried first: it
+        is the unit exactly when T_hint == I, one contraction, since a
+        unit is unique.  Without a hint, or when the hint fails that
+        test, the unit is solved for from the tall system T_u e = u over
+        the basis.
         """
         if "unity" in self._cache:
             return self._cache["unity"]
         dim = self.dim
         st, den = self._t_stack()
         eye = np.eye(dim, dtype=np.int64)
-        if candidate is not None:
-            x, dx = self._elem(candidate)
-            if np.array_equal(la.einsum("i,ikj->kj", x, self._operands()[1]),
-                              la.lincomb((den * dx, eye))):
-                self._cache["unity_int"] = (x, dx)
-                self._cache["unity"] = self._out(x, dx)
-                return self._cache["unity"]
-        sol = la.solve(st.reshape(dim, -1).T,
-                       la.lincomb((den, eye.reshape(-1))))
+        sol = self._unit
+        if sol is not None and np.array_equal(
+                la.einsum("i,ikj->kj", sol[0], self._operands()[1]),
+                la.lincomb((den * sol[1], eye))):
+            sol = la.lowest_terms(*sol)
+        else:
+            sol = la.solve(st.reshape(dim, -1).T,
+                           la.lincomb((den, eye.reshape(-1))))
         self._cache["unity_int"] = sol
         self._cache["unity"] = None if sol is None else self._out(*sol)
         return self._cache["unity"]
+
+    def _known_unit(self):
+        """Kernel form of the unit if :meth:`find_unity` has run (None
+        if there is none), else the unchecked hint: what the builder of
+        a larger algebra hands down without solving."""
+        return self._cache.get("unity_int", self._unit)
 
     def unity(self):
         e = self.find_unity()
@@ -600,8 +616,10 @@ class JordanAlgebra:
     def check_inverse_identities(self, n_samples=20, seed=0) -> CheckResult:
         """Inverse laws through the quadratic operator.
 
-        For invertible v with w = v^{-1}: P_v w = v, P_w = P_v^{-1},
-        and T_w = T_v P_v^{-1} = P_v^{-1} T_v.  Singular draws are
+        For invertible v with w = v^{-1}: P_w = P_v^{-1} and
+        T_w = T_v P_v^{-1} = P_v^{-1} T_v.  P_v w = v holds by
+        construction, since w is the exact solution of it that
+        :func:`exactla.solve` certified.  Singular draws are
         skipped (they have no inverse by definition).  Up to
         4 * ``n_samples`` elements are drawn, in chunks of the count
         still missing, so the draws are those of one element at a time.
@@ -630,16 +648,14 @@ class JordanAlgebra:
         y = np.array([w for w, _ in ws])
         dw = np.array([d for _, d in ws], dtype=object)
         n = self.dim
-        py, dpy = self._p_int(y, dw)
         ty, dty = self._t_int(y, dw)
+        ty = (ty, la.max_abs(ty))
+        py, dpy = self._p_int(y, dw, (ty, dty))
         tv, dtv = self._t_int(x, 1)
-        pv, py, ty = ((a, la.max_abs(a)) for a in (pv, py, ty))
+        pv, py = ((a, la.max_abs(a)) for a in (pv, py))
         eye = np.broadcast_to(np.eye(n, dtype=np.int64), py[0].shape)
         m = n * ty[1] * pv[1]
         worst = max(
-            # P_v w = v
-            self._worst((1, la.einsum("sab,sb->sa", pv, y), dpv * dw),
-                        (-1, x, 1)),
             # P_w P_v = I
             self._worst((1, (la.einsum("sab,sbc->sac", py, pv),
                              n * py[1] * pv[1]), dpy * dpv),
@@ -982,7 +998,9 @@ def _row_max(op):
 
 
 def direct_sum(algebras, name=None):
-    """Block direct sum; factors multiply independently and cross terms vanish."""
+    """Block direct sum; factors multiply independently and cross terms
+    vanish.  The factors' known units (:meth:`JordanAlgebra._known_unit`)
+    side by side are the unit hint, when every factor has one."""
     if not algebras:
         raise ValueError("direct sum needs at least one factor")
     dims = [j.dim for j in algebras]
@@ -999,9 +1017,15 @@ def direct_sum(algebras, name=None):
     labels = []
     for t, j in enumerate(algebras):
         labels += [f"f{t}.{lab}" for lab in j.labels]
+    units, unit = [j._known_unit() for j in algebras], None
+    if all(units):
+        du = math.lcm(*(d for _, d in units))
+        unit = la.asint(np.concatenate(
+            [la.lincomb((du // d, x)) for x, d in units])), du
     return JordanAlgebra(
         kernel=(c, den),
         name=name or "(+) ".join(j.name for j in algebras),
         labels=labels,
         meta={"factors": [j.name for j in algebras],
-              "factor_dims": dims})
+              "factor_dims": dims},
+        unit=unit)

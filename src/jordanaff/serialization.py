@@ -15,13 +15,16 @@ so the snapped entries must also share a common denominator (the lcm of
 theirs) of at most ``SNAP_DENOMINATOR``, and either fault raises
 SerializationError naming the denominator bound and the largest snap
 distance.  From there both modes load alike.  Loading hands the raw
-tensor to :class:`JordanAlgebra`, the one parser of entries, which
-checks its cubic shape and parses each distinct entry once; the stored
-unit goes through :meth:`JordanAlgebra.coerce`, which checks its length.
-The loader then checks, exactly, the symmetry of the structure constants
-and that the stored unit is the algebra's unit before handing the
-algebra back.  Saving writes "c" from :attr:`JordanAlgebra.c`, whose
-entries are the shared Fraction objects of the API edge.
+tensor and the stored unit to :class:`JordanAlgebra`, the one parser of
+entries, which checks the tensor's cubic shape, parses each distinct
+entry once, and parses the stored unit (checking its length) as the
+algebra's unit hint.  The loader then checks, exactly, the symmetry of
+the structure constants and that the stored unit is the algebra's unit:
+:meth:`JordanAlgebra.find_unity` tests the hint, T_e == I, and solves
+for the unit only when that test fails, so a wrong unit raises as
+before.  Loading then hands the algebra back.  Saving writes "c" from
+:attr:`JordanAlgebra.c`, whose entries are the shared Fraction objects
+of the API edge.
 """
 
 from __future__ import annotations
@@ -136,8 +139,7 @@ def from_jsonable(data):
         j = JordanAlgebra(c, name=data.get("name", "loaded"),
                           labels=tuple(data["labels"])
                           if data.get("labels") else None,
-                          meta=meta if meta else None)
-        stored = j.coerce(unity)
+                          meta=meta if meta else None, unit=unity)
     except DimensionMismatchError as err:
         raise SerializationError(str(err)) from None
     except (ValueError, TypeError, ArithmeticError) as err:
@@ -154,7 +156,7 @@ def from_jsonable(data):
             f"structure constants not symmetric at ({i}, {k})")
     # the stored unit is checked, not solved for; a wrong one leaves the
     # solve to tell a unit elsewhere (SerializationError below) from none
-    unital = j.find_unity(stored) is not None
+    unital = j.find_unity() is not None
     if snaps:
         # each entry snapped alone, within TOL.rel: a table whose exact
         # entries need larger denominators can snap to one without a
@@ -168,7 +170,9 @@ def from_jsonable(data):
                 f"most {SNAP_DENOMINATOR} (largest snap distance "
                 f"{float(max(d for _, d in snaps.values())):.3g}) {fault}; "
                 "its exact entries may need larger denominators")
-    if stored != j.unity():
+    # both kernel pairs are in lowest terms; NotUnitalError without a unit
+    (x, dx), (e, de) = j._unit, j._unit_int()
+    if dx != de or not np.array_equal(x, e):
         raise SerializationError("stored unit element does not act "
                                  "as the identity")
     if snaps:

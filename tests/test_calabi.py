@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from jordanaff import exactla as la
 from jordanaff.calabi import (
     check_composition,
     compose,
@@ -37,6 +38,19 @@ def test_compose_matches_direct_sum(get_algebra):
     direct = build_model(direct_sum(algs), l1=F(-1))
     assert comp.model.c_squared == direct.c_squared
     assert comp.model.algebra.c == direct.algebra.c
+
+
+def test_compose_solves_no_unit(get_algebra, monkeypatch):
+    """The factor models know their units, so the composed model's
+    direct sum takes them as its unit hint: compose solves nothing."""
+    models = [build_model(get_algebra(n, **p), F(-1)) for n, p in
+              [("quadratic", {"signs": (1, 1)}), ("full_real", {"m": 2})]]
+    solves = []
+    monkeypatch.setattr(la, "solve", lambda *args: solves.append(args))
+    comp = compose(models, l1=F(-1))
+    assert solves == []
+    assert comp.model.algebra.unity() == tuple(
+        x for m in models for x in m.algebra.unity())
 
 
 def test_triple_composition_report(get_algebra):

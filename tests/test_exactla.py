@@ -9,6 +9,7 @@ matrices and against the Fraction elimination it replaced.
 
 import ast
 import inspect
+import itertools
 import math
 import random
 import re
@@ -980,6 +981,39 @@ def test_solve_sees_rows_hidden_from_the_prime():
     assert ns.tolist() == [[0, 1]]
 
 
+def _is_prime(n):
+    """Miller-Rabin on the first twelve prime bases, deterministic far
+    past 2**30."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in bases:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def test_prime_table_is_the_largest_primes_below_2_30():
+    """The literal PRIMES_30BIT is the 150 largest primes below 2**30,
+    largest first, as a sieve of the odd numbers regenerates it."""
+    odd = range(2 ** 30 - 1, 0, -2)
+    assert la.PRIMES_30BIT == tuple(
+        itertools.islice(filter(_is_prime, odd), 150))
+    assert [_is_prime(n) for n in (1, 2, 9, 37, 41, 2 ** 31 - 1, 561)] \
+        == [False, True, False, True, True, True, False]
+
+
 def test_solve_draws_more_primes(monkeypatch):
     """An entry above sqrt(p / 2) cannot be rebuilt from the first prime
     p: the square [A | B | I] is eliminated once modulo p, and the
@@ -1011,13 +1045,14 @@ def test_solve_draws_more_primes(monkeypatch):
     assert moduli == [p, p ** 2, p ** 3]
     # p divides det A: [A | B | I] modulo p, the span witness of the
     # pivot row modulo p (a square [A | B | I] of its own; it fails),
-    # the pivots modulo q (rank 2, certified), then [A_S | I] modulo p
-    # (singular) and modulo q for the lifting
+    # the pivots modulo q (rank 2, certified), then [A_S | I] modulo q,
+    # the prime that certified the rank, for the lifting (not modulo p
+    # again, where A_S is known to be singular)
     eliminated.clear()
     x, d = la.solve([[p, 0], [0, 1]], [1, 1])
     assert x.tolist() == [1, p] and d == p
     assert eliminated == [(p, (1, 2, 5)), (p, (1, 1, 4)), (q, (1, 2, 2)),
-                          (p, (1, 2, 4)), (q, (1, 2, 4))]
+                          (q, (1, 2, 4))]
     eliminated.clear()
     # modulo p the pivot is column 1, over Q it is column 0
     ns, d = la.null_space([[p, 1]])

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from jordanaff import catalog, hypersurface as hs
+from jordanaff import catalog, exactla as la, hypersurface as hs
 from jordanaff.hypersurface import (
     ModelError,
     adapted_constants,
@@ -193,6 +193,37 @@ def test_reconstruction_roundtrip(get_model, get_algebra):
         rebuilt = reconstruct_algebra(m)
         assert rebuilt.c == adapted_constants(m), name
         assert m.check_reconstruction().passed
+
+
+def test_adapted_basis_inverse_in_closed_form(get_model, get_algebra,
+                                              desk_instances, monkeypatch):
+    """The closed-form inverse of the (e, V0) basis is, scaled by de,
+    exactly the lowest-terms (X, d) of la.solve(b^T, I), with no solve:
+    on every desk instance of dim <= 27, on two isotopes and on a direct
+    sum.  skew_hamiltonian(m=2) and skew_complex(m=2) have a negative
+    pivot trace t_p, so the sign of d is exercised too."""
+    models = [get_model(n, **p) for n, p in desk_instances
+              if catalog.CATALOG[n].expected_dim(p) <= 27]
+    iso = get_algebra("hermitian_quaternion", m=3, gammas=(1, 1, -1))
+    for j in (iso.isotope(tuple(x + F(d, 5) for x, d in
+                                zip(iso.unity(), [1, 0, -1] * 5))),
+              get_algebra("full_real", m=2).isotope((F(2), 0, 0, F(3))),
+              direct_sum([get_algebra("reals"),
+                          get_algebra("quadratic", signs=(1, -1, 1))])):
+        models.append(build_model(j, F(-1)))
+    negative = set()
+    for model in models:
+        j = model.algebra
+        tr = j._basis_traces()[0]
+        if next(t for t in tr if t) < 0:
+            negative.add(j.name)
+        with monkeypatch.context() as m:
+            m.setattr(la, "solve", None)
+            b, db, binv, dinv = hs._adapted_basis(model)
+        x, d = la.solve(b.T, np.eye(j.dim, dtype=np.int64))
+        assert binv.tolist() == la.lincomb((db, x)).tolist(), j.name
+        assert dinv == d, j.name
+    assert {"skew_hamiltonian(m=2)", "skew_complex(m=2)"} <= negative
 
 
 def test_model_rejects_bad_inputs(get_algebra):

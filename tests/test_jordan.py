@@ -91,6 +91,68 @@ def test_not_unital():
         j.unity()
 
 
+def _count_solves(monkeypatch):
+    solves, solve = [], la.solve
+
+    def counted(*args):
+        solves.append(args[0].shape)
+        return solve(*args)
+    monkeypatch.setattr(la, "solve", counted)
+    return solves
+
+
+def test_catalog_unit_hints_need_no_solve(desk_instances, monkeypatch):
+    """Every desk family hands its unit to the algebra it builds (G^{-1}
+    of its twist, b_0, or the base unit padded with zeros), and the
+    first find_unity accepts it with its T_e == I test alone; the unit
+    is the one the tall solve finds without the hint."""
+    solves = _count_solves(monkeypatch)
+    built = [catalog.build(n, **p) for n, p in desk_instances]
+    units = [j.find_unity() for j in built]
+    assert solves == []
+    monkeypatch.undo()
+    for j, e in zip(built, units):
+        assert JordanAlgebra(kernel=j._int_tensor()).find_unity() == e, \
+            j.name
+
+
+def test_wrong_unit_hint_is_not_trusted(get_algebra):
+    """A hint that fails T_e == I leaves the unit to the solve: a wrong
+    hint still gives the true unit, in either form of the hint, and a
+    hint on an algebra without a unit gives None."""
+    j = get_algebra("full_real", m=2)
+    for wrong in (JordanAlgebra(j.c, unit=["1", 0, 0, "1/2"]),
+                  JordanAlgebra(kernel=j._int_tensor(),
+                                unit=(np.array([1, 0, 0, 0]), 1))):
+        assert wrong.find_unity() == j.unity()
+        assert wrong._unit_int()[1] == 1
+    assert JordanAlgebra([[[0]]], unit=[1]).find_unity() is None
+    # the hint is checked on first use, not when the algebra is built
+    hinted = JordanAlgebra([[[0]]], unit=[1])
+    assert "unity" not in hinted._cache
+
+
+def test_direct_sum_hands_down_its_factors_units(get_algebra,
+                                                 monkeypatch):
+    """The units of unital factors, side by side, are the direct sum's
+    unit without a solve, over one denominator in lowest terms; a
+    factor without a unit leaves the sum to the solve, which finds
+    none."""
+    iso = get_algebra("full_real", m=2).isotope((F(2), 0, 0, F(3)))
+    factors = [get_algebra("reals"), catalog.build("quadratic",
+                                                   signs=(1, -1, 1)), iso]
+    iso.unity()  # a known unit, as much as a hint
+    solves = _count_solves(monkeypatch)
+    total = direct_sum(factors)
+    e = total.find_unity()
+    assert solves == []
+    assert e == tuple(x for f in factors for x in f.unity())
+    assert total._unit_int()[1] == 6
+    nil = JordanAlgebra([[[0]]], name="nil")
+    assert direct_sum([get_algebra("reals"), nil]).find_unity() is None
+    assert solves
+
+
 def test_dimension_mismatch(get_algebra):
     j = get_algebra("reals")
     with pytest.raises(DimensionMismatchError):
