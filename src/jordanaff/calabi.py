@@ -171,13 +171,13 @@ def check_composition(comp, n_samples=6, seed=0):
 
     # sampled composed points sit on the composed level set
     log_target = comp.model.log_level_value()
+    pts = [m.sample_points(count=n_samples, seed=seed + i, steps=2)
+           for i, m in enumerate(comp.factors)]
     xs = np.empty((n_samples, big.dim))
     for s in range(n_samples):
-        pts = [m.sample_points(count=1, seed=seed + 7 * s + i, steps=2)[0]
-               for i, m in enumerate(comp.factors)]
         t = project_exponents(
             comp.weights, [rng.uniform(-0.5, 0.5) for _ in comp.factors])
-        xs[s] = compose_point(comp, pts, t)
+        xs[s] = compose_point(comp, [p[s] for p in pts], t)
     _, px = _float_operators(big, xs)
     sign, logabs = np.linalg.slogdet(px)
     sign_ok = bool(np.all(sign > 0))

@@ -71,7 +71,8 @@ def _parse_factor(text):
 
 def _print_report(report, as_json):
     if as_json:
-        print(json.dumps(report.to_jsonable(), indent=2, sort_keys=True))
+        print(json.dumps(report.to_jsonable(include_details=True), indent=2,
+                         sort_keys=True))
         return
     print(f"target: {report.target}")
     for c in report.checks:
@@ -134,7 +135,8 @@ def _cmd_verify(args):
             j = catalog.build(name, **params)
             reports.append(_verify_one(j, args, t1))
         if args.json:
-            print(json.dumps([r.to_jsonable() for r in reports],
+            print(json.dumps([r.to_jsonable(include_details=True)
+                              for r in reports],
                              indent=2, sort_keys=True))
         else:
             for report in reports:

@@ -688,42 +688,54 @@ class JordanAlgebra:
     # -- center and decomposition -------------------------------------------
 
     def center(self, seed=0):
-        """Exact basis of {v : [T_v, T_u] = 0 for all u}.
+        """Exact basis of Z = {v : [T_v, T_u] = 0 for all u}.
 
-        The kernel form (K, d), with the basis the rows of K / d, is
-        cached as well for :meth:`decompose`.
+        ``seed`` draws two pairs (z, x); B(z, x) is v -> [T_v, T_z] x,
+        that is R_{z o x} - T_z R_x with R_w v = v o w read off the
+        tensor, so a non-commutative one is served too.  The kernel K
+        of both B stacked contains Z by construction, and one stacked
+        bracket of every T_v, v in K, with every T_{b_j} shows K in Z,
+        or else K is cut to the kernel of that bracket map.  The basis
+        is the reduced one (:func:`exactla.null_space`), which depends
+        only on Z; its kernel form (K, d, F), the basis the rows of
+        K / d and F their free columns, is cached for :meth:`decompose`.
         """
         if "center" in self._cache:
             return self._cache["center"]
-        _, (st, ms), _ = self._operands()
-        (tz,), _ = self._t_int(
-            self._int_elements(random.Random(seed), 1, 7), 1)
-        # column i of the system is vec([T_{b_i}, T_z])
-        cands, dc = la.null_space(
-            la.bracket((st, ms), tz).reshape(self.dim, -1).T)
-        for j in range(self.dim):
-            if not len(cands):
-                break
-            tw = la.einsum("wi,ikj->wkj", cands, (st, ms))
-            small = la.bracket(tw, (st[j], ms)).reshape(len(cands), -1)
-            if not small.any():
-                continue
-            combos, dm = la.null_space(small.T)
+        (c, mc), (st, ms), _ = self._operands()
+        z, x = np.split(self._int_elements(random.Random(seed), 4, 7), 2)
+        zx, _ = self._prod_int(z, 1, x, 1)
+        tz, _ = self._t_int(z, 1)
+        rx, rzx = (la.einsum("ijk,sj->ski", (c, mc), w) for w in (x, zx))
+        # both terms of B carry the tensor den squared
+        cands, dc = la.null_space(la.lincomb(
+            (1, rzx), (-1, la.einsum("sab,sbc->sac", tz, rx))
+        ).reshape(-1, self.dim))
+        # [T_v, T_{b_j}] for v a row of cands, one column per row
+        small = la.bracket(la.einsum("wi,ikj->wkj", cands, (st, ms))[:, None],
+                           (st, ms)).reshape(len(cands), -1).T
+        nonzero = small.any(axis=1)
+        if nonzero.any():
+            combos, dm = la.null_space(small[nonzero])
             cands, dc = la.lowest_terms(la.einsum("ab,bi->ai", combos, cands),
                                         dc * dm)
-        self._cache["center_int"] = (cands, dc)
+        # a reduced basis vector ends at its own free column
+        free = self.dim - 1 - np.argmax(cands[:, ::-1] != 0, axis=1)
+        self._cache["center_int"] = (cands, dc, free)
         self._cache["center"] = list(self._out(cands, dc))
         return self._cache["center"]
 
     def _center_coords(self, vecs, dv):
         """Kernel form (Y, d) of the center coordinates of the rows of
-        vecs / dv, one column per row; None when one is not central."""
-        zk, dc = self._cache["center_int"]
-        sol = la.solve(zk.T, vecs.T)
-        if sol is None:
+        vecs / dv, one column per row; None when one is not central.
+        K / d is the identity on its free columns F, so the coordinates
+        of a central u are u[F], and y K == d u certifies them."""
+        zk, dc, free = self._cache["center_int"]
+        y = vecs[:, free]
+        if not np.array_equal(la.einsum("ab,bi->ai", y, zk),
+                              la.lincomb((dc, vecs))):
             return None
-        y, d = sol
-        return la.lowest_terms(la.lincomb((dc, y)), d * dv)
+        return la.lowest_terms(y.T, dv)
 
     def decompose(self, seed=0, max_attempts=8):
         """Split a semisimple algebra into simple ideals.
@@ -747,7 +759,7 @@ class JordanAlgebra:
                 "decomposition into simple ideals needs semisimplicity")
         e, de = self._unit_int()
         m = len(self.center(seed=seed))
-        zk, dc = self._cache["center_int"]
+        zk, dc, _ = self._cache["center_int"]
         ambient = list(self._out(np.eye(self.dim, dtype=np.int64), 1))
         if m == 1:
             return [(self, ambient)]  # the only central idempotent is e
@@ -792,7 +804,7 @@ class JordanAlgebra:
             return [(self, list(self._out(np.eye(self.dim, dtype=np.int64),
                                           1)))]
         c, _, den = self._operands()
-        zk, dc = self._cache["center_int"]
+        zk, dc, _ = self._cache["center_int"]
         # T_z restricted to the center, in center coordinates: a / da
         a, da = self._center_coords(la.einsum("i,wj,ijk->wk", z[0], zk, c),
                                     den * z[1] * dc)

@@ -58,6 +58,13 @@ def test_verify_json_output(capsys):
     doc = json.loads(out)
     assert doc["overall_pass"] is True
     assert doc["checks"]["kp_in_p"]["pass"] is True
+    # each check carries its details, such as the ideal dims
+    code, out, _ = run(capsys, ["verify", "decompose", "--family",
+                                "complex_quadratic", "--params", '{"m": 3}',
+                                "--json"])
+    assert code == 0
+    details = json.loads(out)["checks"]["ideal_decomposition"]["details"]
+    assert details == {"ideal_dims": [6]}
 
 
 def test_verify_detformula_and_gauss(capsys):

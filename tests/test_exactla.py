@@ -413,6 +413,7 @@ KERNEL_SPECS = (
     # one operand against a tensor, stacked
     "si,ikj->skj", "si,ikl->skl", "sj,kjl->skl", "ab,sbc->sac",
     "ab,kbc->kac", "smk,m->sk", "snk,n->sk", "kab,b->ka", "pab,b->pa",
+    "ijk,sj->ski",
     "ab,ib->ia", "aij,bj->abi", "bkm,lm->bkl", "ikj,j->ik",
     "iab,jb,a->ij", "ijk,j,bk->ib", "ika,ja->ijk", "ka,ija->ijk",
     "ab,k->abk",

@@ -360,6 +360,94 @@ def test_center_dimension(get_algebra, big_isotopes):
         assert len(j.decompose(seed=0)) == 1, label
 
 
+def matrix_algebra():
+    """M_2(R) under the associative product E_ab E_cd = delta_bc E_ad:
+    not commutative, so its right multiplications are not its T
+    operators; its trace form 2 tr(uv) is nondegenerate and its center
+    is the scalars."""
+    idx = [(0, 0), (0, 1), (1, 0), (1, 1)]
+    c = [[[int(b == b2 and (a, d) == k) for k in idx] for b2, d in idx]
+         for a, b in idx]
+    return JordanAlgebra(c, name="M_2(R)")
+
+
+def _center_by_definition(j):
+    """The center as the kernel of v -> ([T_v, T_{b_j}])_j."""
+    _, (st, _), _ = j._operands()
+    k, d = la.null_space(la.bracket(st[:, None], st).reshape(j.dim, -1).T)
+    return list(j._out(k, d))
+
+
+def _center_cases(get_algebra, big_isotopes):
+    for name, params in catalog.desk_catalog():
+        j = get_algebra(name, **params)
+        if j.dim <= 21:
+            yield j.name, j
+    yield from big_isotopes.items()
+    for pieces in ((("full_real", {"m": 2}),
+                    ("quadratic", {"signs": (1, -1, 1)}), ("reals", {})),
+                   (("complex_field", {}), ("full_real", {"m": 2})),
+                   (("quadratic", {"signs": (1, 1)}),) * 2):
+        s = direct_sum([get_algebra(n, **p) for n, p in pieces])
+        yield s.name, s
+    yield "M_2(R) (+) R", direct_sum([matrix_algebra(),
+                                      catalog.build("reals")])
+
+
+def _count_null_spaces(monkeypatch):
+    calls = []
+    null_space = la.null_space
+    monkeypatch.setattr(la, "null_space",
+                        lambda a: calls.append(a.shape) or null_space(a))
+    return calls
+
+
+def test_center_matches_definition(get_algebra, big_isotopes, monkeypatch):
+    """center() is the kernel of the whole bracket map, and the center
+    coordinates of its own basis are the unit vectors, while a
+    non-central vector has none.  On M_2(R) (+) R the two (z, x) pairs
+    alone cut out the center, with no second null space: that needs
+    v o (z o x) - z o (v o x) with the right multiplications, since
+    T_{z o x} - T_z T_x vanishes on an associative algebra."""
+    calls = _count_null_spaces(monkeypatch)
+    for label, j in _center_cases(get_algebra, big_isotopes):
+        del calls[:]
+        got, count = j.center(), len(calls)
+        assert got == _center_by_definition(j), label
+        zk, dc, free = j._cache["center_int"]
+        y, dy = j._center_coords(zk, dc)
+        assert dy == 1 and np.array_equal(y, np.eye(len(zk))), label
+        outside = [i for i in range(j.dim) if i not in free]
+        if outside:
+            vec = np.zeros((1, j.dim), dtype=np.int64)
+            vec[0, outside[0]] = 1
+            assert j._center_coords(vec, 1) is None, label
+    # the last case, M_2(R) (+) R: one null space for its center
+    assert j.is_semisimple()[0] and len(got) == 2 and count == 1
+
+
+@pytest.mark.parametrize("pieces", [
+    (("full_real", {"m": 3}),), (("complex_quadratic", {"m": 3}),),
+    (("full_real", {"m": 2}), ("quadratic", {"signs": (1, -1, 1)}),
+     ("reals", {}))])
+def test_center_restricts_a_kernel_past_the_center(pieces, monkeypatch):
+    """Drawn as z = x = e, the pairs give B = 0 and a kernel of the
+    whole space; the stacked bracket then cuts it to the exact center,
+    and decompose splits as it does from drawn pairs."""
+    def build():
+        return direct_sum([catalog.build(n, **p) for n, p in pieces])
+    j = build()
+    e, _ = j._unit_int()
+    expected = _center_by_definition(j)
+    monkeypatch.setattr(j, "_int_elements",
+                        lambda rng, count, bound: np.tile(e, (count, 1)))
+    calls = _count_null_spaces(monkeypatch)
+    assert j.center() == expected
+    assert calls[0] == (2 * j.dim, j.dim) and len(calls) == 2
+    assert ([basis for _, basis in j.decompose(seed=0)]
+            == [basis for _, basis in build().decompose(seed=0)])
+
+
 def test_decompose_rejects_real_quadratic_center():
     """b0 is the unit and b1 o b1 = 2 b0: R[x]/(x^2 - 2), which is
     R (+) R over R although x^2 - 2 is irreducible over Q, so its ideals
