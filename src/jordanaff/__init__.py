@@ -23,7 +23,6 @@ from .catalog import (
     desk_catalog,
     family_names,
     generic_norm,
-    matrix_form,
     verify_det_formula,
 )
 from .structure import PairError, SymmetricPair, check_pair, restricted_pair
@@ -77,7 +76,6 @@ __all__ = [
     "direct_sum",
     "family_names",
     "generic_norm",
-    "matrix_form",
     "project_exponents",
     "adapted_constants",
     "reconstruct_algebra",

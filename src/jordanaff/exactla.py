@@ -852,6 +852,15 @@ def int_rank(M) -> int:
     return len(rows)
 
 
+def rank_bounds(M):
+    """Ranks modulo the first prime of a stack M (s, m, w) of integer
+    matrices, one batched elimination of their transposes: lower bounds
+    of the ranks over Q, equal to them unless the prime divides every
+    maximal nonzero minor.  :func:`int_rank` certifies one."""
+    _, piv = _eliminate(M.transpose(0, 2, 1), M.shape[1], PRIMES_30BIT[0])
+    return (piv >= 0).sum(axis=1)
+
+
 def independent_rows(M):
     """A certified maximal independent row subset of the integer matrix
     M, with the witness that it spans every row.

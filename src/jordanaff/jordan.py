@@ -671,9 +671,16 @@ class JordanAlgebra:
     # -- isotopes -----------------------------------------------------------
 
     def isotope(self, gamma):
-        """Mutation u o_G v = u o (v o G) + v o (u o G) - (u o v) o G."""
+        """Mutation u o_G v = u o (v o G) + v o (u o G) - (u o v) o G.
+        Its unit is the Jordan inverse G^{-1}, one square solve, handed
+        down as the unit hint; there is none when P_G is singular or the
+        algebra has no unit."""
         c, st, den = self._operands()
         garr, dg = self._elem(gamma)
+        unit = None
+        if self.find_unity() is not None:
+            p, dp = self._p_int(garr[None], dg)
+            (unit,) = self._invert_int(garr[None], dg, p, dp)
         w = la.einsum("ikj,j->ik", st, garr)
         tg = la.einsum("i,ikj->kj", garr, st)
         term1 = la.einsum("ika,ja->ijk", st, w)
@@ -683,7 +690,8 @@ class JordanAlgebra:
         return JordanAlgebra(kernel=(new_c, den * den * dg),
                              name=f"{self.name}^gamma",
                              labels=self.labels,
-                             meta={**self.meta, "isotope_of": self.name})
+                             meta={**self.meta, "isotope_of": self.name},
+                             unit=unit)
 
     # -- center and decomposition -------------------------------------------
 

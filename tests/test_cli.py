@@ -277,37 +277,43 @@ def test_one_shot_verify_imports_neither_scipy_nor_sympy(target):
 
 
 def test_detformula_needs_a_catalog_family(capsys, tmp_path):
-    """The closed-form norm comes from the catalog family the meta names:
-    a file without one, or with an unknown one, makes verify detformula
-    exit 2 with a message, while verify jordan still certifies it."""
+    """It does not: the norm comes from the tensor, so a file without
+    catalog meta, or with an unknown family in it, passes verify
+    detformula with the degree of its algebra."""
     doc = json.loads(ser.dumps(catalog.build("full_real", m=2)))
     path = tmp_path / "alg.json"
-    for meta, words in ((None, "names no catalog family"),
-                        ({"family": "nope"}, "the unknown family 'nope'")):
+    for meta in (None, {"family": "nope"}):
         doc["meta"] = meta
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, ["verify", "detformula", "--file",
-                                    str(path)])
-        assert code == 2 and err.startswith("error: ") and words in err
-        code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
-        assert code == 0
+        code, out, _ = run(capsys, ["verify", "detformula", "--file",
+                                    str(path), "--json"])
+        assert code == 0, meta
+        details = json.loads(out)["checks"]["det_closed_form"]["details"]
+        assert (details["degree"], details["exponent"]) == (2, 4)
 
 
 def test_detformula_refuses_an_isotope(capsys, tmp_path):
-    """An isotope's meta keeps its base's family, whose closed-form norm
-    is not the isotope's: verify_det_formula raises BadParameterError
-    instead of a FAIL of a valid Jordan algebra, and verify detformula
-    on its file exits 2 with a message, while verify jordan certifies
-    it."""
+    """It no longer refuses one: an isotope's meta keeps its base's
+    family, which the norm does not read, so verify_det_formula passes
+    the isotope in process and verify detformula exits 0 on its file."""
     iso = catalog.build("full_real", m=2).isotope((2, 0, 0, 3))
     assert iso.check_jordan().passed
-    with pytest.raises(catalog.BadParameterError, match="isotope of"):
-        catalog.verify_det_formula(iso)
+    res = catalog.verify_det_formula(iso)
+    assert res.passed and res.max_residual == 0
     path = tmp_path / "iso.json"
     path.write_text(ser.dumps(iso))
-    code, _, err = run(capsys, ["verify", "detformula", "--file",
+    code, out, _ = run(capsys, ["verify", "detformula", "--file",
                                 str(path)])
-    assert code == 2 and err.startswith("error: ")
-    assert "isotope of full_real(m=2)" in err
-    code, _, _ = run(capsys, ["verify", "jordan", "--file", str(path)])
+    assert code == 0 and "PASS" in out
+
+
+def test_detformula_degree_needs_no_samples(capsys):
+    """verify detformula --samples 0 checks the unit alone and still
+    reports the degree, whose draws do not depend on the sample count."""
+    code, out, _ = run(capsys, ["verify", "detformula", "--family",
+                                "full_real", "--params", '{"m": 3}',
+                                "--samples", "0", "--json"])
     assert code == 0
+    check = json.loads(out)["checks"]["det_closed_form"]
+    assert check["samples"] == 1
+    assert check["details"]["degree"] == 3

@@ -153,6 +153,23 @@ def test_direct_sum_hands_down_its_factors_units(get_algebra,
     assert solves
 
 
+def test_isotope_hands_down_the_inverse_of_gamma(get_algebra, monkeypatch):
+    """The unit of J^(g) is g^{-1}: the dim-15 isotope of
+    hermitian_quaternion(m=3) gets it from one square solve, runs no
+    tall solve for its unit, and has the unit the tall solve finds;
+    a singular g hands down no hint."""
+    j = get_algebra("hermitian_quaternion", m=3, gammas=(1, 1, -1))
+    g = tuple(x + F(d, 5) for x, d in zip(j.unity(), [1, 0, -1] * 5))
+    solves = _count_solves(monkeypatch)
+    iso = j.isotope(g)
+    e = iso.unity()
+    assert solves and all(a[-2] == a[-1] for a in solves), solves
+    monkeypatch.undo()
+    assert JordanAlgebra(kernel=iso._int_tensor()).unity() == e
+    assert iso._unit is not None
+    assert j.isotope(j.basis_element(1))._unit is None
+
+
 def test_dimension_mismatch(get_algebra):
     j = get_algebra("reals")
     with pytest.raises(DimensionMismatchError):
