@@ -34,7 +34,7 @@ import numpy as np
 
 from . import exactla as la
 from .config import TOL
-from .hypersurface import (HypersurfaceModel, ModelError, _float_operators,
+from .hypersurface import (HypersurfaceModel, ModelError, _level_deviation,
                            build_model)
 from .jordan import direct_sum
 from .reports import CheckResult, VerificationReport
@@ -178,10 +178,7 @@ def check_composition(comp, n_samples=6, seed=0):
         t = project_exponents(
             comp.weights, [rng.uniform(-0.5, 0.5) for _ in comp.factors])
         xs[s] = compose_point(comp, [p[s] for p in pts], t)
-    _, px = _float_operators(big, xs)
-    sign, logabs = np.linalg.slogdet(px)
-    sign_ok = bool(np.all(sign > 0))
-    worst_l = float(np.max(np.abs(logabs - log_target), initial=0.0))
+    sign_ok, worst_l = _level_deviation(big, xs, log_target)
     report.add(CheckResult(
         name="composed_level_samples",
         passed=sign_ok and worst_l <= TOL.level,

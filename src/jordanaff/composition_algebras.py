@@ -17,10 +17,10 @@ induced quaternion table in the division case is i*j = k, j*k = i,
 k*i = j for (i, j, k) = (e1, e2, e3), and the octonion table extends it
 with e1*e4 = e5, e2*e4 = e6, e3*e4 = e7.
 
-An element is an integer array (sig.dim, k) of its coefficients, real
-(k = 1) or complex (k = 2, as (re, im)).  The functions below take
-stacks of them, and :func:`cd_mul` multiplies two stacks in one exact
-contraction of the integer kernel, :func:`exactla.einsum`.
+An element is an integer array (sig.dim,) of its real coefficients.  The
+functions below take stacks of them, and :func:`cd_mul` multiplies two
+stacks in one exact contraction of the integer kernel,
+:func:`exactla.einsum`.
 """
 
 from __future__ import annotations
@@ -117,7 +117,9 @@ def unit_table(sig: CDSignature):
 
 @lru_cache(maxsize=None)
 def mul_table_tensor(sig: CDSignature) -> np.ndarray:
-    """Dense (dim, dim, dim) int8 tensor M with (a*b)_k = sum M[i,j,k] a_i b_j."""
+    """Dense (dim, dim, dim) int8 tensor M with (a*b)_k = sum M[i,j,k] a_i b_j.
+
+    The array is cached and shared by every caller, so it is read-only."""
     d = sig.dim
     tab = unit_table(sig)
     M = np.zeros((d, d, d), dtype=np.int8)
@@ -125,50 +127,36 @@ def mul_table_tensor(sig: CDSignature) -> np.ndarray:
         for j in range(d):
             k, s = tab[i][j]
             M[i, j, k] = s
+    M.flags.writeable = False
     return M
 
 
 def _check_len(sig, a):
-    if a.shape[-2] != sig.dim:
+    if a.shape[-1] != sig.dim:
         raise SignatureMismatchError(
-            f"coefficient vector of length {a.shape[-2]} does not match "
+            f"coefficient vector of length {a.shape[-1]} does not match "
             f"{sig.name} (dimension {sig.dim})")
 
 
-@lru_cache(maxsize=None)
-def _entry_table(sig: CDSignature, k):
-    """int8 table of the product of entries with real (k = 1) or complex
-    (k = 2) coefficients: sig's table tensored with that of R or C,
-    flattened to (sig.dim * k,) * 3."""
-    scalars = mul_table_tensor(COMPLEXES if k == 2 else REALS)
-    n = sig.dim * k
-    table = np.einsum("ijk,abc->iajbkc", mul_table_tensor(sig),
-                      scalars).reshape(n, n, n)
-    table.flags.writeable = False
-    return table
-
-
 def cd_mul(sig: CDSignature, a, b):
-    """Products of stacked entries: a and b are integer arrays of shape
-    (..., sig.dim, k), broadcast against each other, whose last axis holds
-    a real (k = 1) or complex (k = 2, (re, im)) coefficient.  One exact
-    :func:`exactla.einsum` against the cached entry table."""
+    """Products of stacked elements: a and b are integer arrays of shape
+    (..., sig.dim), broadcast against each other.  One exact
+    :func:`exactla.einsum` against the unit table."""
     a, b = np.broadcast_arrays(a, b)
     _check_len(sig, a)
-    n = sig.dim * a.shape[-1]
-    out = la.einsum("sx,sy,xyz->sz", a.reshape(-1, n), b.reshape(-1, n),
-                    (_entry_table(sig, a.shape[-1]), 1))
+    out = la.einsum("sx,sy,xyz->sz", a.reshape(-1, sig.dim),
+                    b.reshape(-1, sig.dim), (mul_table_tensor(sig), 1))
     return out.reshape(a.shape)
 
 
 def cd_conj(sig: CDSignature, a):
     _check_len(sig, a)
-    return np.concatenate([a[..., :1, :], -a[..., 1:, :]], axis=-2)
+    return np.concatenate([a[..., :1], -a[..., 1:]], axis=-1)
 
 
 def cd_real(a):
-    """Coefficient of the unit 1, shape (..., k)."""
-    return a[..., 0, :]
+    """Coefficient of the unit 1, shape (...)."""
+    return a[..., 0]
 
 
 def cd_norm(sig: CDSignature, a):

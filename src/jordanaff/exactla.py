@@ -59,8 +59,8 @@ certificates in linear algebra", ISSAC 2011), and for
 free column.  A rank that fails its check has its coordinates solved
 for on the minor and lifted (:func:`_certify`); only when that fails
 too, or a kernel fails, is another prime drawn, for its pivots alone.
-:func:`det` takes a stack of determinants, over Z or over the Gaussian
-integers Z[i], in one fraction-free (Bareiss) elimination;
+:func:`det` takes a stack of determinants in one fraction-free (Bareiss)
+elimination;
 :func:`inertia` is the symmetric counterpart, which pivots on the
 diagonal.
 """
@@ -1113,37 +1113,26 @@ def _dixon(A, rhs, sub, bsub, C, q):
             a[keep] for a in (live, A, rhs, sub, bsub, C, res, acc))
 
 
-def _times(x, y):
-    """Entrywise product of integer arrays whose last axis holds an
-    integer (length 1) or a Gaussian integer (re, im) (length 2)."""
-    if x.shape[-1] == 1:
-        return x * y
-    xr, xi, yr, yi = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
-    return np.stack([xr * yr - xi * yi, xr * yi + xi * yr], axis=-1)
-
-
 def _echelon(a):
-    """Determinants of a stack a (s, n, n, k) of integer (k = 1) or
-    Gaussian-integer (k = 2) matrices, as an (s, k) object array, by one
-    fraction-free (Bareiss) elimination of the whole stack.
+    """Determinants of a stack a (s, n, n) of integer matrices, as an
+    (s,) object array, by one fraction-free (Bareiss) elimination of the
+    whole stack.
 
     Each step moves the first row nonzero at the leading column of each
     matrix to the top and replaces the trailing block by
     (p * rest - col * row) / d, p the pivot and d the one before: every
-    entry is a minor, so the division is exact (over Z[i], a product with
-    conj(d) and a division by |d|^2).  The last pivot, signed by the row
-    swaps, is the determinant; a matrix without a pivot leaves the stack
-    with 0.  An integer block runs in int64 while 2 max-abs^2 fits.
+    entry is a minor, so the division is exact.  The last pivot, signed
+    by the row swaps, is the determinant; a matrix without a pivot leaves
+    the stack with 0.  The block runs in int64 while 2 max-abs^2 fits.
     """
-    s, n, _, k = a.shape
-    out = np.zeros((s, k), dtype=object)
-    out[:, 0] = 1  # the empty matrix
+    s, n, _ = a.shape
+    out = np.ones(s, dtype=object)  # the empty matrix
     live = np.arange(s)
-    sign = np.ones((s, 1), dtype=np.int64)
-    d = None  # the previous pivots, (s, 1, 1, k)
-    a = a.astype(object if k == 2 else a.dtype)  # a copy: rows move
+    sign = np.ones(s, dtype=np.int64)
+    d = None  # the previous pivots, (s, 1, 1)
+    a = a.copy()  # rows move
     while n and len(live):
-        nz = a[:, :, 0].any(axis=2)
+        nz = a[:, :, 0] != 0
         has = nz.any(axis=1)
         if not has.all():
             out[live[~has]] = 0
@@ -1159,24 +1148,19 @@ def _echelon(a):
             break
         if a.dtype != object and 2 * max_abs(a) ** 2 >= _INT64_SAFE:
             a = a.astype(object)
-        rest = _times(p, a[:, 1:, 1:]) - _times(a[:, 1:, :1], a[:, :1, 1:])
-        if d is not None and k == 2:
-            rest = _times(rest, d * [1, -1]) // (d * d).sum(3, keepdims=True)
-        elif d is not None:
+        rest = p * a[:, 1:, 1:] - a[:, 1:, :1] * a[:, :1, 1:]
+        if d is not None:
             rest //= d
         a, d = rest, p
     return out
 
 
-def det(M, im=None):
+def det(M):
     """Exact determinants of square integer matrices: a Python int for
     one matrix (n, n), a list of them for a stack (s, n, n), all from
-    one batched elimination.  With ``im``, an integer array of M's shape,
-    they are those of the Gaussian-integer M + i im, as (re, im) pairs."""
+    one batched elimination."""
     M = asint(M)
-    a = M[..., None] if im is None else np.stack([M, asint(im)], axis=-1)
-    dets = [v[0] if im is None else tuple(v)
-            for v in _echelon(a if M.ndim == 3 else a[None]).tolist()]
+    dets = _echelon(M if M.ndim == 3 else M[None]).tolist()
     return dets if M.ndim == 3 else dets[0]
 
 

@@ -48,7 +48,7 @@ from . import exactla as la
 from .config import TOL
 from .jordan import JordanAlgebra, JordanError
 from .reports import CheckResult, VerificationReport
-from .structure import _trace_zero_basis, _operator_stack
+from .structure import _trace_zero_basis
 
 # the coefficients 1 / k! of _expm's degree-18 Taylor polynomial, in
 # rows of four: row i holds those of a^(4i), ..., a^(4i+3)
@@ -68,6 +68,15 @@ def _float_operators(j, x):
     t = np.einsum("si,ijk->skj", x, c)
     x2 = np.einsum("skj,sj->sk", t, x)
     return t, 2 * (t @ t) - np.einsum("si,ijk->skj", x2, c)
+
+
+def _level_deviation(j, x, log_target):
+    """(sign_ok, worst) at float64 points, the rows of x: whether every
+    det P_x is positive, and the largest |log |det P_x| - log_target|."""
+    _, p = _float_operators(j, x)
+    sign, logabs = np.linalg.slogdet(p)
+    return (bool(np.all(sign > 0)),
+            float(np.max(np.abs(logabs - log_target), initial=0.0)))
 
 
 def _expm(t):
@@ -162,10 +171,10 @@ class HypersurfaceModel:
             return self._ints
         j = self.algebra
         nn = j.dim
-        t_ops, t_den = _operator_stack(j, self.v0)
+        v0_arr = la.asint(self.v0).reshape(self.n, nn)
+        t_ops, t_den = j._t_int(v0_arr, 1)
         e_arr, e_den = j._unit_int()
         g_arr, g_den = la.lowest_terms(*j._gram_int())
-        v0_arr = la.asint(self.v0).reshape(self.n, nn)
         outer_den = e_den * g_den * nn
         d = math.lcm(t_den, outer_den)
         w = la.einsum("ab,ib->ia", g_arr, v0_arr)
@@ -363,10 +372,7 @@ class HypersurfaceModel:
         """
         pts = self.sample_points(count=count, seed=seed, steps=steps)
         log_target = self.log_level_value()
-        _, p = _float_operators(self.algebra, pts)
-        sign, logabs = np.linalg.slogdet(p)
-        sign_ok = bool(np.all(sign > 0))
-        worst = float(np.max(np.abs(logabs - log_target), initial=0.0))
+        sign_ok, worst = _level_deviation(self.algebra, pts, log_target)
         return CheckResult(
             name="level_set_samples",
             passed=sign_ok and worst <= TOL.level,

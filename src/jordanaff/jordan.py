@@ -814,7 +814,7 @@ class JordanAlgebra:
         c, _, den = self._operands()
         zk, dc, _ = self._cache["center_int"]
         # T_z restricted to the center, in center coordinates: a / da
-        a, da = self._center_coords(la.einsum("i,wj,ijk->wk", z[0], zk, c),
+        a, da = self._center_coords(la.einsum("i,ijk,wj->wk", z[0], c, zk),
                                     den * z[1] * dc)
         eye = np.eye(m, dtype=np.int64)
         blocks = []
@@ -848,8 +848,8 @@ class JordanAlgebra:
         # verify pairwise annihilation
         for i in range(len(out)):
             for j in range(i):
-                if la.einsum("ui,vj,ijk->uvk", out[i][2], out[j][2],
-                             c).any():
+                if la.einsum("ui,ijk,vj->uvk", out[i][2], c,
+                             out[j][2]).any():
                     return None
         return [(sub, basis) for sub, basis, _ in out]
 
@@ -860,7 +860,7 @@ class JordanAlgebra:
         (p,), dp = self._p_int(eps[None], de)
         idx, _, _ = la.independent_rows(p.T)
         basis, k = p.T[idx], len(idx)
-        prods = la.einsum("ui,vj,ijk->uvk", basis, basis, c)
+        prods = la.einsum("ui,ijk,vj->uvk", basis, c, basis)
         sol = la.solve(basis.T, prods.reshape(k * k, self.dim).T)
         if sol is None:
             return None

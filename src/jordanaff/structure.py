@@ -116,13 +116,6 @@ def _trace_zero_basis(j):
     return tuple(out)
 
 
-def _operator_stack(j, vectors):
-    """Integer T_X stack over the tensor denominator for integer vectors."""
-    _, st, den = j._operands()
-    vecs = la.asint(vectors).reshape(len(vectors), j.dim)
-    return la.einsum("vi,ikj->vkj", vecs, st), den
-
-
 def _commutators(x):
     """Stack of the brackets [x[a], x[b]] over a < b, in that order."""
     m = la.max_abs(x)
@@ -140,7 +133,7 @@ def restricted_pair(j):
     """
     j.unity()
     v0 = _trace_zero_basis(j)
-    p_ops, p_den = _operator_stack(j, v0)
+    p_ops, p_den = j._t_int(la.asint(v0).reshape(-1, j.dim), 1)
     n = j.dim
     gens = _commutators(p_ops)
     pairs = [(a, b) for a in range(len(v0)) for b in range(a + 1, len(v0))]
@@ -269,7 +262,7 @@ def check_pair(pair, n_samples=3, seed=0):
     report.add(CheckResult(name="kk_in_k", passed=bool(
         spans and worst == 0 and worst_tr == 0
         and v0.tolist() == [list(x) for x in _trace_zero_basis(j)]
-        and np.array_equal(p, _operator_stack(j, v0)[0])
+        and np.array_equal(p, j._t_int(v0, 1)[0])
         and np.array_equal(y[named], d * np.eye(dim_k, dtype=object)))))
 
     # effectiveness: T is injective, k kills e, and V = R e (+) V0,

@@ -2,8 +2,8 @@
 
 The composition law n(xy) = n(x) n(y) is the load-bearing property: it
 is what makes the norm forms of the matrix algebras multiplicative.
-Elements are integer coefficient arrays (sig.dim, k), k = 1 for real and
-k = 2 for complex coefficients, and ``cd_mul`` multiplies stacks of them.
+Elements are integer arrays (sig.dim,) of real coefficients, and
+``cd_mul`` multiplies stacks of them.
 """
 
 import random
@@ -20,11 +20,11 @@ SIGS = [ca.REALS, ca.COMPLEXES, ca.QUATERNIONS, ca.SPLIT_QUATERNIONS,
 
 
 def _elt(sig, ints):
-    return np.array(ints[:sig.dim], dtype=np.int64)[:, None]
+    return np.array(ints[:sig.dim], dtype=np.int64)
 
 
 def _units(sig):
-    return np.eye(sig.dim, dtype=np.int64)[..., None]
+    return np.eye(sig.dim, dtype=np.int64)
 
 
 def _eq(a, b):
@@ -96,8 +96,8 @@ def test_quaternions_associative_octonions_not():
 def test_octonion_norm_signature():
     # positive definite for the division octonions, split (4, 4) otherwise
     o, s = ca.OCTONIONS, ca.SPLIT_OCTONIONS
-    assert ca.cd_norm(o, _units(o))[:, 0].tolist() == [1] * 8
-    split_signs = sorted(ca.cd_norm(s, _units(s))[:, 0].tolist())
+    assert ca.cd_norm(o, _units(o)).tolist() == [1] * 8
+    split_signs = sorted(ca.cd_norm(s, _units(s)).tolist())
     assert split_signs == [-1] * 4 + [1] * 4
 
 
@@ -106,7 +106,7 @@ def test_split_quaternion_matrix_iso():
     # isomorphism onto real 2x2 matrices that takes the norm to the
     # determinant
     def mat(a):
-        a0, a1, a2, a3 = a[:, 0].tolist()
+        a0, a1, a2, a3 = a.tolist()
         return np.array([[a0 - a3, a2 - a1], [a1 + a2, a0 + a3]])
 
     sq = ca.SPLIT_QUATERNIONS
@@ -118,36 +118,40 @@ def test_split_quaternion_matrix_iso():
 
 
 def _reference_mul(sig, a, b):
-    """Entry product from the unit table on Python ints; a coefficient
-    is an (re, im) pair."""
+    """Element product from the unit table on Python ints."""
     table = ca.unit_table(sig)
-    out = [[0, 0] for _ in range(sig.dim)]
-    for i, (ar, ai) in enumerate(a):
-        for j, (br, bi) in enumerate(b):
+    out = [0] * sig.dim
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
             k, s = table[i][j]
-            out[k][0] += s * (ar * br - ai * bi)
-            out[k][1] += s * (ar * bi + ai * br)
+            out[k] += s * x * y
     return out
 
 
 @pytest.mark.parametrize("sig", SIGS, ids=lambda s: s.name)
 @pytest.mark.parametrize("e", [4, 31, 40])
 def test_stacked_complex_products_are_exact(sig, e):
-    """A stack of entries with complex coefficients up to 2**e multiplies
-    as the unit table says, exactly, and the complex norm stays
-    multiplicative; past int64 the kernel runs on Python ints."""
+    """A stack of elements with coefficients up to 2**e multiplies as the
+    unit table says, exactly, and the norm stays multiplicative; past
+    int64 the kernel runs on Python ints."""
     rng = random.Random(e)
-    a, b = (np.array([[[rng.randint(-2 ** e, 2 ** e) for _ in range(2)]
-                       for _ in range(sig.dim)] for _ in range(4)],
-                     dtype=np.int64) for _ in range(2))
+    a, b = (np.array([[rng.randint(-2 ** e, 2 ** e) for _ in range(sig.dim)]
+                      for _ in range(4)], dtype=np.int64) for _ in range(2))
     got = ca.cd_mul(sig, a, b)
     assert got.tolist() == [_reference_mul(sig, x, y)
                             for x, y in zip(a.tolist(), b.tolist())]
+    norms = [x * y for x, y in zip(ca.cd_norm(sig, a).tolist(),
+                                   ca.cd_norm(sig, b).tolist())]
+    assert ca.cd_norm(sig, got).tolist() == norms
 
-    def times(x, y):
-        return ca.cd_mul(ca.REALS, x[..., None, :], y[..., None, :])
-    assert _eq(times(ca.cd_norm(sig, a), ca.cd_norm(sig, b)),
-               ca.cd_norm(sig, got)[..., None, :])
+
+def test_unit_table_tensor_is_read_only():
+    """The cached table is shared by every caller, so an in-place write
+    raises instead of corrupting later builds."""
+    table = ca.mul_table_tensor(ca.OCTONIONS)
+    assert table is ca.mul_table_tensor(ca.OCTONIONS)
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 0
 
 
 def test_signature_mismatch_rejected():

@@ -91,22 +91,6 @@ def test_stacked_det_matches_sympy(mats):
     assert [la.det(m) for m in mats] == want
 
 
-@given(st.integers(1, 4), st.integers(1, 3), st.data())
-@settings(max_examples=40, deadline=None)
-def test_gaussian_det_matches_sympy(n, s, data):
-    """det(re, im) is the determinant of re + i im over Z[i]."""
-    ints = st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-                    min_size=n, max_size=n)
-    re = [data.draw(ints) for _ in range(s)]
-    im = [data.draw(ints) for _ in range(s)]
-    want = []
-    for r, i in zip(re, im):
-        z = sympy.expand((sympy.Matrix(r) + sympy.I * sympy.Matrix(i)).det())
-        want.append((int(sympy.re(z)), int(sympy.im(z))))
-    assert la.det(la.asint(re), la.asint(im)) == want
-    assert la.det(re[0], im[0]) == want[0]
-
-
 def test_det_leaves_its_input_unchanged():
     a = np.array([[[0, 1], [1, 0]], [[0, 0], [3, 4]]])
     before = a.copy()
@@ -407,6 +391,7 @@ KERNEL_SPECS = (
     "kji,jac->kiac", "vi,ikj->vkj", "ab,cb->ac", "ai,ij,bj->ab",
     "ti,aij,bj->abt", "wi,ikj->wkj", "ab,bi->ai", "a,ai->i",
     "i,wj,ijk->wk", "v,vi->i", "i,ir->r", "ui,vj,ijk->uvk",
+    "i,ijk,wj->wk", "ui,ijk,vj->uvk",
     # batch axes: an index kept by both operands
     "sab,sbc->sac", "smn,snk->smk", "sij,sjk->sik", "sab,sbc,scd->sad",
     "skj,sj->sk", "sk,sk->s", "sx,sy,xyz->sz",
@@ -427,9 +412,9 @@ KERNEL_SPECS = (
 )
 
 
-def test_kernel_specs_cover_the_library():
+def _library_specs():
     """Every spec string src passes to exactla.einsum, or as a residual
-    term, is in KERNEL_SPECS, so the properties below draw it."""
+    term."""
     src = Path(__file__).resolve().parents[1] / "src" / "jordanaff"
     seen = set()
     for path in sorted(src.glob("*.py")):
@@ -452,8 +437,33 @@ def test_kernel_specs_cover_the_library():
                 seen.update(term.elts[1].value for term in call.args
                             if isinstance(term, ast.Tuple)
                             and len(term.elts) == 4)
+    return seen
+
+
+def test_kernel_specs_cover_the_library():
+    """Every spec of the library is in KERNEL_SPECS, so the properties
+    below draw it."""
+    seen = _library_specs()
     assert len(seen) > 50
     assert seen <= set(KERNEL_SPECS), sorted(seen - set(KERNEL_SPECS))
+
+
+def test_library_specs_form_no_avoidable_outer_product():
+    """The float64 rung chains a spec's operands left to right, so an
+    operand that shares no index with the ones before it makes an outer
+    product.  That is allowed only when no later operand shares an index
+    with them either: "ui,vj,ijk->uvk" forms a u x v x i x j product
+    where "ui,ijk,vj->uvk" contracts i first."""
+    bad = []
+    for spec in sorted(_library_specs()):
+        subs = spec.split("->")[0].split(",")
+        for k in range(1, len(subs)):
+            before = set("".join(subs[:k]))
+            if not before & set(subs[k]) and any(
+                    before & set(later) for later in subs[k + 1:]):
+                bad.append(spec)
+                break
+    assert not bad, bad
 
 
 def _draw_array(data, shape):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from jordanaff import catalog, exactla, structure
+from jordanaff import catalog, exactla
 from jordanaff.jordan import direct_sum
 from jordanaff.structure import restricted_pair, check_pair
 
@@ -300,7 +300,7 @@ def test_kk_in_k_fails_on_each_broken_premise(get_pair, big_isotopes):
         e, e_den = pair.algebra._unit_int()
         x = tuple(e_den * int(v) + int(u) for v, u in zip(pair.v0[0], e))
         v0 = (x,) + pair.v0[1:]
-        p_ops, _ = structure._operator_stack(pair.algebra, v0)
+        p_ops, _ = pair.algebra._t_int(exactla.asint(v0), 1)
         lifted = {c.name: c.passed for c in check_pair(
             dataclasses.replace(pair, v0=v0, p_ops=p_ops)).checks}
         assert not lifted.pop("kk_in_k"), name
