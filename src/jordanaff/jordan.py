@@ -4,7 +4,10 @@ An algebra is a tensor c with (b_i o b_j) = sum_k c[i][j][k] b_k over a
 fixed basis, stored as integers over one denominator.  Every identity
 is certified exactly, and has one implementation: it runs on the kernel
 arrays of :meth:`JordanAlgebra._operands`, and its verdict is that the
-exact residual of :meth:`JordanAlgebra._residual` is 0.  Float input is
+exact residual of :meth:`JordanAlgebra._residual` is 0.  An identity
+that follows from a premise cached on the algebra (a commutative tensor,
+a two-sided unit) reports 0 without evaluation while the premise holds;
+its docstring gives the proof.  Float input is
 snapped to rationals at the edge (:mod:`jordanaff.serialization`), and
 float64 is left to the geometry of sampled points.
 
@@ -144,6 +147,21 @@ class JordanAlgebra:
         """(ci, den) with c == ci / den in lowest terms: ci is int64, or
         object-dtype when an entry does not fit."""
         return self._kernel
+
+    def _asymmetry(self):
+        """The first (i, k), k < i, where the slices c[i][k] and c[k][i]
+        differ, or None when the tensor is commutative: one array
+        comparison, made once.  The JSON loader names it in its error,
+        :meth:`check_jordan` evaluates commutativity only when it is not
+        None, and it is a premise of the identities that
+        :meth:`check_triple` and the model checks prove."""
+        if "asymmetry" not in self._cache:
+            ci, _ = self._kernel
+            asym = np.argwhere(np.tril(
+                (ci != ci.transpose(1, 0, 2)).any(axis=2)))
+            self._cache["asymmetry"] = (tuple(map(int, asym[0])) if len(asym)
+                                        else None)
+        return self._cache["asymmetry"]
 
     def _t_stack(self):
         """Stack S with S[i] = T_{b_i} (scaled by the tensor den)."""
@@ -385,6 +403,21 @@ class JordanAlgebra:
         self.unity()
         return self._cache["unity_int"]
 
+    def _two_sided_unit(self):
+        """Whether the cached unit e is a two-sided unit, T_e = I and
+        R_e = I (R_e v = v o e): two contractions, made once; raises as
+        :meth:`unity`.  A premise of the model checks
+        (:mod:`jordanaff.hypersurface`)."""
+        if "two_sided_unit" not in self._cache:
+            _, st, den = self._operands()
+            e, de = self._unit_int()
+            eye = la.lincomb((den * de, np.eye(self.dim, dtype=np.int64)))
+            # T_e, and R_e transposed: [i, k] = (b_i o e)_k
+            self._cache["two_sided_unit"] = (
+                np.array_equal(la.einsum("i,ikj->kj", e, st), eye)
+                and np.array_equal(la.einsum("ikj,j->ik", st, e), eye))
+        return self._cache["two_sided_unit"]
+
     def _invert_int(self, x, dx, p, dp):
         """Kernel forms of the Jordan inverses P_v^{-1} v of the rows v
         of x / dx, given the stack P_v = p / dp: one ``(w, dw)`` per row,
@@ -428,14 +461,16 @@ class JordanAlgebra:
         the residual for every basis vector v, and the same seeded
         elements are applied on the right as extra v samples.  All rows u
         run as one stack, so the kernel calls do not grow with the
-        sample count.
+        sample count.  Commutativity is read from :meth:`_asymmetry`; its
+        residual and witness are computed only when that finds a pair of
+        slices that differ.
         """
         rng = random.Random(seed)
-        ci, den = self._kernel
-        ci_t = ci.transpose(1, 0, 2)
-        ja1 = max(self._residual((1, ci, den), (-1, ci_t, den)))
-        ja1_witness = None
-        if ja1:
+        ja1, ja1_witness = Fraction(0), None
+        if self._asymmetry() is not None:
+            ci, den = self._kernel
+            ci_t = ci.transpose(1, 0, 2)
+            ja1 = max(self._residual((1, ci, den), (-1, ci_t, den)))
             i, j, _ = np.argwhere(ci != ci_t)[0]
             ja1_witness = (int(i), int(j))
         samples = np.concatenate([np.eye(self.dim, dtype=np.int64),
@@ -503,6 +538,20 @@ class JordanAlgebra:
 
         All six run batched over the samples; a rational algebra compares
         integer tensors and is exact.
+
+        The first four are proved, not evaluated, when the tensor is
+        commutative (:meth:`_asymmetry` is None).  Then R_a = T_a for
+        every a, and L(u,v) = T_{u o v} + R_u R_v - R_v T_u, the operator
+        the samples evaluate (L(u,v) w = (u o v) o w + (w o v) o u
+        - (u o w) o v, since (w o v) o u = R_u R_v w and (u o w) o v =
+        R_v T_u w), is T_{u o v} + [T_u, T_v]: the operator form.  Its
+        part symmetric in (u, v) is T_{u o v} = T_{v o u} and its
+        antisymmetric part [T_u, T_v], which is the split; and t(u,v,w) -
+        t(w,v,u) = (u o w) o v - (w o u) o v = 0.  Every term is an exact
+        integer array over the same den, so each of the four residuals is
+        exactly 0; they are evaluated only when the premise fails.  The
+        trace-form transpose and the commutation rule are always
+        evaluated.
         """
         rng = random.Random(seed)
         c, _, dc = self._operands()
@@ -548,18 +597,22 @@ class JordanAlgebra:
         tuvw, _, twvu, a, b = img.reshape(5, s, n)
 
         d2 = dc * dc
-        worsts = {}
-        worsts["outer_symmetry"] = self._worst((1, tuvw, d2), (-1, twvu, d2))
-
-        tx = lx.transpose(0, 2, 1)
-        tutv, tvtu = mm(rows(tx, 0, 1), rows(tx, 1, 0)).reshape(2, s, n, n)
-        t_uv = l_ab[0][:s].transpose(0, 2, 1)
-        worsts["operator_form"] = self._worst(
-            (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
-        worsts["symmetric_part"] = self._worst(
-            (1, luv, d2), (1, lvu, d2), (-2, t_uv, d2))
-        worsts["antisymmetric_part"] = self._worst(
-            (1, luv, d2), (-1, lvu, d2), (-2, tutv, d2), (2, tvtu, d2))
+        worsts = dict.fromkeys(("outer_symmetry", "operator_form",
+                                "symmetric_part", "antisymmetric_part"),
+                               Fraction(0))
+        if self._asymmetry() is not None:
+            worsts["outer_symmetry"] = self._worst((1, tuvw, d2),
+                                                   (-1, twvu, d2))
+            tx = lx.transpose(0, 2, 1)
+            tutv, tvtu = mm(rows(tx, 0, 1),
+                            rows(tx, 1, 0)).reshape(2, s, n, n)
+            t_uv = l_ab[0][:s].transpose(0, 2, 1)
+            worsts["operator_form"] = self._worst(
+                (1, luv, d2), (-1, tutv, d2), (1, tvtu, d2), (-1, t_uv, d2))
+            worsts["symmetric_part"] = self._worst(
+                (1, luv, d2), (1, lvu, d2), (-2, t_uv, d2))
+            worsts["antisymmetric_part"] = self._worst(
+                (1, luv, d2), (-1, lvu, d2), (-2, tutv, d2), (2, tvtu, d2))
 
         g, dg = self._gram_int()
         lhs, rhs = la.einsum("sm,mq,sq->s", rows(img, 0, 1), g,
@@ -759,7 +812,12 @@ class JordanAlgebra:
         irreducible over Q that splits over R (x^2 - 2, or any of degree
         above 2) has ideals not defined over Q, and raises JordanError
         naming it; only sympy's factoring can show that.
+
+        Once a call has proved the algebra simple (its center is R, or a
+        field C), that one-ideal answer is cached: it depends on no seed.
         """
+        if "simple" in self._cache:
+            return self._as_simple()
         ok, sig = self.is_semisimple()
         if not ok:
             raise NotSemisimpleError(
@@ -768,9 +826,8 @@ class JordanAlgebra:
         e, de = self._unit_int()
         m = len(self.center(seed=seed))
         zk, dc, _ = self._cache["center_int"]
-        ambient = list(self._out(np.eye(self.dim, dtype=np.int64), 1))
         if m == 1:
-            return [(self, ambient)]  # the only central idempotent is e
+            return self._as_simple()  # the only central idempotent is e
         rng = random.Random(seed + 1)
         for attempt in range(max_attempts):
             coeffs = la.asint([rng.randint(-9, 9) for _ in range(m)])
@@ -809,8 +866,7 @@ class JordanAlgebra:
         if len(factors) == 1:
             # one quadratic factor with negative discriminant: the center
             # is C, a field over R, so the algebra is already simple
-            return [(self, list(self._out(np.eye(self.dim, dtype=np.int64),
-                                          1)))]
+            return self._as_simple()
         c, _, den = self._operands()
         zk, dc, _ = self._cache["center_int"]
         # T_z restricted to the center, in center coordinates: a / da
@@ -852,6 +908,14 @@ class JordanAlgebra:
                              out[j][2]).any():
                     return None
         return [(sub, basis) for sub, basis, _ in out]
+
+    def _as_simple(self):
+        """:meth:`decompose`'s answer for a simple algebra, the algebra
+        itself over the ambient basis; cached on the first call."""
+        if "simple" not in self._cache:
+            self._cache["simple"] = self._out(
+                np.eye(self.dim, dtype=np.int64), 1)
+        return [(self, list(self._cache["simple"]))]
 
     def _ideal_of_idempotent(self, eps, de):
         """(ideal, basis, integer basis) of the ideal P_eps V for the

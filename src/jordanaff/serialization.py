@@ -147,13 +147,10 @@ def from_jsonable(data):
     if j.dim != data["dim"]:
         raise SerializationError(
             f"tensor has {j.dim} slices, dim says {data['dim']}")
-    # the first (i, k) with k < i where slices c[i][k] and c[k][i] differ
-    ci, _ = j._int_tensor()
-    asym = np.argwhere(np.tril((ci != ci.transpose(1, 0, 2)).any(axis=2)))
-    if len(asym):
-        i, k = asym[0]
+    asym = j._asymmetry()
+    if asym is not None:
         raise SerializationError(
-            f"structure constants not symmetric at ({i}, {k})")
+            f"structure constants not symmetric at {asym}")
     # the stored unit is checked, not solved for; a wrong one leaves the
     # solve to tell a unit elsewhere (SerializationError below) from none
     unital = j.find_unity() is not None

@@ -344,16 +344,26 @@ def test_kernel_calls_do_not_grow_with_samples(check, get_algebra,
 
 def test_quadratic_expansion_calls_do_not_grow_with_points(get_model,
                                                            monkeypatch):
+    """On the premise path, and on the full evaluation with the premise
+    helpers patched to fail.  One call first computes the cached
+    premises, which are not counted."""
     model = get_model("hermitian_complex", gammas=(1, 1, 1), m=3)
-    runs = []
-    for hs in ((F(1, 3), F(2), F(-1, 5)),
-               tuple(F(k, 7) for k in range(-6, 7) if k)):
-        counts = _count_einsum(monkeypatch)
-        res = model.check_quadratic_expansion(hs=hs)
-        monkeypatch.undo()
-        assert res.passed and res.samples == 6 * len(hs)
-        runs.append(counts["einsum"])
-    assert runs[0] == runs[1]
+    model.check_quadratic_expansion()
+    for full in (False, True):
+        runs = []
+        with pytest.MonkeyPatch.context() as premises:
+            if full:
+                premises.setattr(JordanAlgebra, "_two_sided_unit",
+                                 lambda self: False)
+            for hs in ((F(1, 3), F(2), F(-1, 5)),
+                       tuple(F(k, 7) for k in range(-6, 7) if k)):
+                counts = _count_einsum(monkeypatch)
+                res = model.check_quadratic_expansion(hs=hs)
+                monkeypatch.undo()
+                assert res.passed and res.samples == 6 * len(hs)
+                runs.append(counts["einsum"])
+        assert runs[0] == runs[1]
+        assert (runs[0] > 0) == full
 
 
 def test_single_element_api_on_stacks(get_algebra):
